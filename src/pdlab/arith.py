@@ -1,9 +1,15 @@
 """Multiplicative arithmetic functions and per-sequence density functions g.
 
 Covers the Euler totient, Omega, the threefold divisor function, distinct
-root counts h(d) of integer polynomials (Hensel lifting off the
-discriminant, exhaustive residue scans at ramified primes), and the
-Mertens-type diagnostics sum_{p<=x} g(p) log p - log x.
+root counts h(d) of integer polynomials, the density vectors g(n), and
+the Mertens-type diagnostics sum_{p<=x} g(p) log p - log x.
+
+Root counts follow one rule: the distinct roots of F in F_p are the roots
+of gcd(F mod p, X^p - X), which costs O(D^2 log p) for any prime and any
+degree D.  Off the discriminant each root is simple and lifts uniquely to
+every p^k (Hensel), so only ramified prime powers need an exhaustive
+residue scan.  The vectors g(n), n <= x, come from one spf pass that builds
+their integer numerators exactly, so each g(n) is a correctly rounded ratio.
 """
 
 from __future__ import annotations
@@ -20,9 +26,6 @@ from pdlab.errors import ResourceBudgetError, ValidationError
 
 # Largest modulus for exhaustive residue scans (ramified prime powers).
 SCAN_BUDGET = 10**6
-# Largest x for which mertens_deviation will scan roots of a cubic-or-higher
-# polynomial prime by prime; quadratics use Euler's criterion beyond this.
-ROOT_SCAN_X_BUDGET = 10**5
 
 _table = None
 
@@ -143,99 +146,120 @@ def roots_mod(coeffs, m: int) -> list[int]:
     return np.flatnonzero(val == 0).tolist()
 
 
-def poly_root_count_pk(coeffs, p: int, k: int) -> int:
+# ---------------------------------------------------------------------------
+# polynomials over F_p: constant-first lists without trailing zeros
+
+
+def _poly_mod(a, p):
+    a = [c % p for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_rem(a, m, p):
+    a = list(a)
+    dm = len(m) - 1
+    inv = pow(m[-1], -1, p)
+    while len(a) - 1 >= dm and a:
+        c = a[-1] * inv % p
+        shift = len(a) - 1 - dm
+        for i, cm in enumerate(m):
+            a[shift + i] = (a[shift + i] - c * cm) % p
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _poly_mulmod(a, b, m, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = (out[i + j] + ca * cb) % p
+    return _poly_rem(out, m, p)
+
+
+def _x_powmod(e, m, p):
+    """X^e mod m over F_p, by left-to-right squaring and shifting."""
+    r = [1]
+    for bit in bin(e)[2:]:
+        r = _poly_mulmod(r, r, m, p)
+        if bit == "1":
+            r = _poly_rem([0] + r, m, p)
+    return r
+
+
+def _gcd_mod(a, b, p):
+    a, b = _poly_mod(a, p), _poly_mod(b, p)
+    while b:
+        r = _poly_rem(a, b, p)
+        a, b = b, r
+    return a
+
+
+def _minus_x(a, p):
+    """a - X over F_p."""
+    a = list(a) + [0] * (2 - len(a))
+    a[1] -= 1
+    return _poly_mod(a, p)
+
+
+# ---------------------------------------------------------------------------
+# root counts h(d)
+
+
+def _root_count_mod_p(coeffs, p: int) -> int:
+    """h(p) = deg gcd(F mod p, X^p - X), the number of distinct roots in F_p.
+
+    Holds for every prime and degree, p | disc F and p | lead F included.
+    F = 0 mod p has all p residues as roots; a nonzero constant has none.
+    """
+    f = _poly_mod(coeffs, p)
+    if not f:
+        return p
+    return len(_gcd_mod(f, _minus_x(_x_powmod(p, f, p), p), p)) - 1
+
+
+def _ramification(coeffs) -> int:
+    """disc F times the content of F.
+
+    A prime dividing neither has only simple roots of F mod p (the content
+    matters only for degree 1, whose discriminant is 1).
+    """
+    return discriminant(coeffs) * math.gcd(*coeffs)
+
+
+def poly_root_count_pk(coeffs, p: int, k: int, ram: int | None = None) -> int:
     """h(p^k): distinct roots of F modulo p^k.
 
-    Off the discriminant every root mod p is simple and lifts uniquely
-    (Hensel), so the count is stable in k; at ramified primes the residue
-    scan is exhaustive and subject to SCAN_BUDGET.
+    h(p) is the gcd count of _root_count_mod_p.  When p does not divide
+    ``ram`` (disc F times the content of F, computed when not given), every
+    root mod p is simple and lifts uniquely (Hensel), so h(p^k) = h(p) for
+    every k.  At the remaining, ramified primes h(p^k), k >= 2, comes from
+    an exhaustive residue scan subject to SCAN_BUDGET.
     """
     if k < 1:
         raise ValidationError(f"exponent k must be >= 1, got {k}")
-    disc = discriminant(coeffs)
+    if ram is None:
+        ram = _ramification(coeffs)
+    if k == 1 or ram % p:
+        return _root_count_mod_p(coeffs, p)
     pk = p**k
-    if disc % p == 0:
-        if pk > SCAN_BUDGET:
-            raise ResourceBudgetError(
-                f"p={p} divides disc F and p**k={pk} exceeds the scan budget"
-            )
-        return len(roots_mod(coeffs, pk))
-    if pk <= SCAN_BUDGET:
-        return len(roots_mod(coeffs, pk))
-    # p does not divide disc: lift the simple roots mod p
-    roots = roots_mod(coeffs, p) if p <= SCAN_BUDGET else _roots_mod_large_p(coeffs, p)
-    deriv = poly_derivative(coeffs)
-    lifted = list(roots)
-    mod = p
-    for _ in range(k - 1):
-        nxt = []
-        mod_next = mod * p
-        for r in lifted:
-            fp = poly_eval(deriv, r) % p
-            assert fp != 0, (
-                "ramified lift at p not dividing disc F; discriminant bug"
-            )
-            inv = pow(fp, -1, p)
-            r2 = (r - poly_eval(coeffs, r) * inv) % mod_next
-            assert poly_eval(coeffs, r2) % mod_next == 0
-            nxt.append(r2)
-        lifted = nxt
-        mod = mod_next
-    return len(lifted)
-
-
-def _roots_mod_large_p(coeffs, p: int) -> list[int]:
-    """Root count support for primes above the scan budget (quadratics only)."""
-    d = poly_degree(coeffs)
-    if d != 2:
+    if pk > SCAN_BUDGET:
         raise ResourceBudgetError(
-            f"root finding mod p={p} beyond scan budget supported only for degree 2"
+            f"p={p} is ramified for F and p**k={pk} exceeds the scan budget"
         )
-    a, b, c = coeffs[2], coeffs[1], coeffs[0]
-    if a % p == 0:
-        # degenerates to a linear congruence
-        if b % p == 0:
-            return [0] if c % p == 0 else []
-        return [(-c * pow(b, -1, p)) % p]
-    disc = (b * b - 4 * a * c) % p
-    if disc == 0:
-        return [(-b * pow(2 * a, -1, p)) % p]
-    if pow(disc, (p - 1) // 2, p) != 1:
-        return []
-    s = _sqrt_mod_p(disc, p)
-    inv2a = pow(2 * a, -1, p)
-    return sorted({((-b + s) * inv2a) % p, ((-b - s) * inv2a) % p})
-
-
-def _sqrt_mod_p(a: int, p: int) -> int:
-    """Tonelli-Shanks; a must be a quadratic residue mod odd prime p."""
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
+    return len(roots_mod(coeffs, pk))
 
 
 def poly_root_count(coeffs, d: int) -> int:
     """h(d) = prod over p^k || d of h(p^k), by CRT multiplicativity."""
     if d < 1:
         raise ValidationError(f"poly_root_count requires d >= 1, got {d}")
+    ram = _ramification(coeffs)
     out = 1
     for p, e in _factorize(d).factors:
-        out *= poly_root_count_pk(coeffs, p, e)
+        out *= poly_root_count_pk(coeffs, p, e, ram)
         if out == 0:
             return 0
     return out
@@ -270,27 +294,13 @@ def g_eval(g: GFunctionSpec, d: int) -> Fraction:
     return Fraction(poly_root_count(g.coeffs, d), d)
 
 
-def _prime_root_count(coeffs, p: int, disc: int) -> int:
-    """h(p), preferring the direct quadratic formula over a residue scan.
-
-    The scan is kept for small p (it covers p = 2 and any degree), for
-    ramified primes, and for degrees where no direct formula is wired up.
-    """
-    if disc % p == 0 or p <= ROOT_SCAN_X_BUDGET or poly_degree(coeffs) != 2:
-        return len(roots_mod(coeffs, p))
-    return len(_roots_mod_large_p(coeffs, p))
-
-
 def _g_at_primes(g: GFunctionSpec, primes: np.ndarray) -> np.ndarray:
     if g.kind == "reciprocal":
         return 1.0 / primes.astype(np.float64)
     if g.kind == "reciprocal_totient":
         return 1.0 / (primes.astype(np.float64) - 1.0)
-    disc = discriminant(g.coeffs)
-    h = np.empty(len(primes), dtype=np.float64)
-    for i, p in enumerate(primes):
-        h[i] = _prime_root_count(g.coeffs, int(p), disc)
-    return h / primes.astype(np.float64)
+    h = [_root_count_mod_p(g.coeffs, p) for p in primes.tolist()]
+    return np.array(h, dtype=np.float64) / primes.astype(np.float64)
 
 
 def mertens_deviation(g: GFunctionSpec, x: int) -> float:
@@ -304,69 +314,55 @@ def mertens_deviation(g: GFunctionSpec, x: int) -> float:
 
 
 def _g_h_values(g: GFunctionSpec, x: int):
-    """Vectors g(n), h(n) for 1 <= n <= x via an spf division pass.
+    """(g(n), h(n), Omega(n)) for 0 <= n <= x from one spf division pass.
 
-    h(n) = n*g(n) is the multiplicative numerator; returned only for
-    root_density, where it is the polynomial root count.
+    The pass divides out each prime power p^e || n and builds the exact
+    integer behind g: phi(n) for reciprocal_totient, the root count h(n)
+    for root_density.  g(n) is then the correctly rounded ratio 1/n,
+    1/phi(n) or h(n)/n.  h is None unless g is a root density; g(0) = 0.
     """
     spf = factor.smallest_factor_sieve(max(x, 2))[: x + 1]
-    gv = np.ones(x + 1, dtype=np.float64)
-    rem = np.arange(x + 1, dtype=np.int64)
-    rem[:2] = 1
-    idx = np.flatnonzero(rem > 1)
-    rem = rem[idx]
-    ramified: dict[int, int] = {}
+    n = np.arange(x + 1, dtype=np.int64)
+    num = np.ones(x + 1, dtype=np.int64)
+    omega = np.zeros(x + 1, dtype=np.int8)
     if g.kind == "root_density":
-        disc = discriminant(g.coeffs)
-        hp_cache: dict[int, float] = {}
-    last_p = np.zeros(x + 1, dtype=np.int64)
+        ram = _ramification(g.coeffs)
+
+        @lru_cache(maxsize=None)
+        def h_pk(p, k):
+            # a root mod p^k reduces to one mod p^(k-1): zero stays zero
+            if k > 1 and h_pk(p, k - 1) == 0:
+                return 0
+            return poly_root_count_pk(g.coeffs, p, k, ram)
+
+    idx = n[2:]
+    rem = idx.copy()
     while idx.size:
         p = spf[rem]
-        # spf emits each value's primes in nondecreasing runs, so "first
-        # power of this prime" is exactly "differs from the previous prime"
-        fresh = p != last_p[idx]
-        if g.kind == "reciprocal":
-            fac = 1.0 / p
-        elif g.kind == "reciprocal_totient":
-            # phi(p^e) = (p-1) p^(e-1): 1/(p-1) on the first power, then 1/p
-            fac = np.where(fresh, 1.0 / (p - 1.0), 1.0 / p.astype(np.float64))
-        else:
-            uniq, inv = np.unique(p, return_inverse=True)
-            hp_u = np.empty(uniq.size, dtype=np.float64)
-            for j, pr in enumerate(uniq.tolist()):
-                if pr not in hp_cache:
-                    hp_cache[pr] = float(_prime_root_count(g.coeffs, pr, disc))
-                    if disc % pr == 0:
-                        ramified[pr] = 1
-                hp_u[j] = hp_cache[pr]
-            hp = hp_u[inv]
-            # h(p^e) = h(p) off the discriminant; ramified primes fixed below
-            fac = np.where(fresh, hp / p, 1.0 / p.astype(np.float64))
-        gv[idx] *= fac
-        last_p[idx] = p
         rem //= p
+        e = np.ones_like(p)
+        sel = np.flatnonzero(rem % p == 0)
+        while sel.size:
+            rem[sel] //= p[sel]
+            e[sel] += 1
+            sel = sel[rem[sel] % p[sel] == 0]
+        omega[idx] += e
+        if g.kind == "reciprocal_totient":
+            num[idx] *= (p - 1) * p ** (e - 1)
+        elif g.kind == "root_density":
+            # one count per distinct (p, e); e < 64 since n < 2**63
+            key, inv = np.unique(p << 6 | e, return_inverse=True)
+            hk = [h_pk(k >> 6, k & 63) for k in key.tolist()]
+            num[idx] *= np.array(hk, dtype=np.int64)[inv]
         alive = rem > 1
         idx, rem = idx[alive], rem[alive]
+    gv = np.zeros(x + 1, dtype=np.float64)
     if g.kind == "root_density":
-        for pr in ramified:
-            hp1 = len(roots_mod(g.coeffs, pr))
-            if hp1 == 0:
-                continue  # the generic pass already zeroed every multiple of pr
-            pk, k = pr, 1
-            while pk * pr <= x:
-                pk *= pr
-                k += 1
-                hpk = poly_root_count_pk(g.coeffs, pr, k)
-                if hpk == 0:
-                    # roots cannot reappear at higher powers
-                    gv[pk::pk] = 0.0
-                    break
-                sel = np.arange(pk, x + 1, pk)
-                if pk * pr <= x:
-                    sel = sel[sel % (pk * pr) != 0]  # exact power p^k || n
-                gv[sel] *= hpk / hp1
-    gv[0] = 0.0
-    return gv
+        num[0] = 0
+        gv[1:] = num[1:] / n[1:]
+        return gv, num, omega
+    gv[1:] = 1.0 / (num if g.kind == "reciprocal_totient" else n)[1:]
+    return gv, None, omega
 
 
 def partial_sums_gh(g: GFunctionSpec, x: int):
@@ -375,12 +371,8 @@ def partial_sums_gh(g: GFunctionSpec, x: int):
         raise ValidationError(f"partial_sums_gh requires x >= 1, got {x}")
     if x > 10**7:
         raise ResourceBudgetError(f"partial_sums_gh capped at x = 1e7, got {x}")
-    gv = _g_h_values(g, x)
-    gsum = float(np.sum(gv))
-    if g.kind != "root_density":
-        return gsum, None
-    n = np.arange(x + 1, dtype=np.float64)
-    return gsum, float(np.sum(gv * n))
+    gv, hv, _ = _g_h_values(g, x)
+    return float(np.sum(gv)), None if hv is None else float(np.sum(hv))
 
 
 def empirical_c_bound(g: GFunctionSpec, dmax: int) -> float:
@@ -391,29 +383,7 @@ def empirical_c_bound(g: GFunctionSpec, dmax: int) -> float:
     """
     if dmax < 2:
         raise ValidationError(f"empirical_c_bound requires dmax >= 2, got {dmax}")
-    gv = _g_h_values(g, dmax)
-    spf = factor.smallest_factor_sieve(max(dmax, 2))[: dmax + 1]
-    omega = np.zeros(dmax + 1, dtype=np.int64)
-    rem = np.arange(dmax + 1, dtype=np.int64)
-    rem[:2] = 1
-    idx = np.flatnonzero(rem > 1)
-    rem = rem[idx]
-    while idx.size:
-        omega[idx] += 1
-        rem //= spf[rem]
-        alive = rem > 1
-        idx, rem = idx[alive], rem[alive]
+    gv, _, omega = _g_h_values(g, dmax)
     d = np.arange(dmax + 1, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        c = (gv[2:] * d[2:]) ** (1.0 / omega[2:])
+    c = (gv[2:] * d[2:]) ** (1.0 / omega[2:])
     return float(np.max(c))
-
-
-@lru_cache(maxsize=None)
-def _phi_sieve(limit: int) -> np.ndarray:
-    """phi(d) for all d <= limit, via the standard multiplicative sieve."""
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
-    return phi

@@ -18,7 +18,6 @@ import math
 import sys
 import time
 
-import numpy as np
 from scipy.integrate import quad
 
 from pdlab import arith, dickman, pdprocess, sequences, stats
@@ -149,7 +148,7 @@ def run_pd(config: dict) -> ExperimentReport:
     threads = _threads(config)
     est = pdprocess.joint_cdf_mc([1.0], n, seed, threads=threads)  # validates plumbing
     assert est.value == 1.0, "P(L1 <= 1) must be exactly 1"
-    mean_l1 = _mean_l1_mc(n, seed, threads)
+    mean_l1 = pdprocess.mean_l1_mc(n, seed, threads)
     dev = pdprocess.mass_identity_max_deviation(n, seed, threads=threads)
     table = dickman.default_table()
     # E[L1] = 1 - integral of rho(t)/t**2 over t >= 1 (Golomb-Dickman constant),
@@ -166,23 +165,6 @@ def run_pd(config: dict) -> ExperimentReport:
         exhaustive=False,
         extras={"n_samples": n, "mass_identity_max_deviation": dev},
     )
-
-
-def _mean_l1_mc(n: int, seed: int, threads: int):
-    def work(block, size):
-        rng = pdprocess._block_rng(seed, block)
-        top, _ = pdprocess._topk_block(rng, size, 1, pdprocess.DEFAULT_TRUNCATION)
-        return float(top[:, 0].sum()), float(np.square(top[:, 0]).sum()), size
-
-    parts = pdprocess._combine_blocks(n, threads, work)
-    s = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    total = sum(p[2] for p in parts)
-    mean = s / total
-    var = max(s2 / total - mean * mean, 0.0)
-    from pdlab.report import Estimate
-
-    return Estimate(value=mean, std_error=math.sqrt(var / total), n=total)
 
 
 def _corr_oracle(eta: BoxFunction) -> float:

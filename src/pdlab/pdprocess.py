@@ -127,6 +127,27 @@ def _combine_blocks(n_samples: int, threads: int, work):
     return results
 
 
+def _mean_mc(per_sample, n_samples: int, seed: int, threads: int) -> Estimate:
+    """Mean and standard error of a per-sample statistic over the RNG blocks.
+
+    ``per_sample(rng, size)`` returns the statistic of each of a block's
+    samples; the sums are reduced in block order, so the estimate does not
+    depend on the thread count.
+    """
+
+    def work(block, size):
+        per = per_sample(_block_rng(seed, block), size)
+        return per.sum(), np.square(per).sum(), size
+
+    parts = _combine_blocks(n_samples, threads, work)
+    s = sum(p[0] for p in parts)
+    s2 = sum(p[1] for p in parts)
+    n = sum(p[2] for p in parts)
+    mean = s / n
+    var = max(s2 / n - mean * mean, 0.0)
+    return Estimate(value=mean, std_error=math.sqrt(var / n), n=n)
+
+
 def corr_mc(
     eta: BoxFunction, n_samples: int, seed: int, threads: int = 1
 ) -> Estimate:
@@ -142,19 +163,20 @@ def corr_mc(
     if alpha <= 0:
         raise ValidationError("eta must have support bounded away from 0")
 
-    def work(block, size):
-        rng = _block_rng(seed, block)
+    def per_sample(rng, size):
         idx, vals = _entries_above(rng, size, alpha)
-        per = tuple_sum_per_item(idx, vals, size, eta)
-        return per.sum(), np.square(per).sum(), size
+        return tuple_sum_per_item(idx, vals, size, eta)
 
-    parts = _combine_blocks(n_samples, threads, work)
-    s = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-    mean = s / n
-    var = max(s2 / n - mean * mean, 0.0)
-    return Estimate(value=mean, std_error=math.sqrt(var / n), n=n)
+    return _mean_mc(per_sample, n_samples, seed, threads)
+
+
+def mean_l1_mc(n_samples: int, seed: int, threads: int = 1) -> Estimate:
+    """Monte Carlo mean of the leading entry L_1 (the Golomb-Dickman constant)."""
+
+    def per_sample(rng, size):
+        return _topk_block(rng, size, 1, DEFAULT_TRUNCATION)[0][:, 0]
+
+    return _mean_mc(per_sample, n_samples, seed, threads)
 
 
 def joint_cdf_mc(

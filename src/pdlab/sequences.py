@@ -185,77 +185,23 @@ def _has_rational_root(coeffs) -> bool:
     return False
 
 
-def _poly_mod(a, p):
-    a = [c % p for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mulmod(a, b, m, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_rem(out, m, p)
-
-
-def _poly_rem(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and a:
-        c = a[-1] * inv % p
-        shift = len(a) - 1 - dm
-        for i, cm in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * cm) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
 def _irreducible_mod_p(coeffs, p: int) -> bool:
     """F irreducible over F_p, for deg F <= 6: no factor of degree <= deg/2.
 
     Checks gcd(F, X^(p^d) - X) = 1 for d = 1..deg//2 plus squarefreeness.
     """
-    f = _poly_mod(list(coeffs), p)
+    f = arith._poly_mod(coeffs, p)
     deg = len(f) - 1
     if deg != arith.poly_degree(coeffs):
         return False  # degree dropped mod p; certificate void
-    df = _poly_mod(list(arith.poly_derivative(coeffs)), p)
-    if not df or len(_gcd_mod(f, df, p)) > 1:
+    df = arith._poly_mod(arith.poly_derivative(coeffs), p)
+    if not df or len(arith._gcd_mod(f, df, p)) > 1:
         return False
-    xq = [0, 1]  # X
-    for _ in range(deg // 2):
-        xq = _poly_powmod(xq, p, f, p)
-        diff = list(xq)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        diff = _poly_mod(diff, p)
-        if not diff or len(_gcd_mod(f, diff, p)) > 1:
+    for d in range(1, deg // 2 + 1):
+        diff = arith._minus_x(arith._x_powmod(p**d, f, p), p)
+        if not diff or len(arith._gcd_mod(f, diff, p)) > 1:
             return False
     return True
-
-
-def _gcd_mod(a, b, p):
-    a, b = _poly_mod(a, p), _poly_mod(b, p)
-    while b:
-        r = _poly_rem(a, b, p)
-        a, b = b, r
-    return a
-
-
-def _poly_powmod(base, e, m, p):
-    result = [1]
-    base = _poly_rem(list(base), m, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, m, p)
-        base = _poly_mulmod(base, base, m, p)
-        e >>= 1
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +307,8 @@ def members(spec: SequenceSpec, x: int) -> np.ndarray:
         vals = primes - spec.shift
         return vals[vals >= 1]
     # polynomial values: generate directly
+    if x > np.iinfo(np.int64).max:
+        raise ValidationError(f"x={x} exceeds the int64 range of polynomial values")
     n0, _ = _poly_bounds(spec)
     out = []
     n = 1

@@ -63,7 +63,7 @@ def test_root_count_vs_exhaustive_scan(coeffs):
         assert arith.poly_root_count(coeffs, d) == scan, f"d={d}"
 
 
-@pytest.mark.parametrize("coeffs", [X2_PLUS_1, X3_MINUS_2, FIBONACCI_POLY])
+@pytest.mark.parametrize("coeffs", [X2_PLUS_1, X3_MINUS_2, FIBONACCI_POLY, (1, 1, 3)])
 def test_hensel_bound(coeffs):
     # h(p**k) <= deg F whenever p does not divide disc F
     disc = arith.discriminant(coeffs)
@@ -90,6 +90,91 @@ def test_hensel_matches_scan_at_large_prime_powers():
             if arith.poly_eval(X2_PLUS_1, r + lift * p) % p**k == 0
         )
         assert h == scan
+
+
+def _scan_mod(coeffs, m):
+    """Brute-force root count of F mod m: Horner at every residue."""
+    r = np.arange(m, dtype=np.int64)
+    val = np.zeros(m, dtype=np.int64)
+    for c in reversed(coeffs):
+        val = (val * r + c % m) % m
+    return int(np.count_nonzero(val == 0))
+
+
+# cubic to sextic, with leading coefficients that share primes with small p
+HIGHER_DEGREE = [
+    (-2, 0, 0, 1),
+    (1, 1, 0, 3),
+    (1, 0, 1, 0, 2),
+    (3, 0, 0, 0, 5),
+    (1, -1, 0, 5, 0, 6),
+    (7, 0, 0, 0, 0, 0, 12),
+    (1, 2, 3, 4, 5, 6, 7),
+]
+
+
+@pytest.mark.parametrize("coeffs", HIGHER_DEGREE)
+def test_prime_root_count_higher_degree_vs_scan(coeffs):
+    primes = [p for p in range(2, 400) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for p in primes:
+        assert arith.poly_root_count_pk(coeffs, p, 1) == _scan_mod(coeffs, p), f"p={p}"
+
+
+@pytest.mark.parametrize(
+    "coeffs, p",
+    [
+        ((1, 1, 3), 3),  # 3X^2 + X + 1: p | lead, disc = -11
+        ((1, 0, 0, 5), 5),  # 5X^3 + 1: p | lead, disc = -675 = -27 * 25
+        ((1, 1, 0, 2), 2),  # 2X^3 + X + 1: p | lead, disc = -59
+        ((4, 4), 2),  # 4X + 4: F = 0 mod 2, linear, so disc = 1
+        ((1, 0, 1), 2),  # X^2 + 1: ramified, h(2) = 1 then 0
+        ((6, 0, 3), 3),  # 3X^2 + 6 = 0 mod 3: every residue is a root
+        ((1, 0, 5), 5),  # 5X^2 + 1 = 1 mod 5: no roots
+    ],
+)
+def test_prime_power_root_counts_vs_scan(coeffs, p):
+    for k in range(1, 5):
+        assert arith.poly_root_count_pk(coeffs, p, k) == _scan_mod(coeffs, p**k), f"k={k}"
+
+
+def test_prime_root_count_cubic_above_scan_budget():
+    p = 1_000_003
+    assert p > arith.SCAN_BUDGET
+    for coeffs in [X3_MINUS_2, (1, 1, 0, 3)]:
+        assert arith.poly_root_count_pk(coeffs, p, 1) == _scan_mod(coeffs, p)
+
+
+def test_mertens_deviation_cubic_beyond_old_scan_limit():
+    gr = arith.GFunctionSpec(kind="root_density", coeffs=X3_MINUS_2)
+    dev = arith.mertens_deviation(gr, 10**6 + 10)
+    assert math.isfinite(dev)
+    assert abs(dev) <= 3.0
+
+
+@pytest.mark.parametrize(
+    "kind, coeffs",
+    [
+        ("reciprocal", ()),
+        ("reciprocal_totient", ()),
+        ("root_density", X2_PLUS_1),
+        ("root_density", X3_MINUS_2),
+    ],
+)
+def test_density_vector_is_correctly_rounded(kind, coeffs):
+    g = arith.GFunctionSpec(kind=kind, coeffs=coeffs)
+    gv, hv, _ = arith._g_h_values(g, 2000)
+    assert gv[0] == 0.0
+    for n in range(1, 2001):
+        exact = arith.g_eval(g, n)
+        assert gv[n] == float(exact), f"n={n}"
+        if hv is not None:
+            assert hv[n] == exact * n
+
+
+def test_density_pass_omega():
+    _, _, omega = arith._g_h_values(arith.GFunctionSpec(kind="reciprocal"), 3000)
+    for n in range(1, 3001):
+        assert omega[n] == arith.big_omega(n), f"n={n}"
 
 
 @settings(max_examples=200, deadline=None)

@@ -69,6 +69,13 @@ def test_unknown_spec_kind_exits_2():
     assert run_cli("tail", "--spec", '{"kind":"martian"}', "--x", "100", "--eps", "0.1") == 2
 
 
+def test_poly_x_beyond_int64_exits_2(capsys):
+    # rejected before enumeration, not by an OverflowError after it
+    spec = '{"kind":"poly","coeffs":[-2,0,0,1]}'
+    assert run_cli("cdf", "--spec", spec, "--x", "10000000000000000000", "--c", "[0.5]") == 2
+    assert "int64" in capsys.readouterr().err
+
+
 def test_corr_pd_monte_carlo(capsys):
     assert (
         run_cli(

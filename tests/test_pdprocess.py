@@ -107,6 +107,15 @@ def test_thread_count_never_changes_estimates():
     assert c == d
 
 
+
+def test_mean_l1_mc_thread_independent_and_near_golomb_dickman():
+    a = pdprocess.mean_l1_mc(2 * 10**5, seed=3, threads=1)
+    b = pdprocess.mean_l1_mc(2 * 10**5, seed=3, threads=4)
+    assert a == b
+    assert a.n == 2 * 10**5
+    assert abs(a.value - 0.6243299885) <= 5 * a.std_error
+
+
 def test_validation_errors():
     with pytest.raises(ValidationError):
         pdprocess.joint_cdf_mc([], 10, seed=0)
