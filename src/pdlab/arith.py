@@ -235,8 +235,9 @@ def poly_root_count_pk(coeffs, p: int, k: int, ram: int | None = None) -> int:
     h(p) is the gcd count of _root_count_mod_p.  When p does not divide
     ``ram`` (disc F times the content of F, computed when not given), every
     root mod p is simple and lifts uniquely (Hensel), so h(p^k) = h(p) for
-    every k.  At the remaining, ramified primes h(p^k), k >= 2, comes from
-    an exhaustive residue scan subject to SCAN_BUDGET.
+    every k.  At the remaining, ramified primes a root mod p^k reduces to
+    one mod p^(k-1), so h(p^(k-1)) = 0 forces h(p^k) = 0; otherwise h(p^k),
+    k >= 2, comes from an exhaustive residue scan subject to SCAN_BUDGET.
     """
     if k < 1:
         raise ValidationError(f"exponent k must be >= 1, got {k}")
@@ -244,6 +245,8 @@ def poly_root_count_pk(coeffs, p: int, k: int, ram: int | None = None) -> int:
         ram = _ramification(coeffs)
     if k == 1 or ram % p:
         return _root_count_mod_p(coeffs, p)
+    if poly_root_count_pk(coeffs, p, k - 1, ram) == 0:
+        return 0
     pk = p**k
     if pk > SCAN_BUDGET:
         raise ResourceBudgetError(
@@ -330,9 +333,6 @@ def _g_h_values(g: GFunctionSpec, x: int):
 
         @lru_cache(maxsize=None)
         def h_pk(p, k):
-            # a root mod p^k reduces to one mod p^(k-1): zero stays zero
-            if k > 1 and h_pk(p, k - 1) == 0:
-                return 0
             return poly_root_count_pk(g.coeffs, p, k, ram)
 
     idx = n[2:]

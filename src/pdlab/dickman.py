@@ -59,8 +59,12 @@ class RhoTable:
 
     def rho_vec(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
-        if u.size and (u.min() <= 0 or u.max() > self.u_max):
-            raise ValidationError("rho_vec arguments must lie in (0, u_max]")
+        if u.size and u.min() <= 0:
+            raise ValidationError("rho_vec requires u > 0")
+        if u.size and u.max() > self.u_max:
+            raise ResourceBudgetError(
+                f"u={u.max()} is out of table (u_max={self.u_max}); extend the table"
+            )
         out = np.ones_like(u)
         k = np.clip(np.floor(u).astype(int), 1, self.u_max - 1)
         for panel in range(1, self.u_max):

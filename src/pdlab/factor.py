@@ -7,8 +7,11 @@ Two factorization strategies are provided:
 * vectorized trial division against a prime table for sparse or large
   values (``bulk_spectra_trial``), valid for any u with u <= limit**2.
 
-All value arithmetic is exact integer arithmetic; logarithms appear only
-when normalized spectra are formed.
+Each strategy only produces a stream of (idx, p) batches: the next prime
+factor p of the values at positions idx, ascending per value.  One
+spectrum fold turns either stream into the normalized spectra.  All value
+arithmetic is exact integer arithmetic; logarithms appear only in that
+fold.
 """
 
 from __future__ import annotations
@@ -201,115 +204,89 @@ def smallest_factor_sieve(limit: int) -> np.ndarray:
     return spf
 
 
-def _spectrum_arrays(values, emit_p):
-    """Shared tail of the bulk spectrum routines.
+def _fold_spectra(values, batches):
+    """Normalized spectra of values from a stream of (idx, p) batches.
 
-    ``emit_p(rem, idx)`` must return the next prime factor (nondecreasing
-    per value across calls) of each remaining cofactor.
+    Each batch gives the next prime factor p of the values at positions
+    idx (distinct within a batch); per value the primes must ascend and
+    multiply to the value.  Returns (entry_idx, entry_val, top3): a ragged
+    pair list mapping each spectrum entry log(p)/log(u) to the index of its
+    value, in stream order, plus the three largest entries per value,
+    padded with zeros.  u = 1 gets the single entry 1, appended last.
     """
-    values = np.asarray(values, dtype=np.int64)
     n = len(values)
     logs = np.log(np.maximum(values, 2).astype(np.float64))
     top = np.zeros((n, 3), dtype=np.float64)
-    top[values == 1, 0] = 1.0  # log 1 / log 1 = 1 convention
-    idx = np.flatnonzero(values > 1)
-    rem = values[idx].copy()
     out_idx, out_val = [], []
-    while idx.size:
-        p = emit_p(rem, idx)
+    for idx, p in batches:
         entry = np.log(p.astype(np.float64)) / logs[idx]
-        # primes are emitted in nondecreasing order per value, so the
-        # running top-3 is maintained by a shift
+        # primes ascend per value, so the running top-3 is kept by a shift
         top[idx, 1:] = top[idx, :-1]
         top[idx, 0] = entry
-        out_idx.append(idx.copy())
+        out_idx.append(idx)
         out_val.append(entry)
-        rem //= p
-        alive = rem > 1
-        idx = idx[alive]
-        rem = rem[alive]
-    entry_idx = np.concatenate(out_idx) if out_idx else np.empty(0, dtype=np.int64)
-    entry_val = np.concatenate(out_val) if out_val else np.empty(0, dtype=np.float64)
-    one = np.flatnonzero(values == 1)
-    if one.size:
-        entry_idx = np.concatenate([entry_idx, one])
-        entry_val = np.concatenate([entry_val, np.ones(one.size)])
-    return entry_idx, entry_val, top
+    one = np.flatnonzero(values == 1)  # log 1 / log 1 = 1 convention
+    top[one, 0] = 1.0
+    out_idx.append(one)
+    out_val.append(np.ones(one.size))
+    return np.concatenate(out_idx), np.concatenate(out_val), top
 
 
 def bulk_spectra(values, spf: np.ndarray):
     """Normalized spectra for a dense set of values covered by an spf sieve.
 
-    Returns (entry_idx, entry_val, top3): a ragged pair list mapping each
-    spectrum entry log(p)/log(u) to the index of its value (unordered
-    within a value), plus the three largest entries per value, padded
-    with zeros.
+    Returns (entry_idx, entry_val, top3) as described in _fold_spectra.
     """
     values = np.asarray(values, dtype=np.int64)
     if values.size and int(values.max()) >= len(spf):
         raise ValidationError("spf sieve too small for the given values")
 
-    def emit(rem, idx):
-        return spf[rem]
+    def batches():
+        idx = np.flatnonzero(values > 1)
+        rem = values[idx]
+        while idx.size:
+            p = spf[rem]
+            yield idx, p
+            rem //= p
+            alive = rem > 1
+            idx, rem = idx[alive], rem[alive]
 
-    return _spectrum_arrays(values, emit)
+    return _fold_spectra(values, batches())
 
 
 def bulk_spectra_trial(values, table: PrimeTable):
     """Normalized spectra by vectorized trial division (sparse/large values).
 
     Valid for values up to table.limit**2; each value's final cofactor
-    beyond the table is prime by the trial-division contract.
+    beyond the table is prime by the trial-division contract.  Returns
+    (entry_idx, entry_val, top3) as described in _fold_spectra.
     """
     values = np.asarray(values, dtype=np.int64)
     if values.size and int(values.max()) > table.limit * table.limit:
         raise ValidationError(
             f"prime table limit {table.limit} too small for max value {values.max()}"
         )
-    n = len(values)
-    logs = np.log(np.maximum(values, 2).astype(np.float64))
-    top = np.zeros((n, 3), dtype=np.float64)
-    top[values == 1, 0] = 1.0
-    idx = np.flatnonzero(values > 1)
-    rem = values[idx].copy()
-    out_idx, out_val = [], []
 
-    def push(i, p_arr):
-        entry = np.log(p_arr.astype(np.float64)) / logs[i]
-        top[i, 1:] = top[i, :-1]
-        top[i, 0] = entry
-        out_idx.append(i)
-        out_val.append(entry)
-
-    for p in table.primes:
-        p = int(p)
-        if idx.size == 0:
-            break
-        # cofactors below p*p are prime: retire them
-        done = rem < p * p
-        if done.any():
-            push(idx[done], rem[done])
-            keep = ~done
-            idx, rem = idx[keep], rem[keep]
+    def batches():
+        idx = np.flatnonzero(values > 1)
+        rem = values[idx]
+        for p in table.primes.tolist():
             if idx.size == 0:
-                break
-        div = rem % p == 0
-        while div.any():
-            sub = idx[div]
-            push(sub, np.full(sub.size, p, dtype=np.int64))
-            rem[div] //= p
-            nxt = div.copy()
-            nxt[div] = rem[div] % p == 0
-            div = nxt
-        alive = rem > 1
-        idx, rem = idx[alive], rem[alive]
-    if idx.size:
-        # remaining cofactors exceed every table prime squared: prime by contract
-        push(idx, rem)
-    entry_idx = np.concatenate(out_idx) if out_idx else np.empty(0, dtype=np.int64)
-    entry_val = np.concatenate(out_val) if out_val else np.empty(0, dtype=np.float64)
-    one = np.flatnonzero(values == 1)
-    if one.size:
-        entry_idx = np.concatenate([entry_idx, one])
-        entry_val = np.concatenate([entry_val, np.ones(one.size)])
-    return entry_idx, entry_val, top
+                return
+            # cofactors below p*p are prime: retire them
+            done = rem < p * p
+            if done.any():
+                yield idx[done], rem[done]
+                idx, rem = idx[~done], rem[~done]
+            sel = np.flatnonzero(rem % p == 0)
+            while sel.size:
+                yield idx[sel], np.full(sel.size, p, dtype=np.int64)
+                rem[sel] //= p
+                sel = sel[rem[sel] % p == 0]
+            alive = rem > 1
+            idx, rem = idx[alive], rem[alive]
+        if idx.size:
+            # remaining cofactors exceed every table prime squared: prime by contract
+            yield idx, rem
+
+    return _fold_spectra(values, batches())

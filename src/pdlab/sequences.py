@@ -4,6 +4,14 @@ Each spec is an indicator sequence: uniform integers, shifted primes
 p - a, values of an irreducible polynomial, and the Thue-Morse zero set
 (even number of binary 1s).  Membership, ascending enumeration up to x,
 and the counts N(x) and N_d(x) are exact.
+
+Every divisibility question about a member set goes through one
+primitive, ``count_divisible`` / ``divisible_by_any``, and one density
+predicate, ``is_dense``, picks its path: a dense set (uniform,
+Thue-Morse, shifted primes, a dense subsample) is a boolean array indexed
+by value, so a query for q reads only the multiples of q; a sparse set
+(polynomial values) tests each member's residue mod q.  The same
+predicate picks the factor path of a sample set.
 """
 
 from __future__ import annotations
@@ -322,6 +330,46 @@ def members(spec: SequenceSpec, x: int) -> np.ndarray:
     return np.array(sorted(set(out)), dtype=np.int64)
 
 
+# ---------------------------------------------------------------------------
+# divisibility over a member set
+
+
+def is_dense(mem: np.ndarray) -> bool:
+    """Whether arrays indexed by value over [0, max(mem)] suit the member set.
+
+    True when the members fill at least 1/64 of that range and the range
+    fits an spf sieve.  Such a set is factored through the spf sieve and
+    its multiples are read from value-indexed masks; a sparser or larger
+    set goes through trial division and per-member residues.
+    """
+    maxval = int(mem.max(initial=0))
+    return mem.size >= maxval // 64 and maxval <= factor.MAX_SPF_SIEVE_LIMIT
+
+
+def count_divisible(mem: np.ndarray, ds) -> np.ndarray:
+    """N_d, the number of members divisible by d, for each d >= 1 in ds."""
+    if is_dense(mem):
+        mask = np.zeros(int(mem.max(initial=0)) + 1, dtype=bool)
+        mask[mem] = True
+        counts = [np.count_nonzero(mask[d::d]) for d in ds]
+    else:
+        counts = [np.count_nonzero(mem % d == 0) for d in ds]
+    return np.array(counts, dtype=np.int64)
+
+
+def divisible_by_any(mem: np.ndarray, qs) -> np.ndarray:
+    """Per member: whether some q >= 1 in qs divides it."""
+    if is_dense(mem):
+        marks = np.zeros(int(mem.max(initial=0)) + 1, dtype=bool)
+        for q in qs:
+            marks[q::q] = True
+        return marks[mem]
+    hit = np.zeros(mem.size, dtype=bool)
+    for q in qs:
+        hit |= mem % q == 0
+    return hit
+
+
 def count(spec: SequenceSpec, x: int) -> int:
     """N(x) = number of members <= x."""
     return len(members(spec, x))
@@ -333,13 +381,7 @@ def count_in_class(spec: SequenceSpec, x: int, d: int) -> int:
         raise ValidationError(f"count_in_class requires d >= 1, got {d}")
     if spec.kind == "uniform":
         return x // d
-    if spec.kind == "thue_morse":
-        if x > MAX_DENSE_X:
-            raise ResourceBudgetError(f"x={x} exceeds dense enumeration cap")
-        mult = np.arange(d, x + 1, d, dtype=np.int64)
-        return int(np.count_nonzero(_parity_even_vec(mult)))
-    m = members(spec, x)
-    return int(np.count_nonzero(m % d == 0))
+    return int(count_divisible(members(spec, x), [d])[0])
 
 
 def count_pair(spec: SequenceSpec, x: int, d: int) -> CountPair:

@@ -22,9 +22,6 @@ from pdlab.errors import ValidationError
 from pdlab.report import Estimate
 from pdlab.sequences import SequenceSpec
 
-# Values up to this bound are factored through an spf sieve when the
-# member set is dense; sparse/large sets go through trial division.
-SPF_PATH_LIMIT = factor.MAX_SPF_SIEVE_LIMIT
 TOP_K = 3
 
 
@@ -78,8 +75,7 @@ def build_sample_set(
         exhaustive = False
         seed_used = subsample_seed
     maxval = int(mem.max())
-    dense = mem.size >= maxval // 64
-    if dense and maxval <= SPF_PATH_LIMIT:
+    if sequences.is_dense(mem):
         spf = factor.smallest_factor_sieve(max(maxval, 2))
         entry_idx, entry_val, top = factor.bulk_spectra(mem, spf)
     else:
@@ -191,25 +187,16 @@ def lod_error_sum(spec: SequenceSpec, x: int, c: float):
     dmax = int(math.floor(x**c))
     if dmax < 1:
         raise ValidationError(f"x**c = {x**c:.3f} admits no moduli")
-    g = spec.g_function()
+    d = np.arange(1, dmax + 1, dtype=np.int64)
     if spec.kind == "uniform":
         n_total = x
-        d = np.arange(1, dmax + 1, dtype=np.int64)
         nd = x // d
         gn = x / d.astype(np.float64)
     else:
         mem = sequences.members(spec, x)
         n_total = len(mem)
-        d = np.arange(1, dmax + 1, dtype=np.int64)
-        nd = np.empty(dmax, dtype=np.int64)
-        if spec.kind == "thue_morse":
-            for i, dd in enumerate(d):
-                mult = np.arange(dd, x + 1, dd, dtype=np.int64)
-                nd[i] = np.count_nonzero(sequences._parity_even_vec(mult))
-        else:
-            for i, dd in enumerate(d):
-                nd[i] = np.count_nonzero(mem % dd == 0)
-        gn = arith._g_h_values(g, dmax)[0][1:] * n_total
+        nd = sequences.count_divisible(mem, d)
+        gn = arith._g_h_values(spec.g_function(), dmax)[0][1:] * n_total
     r = nd.astype(np.float64) - gn
     return float(np.sum(np.abs(r)) / n_total), float(np.max(np.abs(r)))
 
@@ -224,16 +211,7 @@ def repeated_factor_frequency(s: SampleSet, alpha: float, c: float) -> Estimate:
         return Estimate(value=0.0, std_error=0.0, n=s.n)
     table = factor.build_prime_table(int(math.floor(hi)) + 1)
     window = table.primes[(table.primes >= lo) & (table.primes <= hi)]
-    hit = np.zeros(s.n, dtype=bool)
-    if s.spec.kind == "uniform":
-        # members are 1..x: mark multiples of p**2 directly
-        for p in window:
-            p2 = int(p) * int(p)
-            hit[p2 - 1 :: p2] = True
-    else:
-        for p in window:
-            p2 = int(p) * int(p)
-            hit |= s.u % p2 == 0
+    hit = sequences.divisible_by_any(s.u, window * window)
     p_hat = float(np.mean(hit))
     return Estimate(
         value=p_hat, std_error=math.sqrt(p_hat * (1 - p_hat) / s.n), n=s.n
@@ -271,18 +249,9 @@ def sieve_survivor_experiment(
         )
     mem = sequences.members(spec, x)
     n_total = len(mem)
-    alive = np.ones(n_total, dtype=bool)
-    if spec.kind == "uniform":
-        for p in window:
-            alive[int(p) - 1 :: int(p)] = False
-    else:
-        for p in window:
-            alive &= mem % int(p) != 0
-    survivors = int(np.count_nonzero(alive))
-    g = spec.g_function()
-    v = 1.0
-    for p in window:
-        v *= 1.0 - float(arith.g_eval(g, int(p)))
+    survivors = n_total - int(np.count_nonzero(sequences.divisible_by_any(mem, window)))
+    # math.prod multiplies in window order; np.prod may regroup the factors
+    v = math.prod((1.0 - arith._g_at_primes(spec.g_function(), window)).tolist())
     return SurvivorResult(
         survivors=survivors,
         n_total=n_total,

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdlab import arith
-from pdlab.errors import ValidationError
+from pdlab.errors import ResourceBudgetError, ValidationError
 
 X2_PLUS_1 = (1, 0, 1)  # constant-first: X**2 + 1
 X3_MINUS_2 = (-2, 0, 0, 1)
@@ -135,6 +135,17 @@ def test_prime_root_count_higher_degree_vs_scan(coeffs):
 def test_prime_power_root_counts_vs_scan(coeffs, p):
     for k in range(1, 5):
         assert arith.poly_root_count_pk(coeffs, p, k) == _scan_mod(coeffs, p**k), f"k={k}"
+
+
+def test_ramified_zero_propagates_past_scan_budget():
+    # h(4) = 0 for X^2 + 1, so h(2^k) = 0 for k >= 2 with no scan of 2^k
+    assert 2**20 > arith.SCAN_BUDGET
+    assert arith.poly_root_count(X2_PLUS_1, 2**20) == 0
+    g = arith.GFunctionSpec(kind="root_density", coeffs=X2_PLUS_1)
+    assert arith.g_eval(g, 5 * 2**20) == 0
+    # X^2 + 7 keeps four roots mod 2^k for k >= 3: past the budget it raises
+    with pytest.raises(ResourceBudgetError):
+        arith.poly_root_count((7, 0, 1), 2**20)
 
 
 def test_prime_root_count_cubic_above_scan_budget():

@@ -67,6 +67,10 @@ def test_domain_errors(table):
         table.rho(0.0)
     with pytest.raises(ResourceBudgetError):
         table.rho(table.u_max + 1.0)
+    with pytest.raises(ResourceBudgetError):
+        table.rho_vec(np.array([2.0, table.u_max + 1.0]))
+    with pytest.raises(ValidationError):
+        table.rho_vec(np.array([0.0, 2.0]))
     with pytest.raises(ValidationError):
         table.cdf_l1(0.0)
     with pytest.raises(ValidationError):

@@ -64,15 +64,21 @@ def test_counting_examples():
 
 
 def test_count_pair_invariant():
-    for spec in (
-        sequences.uniform_integers(),
-        sequences.shifted_primes(1),
-        sequences.polynomial_values([1, 0, 1]),
-        sequences.thue_morse_zeros(),
-    ):
+    # X**2 + 1 has 70 members up to 5000, too few for a value mask, so both
+    # divisibility paths run; shifted_primes(5) has no members up to 1
+    cases = [
+        (sequences.uniform_integers(), 5000),
+        (sequences.shifted_primes(1), 5000),
+        (sequences.polynomial_values([1, 0, 1]), 5000),
+        (sequences.thue_morse_zeros(), 5000),
+        (sequences.shifted_primes(5), 1),
+    ]
+    for spec, x in cases:
+        mem = sequences.members(spec, x).tolist()
         for d in (1, 2, 7, 30):
-            cp = sequences.count_pair(spec, 5000, d)
+            cp = sequences.count_pair(spec, x, d)
             assert 0 <= cp.n_div <= cp.n_total
+            assert cp.n_div == sum(m % d == 0 for m in mem), (spec, d)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
-from pdlab import dickman, sequences, stats
+from pdlab import arith, dickman, sequences, stats
 from pdlab.boxes import box
 from pdlab.errors import ValidationError
 
@@ -152,19 +152,27 @@ def test_lod_uniform_closed_bound():
             assert max_r < 1.0
 
 
-def test_lod_brute_force_small():
-    spec = sequences.shifted_primes(1)
-    x, c = 2000, 0.4
+@pytest.mark.parametrize(
+    "spec, x",
+    [
+        (sequences.shifted_primes(1), 2000),
+        (sequences.thue_morse_zeros(), 2000),
+        # 316 members up to 10**5: sparse, so N_d comes from residues
+        (sequences.polynomial_values([1, 0, 1]), 10**5),
+    ],
+    ids=["shifted_primes", "thue_morse", "x2p1"],
+)
+def test_lod_brute_force_small(spec, x):
+    c = 0.4
     err, max_r = stats.lod_error_sum(spec, x, c)
     mem = sequences.members(spec, x)
     n = len(mem)
     total = 0.0
     worst = 0.0
-    from pdlab import arith
-
+    g = spec.g_function()
     for d in range(1, int(x**c) + 1):
         nd = int(np.count_nonzero(mem % d == 0))
-        r = nd - float(n) / arith.euler_phi(d)
+        r = nd - float(n) * float(arith.g_eval(g, d))
         total += abs(r)
         worst = max(worst, abs(r))
     assert err == pytest.approx(total / n)
@@ -183,6 +191,23 @@ def test_repeated_factor_brute_force():
         ):
             brute += 1
     assert got == pytest.approx(brute / 20000)
+
+
+@pytest.mark.parametrize("max_members", [1000, 20000])  # sparse, then dense
+def test_repeated_factor_on_subsample_brute_force(max_members):
+    # members are values: p**2 must divide u, not the position of u
+    x = 10**5
+    s = stats.build_sample_set(
+        sequences.uniform_integers(), x, max_members=max_members, subsample_seed=4
+    )
+    alpha, c = 0.1, 0.4
+    got = stats.repeated_factor_frequency(s, alpha, c).value
+    lo, hi = x**alpha, x**c
+    brute = sum(
+        any(lo <= p <= hi and e >= 2 for p, e in sympy.factorint(u).items())
+        for u in s.u.tolist()
+    )
+    assert got == pytest.approx(brute / s.n)
 
 
 def test_repeated_factor_above_sqrt_is_zero():
@@ -222,6 +247,28 @@ def test_sieve_single_prime_window():
     direct = sum(1 for u in range(1, x + 1) if u % 11 != 0)
     assert res1.survivors == direct
     assert res1.v_product == pytest.approx(1.0 - 1.0 / 11.0)
+
+
+@pytest.mark.parametrize(
+    "spec, x",
+    [
+        (sequences.shifted_primes(1), 10**5),
+        (sequences.thue_morse_zeros(), 10**4),
+        (sequences.polynomial_values([1, 0, 1]), 10**6),  # sparse
+    ],
+    ids=["shifted_primes", "thue_morse", "x2p1"],
+)
+def test_sieve_survivors_brute_force(spec, x):
+    res = stats.sieve_survivor_experiment(spec, x, eps=0.1)
+    lo, hi = x**0.1, x**0.45
+    window = [p for p in sympy.primerange(3, int(hi) + 1) if lo < p < hi]
+    assert res.n_window_primes == len(window)
+    mem = sequences.members(spec, x).tolist()
+    assert res.survivors == sum(all(m % p for p in window) for m in mem)
+    v = 1.0
+    for p in window:
+        v *= 1.0 - float(arith.g_eval(spec.g_function(), p))
+    assert res.v_product == v
 
 
 def test_sieve_empty_window_raises():
