@@ -338,7 +338,8 @@ def _g_h_values(g: GFunctionSpec, x: int):
     idx = n[2:]
     rem = idx.copy()
     while idx.size:
-        p = spf[rem]
+        # int64: the key p << 6 | e and phi(p**e) overflow int32 for p > 2**25
+        p = spf[rem].astype(np.int64)
         rem //= p
         e = np.ones_like(p)
         sel = np.flatnonzero(rem % p == 0)

@@ -7,11 +7,15 @@ Two factorization strategies are provided:
 * vectorized trial division against a prime table for sparse or large
   values (``bulk_spectra_trial``), valid for any u with u <= limit**2.
 
-Each strategy only produces a stream of (idx, p) batches: the next prime
-factor p of the values at positions idx, ascending per value.  One
-spectrum fold turns either stream into the normalized spectra.  All value
-arithmetic is exact integer arithmetic; logarithms appear only in that
-fold.
+Each strategy only produces a stream of (idx, p) batches, largest prime
+first: batch j holds the (j+1)-th largest prime factor p, with
+multiplicity, of every value at positions idx that has that many.  The
+spf path reads it from a largest-prime-factor table derived from the
+sieve; the trial path finds primes smallest first and regroups them by
+rank from the top.  One spectrum fold turns either stream into the
+normalized spectra, and its first three batches are the top-3 columns.
+All value arithmetic is exact integer arithmetic; logarithms appear only
+in that fold.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ import numpy as np
 
 from pdlab.errors import ResourceBudgetError, ValidationError
 
-# Memory guards, in number of table entries.
+# Memory guards, in number of table entries.  The spf limit is below 2**31,
+# so spf and P+ tables are int32: at the cap, 0.8 GB for spf plus 0.8 GB
+# for the P+ table that bulk_spectra derives from it.
 MAX_PRIME_TABLE_LIMIT = 300_000_000
 MAX_SPF_SIEVE_LIMIT = 200_000_000
 
@@ -184,14 +190,17 @@ def spectrum(f: Factorization) -> NormalizedSpectrum:
 
 
 def smallest_factor_sieve(limit: int) -> np.ndarray:
-    """spf[n] = smallest prime factor of n, for 0 <= n <= limit (spf[1] = 1)."""
+    """spf[n] = smallest prime factor of n, for 0 <= n <= limit (spf[1] = 1).
+
+    int32: MAX_SPF_SIEVE_LIMIT < 2**31 bounds every entry.
+    """
     if limit < 2:
         raise ValidationError(f"sieve limit must be >= 2, got {limit}")
     if limit > MAX_SPF_SIEVE_LIMIT:
         raise ResourceBudgetError(
             f"spf sieve limit {limit} exceeds budget {MAX_SPF_SIEVE_LIMIT}"
         )
-    spf = np.zeros(limit + 1, dtype=np.int64)
+    spf = np.zeros(limit + 1, dtype=np.int32)
     spf[1] = 1
     spf[2::2] = 2
     for p in range(3, math.isqrt(limit) + 1, 2):
@@ -204,28 +213,60 @@ def smallest_factor_sieve(limit: int) -> np.ndarray:
     return spf
 
 
+def _largest_factor_table(spf: np.ndarray) -> np.ndarray:
+    """lpf[n] = P+(n) for 0 <= n < len(spf), with lpf[1] = 1, from an spf sieve.
+
+    One vectorized pass per range [2**k, 2**(k+1)): there the quotient
+    q = n // spf[n] is at most n/2, so lpf[q] is already final, and
+    P+(n) = max(spf[n], P+(q)) (lpf[1] = 1 covers prime n).
+    """
+    lpf = spf.copy()
+    lo = 4
+    while lo < len(lpf):
+        hi = min(2 * lo, len(lpf))
+        s = spf[lo:hi]
+        q = np.arange(lo, hi, dtype=spf.dtype) // s
+        np.maximum(s, lpf[q], out=lpf[lo:hi])
+        lo = hi
+    return lpf
+
+
+def _checked_values(values, vmax: int, table: str) -> np.ndarray:
+    """values as an int64 array; ValidationError unless all are integers in [1, vmax]."""
+    arr = np.asarray(values)
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if arr.dtype.kind not in "iu":
+        raise ValidationError(f"values must be integers, got dtype {arr.dtype}")
+    if int(arr.min()) < 1:
+        raise ValidationError(f"values must be >= 1, got {arr.min()}")
+    if int(arr.max()) > vmax:
+        raise ValidationError(f"{table} too small for max value {arr.max()}")
+    return arr.astype(np.int64, copy=False)
+
+
 def _fold_spectra(values, batches):
     """Normalized spectra of values from a stream of (idx, p) batches.
 
-    Each batch gives the next prime factor p of the values at positions
-    idx (distinct within a batch); per value the primes must ascend and
-    multiply to the value.  Returns (entry_idx, entry_val, top3): a ragged
-    pair list mapping each spectrum entry log(p)/log(u) to the index of its
-    value, in stream order, plus the three largest entries per value,
-    padded with zeros.  u = 1 gets the single entry 1, appended last.
+    Batch j gives the (j+1)-th largest prime factor p, with multiplicity,
+    of each value at positions idx (distinct within a batch); per value
+    the primes must descend and multiply to the value.  Returns
+    (entry_idx, entry_val, top3): a ragged pair list mapping each spectrum
+    entry log(p)/log(u) to the int32 index of its value, in stream order,
+    plus the three largest entries per value, padded with zeros, which are
+    the first three batches.  u = 1 gets the single entry 1, appended last.
     """
     n = len(values)
     logs = np.log(np.maximum(values, 2).astype(np.float64))
     top = np.zeros((n, 3), dtype=np.float64)
     out_idx, out_val = [], []
-    for idx, p in batches:
+    for j, (idx, p) in enumerate(batches):
         entry = np.log(p.astype(np.float64)) / logs[idx]
-        # primes ascend per value, so the running top-3 is kept by a shift
-        top[idx, 1:] = top[idx, :-1]
-        top[idx, 0] = entry
+        if j < 3:
+            top[idx, j] = entry
         out_idx.append(idx)
         out_val.append(entry)
-    one = np.flatnonzero(values == 1)  # log 1 / log 1 = 1 convention
+    one = np.flatnonzero(values == 1).astype(np.int32)  # log 1 / log 1 = 1 convention
     top[one, 0] = 1.0
     out_idx.append(one)
     out_val.append(np.ones(one.size))
@@ -235,17 +276,17 @@ def _fold_spectra(values, batches):
 def bulk_spectra(values, spf: np.ndarray):
     """Normalized spectra for a dense set of values covered by an spf sieve.
 
-    Returns (entry_idx, entry_val, top3) as described in _fold_spectra.
+    Peels the largest prime factor first through a P+ table derived from
+    spf.  Returns (entry_idx, entry_val, top3) as described in _fold_spectra.
     """
-    values = np.asarray(values, dtype=np.int64)
-    if values.size and int(values.max()) >= len(spf):
-        raise ValidationError("spf sieve too small for the given values")
+    values = _checked_values(values, len(spf) - 1, "spf sieve")
 
     def batches():
-        idx = np.flatnonzero(values > 1)
-        rem = values[idx]
+        lpf = _largest_factor_table(spf[: int(values.max(initial=1)) + 1])
+        idx = np.flatnonzero(values > 1).astype(np.int32)
+        rem = values[idx].astype(np.int32)
         while idx.size:
-            p = spf[rem]
+            p = lpf[rem]
             yield idx, p
             rem //= p
             alive = rem > 1
@@ -258,17 +299,17 @@ def bulk_spectra_trial(values, table: PrimeTable):
     """Normalized spectra by vectorized trial division (sparse/large values).
 
     Valid for values up to table.limit**2; each value's final cofactor
-    beyond the table is prime by the trial-division contract.  Returns
-    (entry_idx, entry_val, top3) as described in _fold_spectra.
+    beyond the table is prime by the trial-division contract.  Primes are
+    found smallest first and regrouped by rank from the top before the
+    fold.  Returns (entry_idx, entry_val, top3) as described in
+    _fold_spectra.
     """
-    values = np.asarray(values, dtype=np.int64)
-    if values.size and int(values.max()) > table.limit * table.limit:
-        raise ValidationError(
-            f"prime table limit {table.limit} too small for max value {values.max()}"
-        )
+    values = _checked_values(
+        values, table.limit * table.limit, f"prime table limit {table.limit}"
+    )
 
-    def batches():
-        idx = np.flatnonzero(values > 1)
+    def ascending():
+        idx = np.flatnonzero(values > 1).astype(np.int32)
         rem = values[idx]
         for p in table.primes.tolist():
             if idx.size == 0:
@@ -289,4 +330,23 @@ def bulk_spectra_trial(values, table: PrimeTable):
             # remaining cofactors exceed every table prime squared: prime by contract
             yield idx, rem
 
-    return _fold_spectra(values, batches())
+    def descending():
+        pairs = list(ascending())
+        if not pairs:
+            return
+        idx = np.concatenate([i for i, _ in pairs])
+        p = np.concatenate([q for _, q in pairs])
+        # a stable sort by value keeps each value's primes ascending, so the
+        # (j+1)-th largest prime of a value is j places before the end of its run
+        order = np.argsort(idx, kind="stable")
+        p = p[order]
+        omega = np.bincount(idx, minlength=len(values))
+        end = np.cumsum(omega)
+        live = np.flatnonzero(omega).astype(np.int32)
+        j = 0
+        while live.size:
+            yield live, p[end[live] - 1 - j]
+            j += 1
+            live = live[omega[live] > j]
+
+    return _fold_spectra(values, descending())

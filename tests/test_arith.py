@@ -6,6 +6,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -186,6 +187,16 @@ def test_density_pass_omega():
     _, _, omega = arith._g_h_values(arith.GFunctionSpec(kind="reciprocal"), 3000)
     for n in range(1, 3001):
         assert omega[n] == arith.big_omega(n), f"n={n}"
+
+
+def test_density_pass_totient_and_omega_vs_sympy():
+    # the pass reads an int32 spf sieve; phi and Omega must stay exact
+    x = 10**6
+    gv, _, omega = arith._g_h_values(arith.GFunctionSpec(kind="reciprocal_totient"), x)
+    rng = np.random.Generator(np.random.Philox(key=11))
+    for n in rng.integers(1, x + 1, size=500).tolist():
+        assert gv[n] == 1 / int(sympy.totient(n)), f"n={n}"
+        assert omega[n] == sum(sympy.factorint(n).values()), f"n={n}"
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,8 +7,9 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import PrimeCounts, largest_prime_factor
 
-from pdlab import factor
+from pdlab import factor, sequences
 from pdlab.errors import ValidationError
 
 
@@ -100,6 +101,57 @@ def test_spf_sieve_agrees_with_factorize(table):
     for u in range(2, 5001):
         assert spf[u] == factor.factorize(u, table).factors[0][0]
     assert spf[1] == 1
+    assert spf.dtype == np.int32
+
+
+def test_largest_factor_table_matches_oracle():
+    # 2**17 + 5 crosses every pass boundary 2**k of the table build
+    limit = 2**17 + 5
+    lpf = factor._largest_factor_table(factor.smallest_factor_sieve(limit))
+    assert np.array_equal(lpf[1:], largest_prime_factor(limit, PrimeCounts(limit))[1:])
+
+
+def _thue_morse_1e5():
+    return sequences.members(sequences.thue_morse_zeros(), 10**5)
+
+
+def _dense_subsample():
+    rng = np.random.Generator(np.random.Philox(key=9))
+    values = np.sort(rng.choice(np.arange(1, 2**16 + 4), size=8000, replace=False))
+    assert sequences.is_dense(values)
+    return values
+
+
+@pytest.mark.parametrize(
+    "make_values",
+    [lambda: np.arange(1, 2**16 + 4), _thue_morse_1e5, _dense_subsample],
+    ids=["range", "thue_morse", "subsample"],
+)
+def test_spf_and_trial_paths_agree_and_descend(make_values, table):
+    values = make_values()
+    dense = factor.bulk_spectra(values, factor.smallest_factor_sieve(int(values.max())))
+    trial = factor.bulk_spectra_trial(values, table)
+    assert np.array_equal(dense[2], trial[2])
+    runs = []
+    for idx, val, _ in (dense, trial):
+        assert idx.dtype == np.int32
+        order = np.lexsort((val, idx))
+        runs.append((idx[order], val[order]))
+        # stream order: entries never increase within a member
+        by_member = np.argsort(idx, kind="stable")
+        same = idx[by_member][1:] == idx[by_member][:-1]
+        assert (np.diff(val[by_member])[same] <= 0).all()
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert np.array_equal(runs[0][1], runs[1][1])
+
+
+@pytest.mark.parametrize("bad", [[0, -3, 6], [6.7], [5, 0]])
+def test_bulk_paths_reject_invalid_values(bad, table):
+    spf = factor.smallest_factor_sieve(100)
+    with pytest.raises(ValidationError):
+        factor.bulk_spectra(bad, spf)
+    with pytest.raises(ValidationError):
+        factor.bulk_spectra_trial(bad, table)
 
 
 def test_bulk_spectra_matches_scalar_path(table):
