@@ -85,7 +85,7 @@ class BoxFunction:
                 )
                 for b in d["boxes"]
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed box function: {exc}") from exc
         return BoxFunction(boxes=boxes)
 

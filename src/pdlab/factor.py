@@ -21,8 +21,6 @@ in that fold.
 from __future__ import annotations
 
 import math
-import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +32,6 @@ from pdlab.errors import ResourceBudgetError, ValidationError
 # for the P+ table that bulk_spectra derives from it.
 MAX_PRIME_TABLE_LIMIT = 300_000_000
 MAX_SPF_SIEVE_LIMIT = 200_000_000
-
-_CACHE_MAGIC = b"PDLABPT1"
 
 
 @dataclass(frozen=True)
@@ -97,37 +93,6 @@ def build_prime_table(limit: int) -> PrimeTable:
         if is_prime[p]:
             is_prime[p * p :: p] = False
     return PrimeTable(limit=limit, primes=np.flatnonzero(is_prime).astype(np.int64))
-
-
-def save_prime_table(table: PrimeTable, path) -> None:
-    """Binary cache: magic, version-bearing header, delta-encoded primes, crc32.
-
-    Layout: 8-byte magic ``PDLABPT1``, uint64 limit, uint64 count, then
-    ``count`` uint32 deltas (first delta is from 0), then uint32 crc32 of
-    the delta bytes.  Prime gaps below 2**32 cover any table this package
-    can build.
-    """
-    deltas = np.diff(table.primes, prepend=0).astype(np.uint32)
-    payload = deltas.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<QQ", table.limit, len(table.primes)))
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
-
-
-def load_prime_table(path) -> PrimeTable:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CACHE_MAGIC:
-            raise ValidationError(f"bad prime table cache magic {magic!r}")
-        limit, count = struct.unpack("<QQ", fh.read(16))
-        payload = fh.read(4 * count)
-        (crc,) = struct.unpack("<I", fh.read(4))
-    if zlib.crc32(payload) != crc:
-        raise ValidationError("prime table cache checksum mismatch")
-    deltas = np.frombuffer(payload, dtype=np.uint32)
-    return PrimeTable(limit=int(limit), primes=np.cumsum(deltas).astype(np.int64))
 
 
 def factorize(u: int, table: PrimeTable) -> Factorization:

@@ -2,20 +2,33 @@
 
 Stick breaking: with U_1, U_2, ... iid uniform on (0, 1), the sticks are
 G_1 = 1 - U_1, G_2 = U_1 (1 - U_2), G_3 = U_1 U_2 (1 - U_3), ...; sorting
-them in nonincreasing order gives L_1 >= L_2 >= ...  Sampling truncates
-once the unassigned residual product falls below a threshold; the sorted
-prefix above the residual is exact.
+them in nonincreasing order gives L_1 >= L_2 >= ...
+
+One round generator, ``_stick_rounds``, draws the sticks of a block of
+samples: each round draws one uniform per sample still in play and
+yields (idx, stick, residual).  A sample leaves once its residual is
+below the consumer's floor, since no later stick can reach the floor, or
+once the consumer marks it done.  Every estimator is a fold over those
+rounds with its own stopping rule:
+
+* ``_topk_block`` keeps the exact top-k entries and retires a row once
+  its residual cannot beat its k-th entry (``joint_cdf_mc``);
+* ``_entries_above`` keeps every entry above a floor (``corr_mc`` and the
+  counting path of ``joint_cdf_mc``);
+* ``_l1_and_deviation`` folds the leading entry and the telescoping sum
+  in one pass to the truncation threshold (``l1_mass_mc`` for the ``pd``
+  subcommand, and ``mass_identity_max_deviation``).
 
 Randomness is counter based (Philox) and keyed per fixed-size sample
-block, so estimates are bit-identical for a given seed regardless of the
-number of worker threads.
+block, and block results are reduced in block order, so estimates are
+bit-identical for a given seed regardless of the number of worker
+threads.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +38,6 @@ from pdlab.report import Estimate
 
 BLOCK = 1 << 15  # samples per RNG block; fixed, never tied to thread count
 DEFAULT_TRUNCATION = 1e-12
-
-
-@dataclass(frozen=True)
-class PDSample:
-    """Entries descending; entries + tail_mass telescope to exactly 1."""
-
-    entries: tuple[float, ...]
-    tail_mass: float
 
 
 def sticks_from_uniforms(us):
@@ -49,75 +54,85 @@ def sticks_from_uniforms(us):
     return sticks, residual
 
 
-def sample_pd(rng, truncation: float = DEFAULT_TRUNCATION) -> PDSample:
-    """One PD sample; sticks are generated until the residual drops below
-    the truncation threshold, then sorted descending."""
+def _check_truncation(truncation: float) -> None:
     if not 0 < truncation <= 1e-6:
         raise ValidationError(f"truncation must be in (0, 1e-6], got {truncation}")
-    entries = []
-    residual = 1.0
-    while residual >= truncation:
-        u = rng.uniform()
-        entries.append(residual * (1.0 - u))
-        residual *= u
-    entries.sort(reverse=True)
-    return PDSample(entries=tuple(entries), tail_mass=residual)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + block))
 
 
-def _entries_above(rng, n: int, floor: float):
-    """All stick entries >= floor for n samples, as a ragged (idx, value) pair.
+def _stick_rounds(rng, n: int, floor: float, done=None):
+    """Stick rounds for n samples, yielding (idx, stick, residual) per round.
 
-    Entries below the floor cannot matter to the caller, and once the
-    residual is below the floor no further stick can reach it.
+    Each round draws one uniform per sample still in play: ``idx`` holds
+    their positions, ``stick`` their new stick and ``residual`` the mass
+    left after it.  Once the consumer has folded a round, a sample leaves
+    if its residual is below ``floor`` (no later stick can reach it) or if
+    ``done(idx, residual)`` marks it.
     """
     idx = np.arange(n, dtype=np.int64)
     residual = np.ones(n, dtype=np.float64)
-    out_i, out_v = [], []
     while idx.size:
         u = rng.uniform(size=idx.size)
-        g = residual * (1.0 - u)
-        keep = g >= floor
-        if keep.any():
-            out_i.append(idx[keep])
-            out_v.append(g[keep])
+        stick = residual * (1.0 - u)
         residual = residual * u
+        yield idx, stick, residual
         alive = residual >= floor
+        if done is not None:
+            alive &= ~done(idx, residual)
         idx, residual = idx[alive], residual[alive]
-    if out_i:
-        return np.concatenate(out_i), np.concatenate(out_v)
-    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+
+
+def _entries_above(rng, n: int, floor: float):
+    """All stick entries >= floor for n >= 1 samples, as a ragged (idx, value) pair."""
+    out_i, out_v = [], []
+    for idx, stick, _ in _stick_rounds(rng, n, floor):
+        keep = stick >= floor
+        out_i.append(idx[keep])
+        out_v.append(stick[keep])
+    return np.concatenate(out_i), np.concatenate(out_v)
 
 
 def _topk_block(rng, n: int, k: int, truncation: float):
-    """Exact top-k entries for n samples (rows flagged if exactness at the
-    truncation threshold could not be certified)."""
-    idx = np.arange(n, dtype=np.int64)
-    residual = np.ones(n, dtype=np.float64)
+    """Exact top-k entries for n samples, and the number of rows whose
+    top-k the truncation threshold cut off before it was certified."""
     top = np.zeros((n, k), dtype=np.float64)
     uncertified = 0
-    while idx.size:
-        u = rng.uniform(size=idx.size)
-        g = residual * (1.0 - u)
-        merged = np.concatenate([top[idx], g[:, None]], axis=1)
-        merged.sort(axis=1)
-        top[idx] = merged[:, :0:-1][:, :k] if k > 1 else merged[:, -1:]
-        residual = residual * u
+
+    def certified(idx, residual):
         # top-k is final once the residual cannot beat the k-th entry
-        done = residual <= top[idx, k - 1]
-        hard_stop = residual < truncation
-        uncertified += int(np.count_nonzero(hard_stop & ~done))
-        alive = ~(done | hard_stop)
-        idx, residual = idx[alive], residual[alive]
+        nonlocal uncertified
+        final = residual <= top[idx, k - 1]
+        uncertified += int(np.count_nonzero(~final & (residual < truncation)))
+        return final
+
+    for idx, stick, _ in _stick_rounds(rng, n, truncation, certified):
+        merged = np.concatenate([top[idx], stick[:, None]], axis=1)
+        merged.sort(axis=1)
+        top[idx] = merged[:, :0:-1]
     return top, uncertified
+
+
+def _l1_and_deviation(rng, n: int, truncation: float):
+    """Per sample the leading entry L_1, and the block's largest
+    |sum(sticks) + residual - 1|, from one fold over the sticks."""
+    l1 = np.zeros(n, dtype=np.float64)
+    total = np.zeros(n, dtype=np.float64)
+    tail = np.empty(n, dtype=np.float64)
+    for idx, stick, residual in _stick_rounds(rng, n, truncation):
+        l1[idx] = np.maximum(l1[idx], stick)
+        total[idx] += stick
+        tail[idx] = residual
+    return l1, float(np.max(np.abs(total + tail - 1.0)))
 
 
 def _combine_blocks(n_samples: int, threads: int, work):
     """Run ``work(block_index, block_size)`` over fixed blocks, reducing in
     block order so results do not depend on the thread count."""
+    if n_samples < 1:
+        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     blocks = [(i, min(BLOCK, n_samples - i * BLOCK)) for i in range((n_samples + BLOCK - 1) // BLOCK)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -127,17 +142,18 @@ def _combine_blocks(n_samples: int, threads: int, work):
     return results
 
 
-def _mean_mc(per_sample, n_samples: int, seed: int, threads: int) -> Estimate:
+def _mean_mc(per_sample, n_samples: int, seed: int, threads: int) -> tuple[Estimate, float]:
     """Mean and standard error of a per-sample statistic over the RNG blocks.
 
     ``per_sample(rng, size)`` returns the statistic of each of a block's
-    samples; the sums are reduced in block order, so the estimate does not
-    depend on the thread count.
+    samples and one float for the block; the sums are reduced in block
+    order, so the estimate does not depend on the thread count.  Returns
+    the estimate and the largest block float.
     """
 
     def work(block, size):
-        per = per_sample(_block_rng(seed, block), size)
-        return per.sum(), np.square(per).sum(), size
+        per, block_max = per_sample(_block_rng(seed, block), size)
+        return per.sum(), np.square(per).sum(), size, block_max
 
     parts = _combine_blocks(n_samples, threads, work)
     s = sum(p[0] for p in parts)
@@ -145,7 +161,7 @@ def _mean_mc(per_sample, n_samples: int, seed: int, threads: int) -> Estimate:
     n = sum(p[2] for p in parts)
     mean = s / n
     var = max(s2 / n - mean * mean, 0.0)
-    return Estimate(value=mean, std_error=math.sqrt(var / n), n=n)
+    return Estimate(value=mean, std_error=math.sqrt(var / n), n=n), max(p[3] for p in parts)
 
 
 def corr_mc(
@@ -157,26 +173,26 @@ def corr_mc(
     contributes at most k! * C(floor(1/alpha), k) terms because entries
     below eta's support bound alpha cannot appear.
     """
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     alpha = eta.alpha
     if alpha <= 0:
         raise ValidationError("eta must have support bounded away from 0")
 
     def per_sample(rng, size):
         idx, vals = _entries_above(rng, size, alpha)
-        return tuple_sum_per_item(idx, vals, size, eta)
+        return tuple_sum_per_item(idx, vals, size, eta), 0.0
 
-    return _mean_mc(per_sample, n_samples, seed, threads)
+    return _mean_mc(per_sample, n_samples, seed, threads)[0]
 
 
-def mean_l1_mc(n_samples: int, seed: int, threads: int = 1) -> Estimate:
-    """Monte Carlo mean of the leading entry L_1 (the Golomb-Dickman constant)."""
-
-    def per_sample(rng, size):
-        return _topk_block(rng, size, 1, DEFAULT_TRUNCATION)[0][:, 0]
-
-    return _mean_mc(per_sample, n_samples, seed, threads)
+def l1_mass_mc(
+    n_samples: int, seed: int, threads: int = 1, truncation: float = DEFAULT_TRUNCATION
+) -> tuple[Estimate, float]:
+    """One Monte Carlo pass: the mean leading entry L_1 (the Golomb-Dickman
+    constant) and the max over samples of |sum(sticks) + residual - 1|."""
+    _check_truncation(truncation)
+    return _mean_mc(
+        lambda rng, size: _l1_and_deviation(rng, size, truncation), n_samples, seed, threads
+    )
 
 
 def joint_cdf_mc(
@@ -198,8 +214,7 @@ def joint_cdf_mc(
         raise ValidationError("thresholds must be a nonempty vector in (0, 1]")
     if method not in ("topk", "counting"):
         raise ValidationError(f"unknown joint_cdf_mc method {method!r}")
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
+    _check_truncation(truncation)
     k = len(c)
 
     def work_topk(block, size):
@@ -228,22 +243,6 @@ def joint_cdf_mc(
 
 
 def mass_identity_max_deviation(n_samples: int, seed: int, truncation: float = DEFAULT_TRUNCATION, threads: int = 1) -> float:
-    """max over samples of |sum(entries) + tail_mass - 1| (telescoping check)."""
-
-    def work(block, size):
-        rng = _block_rng(seed, block)
-        idx = np.arange(size, dtype=np.int64)
-        residual = np.ones(size, dtype=np.float64)
-        total = np.zeros(size, dtype=np.float64)
-        tail = np.zeros(size, dtype=np.float64)
-        while idx.size:
-            u = rng.uniform(size=idx.size)
-            total[idx] += residual * (1.0 - u)
-            residual = residual * u
-            done = residual < truncation
-            tail[idx[done]] = residual[done]
-            idx, residual = idx[~done], residual[~done]
-        return float(np.max(np.abs(total + tail - 1.0))), size
-
-    parts = _combine_blocks(n_samples, 1 if threads < 1 else threads, work)
-    return max(p[0] for p in parts)
+    """max over samples of |sum(sticks) + residual - 1| (telescoping check),
+    from the same pass as ``l1_mass_mc``."""
+    return l1_mass_mc(n_samples, seed, threads, truncation)[1]

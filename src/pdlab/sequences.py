@@ -93,33 +93,22 @@ class SequenceSpec:
     @staticmethod
     def from_dict(d: dict) -> "SequenceSpec":
         kind = d.get("kind")
-        if kind == "shifted_primes":
-            if "shift" not in d:
-                raise ValidationError("shifted_primes spec requires field 'shift'")
-            return shifted_primes(int(d["shift"]))
-        if kind == "poly":
-            if "coeffs" not in d:
-                raise ValidationError("poly spec requires field 'coeffs'")
-            return polynomial_values(d["coeffs"])
+        try:
+            if kind == "shifted_primes":
+                if "shift" not in d:
+                    raise ValidationError("shifted_primes spec requires field 'shift'")
+                return shifted_primes(int(d["shift"]))
+            if kind == "poly":
+                if "coeffs" not in d:
+                    raise ValidationError("poly spec requires field 'coeffs'")
+                return polynomial_values(d["coeffs"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed {kind} spec {d!r}: {exc}") from exc
         if kind == "uniform":
             return uniform_integers()
         if kind == "thue_morse":
             return thue_morse_zeros()
         raise ValidationError(f"unknown sequence kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class CountPair:
-    """N(x) together with N_d(x); always 0 <= N_d(x) <= N(x)."""
-
-    n_total: int
-    n_div: int
-    x: int
-    d: int
-
-    def __post_init__(self):
-        if not 0 <= self.n_div <= self.n_total:
-            raise ValidationError("count invariant 0 <= N_d(x) <= N(x) violated")
 
 
 def uniform_integers() -> SequenceSpec:
@@ -382,9 +371,3 @@ def count_in_class(spec: SequenceSpec, x: int, d: int) -> int:
     if spec.kind == "uniform":
         return x // d
     return int(count_divisible(members(spec, x), [d])[0])
-
-
-def count_pair(spec: SequenceSpec, x: int, d: int) -> CountPair:
-    return CountPair(
-        n_total=count(spec, x), n_div=count_in_class(spec, x, d), x=x, d=d
-    )

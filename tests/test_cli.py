@@ -69,6 +69,22 @@ def test_unknown_spec_kind_exits_2():
     assert run_cli("tail", "--spec", '{"kind":"martian"}', "--x", "100", "--eps", "0.1") == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tail", "--spec", '{"kind":"shifted_primes","shift":"abc"}', "--x", "100", "--eps", "0.1"],
+        ["tail", "--spec", '{"kind":"poly","coeffs":["a",1]}', "--x", "100", "--eps", "0.1"],
+        ["tail", "--spec", '{"kind":"poly","coeffs":5}', "--x", "100", "--eps", "0.1"],
+        ["growth", "--g", '{"kind":"root_density","coeffs":["a"]}', "--x", "100"],
+        ["growth", "--g", '{"kind":"root_density","coeffs":7}', "--x", "100"],
+        ["corr", "--boxes", '{"boxes":[{"lower":["a"],"upper":[0.5]}]}', "--n-samples", "10"],
+    ],
+)
+def test_malformed_config_field_exits_2(argv, capsys):
+    assert run_cli(*argv) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_poly_x_beyond_int64_exits_2(capsys):
     # rejected before enumeration, not by an OverflowError after it
     spec = '{"kind":"poly","coeffs":[-2,0,0,1]}'

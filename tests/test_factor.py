@@ -176,26 +176,6 @@ def test_bulk_top3_is_sorted_prefix(table):
     assert (top.sum(axis=1) <= 1.0 + 1e-9).all()
 
 
-def test_prime_table_cache_round_trip(tmp_path):
-    table = factor.build_prime_table(10**5)
-    path = tmp_path / "primes.bin"
-    factor.save_prime_table(table, path)
-    loaded = factor.load_prime_table(path)
-    assert loaded.limit == table.limit
-    assert np.array_equal(loaded.primes, table.primes)
-
-
-def test_prime_table_cache_rejects_corruption(tmp_path):
-    table = factor.build_prime_table(10**4)
-    path = tmp_path / "primes.bin"
-    factor.save_prime_table(table, path)
-    raw = bytearray(path.read_bytes())
-    raw[-1] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValidationError):
-        factor.load_prime_table(path)
-
-
 def test_factorize_table_too_small():
     small = factor.build_prime_table(10)
     with pytest.raises(ValidationError):

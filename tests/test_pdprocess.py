@@ -28,16 +28,6 @@ def test_stick_telescoping_exact(us):
     assert all(s >= 0 for s in sticks)
 
 
-def test_sample_pd_shape():
-    rng = np.random.Generator(np.random.Philox(key=1))
-    s = pdprocess.sample_pd(rng)
-    assert all(a >= b for a, b in zip(s.entries, s.entries[1:]))
-    assert s.tail_mass < pdprocess.DEFAULT_TRUNCATION
-    assert abs(sum(s.entries) + s.tail_mass - 1.0) <= 1e-12
-    with pytest.raises(ValidationError):
-        pdprocess.sample_pd(rng, truncation=1e-3)
-
-
 def test_mass_identity_bulk():
     dev = pdprocess.mass_identity_max_deviation(10**5, seed=7)
     assert dev <= 1e-12
@@ -107,13 +97,27 @@ def test_thread_count_never_changes_estimates():
     assert c == d
 
 
-
-def test_mean_l1_mc_thread_independent_and_near_golomb_dickman():
-    a = pdprocess.mean_l1_mc(2 * 10**5, seed=3, threads=1)
-    b = pdprocess.mean_l1_mc(2 * 10**5, seed=3, threads=4)
-    assert a == b
+def test_l1_mass_mc_thread_independent_and_near_golomb_dickman():
+    a, dev_a = pdprocess.l1_mass_mc(2 * 10**5, seed=3, threads=1)
+    b, dev_b = pdprocess.l1_mass_mc(2 * 10**5, seed=3, threads=4)
+    assert (a, dev_a) == (b, dev_b)
     assert a.n == 2 * 10**5
     assert abs(a.value - 0.6243299885) <= 5 * a.std_error
+    assert dev_a <= 1e-12
+    assert dev_a == pdprocess.mass_identity_max_deviation(2 * 10**5, seed=3)
+
+
+@pytest.mark.parametrize("truncation", [0.0, -1e-12, 1e-3, 2.0])
+def test_truncation_outside_range_raises(truncation):
+    # truncation 0 never ends the stick loop (the residual underflows to 0),
+    # and one above 1e-6 stops rows uncertified after a stick or two
+    with pytest.raises(ValidationError):
+        pdprocess.mass_identity_max_deviation(10, seed=0, truncation=truncation)
+    with pytest.raises(ValidationError):
+        pdprocess.l1_mass_mc(10, seed=0, truncation=truncation)
+    for method in ("topk", "counting"):
+        with pytest.raises(ValidationError):
+            pdprocess.joint_cdf_mc([0.5], 1000, seed=0, truncation=truncation, method=method)
 
 
 def test_validation_errors():

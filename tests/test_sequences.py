@@ -63,7 +63,7 @@ def test_counting_examples():
     assert sequences.count_in_class(poly, 101, 5) == brute
 
 
-def test_count_pair_invariant():
+def test_count_in_class_invariant():
     # X**2 + 1 has 70 members up to 5000, too few for a value mask, so both
     # divisibility paths run; shifted_primes(5) has no members up to 1
     cases = [
@@ -76,9 +76,9 @@ def test_count_pair_invariant():
     for spec, x in cases:
         mem = sequences.members(spec, x).tolist()
         for d in (1, 2, 7, 30):
-            cp = sequences.count_pair(spec, x, d)
-            assert 0 <= cp.n_div <= cp.n_total
-            assert cp.n_div == sum(m % d == 0 for m in mem), (spec, d)
+            n_div = sequences.count_in_class(spec, x, d)
+            assert 0 <= n_div <= sequences.count(spec, x) == len(mem)
+            assert n_div == sum(m % d == 0 for m in mem), (spec, d)
 
 
 @pytest.mark.parametrize(
