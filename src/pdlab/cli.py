@@ -26,7 +26,7 @@ from pdlab.boxes import (
     box_correlation_exact,
     box_correlation_quadrature,
 )
-from pdlab.errors import ResourceBudgetError, ValidationError
+from pdlab.errors import ResourceBudgetError, ValidationError, integral
 from pdlab.report import ExperimentReport, write_csv
 from pdlab.sequences import SequenceSpec
 
@@ -47,11 +47,7 @@ def _as_int(config: dict, field: str, default=None) -> int:
     val = config.get(field, default)
     if val is None:
         raise ValidationError(f"missing required config field {field!r}")
-    try:
-        ival = int(val)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"field {field!r} must be an integer, got {val!r}") from exc
-    return ival
+    return integral(val, f"field {field!r}")
 
 
 def _as_float(config: dict, field: str, default=None) -> float:
@@ -97,8 +93,8 @@ def _parse_g(config: dict) -> arith.GFunctionSpec:
         if not isinstance(raw, dict):
             raise ValidationError(f"field 'g' must be an object or kind string, got {raw!r}")
         try:
-            coeffs = tuple(int(c) for c in raw.get("coeffs", ()))
-        except (TypeError, ValueError, OverflowError) as exc:
+            coeffs = tuple(integral(c, "'g' coeff") for c in raw.get("coeffs", ()))
+        except TypeError as exc:
             raise ValidationError(f"malformed 'g' coeffs: {raw.get('coeffs')!r}") from exc
         return arith.GFunctionSpec(kind=raw.get("kind"), coeffs=coeffs)
     if "spec" in config and config["spec"] is not None:
@@ -182,7 +178,7 @@ def run_corr(config: dict) -> ExperimentReport:
     if config.get("spec") is not None:
         spec = _parse_spec(config)
         x = _as_int(config, "x")
-        s = stats.build_sample_set(spec, x)
+        s = stats.build_sample_set(spec, x, k=0, floor=eta.alpha)
         est = stats.empirical_corr(s, eta)
         return ExperimentReport(
             experiment="seq-corr",
@@ -229,7 +225,7 @@ def run_cdf(config: dict) -> ExperimentReport:
     if config.get("spec") is not None:
         spec = _parse_spec(config)
         x = _as_int(config, "x")
-        s = stats.build_sample_set(spec, x)
+        s = stats.build_sample_set(spec, x, k=len(c))
         est = stats.empirical_joint_cdf(s, c)
         return ExperimentReport(
             experiment="joint-cdf",
@@ -261,7 +257,7 @@ def run_tail(config: dict) -> ExperimentReport:
     spec = _parse_spec(config)
     x = _as_int(config, "x")
     eps = _as_float(config, "eps")
-    s = stats.build_sample_set(spec, x)
+    s = stats.build_sample_set(spec, x, k=1)
     est = stats.tail_frequency(s, eps)
     oracle = None
     if 0 < eps < 1 and 1.0 / (1.0 - eps) <= dickman.default_table().u_max:
@@ -314,7 +310,7 @@ def run_repeated(config: dict) -> ExperimentReport:
     x = _as_int(config, "x")
     alpha = _as_float(config, "alpha")
     c = _as_float(config, "c")
-    s = stats.build_sample_set(spec, x)
+    s = stats.build_sample_set(spec, x, k=0)
     est = stats.repeated_factor_frequency(s, alpha, c)
     return ExperimentReport(
         experiment="repeated",

@@ -7,19 +7,26 @@ Two factorization strategies are provided:
 * vectorized trial division against a prime table for sparse or large
   values (``bulk_spectra_trial``), valid for any u with u <= limit**2.
 
-Each strategy only produces a stream of (idx, p) batches, largest prime
+Each strategy only produces a peel of (idx, p) batches, largest prime
 first: batch j holds the (j+1)-th largest prime factor p, with
 multiplicity, of every value at positions idx that has that many.  The
 spf path reads it from a largest-prime-factor table derived from the
-sieve; the trial path finds primes smallest first and regroups them by
-rank from the top.  One spectrum fold turns either stream into the
-normalized spectra, and its first three batches are the top-3 columns.
+sieve; the trial path finds every prime smallest first and regroups them
+by rank from the top.  One spectrum fold turns either peel into what its
+consumer reads, and stops each value by one of two rules:
+
+* top-k: the k largest entries per value are the first k batches, so a
+  value needs no prime after its k-th;
+* entries at or above a floor: entries descend, so a value retires at its
+  first entry below the floor; floor = 0.0 keeps complete spectra.
+
 All value arithmetic is exact integer arithmetic; logarithms appear only
 in that fold.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +39,9 @@ from pdlab.errors import ResourceBudgetError, ValidationError
 # for the P+ table that bulk_spectra derives from it.
 MAX_PRIME_TABLE_LIMIT = 300_000_000
 MAX_SPF_SIEVE_LIMIT = 200_000_000
+# leading spectrum entries per value that a build returns by default, and
+# the most a sample set holds (the widest joint cdf)
+TOP_K = 3
 
 
 @dataclass(frozen=True)
@@ -111,16 +121,21 @@ def factorize(u: int, table: PrimeTable) -> Factorization:
     rem = u
     factors = []
     if 1 < u < 1 << 62:
-        # every prime divisor except at most one cofactor is <= sqrt(u);
-        # one vectorized scan finds them all at once
+        # every prime divisor except at most one cofactor is <= sqrt(rem):
+        # scan the primes in chunks of doubling size, vectorized within a
+        # chunk, and stop once p*p exceeds what remains
         hi = np.searchsorted(table.primes, math.isqrt(u), side="right")
-        cand = table.primes[:hi]
-        for p in cand[u % cand == 0].tolist():
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            factors.append((p, e))
+        lo, size = 0, 64
+        while lo < hi and int(table.primes[lo]) ** 2 <= rem:
+            cand = table.primes[lo : min(lo + size, hi)]
+            for p in cand[rem % cand == 0].tolist():
+                e = 0
+                while rem % p == 0:
+                    rem //= p
+                    e += 1
+                factors.append((p, e))
+            lo += size
+            size *= 2
     else:
         # exact python-int path for values beyond int64 (up to 2**127 - 1)
         for p in table.primes:
@@ -210,64 +225,103 @@ def _checked_values(values, vmax: int, table: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _fold_spectra(values, batches):
-    """Normalized spectra of values from a stream of (idx, p) batches.
+def _fold_spectra(values, peel, k: int, floor: float | None):
+    """Normalized spectra of values from a peel of (idx, p) batches.
 
-    Batch j gives the (j+1)-th largest prime factor p, with multiplicity,
-    of each value at positions idx (distinct within a batch); per value
-    the primes must descend and multiply to the value.  Returns
-    (entry_idx, entry_val, top3): a ragged pair list mapping each spectrum
-    entry log(p)/log(u) to the int32 index of its value, in stream order,
-    plus the three largest entries per value, padded with zeros, which are
-    the first three batches.  u = 1 gets the single entry 1, appended last.
+    ``peel`` is a generator: batch j gives the (j+1)-th largest prime
+    factor p, with multiplicity, of each value at positions idx (distinct
+    within a batch); per value the primes must descend and multiply to
+    the value.  The fold sends back, per position, whether the value
+    still needs its next prime, and the peel drops the others.  The fold
+    needs a value's next entry while j + 1 < k (a top-k column) or while
+    its entry is >= floor: entries descend, so the first entry below the
+    floor retires the value.
+
+    Returns (entry_idx, entry_val, top): ``top`` holds the k largest
+    entries log(p)/log(u) per value, zero padded, which are the first k
+    batches; entry_idx/entry_val is the ragged list of every entry
+    >= floor with the int32 index of its value, in stream order, and is
+    empty when floor is None.  floor = 0.0 keeps complete spectra.  u = 1
+    gets the single entry 1 (the log 1 / log 1 convention), last.
     """
     n = len(values)
-    logs = np.log(np.maximum(values, 2).astype(np.float64))
-    top = np.zeros((n, 3), dtype=np.float64)
+    logs = np.maximum(values, 2).astype(np.float64)
+    np.log(logs, out=logs)
+    top = np.zeros((n, k), dtype=np.float64)
     out_idx, out_val = [], []
-    for j, (idx, p) in enumerate(batches):
-        entry = np.log(p.astype(np.float64)) / logs[idx]
-        if j < 3:
-            top[idx, j] = entry
-        out_idx.append(idx)
-        out_val.append(entry)
-    one = np.flatnonzero(values == 1).astype(np.int32)  # log 1 / log 1 = 1 convention
-    top[one, 0] = 1.0
+    try:
+        idx, p = next(peel)
+        for j in itertools.count():
+            entry = p.astype(np.float64)
+            np.log(entry, out=entry)
+            entry /= logs[idx]
+            if j < k:
+                top[idx, j] = entry
+            more = np.full(idx.size, j + 1 < k)
+            if floor is not None:
+                keep = entry >= floor
+                out_idx.append(idx[keep])
+                out_val.append(entry[keep])
+                more |= keep
+            idx, p = peel.send(more)
+    except StopIteration:
+        pass
+    one = np.flatnonzero(values == 1).astype(np.int32)
+    if k:
+        top[one, 0] = 1.0
+    if floor is None:
+        return np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.float64), top
     out_idx.append(one)
     out_val.append(np.ones(one.size))
-    return np.concatenate(out_idx), np.concatenate(out_val), top
+    return _drain(out_idx, np.int32), _drain(out_val, np.float64), top
 
 
-def bulk_spectra(values, spf: np.ndarray):
+def _drain(chunks: list, dtype) -> np.ndarray:
+    """Concatenate chunks, dropping each once copied, so that the chunks
+    and the result are not both resident at full size."""
+    out = np.empty(sum(c.size for c in chunks), dtype=dtype)
+    pos = 0
+    for i, c in enumerate(chunks):
+        chunks[i] = None
+        out[pos : pos + c.size] = c
+        pos += c.size
+    return out
+
+
+def bulk_spectra(values, spf: np.ndarray, k: int = TOP_K, floor: float | None = 0.0):
     """Normalized spectra for a dense set of values covered by an spf sieve.
 
     Peels the largest prime factor first through a P+ table derived from
-    spf.  Returns (entry_idx, entry_val, top3) as described in _fold_spectra.
+    spf, and stops each value once the fold needs no more of it (after k
+    primes, or at its first entry below floor).  Returns (entry_idx,
+    entry_val, top) as described in _fold_spectra.
     """
     values = _checked_values(values, len(spf) - 1, "spf sieve")
 
-    def batches():
+    def peel():
         lpf = _largest_factor_table(spf[: int(values.max(initial=1)) + 1])
         idx = np.flatnonzero(values > 1).astype(np.int32)
         rem = values[idx].astype(np.int32)
         while idx.size:
             p = lpf[rem]
-            yield idx, p
+            more = yield idx, p
             rem //= p
-            alive = rem > 1
+            alive = more & (rem > 1)
             idx, rem = idx[alive], rem[alive]
 
-    return _fold_spectra(values, batches())
+    return _fold_spectra(values, peel(), k, floor)
 
 
-def bulk_spectra_trial(values, table: PrimeTable):
+def bulk_spectra_trial(
+    values, table: PrimeTable, k: int = TOP_K, floor: float | None = 0.0
+):
     """Normalized spectra by vectorized trial division (sparse/large values).
 
     Valid for values up to table.limit**2; each value's final cofactor
-    beyond the table is prime by the trial-division contract.  Primes are
-    found smallest first and regrouped by rank from the top before the
-    fold.  Returns (entry_idx, entry_val, top3) as described in
-    _fold_spectra.
+    beyond the table is prime by the trial-division contract.  Every
+    prime is found, smallest first, then regrouped by rank from the top;
+    the regroup stops each value once the fold needs no more of it.
+    Returns (entry_idx, entry_val, top) as described in _fold_spectra.
     """
     values = _checked_values(
         values, table.limit * table.limit, f"prime table limit {table.limit}"
@@ -295,7 +349,7 @@ def bulk_spectra_trial(values, table: PrimeTable):
             # remaining cofactors exceed every table prime squared: prime by contract
             yield idx, rem
 
-    def descending():
+    def peel():
         pairs = list(ascending())
         if not pairs:
             return
@@ -310,8 +364,8 @@ def bulk_spectra_trial(values, table: PrimeTable):
         live = np.flatnonzero(omega).astype(np.int32)
         j = 0
         while live.size:
-            yield live, p[end[live] - 1 - j]
+            more = yield live, p[end[live] - 1 - j]
             j += 1
-            live = live[omega[live] > j]
+            live = live[more & (omega[live] > j)]
 
-    return _fold_spectra(values, descending())
+    return _fold_spectra(values, peel(), k, floor)

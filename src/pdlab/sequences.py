@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from pdlab import arith, factor
-from pdlab.errors import ResourceBudgetError, ValidationError
+from pdlab.errors import ResourceBudgetError, ValidationError, integral
 
 # Largest x for which dense enumeration (uniform / Thue-Morse) is allowed.
 MAX_DENSE_X = 200_000_000
@@ -53,8 +53,10 @@ class SequenceSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown sequence kind {self.kind!r}")
+        object.__setattr__(self, "shift", integral(self.shift, "shift"))
         if self.kind == "poly":
-            object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+            coeffs = tuple(integral(c, "coefficient") for c in self.coeffs)
+            object.__setattr__(self, "coeffs", coeffs)
             _check_poly(self.coeffs)
 
     @property
@@ -97,7 +99,7 @@ class SequenceSpec:
             if kind == "shifted_primes":
                 if "shift" not in d:
                     raise ValidationError("shifted_primes spec requires field 'shift'")
-                return shifted_primes(int(d["shift"]))
+                return shifted_primes(d["shift"])
             if kind == "poly":
                 if "coeffs" not in d:
                     raise ValidationError("poly spec requires field 'coeffs'")
@@ -117,11 +119,11 @@ def uniform_integers() -> SequenceSpec:
 
 def shifted_primes(a: int) -> SequenceSpec:
     """Members are the positive values p - a over primes p; a may be negative."""
-    return SequenceSpec(kind="shifted_primes", shift=int(a))
+    return SequenceSpec(kind="shifted_primes", shift=a)
 
 
 def polynomial_values(coeffs) -> SequenceSpec:
-    return SequenceSpec(kind="poly", coeffs=tuple(int(c) for c in coeffs))
+    return SequenceSpec(kind="poly", coeffs=tuple(coeffs))
 
 
 def thue_morse_zeros() -> SequenceSpec:

@@ -1,12 +1,13 @@
 """Empirical estimators on arithmetic samples.
 
-A SampleSet holds the normalized prime-factor spectra of every member of
-a sequence up to x (or a seeded uniform subsample).  The estimators are
-pure folds over those arrays: correlation sums over distinct index
-tuples, joint CDFs of the leading entries, tail frequencies of the
-largest prime factor, level-of-distribution error sums, repeated-factor
-frequencies, sieve survivor counts, and a one-sample Kolmogorov-Smirnov
-distance.
+A SampleSet holds the members of a sequence up to x (or a seeded uniform
+subsample) and the part of their normalized prime-factor spectra that its
+consumer reads: the k leading entries, the entries at or above a floor,
+or nothing.  The estimators are pure folds over those arrays:
+correlation sums over distinct index tuples, joint CDFs of the leading
+entries, tail frequencies of the largest prime factor,
+level-of-distribution error sums, repeated-factor frequencies, sieve
+survivor counts, and a one-sample Kolmogorov-Smirnov distance.
 """
 
 from __future__ import annotations
@@ -19,20 +20,20 @@ import numpy as np
 from pdlab import arith, dickman, factor, sequences
 from pdlab.boxes import BoxFunction, tuple_sum_per_item
 from pdlab.errors import ValidationError
+from pdlab.factor import TOP_K
 from pdlab.report import Estimate
 from pdlab.sequences import SequenceSpec
-
-TOP_K = 3
 
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Spectra of the members of a sequence up to x.
+    """What the estimators read of the spectra of a sequence's members up to x.
 
-    ``top`` holds the TOP_K largest spectrum entries per member (zero
-    padded; the u = 1 member gets the single entry 1).  ``entry_idx`` /
-    ``entry_val`` is the ragged list of all entries >= floor, unordered
-    within a member.  floor = 0.0 keeps complete spectra.
+    ``top`` holds the k largest spectrum entries per member (zero padded;
+    the u = 1 member gets the single entry 1); k = 0 gives no columns.
+    ``entry_idx`` / ``entry_val`` is the ragged list of every entry
+    >= floor, unordered within a member; floor = 0.0 keeps complete
+    spectra, and floor = None means no entries were built (both empty).
     """
 
     spec: SequenceSpec
@@ -41,7 +42,7 @@ class SampleSet:
     top: np.ndarray
     entry_idx: np.ndarray
     entry_val: np.ndarray
-    floor: float
+    floor: float | None
     exhaustive: bool
     subsample_seed: int | None = None
     subsample_rate: float | None = None
@@ -54,13 +55,26 @@ class SampleSet:
 def build_sample_set(
     spec: SequenceSpec,
     x: int,
-    floor: float = 0.0,
+    k: int = TOP_K,
+    floor: float | None = None,
     max_members: int | None = None,
     subsample_seed: int = 0,
 ) -> SampleSet:
-    """Enumerate, factor, and normalize every member of the sequence up to x."""
-    if not 0.0 <= floor < 1.0:
-        raise ValidationError(f"floor must be in [0, 1), got {floor}")
+    """Enumerate the members of the sequence up to x and build what a consumer reads.
+
+    ``k`` (0..TOP_K) is the number of leading entries per member in
+    ``top``; ``floor`` asks for every entry >= floor, and None asks for no
+    entries.  The factor peel stops each member once it has given both,
+    so a top-k build never computes smaller entries.  With k = 0 and no
+    floor nothing is factored: the set holds only the (subsampled)
+    members, which is all ``repeated_factor_frequency`` reads.
+    """
+    if not 0 <= k <= TOP_K:
+        raise ValidationError(
+            f"k must be in [0, {TOP_K}] (at most {TOP_K} joint thresholds), got {k}"
+        )
+    if floor is not None and not floor >= 0.0:
+        raise ValidationError(f"floor must be >= 0, got {floor}")
     mem = sequences.members(spec, x)
     if mem.size == 0:
         raise ValidationError(f"sequence has no members up to x={x}")
@@ -75,15 +89,15 @@ def build_sample_set(
         exhaustive = False
         seed_used = subsample_seed
     maxval = int(mem.max())
-    if sequences.is_dense(mem):
+    if k == 0 and floor is None:
+        entry_idx, entry_val = np.zeros(0, dtype=np.int32), np.zeros(0)
+        top = np.zeros((mem.size, 0))
+    elif sequences.is_dense(mem):
         spf = factor.smallest_factor_sieve(max(maxval, 2))
-        entry_idx, entry_val, top = factor.bulk_spectra(mem, spf)
+        entry_idx, entry_val, top = factor.bulk_spectra(mem, spf, k, floor)
     else:
         table = factor.build_prime_table(max(math.isqrt(maxval) + 1, 3))
-        entry_idx, entry_val, top = factor.bulk_spectra_trial(mem, table)
-    if floor > 0.0:
-        keep = entry_val >= floor
-        entry_idx, entry_val = entry_idx[keep], entry_val[keep]
+        entry_idx, entry_val, top = factor.bulk_spectra_trial(mem, table, k, floor)
     return SampleSet(
         spec=spec,
         x=x,
@@ -108,6 +122,8 @@ def _mean_se(values: np.ndarray) -> Estimate:
 def empirical_corr(s: SampleSet, eta: BoxFunction) -> Estimate:
     """Average over members of the distinct-index tuple sum of eta at the
     normalized log-prime coordinates (multiplicity via distinct indices)."""
+    if s.floor is None:
+        raise ValidationError("empirical_corr needs a sample set built with a floor")
     if eta.alpha < s.floor:
         raise ValidationError(
             f"eta support bound {eta.alpha} lies below the sample floor {s.floor}"
@@ -116,13 +132,19 @@ def empirical_corr(s: SampleSet, eta: BoxFunction) -> Estimate:
     return _mean_se(per)
 
 
+def _need_top(s: SampleSet, k: int) -> None:
+    if s.top.shape[1] < k:
+        raise ValidationError(
+            f"need {k} top columns, the sample set was built with {s.top.shape[1]}"
+        )
+
+
 def empirical_joint_cdf(s: SampleSet, c) -> Estimate:
     """Frequency of {entry_1 <= c_1, ..., entry_k <= c_k} over members."""
     c = [float(v) for v in c]
     if not c or any(not 0 < v <= 1 for v in c):
         raise ValidationError("thresholds must be a nonempty vector in (0, 1]")
-    if len(c) > TOP_K:
-        raise ValidationError(f"at most {TOP_K} joint thresholds supported")
+    _need_top(s, len(c))
     hit = np.all(s.top[:, : len(c)] <= np.asarray(c)[None, :], axis=1)
     p = float(np.mean(hit))
     return Estimate(value=p, std_error=math.sqrt(p * (1 - p) / s.n), n=s.n)
@@ -136,6 +158,7 @@ def tail_frequency(s: SampleSet, eps: float) -> Estimate:
     """
     if not 0 < eps < 1:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
+    _need_top(s, 1)
     hit = s.top[:, 0] >= 1.0 - eps
     p = float(np.mean(hit))
     return Estimate(value=p, std_error=math.sqrt(p * (1 - p) / s.n), n=s.n)

@@ -78,11 +78,34 @@ def test_unknown_spec_kind_exits_2():
         ["growth", "--g", '{"kind":"root_density","coeffs":["a"]}', "--x", "100"],
         ["growth", "--g", '{"kind":"root_density","coeffs":7}', "--x", "100"],
         ["corr", "--boxes", '{"boxes":[{"lower":["a"],"upper":[0.5]}]}', "--n-samples", "10"],
+        # integer fields are rejected, not truncated, when not integral
+        ["tail", "--spec", '{"kind":"shifted_primes","shift":1.9}', "--x", "100", "--eps", "0.1"],
+        ["tail", "--spec", '{"kind":"poly","coeffs":[1.5,0,1]}', "--x", "100", "--eps", "0.1"],
+        ["growth", "--g", '{"kind":"root_density","coeffs":[1.5,0,1]}', "--x", "100"],
+        ["sweep", "--experiment", "tail", "--spec", "uniform", "--eps", "0.1",
+         "--axis", "x", "--values", "[1000.7]"],
+        ["sweep", "--experiment", "tail", "--spec", "uniform", "--eps", "0.1",
+         "--axis", "x", "--values", "[true]"],
+        # the sample set has at most TOP_K leading columns
+        ["cdf", "--c", "[0.9,0.5,0.3,0.2]", "--spec", "uniform", "--x", "1000"],
     ],
 )
 def test_malformed_config_field_exits_2(argv, capsys):
     assert run_cli(*argv) == 2
     assert "validation error" in capsys.readouterr().err
+
+
+def test_integral_float_fields_accepted(tmp_path):
+    reports = []
+    for spec, x in (({"kind": "poly", "coeffs": [1, 0, 1]}, 10**6),
+                    ({"kind": "poly", "coeffs": [1.0, 0, 1e0]}, 1e6)):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spec": spec, "x": x, "eps": 0.1}))
+        out = tmp_path / "rep.json"
+        assert run_cli("tail", "--config", str(cfg), "--out", str(out)) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[1]["x"] == 10**6 and reports[1]["spec"]["coeffs"] == [1, 0, 1]
+    assert reports[1]["estimate"] == reports[0]["estimate"]
 
 
 def test_poly_x_beyond_int64_exits_2(capsys):

@@ -13,7 +13,7 @@ from pdlab.errors import ValidationError
 
 @pytest.fixture(scope="module")
 def uniform_small():
-    return stats.build_sample_set(sequences.uniform_integers(), 3000)
+    return stats.build_sample_set(sequences.uniform_integers(), 3000, floor=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +105,7 @@ def test_floor_truncation_respected(uniform_small):
 
 def test_sparse_trial_division_path():
     # polynomial values are sparse: forces the trial-division branch
-    s = stats.build_sample_set(sequences.polynomial_values([1, 0, 1]), 10**6)
+    s = stats.build_sample_set(sequences.polynomial_values([1, 0, 1]), 10**6, floor=0.0)
     assert s.n == 999  # n**2 + 1 <= 1e6 exactly for n <= 999
     for i, u in enumerate(s.u[:50]):
         lu = math.log(int(u))
@@ -289,3 +289,79 @@ def test_sieve_shifted_primes_ratio_bounded():
 def test_empty_sequence_sample_raises():
     with pytest.raises(ValidationError):
         stats.build_sample_set(sequences.polynomial_values([7, 2]), 8)  # 2n+7 > 8 fails for n>=1? 9 > 8
+
+
+SHAPED_CASES = {
+    "uniform": (sequences.uniform_integers(), 10**5, {}),
+    "thue_morse": (sequences.thue_morse_zeros(), 10**5, {}),
+    "shifted_primes": (sequences.shifted_primes(1), 10**6, {}),
+    "x2p1": (sequences.polynomial_values([1, 0, 1]), 10**9, {}),  # trial path
+    "subsample": (
+        sequences.uniform_integers(), 10**6, {"max_members": 20000, "subsample_seed": 4}
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=list(SHAPED_CASES))
+def complete_build(request):
+    spec, x, kw = SHAPED_CASES[request.param]
+    return request.param, (spec, x, kw), stats.build_sample_set(spec, x, floor=0.0, **kw)
+
+
+def _member_multisets(idx, val):
+    order = np.lexsort((val, idx))
+    return idx[order], val[order]
+
+
+def test_shaped_builds_equal_the_complete_build(complete_build):
+    name, (spec, x, kw), full = complete_build
+    dense = sequences.is_dense(full.u)
+    assert dense == (name != "x2p1")
+    for k in (1, 2, 3):
+        s = stats.build_sample_set(spec, x, k=k, **kw)
+        assert s.floor is None and s.entry_idx.size == 0 and s.entry_val.size == 0
+        assert s.top.shape == (full.n, k)
+        assert np.array_equal(s.top, full.top[:, :k])
+    for floor in (0.1, 0.25):
+        s = stats.build_sample_set(spec, x, k=0, floor=floor, **kw)
+        assert s.top.shape == (full.n, 0)
+        keep = full.entry_val >= floor
+        if name == "uniform":
+            assert (full.entry_val == floor).any()  # the boundary is exercised
+        got = _member_multisets(s.entry_idx, s.entry_val)
+        want = _member_multisets(full.entry_idx[keep], full.entry_val[keep])
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_members_only_build_factors_nothing(monkeypatch):
+    from pdlab import factor
+
+    cases = [
+        (sequences.uniform_integers(), 10**5, {}),
+        (sequences.polynomial_values([1, 0, 1]), 10**9, {}),
+        (sequences.uniform_integers(), 10**5, {"max_members": 1000, "subsample_seed": 4}),
+    ]
+    want = [stats.build_sample_set(spec, x, k=1, **kw).u for spec, x, kw in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a members-only build must not sieve or factor")
+
+    monkeypatch.setattr(factor, "smallest_factor_sieve", refuse)
+    monkeypatch.setattr(factor, "build_prime_table", refuse)
+    for (spec, x, kw), u in zip(cases, want):
+        s = stats.build_sample_set(spec, x, k=0, **kw)
+        assert np.array_equal(s.u, u)
+        assert s.top.shape == (s.n, 0) and s.entry_idx.size == 0 and s.floor is None
+
+
+def test_estimators_reject_what_the_build_left_out():
+    s = stats.build_sample_set(sequences.uniform_integers(), 1000, k=1)
+    with pytest.raises(ValidationError):
+        stats.empirical_corr(s, box((0.25, 0.5)))  # no entries built
+    with pytest.raises(ValidationError):
+        stats.empirical_joint_cdf(s, [0.9, 0.5])  # one top column, two thresholds
+    none = stats.build_sample_set(sequences.uniform_integers(), 1000, k=0)
+    with pytest.raises(ValidationError):
+        stats.tail_frequency(none, 0.1)
+    with pytest.raises(ValidationError):
+        stats.build_sample_set(sequences.uniform_integers(), 1000, k=stats.TOP_K + 1)
