@@ -1,15 +1,23 @@
 """Multiplicative arithmetic functions and per-sequence density functions g.
 
-Covers the Euler totient, Omega, the threefold divisor function, distinct
-root counts h(d) of integer polynomials, the density vectors g(n), and
-the Mertens-type diagnostics sum_{p<=x} g(p) log p - log x.
+Covers the Euler totient, Omega, the threefold divisor function, the roots
+and distinct root counts h(d) of integer polynomials, the density vectors
+g(n), and the Mertens-type diagnostics sum_{p<=x} g(p) log p - log x.
 
-Root counts follow one rule: the distinct roots of F in F_p are the roots
-of gcd(F mod p, X^p - X), which costs O(D^2 log p) for any prime and any
-degree D.  Off the discriminant each root is simple and lifts uniquely to
-every p^k (Hensel), so only ramified prime powers need an exhaustive
-residue scan.  The vectors g(n), n <= x, come from one spf pass that builds
-their integer numerators exactly, so each g(n) is a correctly rounded ratio.
+One root finder serves every prime at once (``roots_mod_primes``).  On
+arrays of shape (degree, number of primes) it makes F monic mod p,
+computes X^p mod F by square-and-multiply with a mask per prime, takes
+g = gcd(F, X^p - X) by masked Euclid steps, so h(p) = deg g, and splits g
+into its roots by Cantor-Zassenhaus with the fixed sequence delta = 0, 1,
+2, ... (Cantor & Zassenhaus, Math. Comp. 36, 1981; Cohen, A Course in
+Computational Algebraic Number Theory, 1.6 and 3.4), so its output is
+deterministic.  The finitely many primes dividing the leading coefficient,
+and p = 2, go through the scalar helpers.  Off the discriminant each root
+is simple and lifts uniquely to every p^k (Hensel), so only ramified prime
+powers need an exhaustive residue scan; ``root_classes`` combines the
+roots mod p^k into the roots mod d by the Chinese remainder theorem.  The
+vectors g(n), n <= x, come from one spf pass that builds their integer
+numerators exactly, so each g(n) is a correctly rounded ratio.
 """
 
 from __future__ import annotations
@@ -205,19 +213,222 @@ def _minus_x(a, p):
 
 
 # ---------------------------------------------------------------------------
-# root counts h(d)
+# roots of F modulo many primes at once
+#
+# Column j of a (rows, Q) int64 array is a polynomial over F_p[j], constant
+# first, and p is the matching (Q,) array of primes.  Primes stay below
+# MAX_PRIME_TABLE_LIMIT < 2**29, so a product of two residues is below 2**58,
+# and the helpers add at most 12 products (degree <= 6) before reducing:
+# every intermediate stays below 2**62.
 
 
-def _root_count_mod_p(coeffs, p: int) -> int:
-    """h(p) = deg gcd(F mod p, X^p - X), the number of distinct roots in F_p.
+def _residues(c: int, primes: np.ndarray) -> np.ndarray:
+    """c mod each prime, for an integer c of any size."""
+    if -(1 << 62) < c < 1 << 62:
+        return np.int64(c) % primes
+    return (c % primes.astype(object)).astype(np.int64)
 
-    Holds for every prime and degree, p | disc F and p | lead F included.
-    F = 0 mod p has all p residues as roots; a nonzero constant has none.
+
+def _vpow(b: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """b**e mod m elementwise, by square-and-multiply with a mask per element.
+
+    Needs m < 2**31 so that products of residues fit int64.
     """
-    f = _poly_mod(coeffs, p)
-    if not f:
-        return p
-    return len(_gcd_mod(f, _minus_x(_x_powmod(p, f, p), p), p)) - 1
+    b = b % m
+    r = np.ones_like(b) % m
+    for bit in range(int(e.max(initial=0)).bit_length()):
+        r = np.where((e >> bit) & 1 == 1, r * b % m, r)
+        b = b * b % m
+    return r
+
+
+def _vdeg(a: np.ndarray) -> np.ndarray:
+    """Degree of each column, -1 for the zero polynomial."""
+    nz = a != 0
+    return np.where(nz.any(axis=0), a.shape[0] - 1 - np.argmax(nz[::-1], axis=0), -1)
+
+
+def _vreduce(t: np.ndarray, f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """t mod the monic columns f (d + 1 rows), as residues mod p.
+
+    Entries of t may be sums of up to d unreduced products.  Each leading
+    row is reduced before it multiplies f, and a lower row takes at most d
+    more products, so only the rows that lead and the result are reduced.
+    """
+    d = f.shape[0] - 1
+    for k in range(t.shape[0] - 1, d - 1, -1):
+        t[k - d : k] -= t[k] % p * f[:d]
+    return t[:d] % p
+
+
+def _vsqrmod(a, f, p):
+    """a**2 mod the monic f, columnwise over F_p."""
+    d = a.shape[0]
+    t = np.zeros((2 * d - 1, a.shape[1]), dtype=np.int64)
+    for i in range(d):
+        t[i : i + d] += a[i] * a
+    return _vreduce(t, f, p)
+
+
+def _vmul_linear(a, delta, f, p):
+    """a * (X + delta) mod the monic f, columnwise over F_p; delta < p."""
+    d = a.shape[0]
+    t = np.zeros((d + 1, a.shape[1]), dtype=np.int64)
+    t[1:] = a
+    t[:d] += delta * a
+    return _vreduce(t, f, p)
+
+
+def _vpowmod(delta, e, f, p):
+    """(X + delta)**e mod the monic f, columnwise, for exponents e >= 0.
+
+    Left to right over the longest exponent: a shorter exponent's leading
+    zero bits square the constant 1 and leave it unchanged.
+    """
+    r = np.zeros((f.shape[0] - 1, f.shape[1]), dtype=np.int64)
+    r[0] = 1
+    for bit in reversed(range(int(e.max(initial=0)).bit_length())):
+        r = _vsqrmod(r, f, p)
+        r = np.where((e >> bit) & 1 == 1, _vmul_linear(r, delta, f, p), r)
+    return r
+
+
+def _vgcd(a, b, p):
+    """(g, deg g): the monic gcd of columns a and b over F_p, a nonzero.
+
+    Masked Euclid: each step cancels the leading term of the higher column
+    by a multiple of the lower one, so no inverse is needed until the end.
+    """
+    da, db = _vdeg(a), _vdeg(b)
+    rows = np.arange(a.shape[0])[:, None]
+    while True:
+        swap = db > da
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        da, db = np.maximum(da, db), np.minimum(da, db)
+        live = db >= 0
+        if not live.any():
+            break
+        dbz = np.maximum(db, 0)
+        src = rows - (da - dbz)
+        shifted = np.where(src >= 0, np.take_along_axis(b, np.maximum(src, 0), axis=0), 0)
+        la = np.take_along_axis(a, da[None], axis=0)[0]
+        lb = np.take_along_axis(b, dbz[None], axis=0)[0]
+        a = np.where(live, (lb * a - la * shifted) % p, a)
+        da = _vdeg(a)
+    lead = np.take_along_axis(a, da[None], axis=0)[0]
+    return a * _vpow(lead, p - 2, p) % p, da
+
+
+def _split_roots(g, h, p, width):
+    """Sorted roots of the monic split squarefree columns g (degree h) over F_p.
+
+    Cantor-Zassenhaus with the fixed sequence delta = 0, 1, 2, ...: the
+    gcds of a piece with (X + delta)**((p-1)/2) -/+ 1 part its roots r by
+    the quadratic character of r + delta, and r = -delta, where that
+    character is 0, is read off directly.  For odd p
+    two distinct roots differ in that character for some delta < p, so
+    every piece of degree >= 2 splits within p rounds.  Returns a
+    (len(p), width) array, -1 padded.
+    """
+    rows = g.shape[0]
+    pieces = [(g, h, np.arange(len(p)))]
+    owner, found = [], []
+    delta = 0
+    while pieces:
+        poly = np.concatenate([q for q, _, _ in pieces], axis=1)
+        deg = np.concatenate([d for _, d, _ in pieces])
+        own = np.concatenate([o for _, _, o in pieces])
+        lin = deg == 1
+        owner.append(own[lin])
+        found.append(-poly[0, lin] % p[own[lin]])
+        pieces = []
+        for d in np.unique(deg[deg >= 2]).tolist():
+            sel = np.flatnonzero(deg == d)
+            gd, pd, od = poly[: d + 1, sel], p[own[sel]], own[sel]
+            minus = -delta % pd
+            w = _vpowmod(delta % pd, (pd - 1) // 2, gd, pd)
+            for s in (1, -1):
+                t = np.zeros_like(gd)
+                t[:d] = w
+                t[0] = (w[0] - s) % pd
+                u, du = _vgcd(gd, t, pd)
+                keep = du >= 1
+                part = np.zeros((rows, int(keep.sum())), dtype=np.int64)
+                part[: d + 1] = u[:, keep]
+                pieces.append((part, du[keep], od[keep]))
+            at = np.zeros(sel.size, dtype=np.int64)
+            for row in gd[::-1]:
+                at = (at * minus + row) % pd
+            owner.append(od[at == 0])
+            found.append(minus[at == 0])
+        delta += 1
+    owner, found = np.concatenate(owner), np.concatenate(found)
+    order = np.lexsort((found, owner))
+    owner, found = owner[order], found[order]
+    first = np.searchsorted(owner, owner)
+    out = np.full((len(p), width), -1, dtype=np.int64)
+    out[owner, np.arange(owner.size) - first] = found
+    return out
+
+
+def roots_mod_primes(coeffs, primes, split: bool = True):
+    """(h, roots): the distinct roots of F modulo each of an array of primes.
+
+    h[i] = h(p) = deg gcd(F mod p, X^p - X), the number of distinct roots
+    in F_p, for every prime and degree.  roots[i, :h[i]] lists them
+    ascending, -1 padded to width deg F; h[i] = p means every residue is a
+    root (F = 0 mod p included), and the row is then not read.  With
+    split=False only h is computed and roots is None.
+
+    The primes not dividing lead F, except 2, go through one vectorized
+    pass: F made monic mod p, X^p mod F by square-and-multiply, the masked
+    gcd, and the Cantor-Zassenhaus split.  The finitely many others: p = 2
+    by a residue scan, and p | lead F by the same pass on the lower-degree
+    F mod p.  Primes must be below MAX_PRIME_TABLE_LIMIT.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    deg = poly_degree(coeffs)
+    h = np.zeros(primes.size, dtype=np.int64)
+    roots = np.full((primes.size, deg), -1, dtype=np.int64) if split else None
+    lead = _residues(coeffs[deg], primes)
+    fast = np.flatnonzero((lead != 0) & (primes != 2))
+    if fast.size:
+        p = primes[fast]
+        f = np.array([_residues(c, p) for c in coeffs[: deg + 1]])
+        f = f * _vpow(f[deg], p - 2, p) % p
+        one = np.zeros((deg, p.size), dtype=np.int64)
+        one[0] = 1
+        diff = np.zeros_like(f)
+        diff[:deg] = (_vpowmod(0, p, f, p) - _vmul_linear(one, 0, f, p)) % p
+        g, h[fast] = _vgcd(f, diff, p)
+        if split:
+            roots[fast] = _split_roots(g, h[fast], p, deg)
+    for i in np.flatnonzero((lead == 0) | (primes == 2)).tolist():
+        p = int(primes[i])
+        f = _poly_mod(coeffs, p)
+        if not f:
+            h[i] = p
+        elif p == 2:
+            r = roots_mod(f, 2)
+            h[i] = len(r)
+            if split:
+                roots[i, : len(r)] = r
+        elif len(f) > 1:
+            hi, ri = roots_mod_primes(f, [p], split)
+            h[i] = hi[0]
+            if split:
+                roots[i, : ri.shape[1]] = ri[0]
+    return h, roots
+
+
+@lru_cache(maxsize=1 << 16)
+def _root_count_at(coeffs: tuple, p: int) -> int:
+    """h(p) for one prime, remembered: scalar callers ask for the same few."""
+    return int(roots_mod_primes(coeffs, [p], split=False)[0][0])
+
+
+# ---------------------------------------------------------------------------
+# root counts h(d) and root classes mod d
 
 
 def _ramification(coeffs) -> int:
@@ -232,7 +443,7 @@ def _ramification(coeffs) -> int:
 def poly_root_count_pk(coeffs, p: int, k: int, ram: int | None = None) -> int:
     """h(p^k): distinct roots of F modulo p^k.
 
-    h(p) is the gcd count of _root_count_mod_p.  When p does not divide
+    h(p) comes from the root finder (roots_mod_primes).  When p does not divide
     ``ram`` (disc F times the content of F, computed when not given), every
     root mod p is simple and lifts uniquely (Hensel), so h(p^k) = h(p) for
     every k.  At the remaining, ramified primes a root mod p^k reduces to
@@ -244,7 +455,7 @@ def poly_root_count_pk(coeffs, p: int, k: int, ram: int | None = None) -> int:
     if ram is None:
         ram = _ramification(coeffs)
     if k == 1 or ram % p:
-        return _root_count_mod_p(coeffs, p)
+        return _root_count_at(tuple(coeffs), p)
     if poly_root_count_pk(coeffs, p, k - 1, ram) == 0:
         return 0
     pk = p**k
@@ -266,6 +477,114 @@ def poly_root_count(coeffs, d: int) -> int:
         if out == 0:
             return 0
     return out
+
+
+def _prime_power_peel(spf: np.ndarray, values: np.ndarray):
+    """Per step, (idx, p, e): the smallest remaining prime power p**e of
+    each values[idx] > 1, read from an spf sieve covering the values."""
+    idx = np.flatnonzero(values > 1)
+    rem = values[idx].astype(np.int64)
+    while idx.size:
+        # int64: p << 6 | e keys and phi(p**e) overflow int32 for p > 2**25
+        p = spf[rem].astype(np.int64)
+        rem //= p
+        e = np.ones_like(p)
+        sel = np.flatnonzero(rem % p == 0)
+        while sel.size:
+            rem[sel] //= p[sel]
+            e[sel] += 1
+            sel = sel[rem[sel] % p[sel] == 0]
+        yield idx, p, e
+        alive = rem > 1
+        idx, rem = idx[alive], rem[alive]
+
+
+def _prime_power_steps(ds: np.ndarray):
+    """_prime_power_peel over the moduli ds: through one spf sieve when
+    they fill at least 1/64 of [1, max ds], else by factoring each."""
+    top = int(ds.max(initial=0))
+    if ds.size * 64 >= top:
+        yield from _prime_power_peel(factor.smallest_factor_sieve(max(top, 2)), ds)
+        return
+    facs = [_factorize(d).factors for d in ds.tolist()]
+    for j in range(max(map(len, facs), default=0)):
+        pos = [i for i, f in enumerate(facs) if len(f) > j]
+        pe = np.array([facs[i][j] for i in pos], dtype=np.int64)
+        yield np.array(pos, dtype=np.int64), pe[:, 0], pe[:, 1]
+
+
+def _lift_roots(coeffs, p: int, e: int, ram: int, roots_p: np.ndarray) -> np.ndarray:
+    """The roots of F mod p**e, from its roots mod p.
+
+    Off the ramified primes (p not dividing ``ram``) every root is simple
+    and lifts uniquely by Newton steps (Hensel).  At a ramified p a root
+    mod p**e reduces to one mod p**(e-1), so none below means none;
+    otherwise the bounded residue scan decides.
+    """
+    if e == 1 or roots_p.size == 0:
+        return roots_p
+    if ram % p:
+        der = poly_derivative(coeffs)
+        pe = p**e
+        out = []
+        for r in roots_p.tolist():
+            inv = pow(poly_eval(der, r), -1, p)
+            for _ in range(e - 1):
+                r = (r - poly_eval(coeffs, r) * inv) % pe
+            out.append(r)
+        return np.array(out, dtype=np.int64)
+    if _lift_roots(coeffs, p, e - 1, ram, roots_p).size == 0:
+        return roots_p[:0]
+    return np.array(roots_mod(coeffs, p**e), dtype=np.int64)
+
+
+def root_classes(coeffs, ds) -> tuple[np.ndarray, np.ndarray]:
+    """(own, roots): every root r of F mod ds[own[j]] is roots[j], once,
+    with own ascending, for moduli 1 <= d < 2**31.
+
+    The roots mod p come from roots_mod_primes for all primes at once and
+    are lifted to p**e by _lift_roots; the roots mod d combine them by the
+    Chinese remainder theorem, one prime power per step for all moduli.
+    d < 2**31 keeps every CRT product below 2**62.
+    """
+    ds = np.asarray(ds, dtype=np.int64)
+    if ds.size and (int(ds.min()) < 1 or int(ds.max()) >= 1 << 31):
+        raise ValidationError("root classes need moduli in [1, 2**31)")
+    ram = _ramification(coeffs)
+    steps = list(_prime_power_steps(ds))
+    primes = np.unique(np.concatenate([p for _, p, _ in steps] + [ds[:0]]))
+    h, at_p = roots_mod_primes(coeffs, primes)
+    own = np.arange(ds.size)
+    r = np.zeros(ds.size, dtype=np.int64)
+    mod = np.ones(ds.size, dtype=np.int64)
+    for pos, p, e in steps:
+        key, inv = np.unique(p << 6 | e, return_inverse=True)
+        lists = []
+        for k in key.tolist():
+            q, i = k >> 6, int(np.searchsorted(primes, k >> 6))
+            base = np.arange(q, dtype=np.int64) if h[i] == q else at_p[i, : h[i]]
+            lists.append(_lift_roots(coeffs, q, k & 63, ram, base))
+        count = np.array([len(c) for c in lists], dtype=np.int64)
+        flat = np.concatenate(lists + [ds[:0]])
+        nq, start, q = (np.zeros(ds.size, dtype=np.int64) for _ in range(3))
+        nq[pos], start[pos], q[pos] = count[inv], (np.cumsum(count) - count)[inv], p**e
+        # idem = 1 mod q and 0 mod the modulus so far
+        idem = np.zeros(ds.size, dtype=np.int64)
+        idem[pos] = mod[pos] * _vpow(mod[pos], (p - 1) * p ** (e - 1) - 1, q[pos])
+        moving = np.zeros(ds.size, dtype=bool)
+        moving[pos] = True
+        move = moving[own]
+        o, n = own[move], nq[own[move]]
+        o2 = np.repeat(o, n)
+        j = np.arange(o2.size) - np.repeat(np.cumsum(n) - n, n)
+        m2 = mod[o2] * q[o2]
+        b = flat[start[o2] + j]
+        r2 = (np.repeat(r[move], n) * (m2 + 1 - idem[o2]) + b * idem[o2]) % m2
+        own = np.concatenate([own[~move], o2])
+        r = np.concatenate([r[~move], r2])
+        mod[pos] *= q[pos]
+    order = np.argsort(own, kind="stable")
+    return own[order], r[order]
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +621,8 @@ def _g_at_primes(g: GFunctionSpec, primes: np.ndarray) -> np.ndarray:
         return 1.0 / primes.astype(np.float64)
     if g.kind == "reciprocal_totient":
         return 1.0 / (primes.astype(np.float64) - 1.0)
-    h = [_root_count_mod_p(g.coeffs, p) for p in primes.tolist()]
-    return np.array(h, dtype=np.float64) / primes.astype(np.float64)
+    h = roots_mod_primes(g.coeffs, primes, split=False)[0]
+    return h.astype(np.float64) / primes.astype(np.float64)
 
 
 def mertens_deviation(g: GFunctionSpec, x: int) -> float:
@@ -330,33 +649,29 @@ def _g_h_values(g: GFunctionSpec, x: int):
     omega = np.zeros(x + 1, dtype=np.int8)
     if g.kind == "root_density":
         ram = _ramification(g.coeffs)
-
-        @lru_cache(maxsize=None)
-        def h_pk(p, k):
-            return poly_root_count_pk(g.coeffs, p, k, ram)
-
-    idx = n[2:]
-    rem = idx.copy()
-    while idx.size:
-        # int64: the key p << 6 | e and phi(p**e) overflow int32 for p > 2**25
-        p = spf[rem].astype(np.int64)
-        rem //= p
-        e = np.ones_like(p)
-        sel = np.flatnonzero(rem % p == 0)
-        while sel.size:
-            rem[sel] //= p[sel]
-            e[sel] += 1
-            sel = sel[rem[sel] % p[sel] == 0]
+        primes = np.flatnonzero(spf[2:] == n[2:]) + 2
+        hp = np.zeros(x + 1, dtype=np.int64)
+        hp[primes] = roots_mod_primes(g.coeffs, primes, split=False)[0]
+    for idx, p, e in _prime_power_peel(spf, n):
         omega[idx] += e
         if g.kind == "reciprocal_totient":
             num[idx] *= (p - 1) * p ** (e - 1)
         elif g.kind == "root_density":
-            # one count per distinct (p, e); e < 64 since n < 2**63
-            key, inv = np.unique(p << 6 | e, return_inverse=True)
-            hk = [h_pk(k >> 6, k & 63) for k in key.tolist()]
-            num[idx] *= np.array(hk, dtype=np.int64)[inv]
-        alive = rem > 1
-        idx, rem = idx[alive], rem[alive]
+            # h(p**e) = h(p) off the ramified primes; the rest, one count per
+            # distinct (p, e), with e < 64 since n < 2**63
+            hk = hp[p]
+            sq = np.flatnonzero(e > 1)
+            key, inv = np.unique(p[sq] << 6 | e[sq], return_inverse=True)
+            hk[sq] = np.array(
+                [
+                    poly_root_count_pk(g.coeffs, k >> 6, k & 63, ram)
+                    if ram % (k >> 6) == 0
+                    else hp[k >> 6]
+                    for k in key.tolist()
+                ],
+                dtype=np.int64,
+            )[inv]
+            num[idx] *= hk
     gv = np.zeros(x + 1, dtype=np.float64)
     if g.kind == "root_density":
         num[0] = 0

@@ -1,19 +1,22 @@
 """Prime generation and bulk factorization.
 
-Two factorization strategies are provided:
+Three peel sources produce the prime factors of a set of values:
 
 * a smallest-prime-factor sieve over [1, limit] for dense value sets
-  (``smallest_factor_sieve`` + ``bulk_spectra``), and
-* vectorized trial division against a prime table for sparse or large
-  values (``bulk_spectra_trial``), valid for any u with u <= limit**2.
+  (``smallest_factor_sieve`` + ``bulk_spectra``), which peels the largest
+  prime first through a P+ table derived from the sieve;
+* a sieve over the arguments n of polynomial values F(n)
+  (``bulk_spectra_sieve``): p divides F(n) exactly when n lies in a root
+  class of F mod p, so each class gives its p with no trial division;
+* vectorized trial division against a prime table for sparse values of
+  the other kinds (``bulk_spectra_trial``), valid for u <= limit**2.
 
-Each strategy only produces a peel of (idx, p) batches, largest prime
-first: batch j holds the (j+1)-th largest prime factor p, with
-multiplicity, of every value at positions idx that has that many.  The
-spf path reads it from a largest-prime-factor table derived from the
-sieve; the trial path finds every prime smallest first and regroups them
-by rank from the top.  One spectrum fold turns either peel into what its
-consumer reads, and stops each value by one of two rules:
+The last two find every prime smallest first, and one regroup
+(``_from_the_top``) turns that stream into the same peel as the first:
+batch j holds the (j+1)-th largest prime factor p, with multiplicity, of
+every value at positions idx that has that many.  One spectrum fold
+(``_fold_spectra``) turns any peel into what its consumer reads, and stops
+each value by one of two rules:
 
 * top-k: the k largest entries per value are the first k batches, so a
   value needs no prime after its k-th;
@@ -42,6 +45,8 @@ MAX_SPF_SIEVE_LIMIT = 200_000_000
 # leading spectrum entries per value that a build returns by default, and
 # the most a sample set holds (the widest joint cdf)
 TOP_K = 3
+# arguments per block of the polynomial sieve: bounds its (n, p) pairs
+_SIEVE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -349,23 +354,91 @@ def bulk_spectra_trial(
             # remaining cofactors exceed every table prime squared: prime by contract
             yield idx, rem
 
-    def peel():
-        pairs = list(ascending())
-        if not pairs:
-            return
-        idx = np.concatenate([i for i, _ in pairs])
-        p = np.concatenate([q for _, q in pairs])
-        # a stable sort by value keeps each value's primes ascending, so the
-        # (j+1)-th largest prime of a value is j places before the end of its run
-        order = np.argsort(idx, kind="stable")
-        p = p[order]
-        omega = np.bincount(idx, minlength=len(values))
-        end = np.cumsum(omega)
-        live = np.flatnonzero(omega).astype(np.int32)
-        j = 0
-        while live.size:
-            more = yield live, p[end[live] - 1 - j]
-            j += 1
-            live = live[more & (omega[live] > j)]
+    return _fold_spectra(values, _from_the_top(len(values), ascending()), k, floor)
 
-    return _fold_spectra(values, peel(), k, floor)
+
+def bulk_spectra_sieve(
+    values, args, table: PrimeTable, roots, k: int = TOP_K, floor: float | None = 0.0
+):
+    """Normalized spectra of polynomial values values[i] = F(args[i]) by a
+    sieve over the arguments n.
+
+    ``roots`` = (h, r) holds the roots of F modulo each of table.primes,
+    as arith.roots_mod_primes gives them: p divides F(n) exactly when n is
+    in a root class mod p (every n when h = p).  Each block of n takes,
+    for every prime and root class, its n in the block, and divides p out
+    of F(n) repeatedly, which covers prime powers with no lift.  A
+    cofactor > 1 left then has no prime factor <= table.limit >=
+    sqrt(F(n)), so it is prime.  Valid for values up to table.limit**2,
+    with distinct arguments n >= 1.  Returns (entry_idx, entry_val, top)
+    as described in _fold_spectra.
+    """
+    values = _checked_values(
+        values, table.limit * table.limit, f"prime table limit {table.limit}"
+    )
+    h, r = roots
+    every = np.flatnonzero(h == table.primes)
+    some = np.flatnonzero((h > 0) & (h < table.primes))
+    # the classes n = start mod step, ordered by p so that each n meets its
+    # primes in ascending order
+    ones = np.ones(every.size, dtype=np.int64)
+    cls_p = np.concatenate([np.repeat(table.primes[some], h[some]), table.primes[every]])
+    cls_start = np.concatenate([r[some][r[some] >= 0], 0 * ones])
+    cls_step = np.concatenate([np.repeat(table.primes[some], h[some]), ones])
+    order = np.argsort(cls_p, kind="stable")
+    cls_p, cls_start, cls_step = cls_p[order], cls_start[order], cls_step[order]
+
+    def ascending():
+        top = int(args.max(initial=0))
+        rem = np.ones(top + 1, dtype=np.int64)
+        rem[args] = values
+        pos = np.zeros(top + 1, dtype=np.int32)
+        pos[args] = np.arange(len(values), dtype=np.int32)
+        for lo in range(0, top + 1, _SIEVE_BLOCK):
+            hi = min(lo + _SIEVE_BLOCK, top + 1)
+            first = lo + (cls_start - lo) % cls_step
+            cnt = np.maximum((hi - 1 - first) // cls_step + 1, 0)
+            j = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+            n = np.repeat(first, cnt) + j * np.repeat(cls_step, cnt)
+            p = np.repeat(cls_p, cnt)
+            keep = rem[n] > 1  # member arguments only
+            n, p = n[keep], p[keep]
+            # every F(n) in a root class is divisible by p at least once
+            t, e = rem[n], np.zeros_like(n)
+            sel = np.arange(n.size)
+            while sel.size:
+                t[sel] //= p[sel]
+                e[sel] += 1
+                sel = sel[t[sel] % p[sel] == 0]
+            yield pos[np.repeat(n, e)], np.repeat(p, e)
+            div = np.ones(hi - lo, dtype=np.int64)
+            np.multiply.at(div, n - lo, p**e)
+            cof = rem[lo:hi] // div
+            left = np.flatnonzero(cof > 1)
+            yield pos[lo + left], cof[left]
+
+    return _fold_spectra(values, _from_the_top(len(values), ascending()), k, floor)
+
+
+def _from_the_top(n: int, ascending):
+    """A peel, largest prime first, from a stream of (idx, p) batches that
+    gives every prime factor of n values, with multiplicity, each value's
+    in ascending order.  The regroup stops a value once the fold needs no
+    more of it."""
+    pairs = list(ascending)
+    if not pairs:
+        return
+    idx = np.concatenate([i for i, _ in pairs])
+    p = np.concatenate([q for _, q in pairs])
+    # a stable sort by value keeps each value's primes ascending, so the
+    # (j+1)-th largest prime of a value is j places before the end of its run
+    order = np.argsort(idx, kind="stable")
+    p = p[order]
+    omega = np.bincount(idx, minlength=n)
+    end = np.cumsum(omega)
+    live = np.flatnonzero(omega).astype(np.int32)
+    j = 0
+    while live.size:
+        more = yield live, p[end[live] - 1 - j]
+        j += 1
+        live = live[more & (omega[live] > j)]

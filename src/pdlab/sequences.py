@@ -5,13 +5,20 @@ p - a, values of an irreducible polynomial, and the Thue-Morse zero set
 (even number of binary 1s).  Membership, ascending enumeration up to x,
 and the counts N(x) and N_d(x) are exact.
 
-Every divisibility question about a member set goes through one
+Polynomial values are enumerated by their arguments: F increases from n0
+on, so the n <= N with F(n) <= x come from an integer bisection, the few
+n < n0 are checked one by one, and F(n) is evaluated vectorized.  N_d(x)
+for polynomial values needs no members at all: the n in [n0, N] with
+d | F(n) are those in the root classes of F mod d (``arith.root_classes``),
+counted in closed form (``class_counts``).
+
+Every other divisibility question about a member set goes through one
 primitive, ``count_divisible`` / ``divisible_by_any``, and one density
 predicate, ``is_dense``, picks its path: a dense set (uniform,
 Thue-Morse, shifted primes, a dense subsample) is a boolean array indexed
 by value, so a query for q reads only the multiples of q; a sparse set
-(polynomial values) tests each member's residue mod q.  The same
-predicate picks the factor path of a sample set.
+tests each member's residue mod q.  The same predicate picks the factor
+path of a sample set that is not polynomial values.
 """
 
 from __future__ import annotations
@@ -272,17 +279,96 @@ def membership(spec: SequenceSpec, n: int) -> bool:
     n0, exceptions = _poly_bounds(spec)
     if n in exceptions:
         return True
-    # F is strictly increasing on [n0, inf): invert by bisection
+    return arith.poly_eval(spec.coeffs, _poly_inverse(spec, n0, n)) == n
+
+
+def _poly_inverse(spec: SequenceSpec, n0: int, v: int) -> int:
+    """The least n >= n0 with F(n) >= v, by bisection (F increases there)."""
     lo, hi = n0, n0
-    while arith.poly_eval(spec.coeffs, hi) < n:
+    while arith.poly_eval(spec.coeffs, hi) < v:
         hi *= 2
     while lo < hi:
         mid = (lo + hi) // 2
-        if arith.poly_eval(spec.coeffs, mid) < n:
+        if arith.poly_eval(spec.coeffs, mid) < v:
             lo = mid + 1
         else:
             hi = mid
-    return arith.poly_eval(spec.coeffs, lo) == n
+    return lo
+
+
+def _poly_arguments(spec: SequenceSpec, x: int):
+    """(lo, hi, small): the members up to x are F(n) once each for n in
+    [lo, hi] (lo = n0, where F increases; empty when hi < lo) and for the
+    n in ``small``, arguments below n0 whose values no n in [lo, hi] gives.
+
+    hi comes from an integer bisection and ``small`` from the few n < n0,
+    so nothing of size N is allocated.
+    """
+    if x > np.iinfo(np.int64).max:
+        raise ValidationError(f"x={x} exceeds the int64 range of polynomial values")
+    n0, _ = _poly_bounds(spec)
+    hi = _poly_inverse(spec, n0, x + 1) - 1
+    first = arith.poly_eval(spec.coeffs, n0)
+    small = {}
+    for n in range(1, n0):
+        v = arith.poly_eval(spec.coeffs, n)
+        if 1 <= v <= x and not (
+            first <= v and arith.poly_eval(spec.coeffs, _poly_inverse(spec, n0, v)) == v
+        ):
+            small.setdefault(v, n)
+    return n0, hi, sorted(small.values())
+
+
+def poly_max_member(spec: SequenceSpec, x: int) -> int:
+    """The largest member up to x (0 when there is none), with no enumeration."""
+    lo, hi, small = _poly_arguments(spec, x)
+    args = small + ([hi] if hi >= lo else [])
+    return max((arith.poly_eval(spec.coeffs, n) for n in args), default=0)
+
+
+def _horner(coeffs, n: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(n)
+    for c in reversed(coeffs):
+        out = out * n + c
+    return out
+
+
+def poly_arguments(spec: SequenceSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """(args, values): the members F(n) <= x ascending, each with one n >= 1.
+
+    The N = hi - lo + 1 arguments where F increases are checked against
+    MAX_DENSE_X before anything is allocated, and evaluated by int64
+    Horner only when sum |c_i| hi**i, which bounds every partial sum, fits
+    int64; otherwise ResourceBudgetError.
+    """
+    lo, hi, small = _poly_arguments(spec, x)
+    if hi - lo + 1 > MAX_DENSE_X:
+        raise ResourceBudgetError(
+            f"{hi - lo + 1} polynomial arguments exceed the dense enumeration cap"
+        )
+    if sum(abs(c) * hi**i for i, c in enumerate(spec.coeffs)) > np.iinfo(np.int64).max:
+        raise ResourceBudgetError(f"F(n) for n <= {hi} may overflow int64")
+    args = np.concatenate([np.array(small, dtype=np.int64), np.arange(lo, hi + 1)])
+    values = _horner(spec.coeffs, args)
+    if small:
+        order = np.argsort(values, kind="stable")
+        args, values = args[order], values[order]
+    return args, values
+
+
+def _poly_class_counts(spec: SequenceSpec, x: int, ds: np.ndarray):
+    """(N(x), N_d(x) per d in ds) in closed form: the n in [lo, hi] with
+    F(n) = 0 mod d are those in the root classes of F mod d, counted per
+    class, plus the few small arguments tested directly."""
+    lo, hi, small = _poly_arguments(spec, x)
+    own, r = arith.root_classes(spec.coeffs, ds)
+    d = ds[own]
+    per_class = np.concatenate([[0], np.cumsum((hi - r) // d - (lo - 1 - r) // d)])
+    ptr = np.searchsorted(own, np.arange(ds.size + 1))
+    nd = per_class[ptr[1:]] - per_class[ptr[:-1]]
+    for n in small:
+        nd += arith.poly_eval(spec.coeffs, n) % ds == 0
+    return len(small) + hi - lo + 1, nd
 
 
 def members(spec: SequenceSpec, x: int) -> np.ndarray:
@@ -305,20 +391,7 @@ def members(spec: SequenceSpec, x: int) -> np.ndarray:
         primes = factor.build_prime_table(top).primes
         vals = primes - spec.shift
         return vals[vals >= 1]
-    # polynomial values: generate directly
-    if x > np.iinfo(np.int64).max:
-        raise ValidationError(f"x={x} exceeds the int64 range of polynomial values")
-    n0, _ = _poly_bounds(spec)
-    out = []
-    n = 1
-    while True:
-        v = arith.poly_eval(spec.coeffs, n)
-        if n >= n0 and v > x:
-            break
-        if 1 <= v <= x:
-            out.append(v)
-        n += 1
-    return np.array(sorted(set(out)), dtype=np.int64)
+    return poly_arguments(spec, x)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +404,8 @@ def is_dense(mem: np.ndarray) -> bool:
     True when the members fill at least 1/64 of that range and the range
     fits an spf sieve.  Such a set is factored through the spf sieve and
     its multiples are read from value-indexed masks; a sparser or larger
-    set goes through trial division and per-member residues.
+    set uses per-member residues and, unless it holds polynomial values,
+    trial division.
     """
     maxval = int(mem.max(initial=0))
     return mem.size >= maxval // 64 and maxval <= factor.MAX_SPF_SIEVE_LIMIT
@@ -361,15 +435,30 @@ def divisible_by_any(mem: np.ndarray, qs) -> np.ndarray:
     return hit
 
 
+def class_counts(spec: SequenceSpec, x: int, ds) -> tuple[int, np.ndarray]:
+    """(N(x), N_d(x) for each d >= 1 in ds): uniform in closed form,
+    polynomial values by root classes mod d, other kinds by
+    ``count_divisible`` over the members."""
+    if x < 1:
+        raise ValidationError(f"counts require x >= 1, got {x}")
+    ds = np.asarray(ds, dtype=np.int64)
+    if ds.size and int(ds.min()) < 1:
+        raise ValidationError(f"moduli must be >= 1, got {int(ds.min())}")
+    if spec.kind == "uniform":
+        return x, x // ds
+    if spec.kind == "poly":
+        return _poly_class_counts(spec, x, ds)
+    mem = members(spec, x)
+    return len(mem), count_divisible(mem, ds)
+
+
 def count(spec: SequenceSpec, x: int) -> int:
     """N(x) = number of members <= x."""
-    return len(members(spec, x))
+    return class_counts(spec, x, [])[0]
 
 
 def count_in_class(spec: SequenceSpec, x: int, d: int) -> int:
     """N_d(x) = number of members <= x divisible by d."""
     if d < 1:
         raise ValidationError(f"count_in_class requires d >= 1, got {d}")
-    if spec.kind == "uniform":
-        return x // d
-    return int(count_divisible(members(spec, x), [d])[0])
+    return int(class_counts(spec, x, [d])[1][0])

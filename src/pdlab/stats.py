@@ -19,7 +19,7 @@ import numpy as np
 
 from pdlab import arith, dickman, factor, sequences
 from pdlab.boxes import BoxFunction, tuple_sum_per_item
-from pdlab.errors import ValidationError
+from pdlab.errors import ResourceBudgetError, ValidationError
 from pdlab.factor import TOP_K
 from pdlab.report import Estimate
 from pdlab.sequences import SequenceSpec
@@ -68,6 +68,10 @@ def build_sample_set(
     so a top-k build never computes smaller entries.  With k = 0 and no
     floor nothing is factored: the set holds only the (subsampled)
     members, which is all ``repeated_factor_frequency`` reads.
+
+    Polynomial values, full or subsampled, are factored by the sieve over
+    their arguments (``factor.bulk_spectra_sieve``), dense sets through
+    the spf sieve, and other sparse sets by trial division.
     """
     if not 0 <= k <= TOP_K:
         raise ValidationError(
@@ -75,7 +79,15 @@ def build_sample_set(
         )
     if floor is not None and not floor >= 0.0:
         raise ValidationError(f"floor must be >= 0, got {floor}")
-    mem = sequences.members(spec, x)
+    factoring = k > 0 or floor is not None
+    if spec.kind == "poly":
+        if factoring:
+            # sized from the largest member, and so refused before enumeration
+            largest = sequences.poly_max_member(spec, x)
+            table = factor.build_prime_table(max(math.isqrt(largest) + 1, 3))
+        args, mem = sequences.poly_arguments(spec, x)
+    else:
+        mem = sequences.members(spec, x)
     if mem.size == 0:
         raise ValidationError(f"sequence has no members up to x={x}")
     exhaustive = True
@@ -83,15 +95,22 @@ def build_sample_set(
     seed_used = None
     if max_members is not None and mem.size > max_members:
         rng = np.random.Generator(np.random.Philox(key=subsample_seed))
-        sel = rng.choice(mem.size, size=max_members, replace=False)
+        sel = np.sort(rng.choice(mem.size, size=max_members, replace=False))
         rate = max_members / mem.size
-        mem = mem[np.sort(sel)]
+        mem = mem[sel]
+        if spec.kind == "poly":
+            args = args[sel]
         exhaustive = False
         seed_used = subsample_seed
     maxval = int(mem.max())
-    if k == 0 and floor is None:
+    if not factoring:
         entry_idx, entry_val = np.zeros(0, dtype=np.int32), np.zeros(0)
         top = np.zeros((mem.size, 0))
+    elif spec.kind == "poly":
+        roots = arith.roots_mod_primes(spec.coeffs, table.primes)
+        entry_idx, entry_val, top = factor.bulk_spectra_sieve(
+            mem, args, table, roots, k, floor
+        )
     elif sequences.is_dense(mem):
         spf = factor.smallest_factor_sieve(max(maxval, 2))
         entry_idx, entry_val, top = factor.bulk_spectra(mem, spf, k, floor)
@@ -210,15 +229,15 @@ def lod_error_sum(spec: SequenceSpec, x: int, c: float):
     dmax = int(math.floor(x**c))
     if dmax < 1:
         raise ValidationError(f"x**c = {x**c:.3f} admits no moduli")
+    if dmax > factor.MAX_SPF_SIEVE_LIMIT:
+        raise ResourceBudgetError(
+            f"largest modulus {dmax} exceeds the spf sieve budget {factor.MAX_SPF_SIEVE_LIMIT}"
+        )
     d = np.arange(1, dmax + 1, dtype=np.int64)
+    n_total, nd = sequences.class_counts(spec, x, d)
     if spec.kind == "uniform":
-        n_total = x
-        nd = x // d
         gn = x / d.astype(np.float64)
     else:
-        mem = sequences.members(spec, x)
-        n_total = len(mem)
-        nd = sequences.count_divisible(mem, d)
         gn = arith._g_h_values(spec.g_function(), dmax)[0][1:] * n_total
     r = nd.astype(np.float64) - gn
     return float(np.sum(np.abs(r)) / n_total), float(np.max(np.abs(r)))

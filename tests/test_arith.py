@@ -121,6 +121,72 @@ def test_prime_root_count_higher_degree_vs_scan(coeffs):
         assert arith.poly_root_count_pk(coeffs, p, 1) == _scan_mod(coeffs, p), f"p={p}"
 
 
+# degrees 1 to 6; 3X^2 + X + 1 has 3 | lead and 2X^2 + 2 has content 2
+FINDER_POLYS = [
+    (5, 7),
+    (1, 0, 1),
+    (1, 1, 3),
+    (2, 0, 2),
+    (7, -7, 2),
+    (-2, 0, 0, 1),
+    (1, 1, 0, 0, 1),
+    (1, -1, 0, 5, 0, 6),
+    (7, 0, 0, 0, 0, 0, 12),
+    (1, 2, 3, 4, 5, 6, 7),
+]
+
+
+def _scan_roots(coeffs, m):
+    """Brute-force roots of F mod m, ascending."""
+    r = np.arange(m, dtype=np.int64)
+    val = np.zeros(m, dtype=np.int64)
+    for c in reversed(coeffs):
+        val = (val * r + c % m) % m
+    return np.flatnonzero(val == 0).tolist()
+
+
+@pytest.mark.parametrize("coeffs", FINDER_POLYS)
+def test_roots_mod_primes_vs_scan(coeffs):
+    small = [p for p in range(2, 400) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    near = list(sympy.primerange(10**5, 10**5 + 3000))[:200]
+    primes = np.array(small + near)
+    h, roots = arith.roots_mod_primes(coeffs, primes)
+    assert roots.shape == (primes.size, arith.poly_degree(coeffs))
+    for i, p in enumerate(primes.tolist()):
+        scan = _scan_roots(coeffs, p)
+        assert h[i] == len(scan), f"p={p}"
+        if len(scan) < p:
+            assert roots[i, : h[i]].tolist() == scan, f"p={p}"
+            assert (roots[i, h[i] :] == -1).all()
+
+
+@pytest.mark.parametrize("coeffs", [X2_PLUS_1, (1, 1, 3), (2, 0, 2)])
+def test_root_counts_up_to_1e4_vs_scan(coeffs):
+    # the density pass and the scalar count both read h(p) from the finder
+    hv = arith._g_h_values(arith.GFunctionSpec(kind="root_density", coeffs=coeffs), 10**4)[1]
+    for d in range(1, 10**4 + 1):
+        scan = _scan_mod(coeffs, d)
+        assert hv[d] == scan, f"d={d}"
+        assert arith.poly_root_count(coeffs, d) == scan, f"d={d}"
+
+
+@pytest.mark.parametrize(
+    "coeffs", [X2_PLUS_1, X3_MINUS_2, (1, 1, 3), (2, 0, 2), (7, -7, 2), (7, 0, 1)]
+)
+def test_root_classes_vs_scan(coeffs):
+    own, r = arith.root_classes(coeffs, np.arange(1, 1001))
+    assert np.all(np.diff(own) >= 0)
+    for d in range(1, 1001):
+        assert sorted(r[own == d - 1].tolist()) == _scan_roots(coeffs, d), f"d={d}"
+    # past the scan budget: a prime, a prime power and a squarefree product
+    ds = [10**6 + 3, 5**9, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]
+    own, r = arith.root_classes(coeffs, ds)
+    for i, d in enumerate(ds):
+        got = r[own == i].tolist()
+        assert len(set(got)) == len(got) == arith.poly_root_count(coeffs, d)
+        assert all(0 <= v < d and arith.poly_eval(coeffs, v) % d == 0 for v in got)
+
+
 @pytest.mark.parametrize(
     "coeffs, p",
     [

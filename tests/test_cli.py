@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -106,6 +107,25 @@ def test_integral_float_fields_accepted(tmp_path):
         reports.append(json.loads(out.read_text()))
     assert reports[1]["x"] == 10**6 and reports[1]["spec"]["coeffs"] == [1, 0, 1]
     assert reports[1]["estimate"] == reports[0]["estimate"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # sqrt F(N) = 1e9 exceeds the prime table budget
+        ["cdf", "--c", "[0.5]"],
+        # the largest modulus x**c = 1e9 exceeds the spf sieve budget
+        ["lod", "--c", "0.5"],
+        # N = 1e9 arguments exceed the dense enumeration cap
+        ["repeated", "--alpha", "0.1", "--c", "0.2"],
+    ],
+)
+def test_oversized_polynomial_run_exits_3_before_enumerating(argv, capsys):
+    spec = '{"kind":"poly","coeffs":[1,0,1]}'
+    t0 = time.perf_counter()
+    assert run_cli(*argv, "--spec", spec, "--x", "1000000000000000000") == 3
+    assert time.perf_counter() - t0 < 5.0
+    assert "resource budget exceeded" in capsys.readouterr().err
 
 
 def test_poly_x_beyond_int64_exits_2(capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import sympy
 
-from pdlab import sequences
-from pdlab.errors import ValidationError
+from pdlab import arith, sequences
+from pdlab.errors import ResourceBudgetError, ValidationError
 from pdlab.sequences import SequenceSpec
 
 
@@ -97,6 +97,42 @@ def test_enumerate_matches_membership_filter(spec):
     enumerated = sequences.members(spec, x).tolist()
     filtered = [n for n in range(1, x + 1) if sequences.membership(spec, n)]
     assert enumerated == filtered
+
+
+def _members_by_loop(spec, x):
+    """The enumeration loop that vectorized ``members`` replaced."""
+    n0, _ = sequences._poly_bounds(spec)
+    out = []
+    n = 1
+    while True:
+        v = arith.poly_eval(spec.coeffs, n)
+        if n >= n0 and v > x:
+            break
+        if 1 <= v <= x:
+            out.append(v)
+        n += 1
+    return sorted(set(out))
+
+
+# 2X^2 - 7X + 7 has F(1) = 2 and F(2) = 1 below F(3) = 4
+@pytest.mark.parametrize("coeffs", [[1, 0, 1], [-2, 0, 0, 1], [2, 0, 2], [7, -7, 2]])
+def test_vectorized_members_equal_the_loop(coeffs):
+    spec = sequences.polynomial_values(coeffs)
+    for x in (1, 2, 3, 4, 10, 1000, 10**6):
+        args, values = sequences.poly_arguments(spec, x)
+        assert values.tolist() == _members_by_loop(spec, x), f"x={x}"
+        assert sequences.members(spec, x).tolist() == values.tolist()
+        assert [arith.poly_eval(coeffs, n) for n in args.tolist()] == values.tolist()
+        assert sequences.count(spec, x) == values.size
+        assert sequences.poly_max_member(spec, x) == (int(values[-1]) if values.size else 0)
+
+
+def test_members_refuse_an_inexact_int64_evaluation():
+    # X^3 - 3X^2 + 3: F(N) <= 2**63 - 1 at N = 2097153, but N^3 + 3N^2 + 3,
+    # which bounds the Horner partial sums, does not fit int64
+    spec = sequences.polynomial_values([3, 0, -3, 1])
+    with pytest.raises(ResourceBudgetError, match="int64"):
+        sequences.members(spec, 2**63 - 1)
 
 
 def test_shifted_primes_against_sympy():

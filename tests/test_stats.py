@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
-from pdlab import arith, dickman, sequences, stats
+from pdlab import arith, dickman, factor, sequences, stats
 from pdlab.boxes import box
 from pdlab.errors import ValidationError
 
@@ -104,17 +104,23 @@ def test_floor_truncation_respected(uniform_small):
 
 
 def test_sparse_trial_division_path():
-    # polynomial values are sparse: forces the trial-division branch
-    s = stats.build_sample_set(sequences.polynomial_values([1, 0, 1]), 10**6, floor=0.0)
-    assert s.n == 999  # n**2 + 1 <= 1e6 exactly for n <= 999
-    for i, u in enumerate(s.u[:50]):
-        lu = math.log(int(u))
-        want = sorted(
-            (math.log(p) / lu for p, e in sympy.factorint(int(u)).items() for _ in range(e)),
-            reverse=True,
-        )
-        got = np.sort(s.entry_val[s.entry_idx == i])[::-1]
-        assert np.allclose(got, want, atol=1e-12)
+    # polynomial values go through the sieve over n; a sparse subsample of
+    # another kind forces the trial-division branch
+    poly = stats.build_sample_set(sequences.polynomial_values([1, 0, 1]), 10**6, floor=0.0)
+    assert poly.n == 999  # n**2 + 1 <= 1e6 exactly for n <= 999
+    sparse = stats.build_sample_set(
+        sequences.shifted_primes(1), 10**6, floor=0.0, max_members=999, subsample_seed=2
+    )
+    assert not sequences.is_dense(sparse.u)
+    for s in (poly, sparse):
+        for i, u in enumerate(s.u[:50]):
+            lu = math.log(int(u))
+            want = sorted(
+                (math.log(p) / lu for p, e in sympy.factorint(int(u)).items() for _ in range(e)),
+                reverse=True,
+            )
+            got = np.sort(s.entry_val[s.entry_idx == i])[::-1]
+            assert np.allclose(got, want, atol=1e-12)
 
 
 def test_subsampling_is_seeded():
@@ -295,7 +301,7 @@ SHAPED_CASES = {
     "uniform": (sequences.uniform_integers(), 10**5, {}),
     "thue_morse": (sequences.thue_morse_zeros(), 10**5, {}),
     "shifted_primes": (sequences.shifted_primes(1), 10**6, {}),
-    "x2p1": (sequences.polynomial_values([1, 0, 1]), 10**9, {}),  # trial path
+    "x2p1": (sequences.polynomial_values([1, 0, 1]), 10**9, {}),  # sieve over n
     "subsample": (
         sequences.uniform_integers(), 10**6, {"max_members": 20000, "subsample_seed": 4}
     ),
@@ -331,6 +337,40 @@ def test_shaped_builds_equal_the_complete_build(complete_build):
         got = _member_multisets(s.entry_idx, s.entry_val)
         want = _member_multisets(full.entry_idx[keep], full.entry_val[keep])
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+SIEVE_CASES = {
+    "x2p1": ([1, 0, 1], 10**10, {}),
+    "x3m2": ([-2, 0, 0, 1], 10**12, {}),
+    "2x2m7xp7": ([7, -7, 2], 10**8, {}),
+    "content2": ([2, 0, 2], 10**8, {}),
+    "subsample": ([1, 0, 1], 10**10, {"max_members": 5000, "subsample_seed": 9}),
+}
+
+
+@pytest.mark.parametrize("name", list(SIEVE_CASES))
+def test_poly_sieve_reproduces_the_trial_path(name):
+    coeffs, x, kw = SIEVE_CASES[name]
+    spec = sequences.polynomial_values(coeffs)
+    mem = stats.build_sample_set(spec, x, k=0, **kw).u
+    table = factor.build_prime_table(max(math.isqrt(int(mem.max())) + 1, 3))
+    t_idx, t_val, t_top = factor.bulk_spectra_trial(mem, table, 3, 0.0)
+    for k in (1, 2, 3):
+        s = stats.build_sample_set(spec, x, k=k, **kw)
+        assert np.array_equal(s.u, mem)
+        assert np.array_equal(s.top, t_top[:, :k]), f"k={k}"
+    for floor in (0.0, 0.25):
+        s = stats.build_sample_set(spec, x, k=0, floor=floor, **kw)
+        keep = t_val >= floor
+        got = _member_multisets(s.entry_idx, s.entry_val)
+        want = _member_multisets(t_idx[keep], t_val[keep])
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    if not kw:
+        # N_d(x) by root classes, with no pass over the members
+        ds = np.arange(1, 1001)
+        n_total, nd = sequences.class_counts(spec, x, ds)
+        assert n_total == mem.size
+        assert np.array_equal(nd, sequences.count_divisible(mem, ds))
 
 
 def test_members_only_build_factors_nothing(monkeypatch):
