@@ -12,10 +12,12 @@ into its roots by Cantor-Zassenhaus with the fixed sequence delta = 0, 1,
 2, ... (Cantor & Zassenhaus, Math. Comp. 36, 1981; Cohen, A Course in
 Computational Algebraic Number Theory, 1.6 and 3.4), so its output is
 deterministic.  The finitely many primes dividing the leading coefficient,
-and p = 2, go through the scalar helpers.  Off the discriminant each root
-is simple and lifts uniquely to every p^k (Hensel), so only ramified prime
-powers need an exhaustive residue scan; ``root_classes`` combines the
-roots mod p^k into the roots mod d by the Chinese remainder theorem.  The
+and p = 2, go through the scalar helpers.  The finder takes primes below
+2**29, where its int64 arithmetic is exact; h(p) for a single prime of any
+size is the same gcd degree in Python integers.  Off the discriminant each
+root is simple and lifts uniquely to every p^k (Hensel), so only ramified
+prime powers need an exhaustive residue scan; ``root_classes`` combines
+the roots mod p^k into the roots mod d by the Chinese remainder theorem.  The
 vectors g(n), n <= x, come from one spf pass that builds their integer
 numerators exactly, so each g(n) is a correctly rounded ratio.
 """
@@ -217,9 +219,12 @@ def _minus_x(a, p):
 #
 # Column j of a (rows, Q) int64 array is a polynomial over F_p[j], constant
 # first, and p is the matching (Q,) array of primes.  Primes stay below
-# MAX_PRIME_TABLE_LIMIT < 2**29, so a product of two residues is below 2**58,
+# FINDER_PRIME_LIMIT = 2**29, so a product of two residues is below 2**58,
 # and the helpers add at most 12 products (degree <= 6) before reducing:
 # every intermediate stays below 2**62.
+
+FINDER_PRIME_LIMIT = 1 << 29
+assert factor.MAX_PRIME_TABLE_LIMIT < FINDER_PRIME_LIMIT
 
 
 def _residues(c: int, primes: np.ndarray) -> np.ndarray:
@@ -384,9 +389,14 @@ def roots_mod_primes(coeffs, primes, split: bool = True):
     pass: F made monic mod p, X^p mod F by square-and-multiply, the masked
     gcd, and the Cantor-Zassenhaus split.  The finitely many others: p = 2
     by a residue scan, and p | lead F by the same pass on the lower-degree
-    F mod p.  Primes must be below MAX_PRIME_TABLE_LIMIT.
+    F mod p.  Primes must be below FINDER_PRIME_LIMIT; _root_count_at
+    counts the roots mod any single prime exactly.
     """
     primes = np.asarray(primes, dtype=np.int64)
+    if primes.size and int(primes.max()) >= FINDER_PRIME_LIMIT:
+        raise ValidationError(
+            f"root finder primes must be below 2**29, got {int(primes.max())}"
+        )
     deg = poly_degree(coeffs)
     h = np.zeros(primes.size, dtype=np.int64)
     roots = np.full((primes.size, deg), -1, dtype=np.int64) if split else None
@@ -423,8 +433,15 @@ def roots_mod_primes(coeffs, primes, split: bool = True):
 
 @lru_cache(maxsize=1 << 16)
 def _root_count_at(coeffs: tuple, p: int) -> int:
-    """h(p) for one prime, remembered: scalar callers ask for the same few."""
-    return int(roots_mod_primes(coeffs, [p], split=False)[0][0])
+    """h(p) = deg gcd(F mod p, X^p - X) for one prime of any size, in
+    Python integers; remembered, since scalar callers ask for the same few.
+
+    F = 0 mod p has all p residues as roots; a nonzero constant has none.
+    """
+    f = _poly_mod(coeffs, p)
+    if not f:
+        return p
+    return len(_gcd_mod(f, _minus_x(_x_powmod(p, f, p), p), p)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +460,7 @@ def _ramification(coeffs) -> int:
 def poly_root_count_pk(coeffs, p: int, k: int, ram: int | None = None) -> int:
     """h(p^k): distinct roots of F modulo p^k.
 
-    h(p) comes from the root finder (roots_mod_primes).  When p does not divide
+    h(p) is the exact gcd count of _root_count_at.  When p does not divide
     ``ram`` (disc F times the content of F, computed when not given), every
     root mod p is simple and lifts uniquely (Hensel), so h(p^k) = h(p) for
     every k.  At the remaining, ramified primes a root mod p^k reduces to
@@ -538,40 +555,49 @@ def _lift_roots(coeffs, p: int, e: int, ram: int, roots_p: np.ndarray) -> np.nda
     return np.array(roots_mod(coeffs, p**e), dtype=np.int64)
 
 
-def root_classes(coeffs, ds) -> tuple[np.ndarray, np.ndarray]:
-    """(own, roots): every root r of F mod ds[own[j]] is roots[j], once,
-    with own ascending, for moduli 1 <= d < 2**31.
+def root_classes(coeffs, ds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(own, roots, found): every root r of F mod ds[own[j]] is roots[j],
+    once, with own ascending, for each modulus d = ds[i] >= 1 with found[i].
 
-    The roots mod p come from roots_mod_primes for all primes at once and
-    are lifted to p**e by _lift_roots; the roots mod d combine them by the
-    Chinese remainder theorem, one prime power per step for all moduli.
-    d < 2**31 keeps every CRT product below 2**62.
+    found[i] is False, and d gets no roots, when d >= FINDER_PRIME_LIMIT
+    or when a ramified prime power p**e || d would need a residue scan
+    past SCAN_BUDGET.  The roots mod p come from roots_mod_primes for all
+    primes at once and are lifted to p**e by _lift_roots; the roots mod d
+    combine them by the Chinese remainder theorem, one prime power per
+    step for all moduli.  d < 2**29 keeps every CRT product below 2**58.
     """
     ds = np.asarray(ds, dtype=np.int64)
-    if ds.size and (int(ds.min()) < 1 or int(ds.max()) >= 1 << 31):
-        raise ValidationError("root classes need moduli in [1, 2**31)")
+    if ds.size and int(ds.min()) < 1:
+        raise ValidationError(f"root classes need moduli >= 1, got {int(ds.min())}")
+    found = ds < FINDER_PRIME_LIMIT
+    sub = np.flatnonzero(found)
     ram = _ramification(coeffs)
-    steps = list(_prime_power_steps(ds))
+    steps = list(_prime_power_steps(ds[sub]))
     primes = np.unique(np.concatenate([p for _, p, _ in steps] + [ds[:0]]))
     h, at_p = roots_mod_primes(coeffs, primes)
-    own = np.arange(ds.size)
-    r = np.zeros(ds.size, dtype=np.int64)
-    mod = np.ones(ds.size, dtype=np.int64)
+    own = np.arange(sub.size)
+    r = np.zeros(sub.size, dtype=np.int64)
+    mod = np.ones(sub.size, dtype=np.int64)
     for pos, p, e in steps:
         key, inv = np.unique(p << 6 | e, return_inverse=True)
         lists = []
         for k in key.tolist():
             q, i = k >> 6, int(np.searchsorted(primes, k >> 6))
             base = np.arange(q, dtype=np.int64) if h[i] == q else at_p[i, : h[i]]
-            lists.append(_lift_roots(coeffs, q, k & 63, ram, base))
+            try:
+                lists.append(_lift_roots(coeffs, q, k & 63, ram, base))
+            except ResourceBudgetError:
+                # no roots here drops the modulus's classes; found says why
+                lists.append(base[:0])
+                found[sub[pos[key[inv] == k]]] = False
         count = np.array([len(c) for c in lists], dtype=np.int64)
         flat = np.concatenate(lists + [ds[:0]])
-        nq, start, q = (np.zeros(ds.size, dtype=np.int64) for _ in range(3))
+        nq, start, q = (np.zeros(sub.size, dtype=np.int64) for _ in range(3))
         nq[pos], start[pos], q[pos] = count[inv], (np.cumsum(count) - count)[inv], p**e
         # idem = 1 mod q and 0 mod the modulus so far
-        idem = np.zeros(ds.size, dtype=np.int64)
+        idem = np.zeros(sub.size, dtype=np.int64)
         idem[pos] = mod[pos] * _vpow(mod[pos], (p - 1) * p ** (e - 1) - 1, q[pos])
-        moving = np.zeros(ds.size, dtype=bool)
+        moving = np.zeros(sub.size, dtype=bool)
         moving[pos] = True
         move = moving[own]
         o, n = own[move], nq[own[move]]
@@ -584,7 +610,7 @@ def root_classes(coeffs, ds) -> tuple[np.ndarray, np.ndarray]:
         r = np.concatenate([r[~move], r2])
         mod[pos] *= q[pos]
     order = np.argsort(own, kind="stable")
-    return own[order], r[order]
+    return sub[own[order]], r[order], found
 
 
 # ---------------------------------------------------------------------------

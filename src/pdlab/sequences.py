@@ -8,9 +8,11 @@ and the counts N(x) and N_d(x) are exact.
 Polynomial values are enumerated by their arguments: F increases from n0
 on, so the n <= N with F(n) <= x come from an integer bisection, the few
 n < n0 are checked one by one, and F(n) is evaluated vectorized.  N_d(x)
-for polynomial values needs no members at all: the n in [n0, N] with
-d | F(n) are those in the root classes of F mod d (``arith.root_classes``),
-counted in closed form (``class_counts``).
+for polynomial values needs no members: the n in [n0, N] with d | F(n)
+are those in the root classes of F mod d (``arith.root_classes``),
+counted in closed form (``class_counts``).  Only a modulus whose roots the
+finder cannot take (d >= 2**29, or a ramified prime power past the scan
+budget) is counted over the members.
 
 Every other divisibility question about a member set goes through one
 primitive, ``count_divisible`` / ``divisible_by_any``, and one density
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -296,14 +299,21 @@ def _poly_inverse(spec: SequenceSpec, n0: int, v: int) -> int:
     return lo
 
 
-def _poly_arguments(spec: SequenceSpec, x: int):
-    """(lo, hi, small): the members up to x are F(n) once each for n in
-    [lo, hi] (lo = n0, where F increases; empty when hi < lo) and for the
-    n in ``small``, arguments below n0 whose values no n in [lo, hi] gives.
+class PolyRange(NamedTuple):
+    """The members up to x are F(n) once each for n in [lo, hi] (lo = n0,
+    where F increases; empty when hi < lo) and for the n in ``small``,
+    arguments below n0 whose values no n in [lo, hi] gives.  ``largest``
+    is the largest member, 0 when there is none."""
 
-    hi comes from an integer bisection and ``small`` from the few n < n0,
-    so nothing of size N is allocated.
-    """
+    lo: int
+    hi: int
+    small: list[int]
+    largest: int
+
+
+def poly_range(spec: SequenceSpec, x: int) -> PolyRange:
+    """The arguments of the members up to x, with nothing of size N allocated:
+    hi comes from an integer bisection and ``small`` from the few n < n0."""
     if x > np.iinfo(np.int64).max:
         raise ValidationError(f"x={x} exceeds the int64 range of polynomial values")
     n0, _ = _poly_bounds(spec)
@@ -316,14 +326,10 @@ def _poly_arguments(spec: SequenceSpec, x: int):
             first <= v and arith.poly_eval(spec.coeffs, _poly_inverse(spec, n0, v)) == v
         ):
             small.setdefault(v, n)
-    return n0, hi, sorted(small.values())
-
-
-def poly_max_member(spec: SequenceSpec, x: int) -> int:
-    """The largest member up to x (0 when there is none), with no enumeration."""
-    lo, hi, small = _poly_arguments(spec, x)
-    args = small + ([hi] if hi >= lo else [])
-    return max((arith.poly_eval(spec.coeffs, n) for n in args), default=0)
+    largest = max(small, default=0)
+    if hi >= n0:
+        largest = max(largest, arith.poly_eval(spec.coeffs, hi))
+    return PolyRange(n0, hi, sorted(small.values()), largest)
 
 
 def _horner(coeffs, n: np.ndarray) -> np.ndarray:
@@ -333,15 +339,18 @@ def _horner(coeffs, n: np.ndarray) -> np.ndarray:
     return out
 
 
-def poly_arguments(spec: SequenceSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
+def poly_arguments(
+    spec: SequenceSpec, x: int, span: PolyRange | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(args, values): the members F(n) <= x ascending, each with one n >= 1.
 
-    The N = hi - lo + 1 arguments where F increases are checked against
+    ``span`` is poly_range(spec, x) when the caller already has it.  The
+    N = hi - lo + 1 arguments where F increases are checked against
     MAX_DENSE_X before anything is allocated, and evaluated by int64
     Horner only when sum |c_i| hi**i, which bounds every partial sum, fits
     int64; otherwise ResourceBudgetError.
     """
-    lo, hi, small = _poly_arguments(spec, x)
+    lo, hi, small, _ = span or poly_range(spec, x)
     if hi - lo + 1 > MAX_DENSE_X:
         raise ResourceBudgetError(
             f"{hi - lo + 1} polynomial arguments exceed the dense enumeration cap"
@@ -357,17 +366,21 @@ def poly_arguments(spec: SequenceSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _poly_class_counts(spec: SequenceSpec, x: int, ds: np.ndarray):
-    """(N(x), N_d(x) per d in ds) in closed form: the n in [lo, hi] with
-    F(n) = 0 mod d are those in the root classes of F mod d, counted per
-    class, plus the few small arguments tested directly."""
-    lo, hi, small = _poly_arguments(spec, x)
-    own, r = arith.root_classes(spec.coeffs, ds)
+    """(N(x), N_d(x) per d in ds): the n in [lo, hi] with F(n) = 0 mod d
+    are those in the root classes of F mod d, counted per class in closed
+    form, plus the few small arguments tested directly.  The moduli whose
+    roots arith.root_classes cannot find are counted over the members."""
+    span = poly_range(spec, x)
+    lo, hi, small, _ = span
+    own, r, found = arith.root_classes(spec.coeffs, ds)
     d = ds[own]
     per_class = np.concatenate([[0], np.cumsum((hi - r) // d - (lo - 1 - r) // d)])
     ptr = np.searchsorted(own, np.arange(ds.size + 1))
     nd = per_class[ptr[1:]] - per_class[ptr[:-1]]
     for n in small:
         nd += arith.poly_eval(spec.coeffs, n) % ds == 0
+    if not found.all():
+        nd[~found] = count_divisible(poly_arguments(spec, x, span)[1], ds[~found])
     return len(small) + hi - lo + 1, nd
 
 

@@ -81,11 +81,11 @@ def build_sample_set(
         raise ValidationError(f"floor must be >= 0, got {floor}")
     factoring = k > 0 or floor is not None
     if spec.kind == "poly":
+        span = sequences.poly_range(spec, x)
         if factoring:
             # sized from the largest member, and so refused before enumeration
-            largest = sequences.poly_max_member(spec, x)
-            table = factor.build_prime_table(max(math.isqrt(largest) + 1, 3))
-        args, mem = sequences.poly_arguments(spec, x)
+            table = factor.build_prime_table(max(math.isqrt(span.largest) + 1, 3))
+        args, mem = sequences.poly_arguments(spec, x, span)
     else:
         mem = sequences.members(spec, x)
     if mem.size == 0:

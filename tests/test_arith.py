@@ -174,13 +174,15 @@ def test_root_counts_up_to_1e4_vs_scan(coeffs):
     "coeffs", [X2_PLUS_1, X3_MINUS_2, (1, 1, 3), (2, 0, 2), (7, -7, 2), (7, 0, 1)]
 )
 def test_root_classes_vs_scan(coeffs):
-    own, r = arith.root_classes(coeffs, np.arange(1, 1001))
+    own, r, found = arith.root_classes(coeffs, np.arange(1, 1001))
+    assert found.all()
     assert np.all(np.diff(own) >= 0)
     for d in range(1, 1001):
         assert sorted(r[own == d - 1].tolist()) == _scan_roots(coeffs, d), f"d={d}"
     # past the scan budget: a prime, a prime power and a squarefree product
     ds = [10**6 + 3, 5**9, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]
-    own, r = arith.root_classes(coeffs, ds)
+    own, r, found = arith.root_classes(coeffs, ds)
+    assert found.all()
     for i, d in enumerate(ds):
         got = r[own == i].tolist()
         assert len(set(got)) == len(got) == arith.poly_root_count(coeffs, d)
@@ -213,6 +215,52 @@ def test_ramified_zero_propagates_past_scan_budget():
     # X^2 + 7 keeps four roots mod 2^k for k >= 3: past the budget it raises
     with pytest.raises(ResourceBudgetError):
         arith.poly_root_count((7, 0, 1), 2**20)
+
+
+def _sympy_root_count(coeffs, p):
+    """Distinct roots of F in F_p, as sympy's linear factors of F mod p."""
+    x = sympy.Symbol("x")
+    f = sympy.Poly(sum(c * x**i for i, c in enumerate(coeffs)), x, modulus=p)
+    return sum(1 for q, _ in f.factor_list()[1] if q.degree() == 1)
+
+
+# (X - 1)(X - 2)(X - 3)(X - 5)(X - 7)(X - 11), constant first
+SIX_ROOTS = (2310, -5237, 4285, -1646, 316, -29, 1)
+
+
+@pytest.mark.parametrize(
+    "coeffs, p",
+    [
+        (X2_PLUS_1, 10**12 + 39),  # p = 3 mod 4: no roots
+        (X2_PLUS_1, 10**12 + 61),  # p = 1 mod 4: two roots
+        (X3_MINUS_2, 10**12 + 39),
+        (SIX_ROOTS, 2**31 - 1),
+        ((1, 2, 3, 4, 5, 6, 7), 2**31 - 1),
+        (SIX_ROOTS, 536870909),  # the largest prime below 2**29
+    ],
+)
+def test_prime_root_count_at_large_primes_vs_sympy(coeffs, p):
+    # exact in Python integers for primes of any size
+    want = _sympy_root_count(coeffs, p)
+    assert arith.poly_root_count(coeffs, p) == want
+    g = arith.GFunctionSpec(kind="root_density", coeffs=coeffs)
+    assert arith.g_eval(g, p) == Fraction(want, p)
+    if p < arith.FINDER_PRIME_LIMIT:
+        assert arith.roots_mod_primes(coeffs, [p], split=False)[0][0] == want
+    else:
+        with pytest.raises(ValidationError, match="2\\*\\*29"):
+            arith.roots_mod_primes(coeffs, [p])
+
+
+def test_root_classes_report_the_moduli_they_cannot_find():
+    # X^2 + 7 keeps four roots mod 2^k for k >= 3, so 2^20 needs a scan past
+    # the budget; d >= 2**29 is past the finder's prime bound
+    ds = [2**20, 2**19, 3 * 2**20, 2**29, 10**12 + 1, 11]
+    own, r, found = arith.root_classes((7, 0, 1), ds)
+    assert found.tolist() == [False, True, False, False, False, True]
+    assert set(own.tolist()) == {1, 5}
+    assert sorted(r[own == 1].tolist()) == _scan_roots((7, 0, 1), 2**19)
+    assert sorted(r[own == 5].tolist()) == [2, 9]
 
 
 def test_prime_root_count_cubic_above_scan_budget():

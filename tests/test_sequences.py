@@ -82,6 +82,28 @@ def test_count_in_class_invariant():
 
 
 @pytest.mark.parametrize(
+    "coeffs, x, d",
+    [
+        ([1, 0, 1], 10**12 + 1, 10**12 + 1),  # d >= 2**29: F(10**6) = d
+        ([1, 0, 1], 10**12, 2**31 - 1),
+        ([1, 1, 0, 0, 1], 10**12, 1196883403),  # prime F(186) in (2**29, 2**31)
+        ([7, 0, 1], 10**12, 2**20),  # ramified 2**20 past the scan budget
+        ([7, 0, 1], 10**12, 3 * 2**21),
+    ],
+)
+def test_count_in_class_past_the_root_classes(coeffs, x, d):
+    spec = sequences.polynomial_values(coeffs)
+    mem = sequences.members(spec, x)
+    want = int(np.count_nonzero(mem % d == 0))
+    assert sequences.count_in_class(spec, x, d) == want
+    # mixed with moduli the closed form takes, in one call
+    ds = np.array([d, 1, 2, 8, 11, 2**19, 5**8])
+    n, nd = sequences.class_counts(spec, x, ds)
+    assert n == mem.size
+    assert nd.tolist() == [int(np.count_nonzero(mem % q == 0)) for q in ds.tolist()]
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         sequences.uniform_integers(),
@@ -124,7 +146,8 @@ def test_vectorized_members_equal_the_loop(coeffs):
         assert sequences.members(spec, x).tolist() == values.tolist()
         assert [arith.poly_eval(coeffs, n) for n in args.tolist()] == values.tolist()
         assert sequences.count(spec, x) == values.size
-        assert sequences.poly_max_member(spec, x) == (int(values[-1]) if values.size else 0)
+        largest = int(values[-1]) if values.size else 0
+        assert sequences.poly_range(spec, x).largest == largest
 
 
 def test_members_refuse_an_inexact_int64_evaluation():
