@@ -4,22 +4,23 @@ Covers the Euler totient, Omega, the threefold divisor function, the roots
 and distinct root counts h(d) of integer polynomials, the density vectors
 g(n), and the Mertens-type diagnostics sum_{p<=x} g(p) log p - log x.
 
-One root finder serves every prime at once (``roots_mod_primes``).  On
-arrays of shape (degree, number of primes) it makes F monic mod p,
-computes X^p mod F by square-and-multiply with a mask per prime, takes
-g = gcd(F, X^p - X) by masked Euclid steps, so h(p) = deg g, and splits g
-into its roots by Cantor-Zassenhaus with the fixed sequence delta = 0, 1,
-2, ... (Cantor & Zassenhaus, Math. Comp. 36, 1981; Cohen, A Course in
-Computational Algebraic Number Theory, 1.6 and 3.4), so its output is
-deterministic.  The finitely many primes dividing the leading coefficient,
-and p = 2, go through the scalar helpers.  The finder takes primes below
-2**29, where its int64 arithmetic is exact; h(p) for a single prime of any
-size is the same gcd degree in Python integers.  Off the discriminant each
-root is simple and lifts uniquely to every p^k (Hensel), so only ramified
-prime powers need an exhaustive residue scan; ``root_classes`` combines
-the roots mod p^k into the roots mod d by the Chinese remainder theorem.  The
-vectors g(n), n <= x, come from one spf pass that builds their integer
-numerators exactly, so each g(n) is a correctly rounded ratio.
+One copy of F_p[X] arithmetic serves every prime: polynomials are the
+columns of arrays of shape (degree, number of primes), in int64 when every
+prime is below 2**29 and in Python integers otherwise, so results are exact
+for primes of any size.  The root finder (``roots_mod_primes``) makes F
+monic mod p, computes X^p mod F by square-and-multiply with a mask per
+prime, takes g = gcd(F, X^p - X) by masked Euclid steps, so h(p) = deg g,
+and splits g into its roots by Cantor-Zassenhaus with the fixed sequence
+delta = 0, 1, 2, ... (Cantor & Zassenhaus, Math. Comp. 36, 1981; Cohen, A
+Course in Computational Algebraic Number Theory, 1.6 and 3.4), so its
+output is deterministic.  The finitely many primes dividing the leading
+coefficient, and p = 2, are handled apart.  Off the discriminant each root
+is simple and h(p^k) = h(p); at a ramified prime the roots mod p are lifted
+one power at a time (``_lift_roots``), with no residue scan.
+``root_classes`` combines the roots mod p^k into the roots mod d by the
+Chinese remainder theorem, for moduli of any size.  The vectors g(n),
+n <= x, come from one spf pass that builds their integer numerators
+exactly, so each g(n) is a correctly rounded ratio.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from pdlab import factor
 from pdlab.errors import ResourceBudgetError, ValidationError
 
-# Largest modulus for exhaustive residue scans (ramified prime powers).
+# Longest residue list that a scan (roots_mod) or a root lift builds.
 SCAN_BUDGET = 10**6
 
 _table = None
@@ -147,101 +148,57 @@ def roots_mod(coeffs, m: int) -> list[int]:
         raise ValidationError(f"modulus must be >= 1, got {m}")
     if m > SCAN_BUDGET:
         raise ResourceBudgetError(f"residue scan modulus {m} exceeds {SCAN_BUDGET}")
-    if m == 1:
-        return [0]
-    r = np.arange(m, dtype=np.int64)
-    val = np.zeros(m, dtype=np.int64)
+    return np.flatnonzero(_eval_mod(coeffs, np.arange(m), np.array([m])) == 0).tolist()
+
+
+def _eval_mod(coeffs, r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """F(r) mod m elementwise, for residues r mod m, by Horner steps that
+    each reduce mod m; int64 needs m < 2**31."""
+    val = np.zeros_like(r)
     for c in reversed(coeffs):
-        val = (val * r + c % m) % m
-    return np.flatnonzero(val == 0).tolist()
+        val = (val * r + _residues(c, m)) % m
+    return val
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p: constant-first lists without trailing zeros
-
-
-def _poly_mod(a, p):
-    a = [c % p for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_rem(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and a:
-        c = a[-1] * inv % p
-        shift = len(a) - 1 - dm
-        for i, cm in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * cm) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _poly_mulmod(a, b, m, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_rem(out, m, p)
-
-
-def _x_powmod(e, m, p):
-    """X^e mod m over F_p, by left-to-right squaring and shifting."""
-    r = [1]
-    for bit in bin(e)[2:]:
-        r = _poly_mulmod(r, r, m, p)
-        if bit == "1":
-            r = _poly_rem([0] + r, m, p)
-    return r
-
-
-def _gcd_mod(a, b, p):
-    a, b = _poly_mod(a, p), _poly_mod(b, p)
-    while b:
-        r = _poly_rem(a, b, p)
-        a, b = b, r
-    return a
-
-
-def _minus_x(a, p):
-    """a - X over F_p."""
-    a = list(a) + [0] * (2 - len(a))
-    a[1] -= 1
-    return _poly_mod(a, p)
-
-
-# ---------------------------------------------------------------------------
-# roots of F modulo many primes at once
+# polynomials over F_p, for many primes at once
 #
-# Column j of a (rows, Q) int64 array is a polynomial over F_p[j], constant
-# first, and p is the matching (Q,) array of primes.  Primes stay below
-# FINDER_PRIME_LIMIT = 2**29, so a product of two residues is below 2**58,
-# and the helpers add at most 12 products (degree <= 6) before reducing:
-# every intermediate stays below 2**62.
+# Column j of a (rows, Q) array is a polynomial over F_p[j], constant first,
+# and p is the matching (Q,) array of primes.  When every prime is below
+# FINDER_PRIME_LIMIT = 2**29 the arrays are int64: a product of two residues
+# is below 2**58, and the helpers add at most 12 products (degree <= 6)
+# before reducing, so every intermediate stays below 2**62.  Otherwise they
+# hold Python integers (dtype object) and are exact for primes of any size.
 
 FINDER_PRIME_LIMIT = 1 << 29
 assert factor.MAX_PRIME_TABLE_LIMIT < FINDER_PRIME_LIMIT
 
 
-def _residues(c: int, primes: np.ndarray) -> np.ndarray:
-    """c mod each prime, for an integer c of any size."""
-    if -(1 << 62) < c < 1 << 62:
-        return np.int64(c) % primes
-    return (c % primes.astype(object)).astype(np.int64)
+def _exact_array(values) -> np.ndarray:
+    """values as int64 when all are below FINDER_PRIME_LIMIT, else as an
+    object array of Python integers."""
+    values = np.asarray(values)
+    big = values.size and int(values.max()) >= FINDER_PRIME_LIMIT
+    return values.astype(object if big else np.int64)
 
 
-def _vpow(b: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _residues(c: int, m):
+    """c mod each modulus of the array m, for an integer c of any size, in
+    m's dtype."""
+    if m.dtype != object and -(1 << 62) < c < 1 << 62:
+        return np.int64(c) % m
+    return (c % m.astype(object)).astype(m.dtype)
+
+
+def _vpow(b, e, m) -> np.ndarray:
     """b**e mod m elementwise, by square-and-multiply with a mask per element.
 
-    Needs m < 2**31 so that products of residues fit int64.
+    e and m may be arrays or scalars.  In int64 this needs m < 2**31, so
+    that products of residues fit.
     """
     b = b % m
     r = np.ones_like(b) % m
-    for bit in range(int(e.max(initial=0)).bit_length()):
+    for bit in range(int(np.max(e, initial=0)).bit_length()):
         r = np.where((e >> bit) & 1 == 1, r * b % m, r)
         b = b * b % m
     return r
@@ -269,7 +226,7 @@ def _vreduce(t: np.ndarray, f: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _vsqrmod(a, f, p):
     """a**2 mod the monic f, columnwise over F_p."""
     d = a.shape[0]
-    t = np.zeros((2 * d - 1, a.shape[1]), dtype=np.int64)
+    t = np.zeros((2 * d - 1, a.shape[1]), dtype=a.dtype)
     for i in range(d):
         t[i : i + d] += a[i] * a
     return _vreduce(t, f, p)
@@ -278,7 +235,7 @@ def _vsqrmod(a, f, p):
 def _vmul_linear(a, delta, f, p):
     """a * (X + delta) mod the monic f, columnwise over F_p; delta < p."""
     d = a.shape[0]
-    t = np.zeros((d + 1, a.shape[1]), dtype=np.int64)
+    t = np.zeros((d + 1, a.shape[1]), dtype=a.dtype)
     t[1:] = a
     t[:d] += delta * a
     return _vreduce(t, f, p)
@@ -290,9 +247,9 @@ def _vpowmod(delta, e, f, p):
     Left to right over the longest exponent: a shorter exponent's leading
     zero bits square the constant 1 and leave it unchanged.
     """
-    r = np.zeros((f.shape[0] - 1, f.shape[1]), dtype=np.int64)
+    r = np.zeros((f.shape[0] - 1, f.shape[1]), dtype=f.dtype)
     r[0] = 1
-    for bit in reversed(range(int(e.max(initial=0)).bit_length())):
+    for bit in reversed(range(int(np.max(e, initial=0)).bit_length())):
         r = _vsqrmod(r, f, p)
         r = np.where((e >> bit) & 1 == 1, _vmul_linear(r, delta, f, p), r)
     return r
@@ -358,10 +315,10 @@ def _split_roots(g, h, p, width):
                 t[0] = (w[0] - s) % pd
                 u, du = _vgcd(gd, t, pd)
                 keep = du >= 1
-                part = np.zeros((rows, int(keep.sum())), dtype=np.int64)
+                part = np.zeros((rows, int(keep.sum())), dtype=g.dtype)
                 part[: d + 1] = u[:, keep]
                 pieces.append((part, du[keep], od[keep]))
-            at = np.zeros(sel.size, dtype=np.int64)
+            at = np.zeros(sel.size, dtype=g.dtype)
             for row in gd[::-1]:
                 at = (at * minus + row) % pd
             owner.append(od[at == 0])
@@ -371,8 +328,25 @@ def _split_roots(g, h, p, width):
     order = np.lexsort((found, owner))
     owner, found = owner[order], found[order]
     first = np.searchsorted(owner, owner)
-    out = np.full((len(p), width), -1, dtype=np.int64)
+    out = np.full((len(p), width), -1, dtype=g.dtype)
     out[owner, np.arange(owner.size) - first] = found
+    return out
+
+
+def _monic(coeffs, p: np.ndarray) -> np.ndarray:
+    """F mod each prime of p, made monic: columns of deg F + 1 rows, for
+    primes not dividing lead F."""
+    deg = poly_degree(coeffs)
+    f = np.array([_residues(c, p) for c in coeffs[: deg + 1]])
+    return f * _vpow(f[deg], p - 2, p) % p
+
+
+def _xe_less_x(f: np.ndarray, e, p: np.ndarray) -> np.ndarray:
+    """(X**e - X) mod the monic columns f, padded to f's rows."""
+    one = np.zeros((f.shape[0] - 1, f.shape[1]), dtype=f.dtype)
+    one[0] = 1
+    out = np.zeros_like(f)
+    out[:-1] = (_vpowmod(0, e, f, p) - _vmul_linear(one, 0, f, p)) % p
     return out
 
 
@@ -389,59 +363,52 @@ def roots_mod_primes(coeffs, primes, split: bool = True):
     pass: F made monic mod p, X^p mod F by square-and-multiply, the masked
     gcd, and the Cantor-Zassenhaus split.  The finitely many others: p = 2
     by a residue scan, and p | lead F by the same pass on the lower-degree
-    F mod p.  Primes must be below FINDER_PRIME_LIMIT; _root_count_at
-    counts the roots mod any single prime exactly.
+    F mod p.  The pass runs in int64 when every prime is below
+    FINDER_PRIME_LIMIT and in Python integers otherwise; h and roots come
+    in that dtype, so a root mod a prime above 2**63 stays exact.
     """
-    primes = np.asarray(primes, dtype=np.int64)
-    if primes.size and int(primes.max()) >= FINDER_PRIME_LIMIT:
-        raise ValidationError(
-            f"root finder primes must be below 2**29, got {int(primes.max())}"
-        )
+    primes = _exact_array(primes)
     deg = poly_degree(coeffs)
-    h = np.zeros(primes.size, dtype=np.int64)
-    roots = np.full((primes.size, deg), -1, dtype=np.int64) if split else None
+    h = np.zeros(primes.size, dtype=primes.dtype)
+    roots = np.full((primes.size, deg), -1, dtype=primes.dtype) if split else None
     lead = _residues(coeffs[deg], primes)
     fast = np.flatnonzero((lead != 0) & (primes != 2))
     if fast.size:
         p = primes[fast]
-        f = np.array([_residues(c, p) for c in coeffs[: deg + 1]])
-        f = f * _vpow(f[deg], p - 2, p) % p
-        one = np.zeros((deg, p.size), dtype=np.int64)
-        one[0] = 1
-        diff = np.zeros_like(f)
-        diff[:deg] = (_vpowmod(0, p, f, p) - _vmul_linear(one, 0, f, p)) % p
-        g, h[fast] = _vgcd(f, diff, p)
+        f = _monic(coeffs, p)
+        g, hf = _vgcd(f, _xe_less_x(f, p, p), p)
+        h[fast] = hf
         if split:
-            roots[fast] = _split_roots(g, h[fast], p, deg)
+            roots[fast] = _split_roots(g, hf, p, deg)
     for i in np.flatnonzero((lead == 0) | (primes == 2)).tolist():
         p = int(primes[i])
-        f = _poly_mod(coeffs, p)
-        if not f:
+        f = [c % p for c in coeffs]
+        d = poly_degree(f)
+        if d < 0:
             h[i] = p
         elif p == 2:
             r = roots_mod(f, 2)
             h[i] = len(r)
             if split:
                 roots[i, : len(r)] = r
-        elif len(f) > 1:
-            hi, ri = roots_mod_primes(f, [p], split)
+        elif d >= 1:
+            hi, ri = roots_mod_primes(f[: d + 1], primes[i : i + 1], split)
             h[i] = hi[0]
             if split:
-                roots[i, : ri.shape[1]] = ri[0]
+                roots[i, :d] = ri[0]
     return h, roots
 
 
 @lru_cache(maxsize=1 << 16)
-def _root_count_at(coeffs: tuple, p: int) -> int:
-    """h(p) = deg gcd(F mod p, X^p - X) for one prime of any size, in
-    Python integers; remembered, since scalar callers ask for the same few.
-
-    F = 0 mod p has all p residues as roots; a nonzero constant has none.
-    """
-    f = _poly_mod(coeffs, p)
-    if not f:
-        return p
-    return len(_gcd_mod(f, _minus_x(_x_powmod(p, f, p), p), p)) - 1
+def _root_count_at(coeffs: tuple, p: int, k: int = 1) -> int:
+    """h(p^k) for one prime of any size: the finder's count, or for k >= 2
+    its roots mod p lifted to p^k; remembered, since scalar callers ask
+    for the same few."""
+    if k == 1:
+        return int(roots_mod_primes(coeffs, [p], split=False)[0][0])
+    h, roots = roots_mod_primes(coeffs, [p])
+    base = roots_mod(coeffs, p) if h[0] == p else roots[0, : h[0]]
+    return len(_lift_roots(coeffs, p, k, base))
 
 
 # ---------------------------------------------------------------------------
@@ -457,30 +424,51 @@ def _ramification(coeffs) -> int:
     return discriminant(coeffs) * math.gcd(*coeffs)
 
 
+def _lift_roots(coeffs, p: int, e: int, roots_p) -> np.ndarray:
+    """The roots of F mod p**e from its roots mod p, as int64 while the
+    modulus is below FINDER_PRIME_LIMIT and as Python integers above.
+
+    For j >= 1, F(r + t p^j) = F(r) + t p^j F'(r) mod p^(j+1), so a root r
+    mod p^j lifts to the t mod p with F(r)/p^j + t F'(r) = 0 mod p: one t
+    when p does not divide F'(r), otherwise all p or none.  A step whose
+    list would pass SCAN_BUDGET raises before building it.
+    """
+    der = poly_derivative(coeffs)
+    r, pj = np.asarray(roots_p), p
+    for _ in range(e - 1):
+        m = _exact_array([pj * p])
+        r = r.astype(m.dtype)
+        val = _eval_mod(coeffs, r, m) // pj
+        slope = _eval_mod(der, r, m) % p
+        simple = slope != 0
+        full = np.flatnonzero(~simple & (val == 0))
+        size = int(simple.sum()) + p * full.size
+        if size > SCAN_BUDGET:
+            raise ResourceBudgetError(
+                f"{size} roots of F mod {p}**{e} exceed the scan budget {SCAN_BUDGET}"
+            )
+        t = -val[simple] * _vpow(slope[simple], p - 2, p) % p
+        every = r[full, None] + np.arange(p).astype(m.dtype) * pj
+        r, pj = np.concatenate([r[simple] + t * pj, every.ravel()]), pj * p
+    return r
+
+
 def poly_root_count_pk(coeffs, p: int, k: int, ram: int | None = None) -> int:
     """h(p^k): distinct roots of F modulo p^k.
 
-    h(p) is the exact gcd count of _root_count_at.  When p does not divide
-    ``ram`` (disc F times the content of F, computed when not given), every
-    root mod p is simple and lifts uniquely (Hensel), so h(p^k) = h(p) for
-    every k.  At the remaining, ramified primes a root mod p^k reduces to
-    one mod p^(k-1), so h(p^(k-1)) = 0 forces h(p^k) = 0; otherwise h(p^k),
-    k >= 2, comes from an exhaustive residue scan subject to SCAN_BUDGET.
+    When p does not divide ``ram`` (disc F times the content of F,
+    computed when not given), every root mod p is simple and lifts
+    uniquely, so h(p^k) = h(p), the finder's count.  At the remaining,
+    ramified primes the finder's roots mod p are lifted to p^k by
+    _lift_roots, with no residue scan.  For squarefree F h(p^k) stays
+    bounded in k (Stewart, J. AMS 4, 1991); a lift whose list of roots
+    would pass SCAN_BUDGET raises ResourceBudgetError.
     """
     if k < 1:
         raise ValidationError(f"exponent k must be >= 1, got {k}")
     if ram is None:
         ram = _ramification(coeffs)
-    if k == 1 or ram % p:
-        return _root_count_at(tuple(coeffs), p)
-    if poly_root_count_pk(coeffs, p, k - 1, ram) == 0:
-        return 0
-    pk = p**k
-    if pk > SCAN_BUDGET:
-        raise ResourceBudgetError(
-            f"p={p} is ramified for F and p**k={pk} exceeds the scan budget"
-        )
-    return len(roots_mod(coeffs, pk))
+    return _root_count_at(tuple(coeffs), p, 1 if ram % p else k)
 
 
 def poly_root_count(coeffs, d: int) -> int:
@@ -518,86 +506,55 @@ def _prime_power_peel(spf: np.ndarray, values: np.ndarray):
 
 def _prime_power_steps(ds: np.ndarray):
     """_prime_power_peel over the moduli ds: through one spf sieve when
-    they fill at least 1/64 of [1, max ds], else by factoring each."""
-    top = int(ds.max(initial=0))
-    if ds.size * 64 >= top:
+    they are dense (factor.is_dense), else by factoring each; p and e
+    come in the dtype of ds."""
+    if factor.is_dense(ds):
+        top = int(ds.max(initial=0))
         yield from _prime_power_peel(factor.smallest_factor_sieve(max(top, 2)), ds)
         return
     facs = [_factorize(d).factors for d in ds.tolist()]
     for j in range(max(map(len, facs), default=0)):
         pos = [i for i, f in enumerate(facs) if len(f) > j]
-        pe = np.array([facs[i][j] for i in pos], dtype=np.int64)
+        pe = np.array([facs[i][j] for i in pos], dtype=ds.dtype)
         yield np.array(pos, dtype=np.int64), pe[:, 0], pe[:, 1]
 
 
-def _lift_roots(coeffs, p: int, e: int, ram: int, roots_p: np.ndarray) -> np.ndarray:
-    """The roots of F mod p**e, from its roots mod p.
+def root_classes(coeffs, ds) -> tuple[np.ndarray, np.ndarray]:
+    """(own, roots): every root r of F mod ds[own[j]] is roots[j], once,
+    with own ascending, for each modulus d = ds[i] >= 1 of any size.
 
-    Off the ramified primes (p not dividing ``ram``) every root is simple
-    and lifts uniquely by Newton steps (Hensel).  At a ramified p a root
-    mod p**e reduces to one mod p**(e-1), so none below means none;
-    otherwise the bounded residue scan decides.
+    The roots mod p come from roots_mod_primes for all primes at once and
+    are lifted to p**e by _lift_roots; the roots mod d combine them by the
+    Chinese remainder theorem, one prime power per step for all moduli.
+    Below FINDER_PRIME_LIMIT = 2**29 the CRT runs in int64, every product
+    below 2**58; with a larger modulus it runs in Python integers, and
+    roots is an object array.
     """
-    if e == 1 or roots_p.size == 0:
-        return roots_p
-    if ram % p:
-        der = poly_derivative(coeffs)
-        pe = p**e
-        out = []
-        for r in roots_p.tolist():
-            inv = pow(poly_eval(der, r), -1, p)
-            for _ in range(e - 1):
-                r = (r - poly_eval(coeffs, r) * inv) % pe
-            out.append(r)
-        return np.array(out, dtype=np.int64)
-    if _lift_roots(coeffs, p, e - 1, ram, roots_p).size == 0:
-        return roots_p[:0]
-    return np.array(roots_mod(coeffs, p**e), dtype=np.int64)
-
-
-def root_classes(coeffs, ds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(own, roots, found): every root r of F mod ds[own[j]] is roots[j],
-    once, with own ascending, for each modulus d = ds[i] >= 1 with found[i].
-
-    found[i] is False, and d gets no roots, when d >= FINDER_PRIME_LIMIT
-    or when a ramified prime power p**e || d would need a residue scan
-    past SCAN_BUDGET.  The roots mod p come from roots_mod_primes for all
-    primes at once and are lifted to p**e by _lift_roots; the roots mod d
-    combine them by the Chinese remainder theorem, one prime power per
-    step for all moduli.  d < 2**29 keeps every CRT product below 2**58.
-    """
-    ds = np.asarray(ds, dtype=np.int64)
+    ds = _exact_array(ds)
     if ds.size and int(ds.min()) < 1:
         raise ValidationError(f"root classes need moduli >= 1, got {int(ds.min())}")
-    found = ds < FINDER_PRIME_LIMIT
-    sub = np.flatnonzero(found)
-    ram = _ramification(coeffs)
-    steps = list(_prime_power_steps(ds[sub]))
+    steps = list(_prime_power_steps(ds))
     primes = np.unique(np.concatenate([p for _, p, _ in steps] + [ds[:0]]))
     h, at_p = roots_mod_primes(coeffs, primes)
-    own = np.arange(sub.size)
-    r = np.zeros(sub.size, dtype=np.int64)
-    mod = np.ones(sub.size, dtype=np.int64)
+    own = np.arange(ds.size)
+    r = np.zeros(ds.size, dtype=ds.dtype)
+    mod = np.ones(ds.size, dtype=ds.dtype)
     for pos, p, e in steps:
         key, inv = np.unique(p << 6 | e, return_inverse=True)
         lists = []
         for k in key.tolist():
             q, i = k >> 6, int(np.searchsorted(primes, k >> 6))
-            base = np.arange(q, dtype=np.int64) if h[i] == q else at_p[i, : h[i]]
-            try:
-                lists.append(_lift_roots(coeffs, q, k & 63, ram, base))
-            except ResourceBudgetError:
-                # no roots here drops the modulus's classes; found says why
-                lists.append(base[:0])
-                found[sub[pos[key[inv] == k]]] = False
+            base = roots_mod(coeffs, q) if h[i] == q else at_p[i, : h[i]]
+            lists.append(_lift_roots(coeffs, q, k & 63, base))
         count = np.array([len(c) for c in lists], dtype=np.int64)
-        flat = np.concatenate(lists + [ds[:0]])
-        nq, start, q = (np.zeros(sub.size, dtype=np.int64) for _ in range(3))
+        flat = np.concatenate(lists + [ds[:0]]).astype(ds.dtype)
+        nq, start = np.zeros(ds.size, dtype=np.int64), np.zeros(ds.size, dtype=np.int64)
+        q = np.ones(ds.size, dtype=ds.dtype)
         nq[pos], start[pos], q[pos] = count[inv], (np.cumsum(count) - count)[inv], p**e
         # idem = 1 mod q and 0 mod the modulus so far
-        idem = np.zeros(sub.size, dtype=np.int64)
+        idem = np.zeros(ds.size, dtype=ds.dtype)
         idem[pos] = mod[pos] * _vpow(mod[pos], (p - 1) * p ** (e - 1) - 1, q[pos])
-        moving = np.zeros(sub.size, dtype=bool)
+        moving = np.zeros(ds.size, dtype=bool)
         moving[pos] = True
         move = moving[own]
         o, n = own[move], nq[own[move]]
@@ -610,7 +567,7 @@ def root_classes(coeffs, ds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         r = np.concatenate([r[~move], r2])
         mod[pos] *= q[pos]
     order = np.argsort(own, kind="stable")
-    return sub[own[order]], r[order], found
+    return own[order], r[order]
 
 
 # ---------------------------------------------------------------------------

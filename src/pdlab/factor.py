@@ -198,6 +198,19 @@ def smallest_factor_sieve(limit: int) -> np.ndarray:
     return spf
 
 
+def is_dense(values: np.ndarray) -> bool:
+    """Whether arrays indexed by value over [0, max(values)] suit the set.
+
+    True when the values fill at least 1/64 of that range and the range
+    fits an spf sieve.  Such a set is factored through the spf sieve and
+    its multiples are read from value-indexed masks; a sparser or larger
+    set uses per-member residues and, unless it holds polynomial values,
+    trial division.
+    """
+    maxval = int(values.max(initial=0))
+    return values.size >= maxval // 64 and maxval <= MAX_SPF_SIEVE_LIMIT
+
+
 def _largest_factor_table(spf: np.ndarray) -> np.ndarray:
     """lpf[n] = P+(n) for 0 <= n < len(spf), with lpf[1] = 1, from an spf sieve.
 

@@ -6,17 +6,16 @@ p - a, values of an irreducible polynomial, and the Thue-Morse zero set
 and the counts N(x) and N_d(x) are exact.
 
 Polynomial values are enumerated by their arguments: F increases from n0
-on, so the n <= N with F(n) <= x come from an integer bisection, the few
-n < n0 are checked one by one, and F(n) is evaluated vectorized.  N_d(x)
-for polynomial values needs no members: the n in [n0, N] with d | F(n)
-are those in the root classes of F mod d (``arith.root_classes``),
-counted in closed form (``class_counts``).  Only a modulus whose roots the
-finder cannot take (d >= 2**29, or a ramified prime power past the scan
-budget) is counted over the members.
+on, past the real roots of F', so the n in [lo, N] with 1 <= F(n) <= x
+come from integer bisections, the few n < n0 are checked one by one, and
+F(n) is evaluated vectorized.  N_d(x) for polynomial values needs no
+members: the n in [lo, N] with d | F(n) are those in the root classes of F
+mod d (``arith.root_classes``), counted in closed form (``class_counts``)
+for a modulus of any size.
 
 Every other divisibility question about a member set goes through one
 primitive, ``count_divisible`` / ``divisible_by_any``, and one density
-predicate, ``is_dense``, picks its path: a dense set (uniform,
+predicate, ``factor.is_dense``, picks its path: a dense set (uniform,
 Thue-Morse, shifted primes, a dense subsample) is a boolean array indexed
 by value, so a query for q reads only the multiples of q; a sparse set
 tests each member's residue mod q.  The same predicate picks the factor
@@ -34,6 +33,7 @@ import numpy as np
 
 from pdlab import arith, factor
 from pdlab.errors import ResourceBudgetError, ValidationError, integral
+from pdlab.factor import is_dense
 
 # Largest x for which dense enumeration (uniform / Thue-Morse) is allowed.
 MAX_DENSE_X = 200_000_000
@@ -195,22 +195,19 @@ def _has_rational_root(coeffs) -> bool:
 
 
 def _irreducible_mod_p(coeffs, p: int) -> bool:
-    """F irreducible over F_p, for deg F <= 6: no factor of degree <= deg/2.
+    """F irreducible over F_p, for deg F <= 6 and p not dividing lead F:
+    no factor of degree <= deg/2.
 
-    Checks gcd(F, X^(p^d) - X) = 1 for d = 1..deg//2 plus squarefreeness.
+    Checks gcd(F, X^(p^d) - X) = 1 for d = 1..deg//2 plus squarefreeness,
+    on one column of arith's F_p[X] helpers.
     """
-    f = arith._poly_mod(coeffs, p)
-    deg = len(f) - 1
-    if deg != arith.poly_degree(coeffs):
-        return False  # degree dropped mod p; certificate void
-    df = arith._poly_mod(arith.poly_derivative(coeffs), p)
-    if not df or len(arith._gcd_mod(f, df, p)) > 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        diff = arith._minus_x(arith._x_powmod(p**d, f, p), p)
-        if not diff or len(arith._gcd_mod(f, diff, p)) > 1:
-            return False
-    return True
+    deg = arith.poly_degree(coeffs)
+    col = np.array([p])
+    f = arith._monic(coeffs, col)
+    df = np.zeros_like(f)
+    df[:deg, 0] = [c % p for c in arith.poly_derivative(coeffs)]
+    tests = [df] + [arith._xe_less_x(f, p**d, col) for d in range(1, deg // 2 + 1)]
+    return all(arith._vgcd(f, t, col)[1][0] == 0 for t in tests)
 
 
 # ---------------------------------------------------------------------------
@@ -243,30 +240,27 @@ def _parity_even_vec(arr: np.ndarray) -> np.ndarray:
 
 
 def _poly_bounds(spec: SequenceSpec):
-    """(n0, exceptions): F is increasing and positive for n >= n0.
+    """(n0, below): F increases for n >= n0, and ``below`` maps each
+    positive value F(n), 1 <= n < n0, to its least such n.
 
-    The finitely many smaller arguments contribute the exception list of
-    their positive values, mirroring the split at n0 used to analyse
-    polynomial sequences.
+    n0 is past the Cauchy bound 1 + max |c_i| / lead on the real roots of
+    F', in integers.  The arguments below it are evaluated one by one, so
+    more than MAX_DENSE_X of them raise ResourceBudgetError first.
     """
-    coeffs = spec.coeffs
-    deg = spec.degree
-    lead = coeffs[deg]
-    # Cauchy bounds on the real roots of F and F'
-    bound_f = 1 + max(abs(c) for c in coeffs[:deg]) / lead if deg >= 1 else 1
-    dcoeffs = arith.poly_derivative(coeffs)
+    dcoeffs = arith.poly_derivative(spec.coeffs)
     ddeg = arith.poly_degree(dcoeffs)
-    if ddeg >= 1:
-        bound_d = 1 + max(abs(c) for c in dcoeffs[:ddeg]) / dcoeffs[ddeg]
-    else:
-        bound_d = 1
-    n0 = int(math.ceil(max(bound_f, bound_d))) + 1
-    exceptions = {
-        arith.poly_eval(coeffs, n)
-        for n in range(1, n0)
-        if arith.poly_eval(coeffs, n) >= 1
-    }
-    return n0, exceptions
+    top = max((abs(c) for c in dcoeffs[:ddeg]), default=0)
+    n0 = 2 - (-top // dcoeffs[ddeg])
+    if n0 - 1 > MAX_DENSE_X:
+        raise ResourceBudgetError(
+            f"{n0 - 1} polynomial arguments below n0 exceed the dense enumeration cap"
+        )
+    below = {}
+    for n in range(1, n0):
+        v = arith.poly_eval(spec.coeffs, n)
+        if v >= 1:
+            below.setdefault(v, n)
+    return n0, below
 
 
 def membership(spec: SequenceSpec, n: int) -> bool:
@@ -279,8 +273,8 @@ def membership(spec: SequenceSpec, n: int) -> bool:
         return _is_prime(n + spec.shift)
     if spec.kind == "thue_morse":
         return _popcount_parity_even(n)
-    n0, exceptions = _poly_bounds(spec)
-    if n in exceptions:
+    n0, below = _poly_bounds(spec)
+    if n in below:
         return True
     return arith.poly_eval(spec.coeffs, _poly_inverse(spec, n0, n)) == n
 
@@ -300,10 +294,10 @@ def _poly_inverse(spec: SequenceSpec, n0: int, v: int) -> int:
 
 
 class PolyRange(NamedTuple):
-    """The members up to x are F(n) once each for n in [lo, hi] (lo = n0,
-    where F increases; empty when hi < lo) and for the n in ``small``,
-    arguments below n0 whose values no n in [lo, hi] gives.  ``largest``
-    is the largest member, 0 when there is none."""
+    """The members up to x are F(n) once each for n in [lo, hi] (lo is the
+    first n >= n0 with F(n) >= 1; empty when hi < lo) and for the n in
+    ``small``, arguments below n0 whose values no n in [lo, hi] gives.
+    ``largest`` is the largest member, 0 when there is none."""
 
     lo: int
     hi: int
@@ -316,20 +310,22 @@ def poly_range(spec: SequenceSpec, x: int) -> PolyRange:
     hi comes from an integer bisection and ``small`` from the few n < n0."""
     if x > np.iinfo(np.int64).max:
         raise ValidationError(f"x={x} exceeds the int64 range of polynomial values")
-    n0, _ = _poly_bounds(spec)
+    n0, below = _poly_bounds(spec)
+    lo = _poly_inverse(spec, n0, 1)
     hi = _poly_inverse(spec, n0, x + 1) - 1
-    first = arith.poly_eval(spec.coeffs, n0)
-    small = {}
-    for n in range(1, n0):
-        v = arith.poly_eval(spec.coeffs, n)
-        if 1 <= v <= x and not (
-            first <= v and arith.poly_eval(spec.coeffs, _poly_inverse(spec, n0, v)) == v
-        ):
-            small.setdefault(v, n)
+    first = arith.poly_eval(spec.coeffs, lo)
+    small = {
+        v: n
+        for v, n in below.items()
+        if v <= x
+        and not (
+            first <= v and arith.poly_eval(spec.coeffs, _poly_inverse(spec, lo, v)) == v
+        )
+    }
     largest = max(small, default=0)
-    if hi >= n0:
+    if hi >= lo:
         largest = max(largest, arith.poly_eval(spec.coeffs, hi))
-    return PolyRange(n0, hi, sorted(small.values()), largest)
+    return PolyRange(lo, hi, sorted(small.values()), largest)
 
 
 def _horner(coeffs, n: np.ndarray) -> np.ndarray:
@@ -368,19 +364,16 @@ def poly_arguments(
 def _poly_class_counts(spec: SequenceSpec, x: int, ds: np.ndarray):
     """(N(x), N_d(x) per d in ds): the n in [lo, hi] with F(n) = 0 mod d
     are those in the root classes of F mod d, counted per class in closed
-    form, plus the few small arguments tested directly.  The moduli whose
-    roots arith.root_classes cannot find are counted over the members."""
-    span = poly_range(spec, x)
-    lo, hi, small, _ = span
-    own, r, found = arith.root_classes(spec.coeffs, ds)
+    form, plus the few small arguments tested directly.  No member is
+    enumerated."""
+    lo, hi, small, _ = poly_range(spec, x)
+    own, r = arith.root_classes(spec.coeffs, ds)
     d = ds[own]
     per_class = np.concatenate([[0], np.cumsum((hi - r) // d - (lo - 1 - r) // d)])
     ptr = np.searchsorted(own, np.arange(ds.size + 1))
-    nd = per_class[ptr[1:]] - per_class[ptr[:-1]]
+    nd = (per_class[ptr[1:]] - per_class[ptr[:-1]]).astype(np.int64)
     for n in small:
         nd += arith.poly_eval(spec.coeffs, n) % ds == 0
-    if not found.all():
-        nd[~found] = count_divisible(poly_arguments(spec, x, span)[1], ds[~found])
     return len(small) + hi - lo + 1, nd
 
 
@@ -409,19 +402,6 @@ def members(spec: SequenceSpec, x: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # divisibility over a member set
-
-
-def is_dense(mem: np.ndarray) -> bool:
-    """Whether arrays indexed by value over [0, max(mem)] suit the member set.
-
-    True when the members fill at least 1/64 of that range and the range
-    fits an spf sieve.  Such a set is factored through the spf sieve and
-    its multiples are read from value-indexed masks; a sparser or larger
-    set uses per-member residues and, unless it holds polynomial values,
-    trial division.
-    """
-    maxval = int(mem.max(initial=0))
-    return mem.size >= maxval // 64 and maxval <= factor.MAX_SPF_SIEVE_LIMIT
 
 
 def count_divisible(mem: np.ndarray, ds) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Multiplicative functions, polynomial root counting, g-function diagnostics."""
 
 import math
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.galoistools import gf_csolve
 
 from pdlab import arith
 from pdlab.errors import ResourceBudgetError, ValidationError
@@ -174,15 +176,13 @@ def test_root_counts_up_to_1e4_vs_scan(coeffs):
     "coeffs", [X2_PLUS_1, X3_MINUS_2, (1, 1, 3), (2, 0, 2), (7, -7, 2), (7, 0, 1)]
 )
 def test_root_classes_vs_scan(coeffs):
-    own, r, found = arith.root_classes(coeffs, np.arange(1, 1001))
-    assert found.all()
+    own, r = arith.root_classes(coeffs, np.arange(1, 1001))
     assert np.all(np.diff(own) >= 0)
     for d in range(1, 1001):
         assert sorted(r[own == d - 1].tolist()) == _scan_roots(coeffs, d), f"d={d}"
     # past the scan budget: a prime, a prime power and a squarefree product
     ds = [10**6 + 3, 5**9, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]
-    own, r, found = arith.root_classes(coeffs, ds)
-    assert found.all()
+    own, r = arith.root_classes(coeffs, ds)
     for i, d in enumerate(ds):
         got = r[own == i].tolist()
         assert len(set(got)) == len(got) == arith.poly_root_count(coeffs, d)
@@ -212,9 +212,8 @@ def test_ramified_zero_propagates_past_scan_budget():
     assert arith.poly_root_count(X2_PLUS_1, 2**20) == 0
     g = arith.GFunctionSpec(kind="root_density", coeffs=X2_PLUS_1)
     assert arith.g_eval(g, 5 * 2**20) == 0
-    # X^2 + 7 keeps four roots mod 2^k for k >= 3: past the budget it raises
-    with pytest.raises(ResourceBudgetError):
-        arith.poly_root_count((7, 0, 1), 2**20)
+    # X^2 + 7 keeps four roots mod 2^k for k >= 3: the lift finds them
+    assert arith.poly_root_count((7, 0, 1), 2**20) == 4 == _scan_mod((7, 0, 1), 2**20)
 
 
 def _sympy_root_count(coeffs, p):
@@ -222,6 +221,11 @@ def _sympy_root_count(coeffs, p):
     x = sympy.Symbol("x")
     f = sympy.Poly(sum(c * x**i for i, c in enumerate(coeffs)), x, modulus=p)
     return sum(1 for q, _ in f.factor_list()[1] if q.degree() == 1)
+
+
+def _sympy_count_mod(coeffs, m):
+    """Roots of F mod m, counted by sympy's polynomial congruence solver."""
+    return len(gf_csolve(list(reversed(coeffs)), m))
 
 
 # (X - 1)(X - 2)(X - 3)(X - 5)(X - 7)(X - 11), constant first
@@ -240,27 +244,80 @@ SIX_ROOTS = (2310, -5237, 4285, -1646, 316, -29, 1)
     ],
 )
 def test_prime_root_count_at_large_primes_vs_sympy(coeffs, p):
-    # exact in Python integers for primes of any size
+    # exact for primes of any size: int64 columns below 2**29, Python
+    # integers above
     want = _sympy_root_count(coeffs, p)
     assert arith.poly_root_count(coeffs, p) == want
     g = arith.GFunctionSpec(kind="root_density", coeffs=coeffs)
     assert arith.g_eval(g, p) == Fraction(want, p)
-    if p < arith.FINDER_PRIME_LIMIT:
-        assert arith.roots_mod_primes(coeffs, [p], split=False)[0][0] == want
-    else:
-        with pytest.raises(ValidationError, match="2\\*\\*29"):
-            arith.roots_mod_primes(coeffs, [p])
+    h, roots = arith.roots_mod_primes(coeffs, [p])
+    assert h[0] == want
+    got = roots[0, :want].tolist()
+    assert len(set(got)) == want
+    assert all(0 <= r < p and arith.poly_eval(coeffs, r) % p == 0 for r in got)
 
 
-def test_root_classes_report_the_moduli_they_cannot_find():
-    # X^2 + 7 keeps four roots mod 2^k for k >= 3, so 2^20 needs a scan past
-    # the budget; d >= 2**29 is past the finder's prime bound
+def test_root_classes_take_every_modulus():
+    # X^2 + 7 keeps four roots mod 2^k for k >= 3, found by the lift past
+    # the scan budget; d >= 2**29 runs in Python integers
     ds = [2**20, 2**19, 3 * 2**20, 2**29, 10**12 + 1, 11]
-    own, r, found = arith.root_classes((7, 0, 1), ds)
-    assert found.tolist() == [False, True, False, False, False, True]
-    assert set(own.tolist()) == {1, 5}
-    assert sorted(r[own == 1].tolist()) == _scan_roots((7, 0, 1), 2**19)
+    own, r = arith.root_classes((7, 0, 1), ds)
+    for i in (0, 1, 2):
+        assert sorted(r[own == i].tolist()) == _scan_roots((7, 0, 1), ds[i]), ds[i]
+    for i in (3, 4):
+        got = r[own == i].tolist()
+        assert len(set(got)) == len(got) == _sympy_count_mod((7, 0, 1), ds[i])
+        assert all(0 <= v < ds[i] and (v * v + 7) % ds[i] == 0 for v in got)
     assert sorted(r[own == 5].tolist()) == [2, 9]
+
+
+@pytest.mark.parametrize(
+    "coeffs, p, ks",
+    [
+        ((7, 0, 1), 2, range(1, 23)),  # X^2 + 7: four roots mod 2^k, k >= 3
+        ((1009, 0, 1), 1009, [2]),  # X^2 + 1009: a double root mod 1009, none mod 1009^2
+        ((6, 0, 3), 3, range(1, 13)),  # 3X^2 + 6 = 0 mod 3
+        ((1, 1, 0, 0, 1), 229, [2, 3]),  # X^4 + X + 1, disc 229
+        ((0, 0, 1), 2, range(1, 21)),  # X^2: 2^(k//2) roots mod 2^k
+    ],
+)
+def test_lifted_root_counts_vs_sympy(coeffs, p, ks):
+    for k in ks:
+        want = _sympy_count_mod(coeffs, p**k)
+        assert arith.poly_root_count_pk(coeffs, p, k) == want, f"k={k}"
+        if p**k <= 2**22:
+            assert want == _scan_mod(coeffs, p**k), f"k={k}"
+        own, r = arith.root_classes(coeffs, [p**k])
+        got = sorted(r.tolist())
+        assert len(set(got)) == want
+        assert all(arith.poly_eval(coeffs, v) % p**k == 0 for v in got), f"k={k}"
+
+
+def test_lift_through_the_density_pass():
+    # X^2 has disc 0, so every prime power goes through the lift
+    g = arith.GFunctionSpec(kind="root_density", coeffs=(0, 0, 1))
+    hv = arith._g_h_values(g, 2**20)[1]
+    for k in range(1, 21):
+        assert hv[2**k] == _scan_mod((0, 0, 1), 2**k) == 2 ** (k // 2), f"k={k}"
+
+
+def test_roots_mod_primes_batch_straddling_2_29():
+    primes = [3, 5, 13, 10**5 + 3, 536870909, 536870923, 10**12 + 39, 10**12 + 61, 2**89 - 1]
+    for coeffs in (X2_PLUS_1, (1, -1, 0, 5, 0, 6), (1, 2, 3, 4, 5, 6, 7)):
+        h, roots = arith.roots_mod_primes(coeffs, primes)
+        assert roots.dtype == object
+        for i, p in enumerate(primes):
+            hi, ri = arith.roots_mod_primes(coeffs, [p])
+            assert h[i] == hi[0], p
+            assert roots[i].tolist() == ri[0].tolist(), p
+
+
+def test_lift_refuses_a_root_list_past_the_budget():
+    # X^6 has 2^(k - ceil(k/6)) roots mod 2^k: 2^33 at 2^40
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceBudgetError, match="scan budget"):
+        arith.poly_root_count((0, 0, 0, 0, 0, 0, 1), 2**40)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_prime_root_count_cubic_above_scan_budget():

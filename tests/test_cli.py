@@ -128,6 +128,22 @@ def test_oversized_polynomial_run_exits_3_before_enumerating(argv, capsys):
     assert "resource budget exceeded" in capsys.readouterr().err
 
 
+def test_far_turning_point_exits_3_before_enumerating(capsys):
+    # X^2 - 3e9 X + 1 decreases up to n = 1.5e9
+    spec = '{"kind":"poly","coeffs":[1,-3000000000,1]}'
+    t0 = time.perf_counter()
+    assert run_cli("lod", "--spec", spec, "--x", "1000000", "--c", "0.5") == 3
+    assert time.perf_counter() - t0 < 5.0
+    assert "resource budget exceeded" in capsys.readouterr().err
+
+
+def test_growth_on_a_ramified_quadratic(capsys):
+    # X^2 + 1009 has a double root mod 1009 and no root mod 1009^2
+    g = '{"kind":"root_density","coeffs":[1009,0,1]}'
+    assert run_cli("growth", "--g", g, "--x", "2000000") == 0
+    assert "sum_h" in capsys.readouterr().out
+
+
 def test_poly_x_beyond_int64_exits_2(capsys):
     # rejected before enumeration, not by an OverflowError after it
     spec = '{"kind":"poly","coeffs":[-2,0,0,1]}'

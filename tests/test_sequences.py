@@ -1,5 +1,7 @@
 """Sequence membership, enumeration, counting, and spec validation."""
 
+import time
+
 import numpy as np
 import pytest
 import sympy
@@ -87,7 +89,7 @@ def test_count_in_class_invariant():
         ([1, 0, 1], 10**12 + 1, 10**12 + 1),  # d >= 2**29: F(10**6) = d
         ([1, 0, 1], 10**12, 2**31 - 1),
         ([1, 1, 0, 0, 1], 10**12, 1196883403),  # prime F(186) in (2**29, 2**31)
-        ([7, 0, 1], 10**12, 2**20),  # ramified 2**20 past the scan budget
+        ([7, 0, 1], 10**12, 2**20),  # ramified 2**20, lifted past the scan budget
         ([7, 0, 1], 10**12, 3 * 2**21),
     ],
 )
@@ -136,8 +138,11 @@ def _members_by_loop(spec, x):
     return sorted(set(out))
 
 
-# 2X^2 - 7X + 7 has F(1) = 2 and F(2) = 1 below F(3) = 4
-@pytest.mark.parametrize("coeffs", [[1, 0, 1], [-2, 0, 0, 1], [2, 0, 2], [7, -7, 2]])
+# 2X^2 - 7X + 7 has F(1) = 2 and F(2) = 1 below F(3) = 4; X^2 - 10X + 1
+# increases from n0 = 7 on but is positive only from n = 10
+@pytest.mark.parametrize(
+    "coeffs", [[1, 0, 1], [-2, 0, 0, 1], [2, 0, 2], [7, -7, 2], [1, -10, 1]]
+)
 def test_vectorized_members_equal_the_loop(coeffs):
     spec = sequences.polynomial_values(coeffs)
     for x in (1, 2, 3, 4, 10, 1000, 10**6):
@@ -204,3 +209,22 @@ def test_g_function_assignment():
     assert sequences.shifted_primes(1).g_function().kind == "reciprocal_totient"
     assert sequences.polynomial_values([1, 0, 1]).g_function().kind == "root_density"
     assert sequences.thue_morse_zeros().g_function().kind == "reciprocal"
+
+
+def test_poly_arguments_start_past_the_turning_point_of_f():
+    # n0 comes from F' = 2X alone, so no argument is checked one by one
+    # for the large constant term
+    spec = sequences.polynomial_values([10**9, 0, 1])
+    t0 = time.perf_counter()
+    assert sequences.count(spec, 10**12) == 999_499
+    assert time.perf_counter() - t0 < 1.0
+    assert sequences.membership(spec, 10**9 + 4) and not sequences.membership(spec, 10**9)
+
+
+def test_far_turning_point_is_refused_before_the_loop():
+    # X^2 - 3e9 X + 1 decreases up to n = 1.5e9, past the dense enumeration cap
+    spec = sequences.polynomial_values([1, -3 * 10**9, 1])
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceBudgetError, match="below n0"):
+        sequences.count(spec, 10**6)
+    assert time.perf_counter() - t0 < 1.0
