@@ -14,11 +14,12 @@ and splits g into its roots by Cantor-Zassenhaus with the fixed sequence
 delta = 0, 1, 2, ... (Cantor & Zassenhaus, Math. Comp. 36, 1981; Cohen, A
 Course in Computational Algebraic Number Theory, 1.6 and 3.4), so its
 output is deterministic.  The finitely many primes dividing the leading
-coefficient, and p = 2, are handled apart.  Off the discriminant each root
-is simple and h(p^k) = h(p); at a ramified prime the roots mod p are lifted
-one power at a time (``_lift_roots``), with no residue scan.
-``root_classes`` combines the roots mod p^k into the roots mod d by the
-Chinese remainder theorem, for moduli of any size.  The vectors g(n),
+coefficient, and p = 2, are handled apart.  ``roots_mod_prime_powers``
+gives the roots mod every prime power p^e, lifting the finder's roots one
+power of p at a time; F'(r) mod p decides whether a root lifts once, p
+times or not at all.  ``root_classes`` combines them into the roots mod d
+by the Chinese remainder theorem, for moduli of any size, and the density
+pass and the scalar counts h(p^k) read the same table.  The vectors g(n),
 n <= x, come from one spf pass that builds their integer numerators
 exactly, so each g(n) is a correctly rounded ratio.
 """
@@ -350,6 +351,16 @@ def _xe_less_x(f: np.ndarray, e, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _squarefree_mod(coeffs, p: np.ndarray) -> np.ndarray:
+    """True where gcd(F, F') = 1 over F_p, so that every root of F mod p is
+    simple and lifts to one root mod each p**e."""
+    f = np.array([_residues(c, p) for c in coeffs])
+    der = np.array([_residues(c, p) for c in poly_derivative(coeffs) + (0,)])
+    out = f.any(axis=0)  # where F = 0 mod p, every residue is a multiple root
+    out[out] = _vgcd(f[:, out], der[:, out], p[out])[1] == 0
+    return out
+
+
 def roots_mod_primes(coeffs, primes, split: bool = True):
     """(h, roots): the distinct roots of F modulo each of an array of primes.
 
@@ -399,89 +410,87 @@ def roots_mod_primes(coeffs, primes, split: bool = True):
     return h, roots
 
 
+def roots_mod_prime_powers(coeffs, p, e):
+    """(h, roots): the roots of F modulo each of an array of distinct prime
+    powers p**e, e >= 1, with p**e exact in the dtype of p.
+
+    h[i] = h(p[i]**e[i]), and the roots mod p[i]**e[i] are
+    roots[s[i] : s[i] + h[i]] with s = cumsum(h) - h, ascending for e = 1.
+    One roots_mod_primes call finds the roots mod every distinct prime; the
+    rows with e = 1 read them from its matrix.  The lift takes the rest one
+    power of p at a time, all rows at once: for j >= 1, F(r + t p^j) = F(r)
+    + t p^j F'(r) mod p^(j+1), so a root r mod p^j lifts to the t mod p with
+    F(r)/p^j + t F'(r) = 0 mod p, one t when p does not divide F'(r),
+    otherwise all p or none.  Where F = 0 mod p (p divides the content of
+    F) the same step takes r = 0 mod 1 to every residue mod p.  A step
+    whose list for one modulus would pass SCAN_BUDGET raises before
+    building it.  roots is int64 when every p**e is below
+    FINDER_PRIME_LIMIT and may hold Python integers otherwise.
+    """
+    q = _exact_array(p**e)
+    p = p.astype(q.dtype)
+    primes, at = np.unique(p, return_inverse=True)
+    hp, roots_p = roots_mod_primes(coeffs, primes)
+    hp, roots_p, every = hp[at], roots_p[at], hp[at] == p
+    hp[every], roots_p[every, 0] = 1, 0
+    own, col = np.nonzero(np.arange(roots_p.shape[1]) < hp[:, None])
+    r, pj = roots_p[own, col], np.where(every, 1, p)[own]
+    der = poly_derivative(coeffs)
+    while (act := pj < q[own]).any():
+        # each step runs in int64 while its moduli are below FINDER_PRIME_LIMIT
+        o, m = own[act], _exact_array(pj[act] * p[own[act]])
+        ra, pa, pja = (a.astype(m.dtype) for a in (r[act], p[o], pj[act]))
+        val = _eval_mod(coeffs, ra, m) // pja
+        slope = _eval_mod(der, ra, m) % pa
+        one, full = slope != 0, (slope == 0) & (val == 0)
+        size = np.bincount(o, np.where(full, pa, one).astype(float), minlength=q.size)
+        if size.max() > SCAN_BUDGET:
+            raise ResourceBudgetError(f"roots mod {q[size.argmax()]} pass the scan budget")
+        # the lifts of each root follow one another, so a row keeps its order
+        n = pa[full].astype(np.int64)
+        src = np.concatenate([np.flatnonzero(one), np.repeat(np.flatnonzero(full), n)])
+        t = -val[one] * _vpow(slope[one], pa[one] - 2, pa[one]) % pa[one]
+        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        t = np.concatenate([t, k.astype(m.dtype)])
+        own = np.concatenate([own[~act], o[src]])
+        r = np.concatenate([r[~act], ra[src] + t * pja[src]])
+        pj = np.concatenate([pj[~act], m[src]])
+    return np.bincount(own, minlength=q.size), r[np.argsort(own, kind="stable")]
+
+
 @lru_cache(maxsize=1 << 16)
-def _root_count_at(coeffs: tuple, p: int, k: int = 1) -> int:
-    """h(p^k) for one prime of any size: the finder's count, or for k >= 2
-    its roots mod p lifted to p^k; remembered, since scalar callers ask
+def _root_count_at(coeffs: tuple, p: int, k: int) -> int:
+    """h(p^k) for one prime of any size: the finder's count for k = 1, the
+    prime-power table's for k >= 2; remembered, since scalar callers ask
     for the same few."""
     if k == 1:
         return int(roots_mod_primes(coeffs, [p], split=False)[0][0])
-    h, roots = roots_mod_primes(coeffs, [p])
-    base = roots_mod(coeffs, p) if h[0] == p else roots[0, : h[0]]
-    return len(_lift_roots(coeffs, p, k, base))
+    return len(roots_mod_prime_powers(coeffs, np.array([p], dtype=object), [k])[1])
 
 
 # ---------------------------------------------------------------------------
 # root counts h(d) and root classes mod d
 
 
-def _ramification(coeffs) -> int:
-    """disc F times the content of F.
-
-    A prime dividing neither has only simple roots of F mod p (the content
-    matters only for degree 1, whose discriminant is 1).
-    """
-    return discriminant(coeffs) * math.gcd(*coeffs)
-
-
-def _lift_roots(coeffs, p: int, e: int, roots_p) -> np.ndarray:
-    """The roots of F mod p**e from its roots mod p, as int64 while the
-    modulus is below FINDER_PRIME_LIMIT and as Python integers above.
-
-    For j >= 1, F(r + t p^j) = F(r) + t p^j F'(r) mod p^(j+1), so a root r
-    mod p^j lifts to the t mod p with F(r)/p^j + t F'(r) = 0 mod p: one t
-    when p does not divide F'(r), otherwise all p or none.  A step whose
-    list would pass SCAN_BUDGET raises before building it.
-    """
-    der = poly_derivative(coeffs)
-    r, pj = np.asarray(roots_p), p
-    for _ in range(e - 1):
-        m = _exact_array([pj * p])
-        r = r.astype(m.dtype)
-        val = _eval_mod(coeffs, r, m) // pj
-        slope = _eval_mod(der, r, m) % p
-        simple = slope != 0
-        full = np.flatnonzero(~simple & (val == 0))
-        size = int(simple.sum()) + p * full.size
-        if size > SCAN_BUDGET:
-            raise ResourceBudgetError(
-                f"{size} roots of F mod {p}**{e} exceed the scan budget {SCAN_BUDGET}"
-            )
-        t = -val[simple] * _vpow(slope[simple], p - 2, p) % p
-        every = r[full, None] + np.arange(p).astype(m.dtype) * pj
-        r, pj = np.concatenate([r[simple] + t * pj, every.ravel()]), pj * p
-    return r
-
-
-def poly_root_count_pk(coeffs, p: int, k: int, ram: int | None = None) -> int:
+def poly_root_count_pk(coeffs, p: int, k: int) -> int:
     """h(p^k): distinct roots of F modulo p^k.
 
-    When p does not divide ``ram`` (disc F times the content of F,
-    computed when not given), every root mod p is simple and lifts
-    uniquely, so h(p^k) = h(p), the finder's count.  At the remaining,
-    ramified primes the finder's roots mod p are lifted to p^k by
-    _lift_roots, with no residue scan.  For squarefree F h(p^k) stays
-    bounded in k (Stewart, J. AMS 4, 1991); a lift whose list of roots
-    would pass SCAN_BUDGET raises ResourceBudgetError.
+    For k = 1 the finder's count, for k >= 2 the count of
+    roots_mod_prime_powers, whose lift decides from F'(r) mod p whether
+    each root mod p lifts once, p times or not at all.  For squarefree F
+    h(p^k) stays bounded in k (Stewart, J. AMS 4, 1991); a lift whose list
+    of roots would pass SCAN_BUDGET raises ResourceBudgetError.
     """
-    if k < 1:
-        raise ValidationError(f"exponent k must be >= 1, got {k}")
-    if ram is None:
-        ram = _ramification(coeffs)
-    return _root_count_at(tuple(coeffs), p, 1 if ram % p else k)
+    if k < 1 or poly_degree(coeffs) < 1:
+        raise ValidationError(f"h(p^k) needs k >= 1 and deg F >= 1, got k = {k}, F = {coeffs}")
+    return _root_count_at(tuple(coeffs), p, k)
 
 
 def poly_root_count(coeffs, d: int) -> int:
     """h(d) = prod over p^k || d of h(p^k), by CRT multiplicativity."""
     if d < 1:
         raise ValidationError(f"poly_root_count requires d >= 1, got {d}")
-    ram = _ramification(coeffs)
-    out = 1
-    for p, e in _factorize(d).factors:
-        out *= poly_root_count_pk(coeffs, p, e, ram)
-        if out == 0:
-            return 0
-    return out
+    return math.prod(poly_root_count_pk(coeffs, p, e) for p, e in _factorize(d).factors)
 
 
 def _prime_power_peel(spf: np.ndarray, values: np.ndarray):
@@ -490,7 +499,7 @@ def _prime_power_peel(spf: np.ndarray, values: np.ndarray):
     idx = np.flatnonzero(values > 1)
     rem = values[idx].astype(np.int64)
     while idx.size:
-        # int64: p << 6 | e keys and phi(p**e) overflow int32 for p > 2**25
+        # int64, the dtype of the products that callers build from p and e
         p = spf[rem].astype(np.int64)
         rem //= p
         e = np.ones_like(p)
@@ -523,9 +532,10 @@ def root_classes(coeffs, ds) -> tuple[np.ndarray, np.ndarray]:
     """(own, roots): every root r of F mod ds[own[j]] is roots[j], once,
     with own ascending, for each modulus d = ds[i] >= 1 of any size.
 
-    The roots mod p come from roots_mod_primes for all primes at once and
-    are lifted to p**e by _lift_roots; the roots mod d combine them by the
-    Chinese remainder theorem, one prime power per step for all moduli.
+    One roots_mod_prime_powers call gives the roots mod every prime power
+    of every modulus; the roots mod d combine them by the Chinese remainder
+    theorem, one prime power per step for all moduli, each step finding its
+    roots in that table by one searchsorted.
     Below FINDER_PRIME_LIMIT = 2**29 the CRT runs in int64, every product
     below 2**58; with a larger modulus it runs in Python integers, and
     roots is an object array.
@@ -533,39 +543,30 @@ def root_classes(coeffs, ds) -> tuple[np.ndarray, np.ndarray]:
     ds = _exact_array(ds)
     if ds.size and int(ds.min()) < 1:
         raise ValidationError(f"root classes need moduli >= 1, got {int(ds.min())}")
-    steps = list(_prime_power_steps(ds))
-    primes = np.unique(np.concatenate([p for _, p, _ in steps] + [ds[:0]]))
-    h, at_p = roots_mod_primes(coeffs, primes)
-    own = np.arange(ds.size)
-    r = np.zeros(ds.size, dtype=ds.dtype)
-    mod = np.ones(ds.size, dtype=ds.dtype)
-    for pos, p, e in steps:
-        key, inv = np.unique(p << 6 | e, return_inverse=True)
-        lists = []
-        for k in key.tolist():
-            q, i = k >> 6, int(np.searchsorted(primes, k >> 6))
-            base = roots_mod(coeffs, q) if h[i] == q else at_p[i, : h[i]]
-            lists.append(_lift_roots(coeffs, q, k & 63, base))
-        count = np.array([len(c) for c in lists], dtype=np.int64)
-        flat = np.concatenate(lists + [ds[:0]]).astype(ds.dtype)
-        nq, start = np.zeros(ds.size, dtype=np.int64), np.zeros(ds.size, dtype=np.int64)
-        q = np.ones(ds.size, dtype=ds.dtype)
-        nq[pos], start[pos], q[pos] = count[inv], (np.cumsum(count) - count)[inv], p**e
+    steps = [(pos, p, e, p**e) for pos, p, e in _prime_power_steps(ds)]
+    p, e, q = (np.concatenate([s[j] for s in steps] + [ds[:0]]) for j in (1, 2, 3))
+    keys, first = np.unique(q, return_index=True)
+    count, flat = roots_mod_prime_powers(coeffs, p[first], e[first])
+    begin, flat = np.cumsum(count) - count, flat.astype(ds.dtype)
+    own, r, mod = np.arange(ds.size), np.zeros_like(ds), np.ones_like(ds)
+    for pos, p, e, q in steps:
+        i = np.searchsorted(keys, q)
         # idem = 1 mod q and 0 mod the modulus so far
-        idem = np.zeros(ds.size, dtype=ds.dtype)
-        idem[pos] = mod[pos] * _vpow(mod[pos], (p - 1) * p ** (e - 1) - 1, q[pos])
-        moving = np.zeros(ds.size, dtype=bool)
-        moving[pos] = True
-        move = moving[own]
-        o, n = own[move], nq[own[move]]
-        o2 = np.repeat(o, n)
-        j = np.arange(o2.size) - np.repeat(np.cumsum(n) - n, n)
-        m2 = mod[o2] * q[o2]
-        b = flat[start[o2] + j]
-        r2 = (np.repeat(r[move], n) * (m2 + 1 - idem[o2]) + b * idem[o2]) % m2
-        own = np.concatenate([own[~move], o2])
+        idem = mod[pos] * _vpow(mod[pos], (p - 1) * p ** (e - 1) - 1, q)
+        # s: the step row of each root's modulus, -1 where it takes no factor
+        s = np.full(ds.size, -1)
+        s[pos] = np.arange(pos.size)
+        s = s[own]
+        move = s >= 0
+        n = count[i[s[move]]]
+        s = np.repeat(s[move], n)
+        j = np.arange(s.size) - np.repeat(np.cumsum(n) - n, n)
+        m2 = mod[pos[s]] * q[s]
+        b = flat[begin[i[s]] + j]
+        r2 = (np.repeat(r[move], n) * (m2 + 1 - idem[s]) + b * idem[s]) % m2
+        own = np.concatenate([own[~move], pos[s]])
         r = np.concatenate([r[~move], r2])
-        mod[pos] *= q[pos]
+        mod[pos] *= q
     order = np.argsort(own, kind="stable")
     return own[order], r[order]
 
@@ -631,30 +632,26 @@ def _g_h_values(g: GFunctionSpec, x: int):
     num = np.ones(x + 1, dtype=np.int64)
     omega = np.zeros(x + 1, dtype=np.int8)
     if g.kind == "root_density":
-        ram = _ramification(g.coeffs)
+        # hq[q] = h(q) at every prime power q <= x; ps[j] holds the primes
+        # with p**(j + 2) <= x
         primes = np.flatnonzero(spf[2:] == n[2:]) + 2
-        hp = np.zeros(x + 1, dtype=np.int64)
-        hp[primes] = roots_mod_primes(g.coeffs, primes, split=False)[0]
+        hq = np.zeros(x + 1, dtype=np.int64)
+        hq[primes] = roots_mod_primes(g.coeffs, primes, split=False)[0]
+        ps = [primes[primes <= math.isqrt(x)]]
+        while ps[-1].size:
+            ps.append(ps[-1][ps[-1] ** (len(ps) + 2) <= x])
+        p, e = np.concatenate(ps), np.repeat(np.arange(2, len(ps) + 2), [a.size for a in ps])
+        # a simple root mod p lifts once, so h(p**e) = h(p) where gcd(F, F')
+        # = 1 mod p; the table lifts the rest
+        hq[p**e] = hq[p]
+        lift = ~_squarefree_mod(g.coeffs, p)
+        hq[p[lift] ** e[lift]] = roots_mod_prime_powers(g.coeffs, p[lift], e[lift])[0]
     for idx, p, e in _prime_power_peel(spf, n):
         omega[idx] += e
         if g.kind == "reciprocal_totient":
             num[idx] *= (p - 1) * p ** (e - 1)
         elif g.kind == "root_density":
-            # h(p**e) = h(p) off the ramified primes; the rest, one count per
-            # distinct (p, e), with e < 64 since n < 2**63
-            hk = hp[p]
-            sq = np.flatnonzero(e > 1)
-            key, inv = np.unique(p[sq] << 6 | e[sq], return_inverse=True)
-            hk[sq] = np.array(
-                [
-                    poly_root_count_pk(g.coeffs, k >> 6, k & 63, ram)
-                    if ram % (k >> 6) == 0
-                    else hp[k >> 6]
-                    for k in key.tolist()
-                ],
-                dtype=np.int64,
-            )[inv]
-            num[idx] *= hk
+            num[idx] *= hq[p**e]
     gv = np.zeros(x + 1, dtype=np.float64)
     if g.kind == "root_density":
         num[0] = 0

@@ -124,7 +124,10 @@ def run_rho(config: dict) -> ExperimentReport:
     u_max = _as_int(config, "u_max", dickman.DEFAULT_U_MAX)
     table = dickman.RhoTable(u_max=u_max)
     if config.get("table_out"):
-        table.dump_csv(config["table_out"], step=_as_float(config, "step", 0.01))
+        try:
+            table.dump_csv(config["table_out"], step=_as_float(config, "step", 0.01))
+        except OSError as exc:
+            raise ValidationError(f"cannot write table: {exc}") from exc
     est = table.rho(2.0)
     return ExperimentReport(
         experiment="rho-table",
@@ -220,7 +223,7 @@ def _thresholds(config: dict) -> list[float]:
 def run_cdf(config: dict) -> ExperimentReport:
     c = _thresholds(config)
     oracle = None
-    if len(c) == 1 and 1.0 / c[0] <= dickman.default_table().u_max:
+    if len(c) == 1 and c[0] > 0 and 1.0 / c[0] <= dickman.default_table().u_max:
         oracle = dickman.cdf_l1(c[0])
     if config.get("spec") is not None:
         spec = _parse_spec(config)
@@ -524,12 +527,15 @@ def _emit(reports: list[ExperimentReport], out: str | None, fmt: str | None) -> 
         return
     if fmt is None:
         fmt = "csv" if out.endswith(".csv") or len(reports) > 1 else "json"
-    if fmt == "csv" or len(reports) > 1:
-        write_csv(reports, out)
-    else:
-        with open(out, "w") as fh:
-            fh.write(reports[0].to_json(include_wall_time=False))
-            fh.write("\n")
+    try:
+        if fmt == "csv" or len(reports) > 1:
+            write_csv(reports, out)
+        else:
+            with open(out, "w") as fh:
+                fh.write(reports[0].to_json())
+                fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write report: {exc}") from exc
 
 
 def main(argv=None) -> int:

@@ -75,6 +75,8 @@ class RhoTable:
 
     def dump_csv(self, path, step: float = 0.01) -> None:
         """Write the table as CSV columns u, rho(u) for plot tooling."""
+        if not 0 < step <= self.u_max:
+            raise ValidationError(f"step must be in (0, u_max = {self.u_max}], got {step}")
         grid = np.arange(step, self.u_max + step / 2, step)
         grid = grid[grid <= self.u_max]
         with open(path, "w", newline="") as fh:

@@ -125,34 +125,22 @@ def factorize(u: int, table: PrimeTable) -> Factorization:
         )
     rem = u
     factors = []
-    if 1 < u < 1 << 62:
-        # every prime divisor except at most one cofactor is <= sqrt(rem):
-        # scan the primes in chunks of doubling size, vectorized within a
-        # chunk, and stop once p*p exceeds what remains
-        hi = np.searchsorted(table.primes, math.isqrt(u), side="right")
-        lo, size = 0, 64
-        while lo < hi and int(table.primes[lo]) ** 2 <= rem:
-            cand = table.primes[lo : min(lo + size, hi)]
-            for p in cand[rem % cand == 0].tolist():
-                e = 0
-                while rem % p == 0:
-                    rem //= p
-                    e += 1
-                factors.append((p, e))
-            lo += size
-            size *= 2
-    else:
-        # exact python-int path for values beyond int64 (up to 2**127 - 1)
-        for p in table.primes:
-            p = int(p)
-            if p * p > rem:
-                break
-            if rem % p == 0:
-                e = 0
-                while rem % p == 0:
-                    rem //= p
-                    e += 1
-                factors.append((p, e))
+    # every prime divisor except at most one cofactor is <= sqrt(rem): scan
+    # the primes in chunks of doubling size, vectorized within a chunk, and
+    # stop once p*p exceeds what remains; u <= MAX_PRIME_TABLE_LIMIT**2 <
+    # 2**62, so rem % cand stays in int64
+    hi = np.searchsorted(table.primes, math.isqrt(u), side="right")
+    lo, size = 0, 64
+    while lo < hi and int(table.primes[lo]) ** 2 <= rem:
+        cand = table.primes[lo : min(lo + size, hi)]
+        for p in cand[rem % cand == 0].tolist():
+            e = 0
+            while rem % p == 0:
+                rem //= p
+                e += 1
+            factors.append((p, e))
+        lo += size
+        size *= 2
     if rem > 1:
         factors.append((rem, 1))
     return Factorization(value=u, factors=tuple(factors))

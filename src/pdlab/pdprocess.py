@@ -234,12 +234,7 @@ def joint_cdf_mc(
 
     work = work_topk if method == "topk" else work_counting
     parts = _combine_blocks(n_samples, threads, work)
-    hits = sum(p[0] for p in parts)
-    n = sum(p[1] for p in parts)
-    p_hat = hits / n
-    return Estimate(
-        value=p_hat, std_error=math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n), n=n
-    )
+    return Estimate.frequency(sum(p[0] for p in parts), sum(p[1] for p in parts))
 
 
 def mass_identity_max_deviation(n_samples: int, seed: int, truncation: float = DEFAULT_TRUNCATION, threads: int = 1) -> float:

@@ -2,14 +2,15 @@
 
 Every report embeds the full configuration it was produced from, so any
 report can be re-run from itself.  The JSON payload is written with
-sorted keys; excluding wall_time it is byte-identical for a fixed seed
-and configuration, regardless of thread count.
+sorted keys and leaves out wall_time, so it is byte-identical for a fixed
+seed and configuration, regardless of thread count.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
@@ -20,6 +21,12 @@ class Estimate:
     value: float
     std_error: float
     n: int
+
+    @classmethod
+    def frequency(cls, hits: int, n: int) -> Estimate:
+        """The share hits/n of n trials, with its binomial standard error."""
+        p = hits / n
+        return cls(value=p, std_error=math.sqrt(p * (1 - p) / n), n=n)
 
 
 @dataclass
@@ -39,7 +46,7 @@ class ExperimentReport:
     wall_time: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "experiment": self.experiment,
             "config": self.config,
@@ -53,15 +60,10 @@ class ExperimentReport:
             "exhaustive": self.exhaustive,
             "extras": self.extras,
             "warnings": self.warnings,
-            "wall_time": self.wall_time,
         }
-        return out
 
-    def to_json(self, include_wall_time: bool = True) -> str:
-        d = self.to_dict()
-        if not include_wall_time:
-            d.pop("wall_time")
-        return json.dumps(d, sort_keys=True, indent=2, default=_coerce)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, default=_coerce)
 
     def csv_row(self) -> dict:
         row = {

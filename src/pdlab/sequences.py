@@ -204,10 +204,10 @@ def _irreducible_mod_p(coeffs, p: int) -> bool:
     deg = arith.poly_degree(coeffs)
     col = np.array([p])
     f = arith._monic(coeffs, col)
-    df = np.zeros_like(f)
-    df[:deg, 0] = [c % p for c in arith.poly_derivative(coeffs)]
-    tests = [df] + [arith._xe_less_x(f, p**d, col) for d in range(1, deg // 2 + 1)]
-    return all(arith._vgcd(f, t, col)[1][0] == 0 for t in tests)
+    tests = [arith._xe_less_x(f, p**d, col) for d in range(1, deg // 2 + 1)]
+    return arith._squarefree_mod(coeffs, col)[0] and all(
+        arith._vgcd(f, t, col)[1][0] == 0 for t in tests
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,7 @@ def empirical_joint_cdf(s: SampleSet, c) -> Estimate:
         raise ValidationError("thresholds must be a nonempty vector in (0, 1]")
     _need_top(s, len(c))
     hit = np.all(s.top[:, : len(c)] <= np.asarray(c)[None, :], axis=1)
-    p = float(np.mean(hit))
-    return Estimate(value=p, std_error=math.sqrt(p * (1 - p) / s.n), n=s.n)
+    return Estimate.frequency(int(np.count_nonzero(hit)), s.n)
 
 
 def tail_frequency(s: SampleSet, eps: float) -> Estimate:
@@ -179,8 +178,7 @@ def tail_frequency(s: SampleSet, eps: float) -> Estimate:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
     _need_top(s, 1)
     hit = s.top[:, 0] >= 1.0 - eps
-    p = float(np.mean(hit))
-    return Estimate(value=p, std_error=math.sqrt(p * (1 - p) / s.n), n=s.n)
+    return Estimate.frequency(int(np.count_nonzero(hit)), s.n)
 
 
 def ks_distance(values: np.ndarray, ref_cdf) -> float:
@@ -250,14 +248,11 @@ def repeated_factor_frequency(s: SampleSet, alpha: float, c: float) -> Estimate:
     lo = s.x**alpha
     hi = min(s.x**c, math.sqrt(s.x))  # a repeated factor above sqrt(x) is impossible
     if lo > hi:
-        return Estimate(value=0.0, std_error=0.0, n=s.n)
+        return Estimate.frequency(0, s.n)
     table = factor.build_prime_table(int(math.floor(hi)) + 1)
     window = table.primes[(table.primes >= lo) & (table.primes <= hi)]
     hit = sequences.divisible_by_any(s.u, window * window)
-    p_hat = float(np.mean(hit))
-    return Estimate(
-        value=p_hat, std_error=math.sqrt(p_hat * (1 - p_hat) / s.n), n=s.n
-    )
+    return Estimate.frequency(int(np.count_nonzero(hit)), s.n)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.galoistools import gf_csolve
 
-from pdlab import arith
+from pdlab import arith, factor
 from pdlab.errors import ResourceBudgetError, ValidationError
 
 X2_PLUS_1 = (1, 0, 1)  # constant-first: X**2 + 1
@@ -187,6 +187,14 @@ def test_root_classes_vs_scan(coeffs):
         got = r[own == i].tolist()
         assert len(set(got)) == len(got) == arith.poly_root_count(coeffs, d)
         assert all(0 <= v < d and arith.poly_eval(coeffs, v) % d == 0 for v in got)
+    # one prime-power table with keys e = 1 and e >= 2 mixed, p = 2 among them
+    p = np.array([2, 3, 2, 5, 3, 7, 2, 31, 7, 997])
+    e = np.array([1, 1, 3, 2, 4, 1, 6, 2, 3, 1])
+    h, roots = arith.roots_mod_prime_powers(coeffs, p, e)
+    start = np.cumsum(h) - h
+    for i, q in enumerate((p**e).tolist()):
+        got = roots[start[i] : start[i] + h[i]].tolist()
+        assert (got if e[i] == 1 else sorted(got)) == _scan_roots(coeffs, q), f"q={q}"
 
 
 @pytest.mark.parametrize(
@@ -274,11 +282,14 @@ def test_root_classes_take_every_modulus():
 @pytest.mark.parametrize(
     "coeffs, p, ks",
     [
-        ((7, 0, 1), 2, range(1, 23)),  # X^2 + 7: four roots mod 2^k, k >= 3
+        ((7, 0, 1), 2, range(1, 41)),  # X^2 + 7: four roots mod 2^k, k >= 3
         ((1009, 0, 1), 1009, [2]),  # X^2 + 1009: a double root mod 1009, none mod 1009^2
         ((6, 0, 3), 3, range(1, 13)),  # 3X^2 + 6 = 0 mod 3
         ((1, 1, 0, 0, 1), 229, [2, 3]),  # X^4 + X + 1, disc 229
         ((0, 0, 1), 2, range(1, 21)),  # X^2: 2^(k//2) roots mod 2^k
+        ((1, 1, 3), 3, range(1, 9)),  # 3X^2 + X + 1: p | lead
+        ((2, 0, 2), 2, range(1, 16)),  # 2X^2 + 2 = 0 mod 2: every residue
+        (X2_PLUS_1, 10**12 + 61, [1, 2]),  # a prime above 2**29
     ],
 )
 def test_lifted_root_counts_vs_sympy(coeffs, p, ks):
@@ -287,10 +298,32 @@ def test_lifted_root_counts_vs_sympy(coeffs, p, ks):
         assert arith.poly_root_count_pk(coeffs, p, k) == want, f"k={k}"
         if p**k <= 2**22:
             assert want == _scan_mod(coeffs, p**k), f"k={k}"
+        if p**k > factor.MAX_PRIME_TABLE_LIMIT**2:
+            continue  # root_classes factors each modulus by trial division
         own, r = arith.root_classes(coeffs, [p**k])
         got = sorted(r.tolist())
         assert len(set(got)) == want
         assert all(arith.poly_eval(coeffs, v) % p**k == 0 for v in got), f"k={k}"
+
+
+def test_root_counts_consult_no_discriminant(monkeypatch):
+    # the lift reads F'(r) mod p, so no root count needs disc F
+    def refuse(f, g):
+        raise AssertionError("a root count computed a resultant")
+
+    monkeypatch.setattr(arith, "_sylvester_det", refuse)
+    arith._root_count_at.cache_clear()
+    for coeffs in (X2_PLUS_1, (7, 0, 1), (2, 0, 2)):
+        g = arith.GFunctionSpec(kind="root_density", coeffs=coeffs)
+        hv = arith._g_h_values(g, 600)[1]
+        own, r = arith.root_classes(coeffs, np.arange(1, 601))
+        for d in range(1, 601):
+            scan = _scan_roots(coeffs, d)
+            assert hv[d] == arith.poly_root_count(coeffs, d) == len(scan), f"d={d}"
+            assert arith.g_eval(g, d) == Fraction(len(scan), d)
+            assert sorted(r[own == d - 1].tolist()) == scan, f"d={d}"
+        for p, k in ((2, 9), (3, 5), (7, 4)):
+            assert arith.poly_root_count_pk(coeffs, p, k) == _scan_mod(coeffs, p**k)
 
 
 def test_lift_through_the_density_pass():
@@ -424,6 +457,7 @@ def test_partial_sums():
     assert sum_g == pytest.approx(float(Fraction(7381, 2520)), abs=1e-12)
     assert sum_h is None
     g = arith.GFunctionSpec(kind="root_density", coeffs=X2_PLUS_1)
+    assert arith.partial_sums_gh(g, 1) == (1.0, 1.0)
     sum_g, sum_h = arith.partial_sums_gh(g, 1000)
     brute_h = sum(arith.poly_root_count(X2_PLUS_1, d) for d in range(1, 1001))
     assert sum_h == brute_h

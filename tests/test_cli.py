@@ -89,10 +89,21 @@ def test_unknown_spec_kind_exits_2():
          "--axis", "x", "--values", "[true]"],
         # the sample set has at most TOP_K leading columns
         ["cdf", "--c", "[0.9,0.5,0.3,0.2]", "--spec", "uniform", "--x", "1000"],
+        # thresholds outside (0, 1], caught before any oracle divides by them
+        ["cdf", "--c", "[0]", "--n-samples", "10"],
+        ["cdf", "--c", "0", "--spec", "uniform", "--x", "100"],
+        # the rho table step must lie in (0, u_max]
+        ["rho", "--table-out", "{tmp}/rho.csv", "--step", "0"],
+        ["rho", "--table-out", "{tmp}/rho.csv", "--step", "-1"],
+        # write errors: the directory does not exist
+        ["rho", "--table-out", "{tmp}/missing/rho.csv"],
+        ["rho", "--out", "{tmp}/missing/rho.json"],
+        ["sweep", "--experiment", "rho", "--axis", "u_max", "--values", "[5]",
+         "--out", "{tmp}/missing/rho.csv"],
     ],
 )
-def test_malformed_config_field_exits_2(argv, capsys):
-    assert run_cli(*argv) == 2
+def test_malformed_config_field_exits_2(argv, tmp_path, capsys):
+    assert run_cli(*[a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
     assert "validation error" in capsys.readouterr().err
 
 
