@@ -421,10 +421,10 @@ def roots_mod_prime_powers(coeffs, p, e):
     power of p at a time, all rows at once: for j >= 1, F(r + t p^j) = F(r)
     + t p^j F'(r) mod p^(j+1), so a root r mod p^j lifts to the t mod p with
     F(r)/p^j + t F'(r) = 0 mod p, one t when p does not divide F'(r),
-    otherwise all p or none.  Where F = 0 mod p (p divides the content of
-    F) the same step takes r = 0 mod 1 to every residue mod p.  A step
-    whose list for one modulus would pass SCAN_BUDGET raises before
-    building it.  roots is int64 when every p**e is below
+    otherwise all p or none.  Where every residue is a root mod p (F = 0
+    mod p, or p <= deg F), the lift starts from all p residues.  A list
+    for one modulus that would pass SCAN_BUDGET raises before it is
+    built.  roots is int64 when every p**e is below
     FINDER_PRIME_LIMIT and may hold Python integers otherwise.
     """
     q = _exact_array(p**e)
@@ -432,9 +432,13 @@ def roots_mod_prime_powers(coeffs, p, e):
     primes, at = np.unique(p, return_inverse=True)
     hp, roots_p = roots_mod_primes(coeffs, primes)
     hp, roots_p, every = hp[at], roots_p[at], hp[at] == p
-    hp[every], roots_p[every, 0] = 1, 0
-    own, col = np.nonzero(np.arange(roots_p.shape[1]) < hp[:, None])
-    r, pj = roots_p[own, col], np.where(every, 1, p)[own]
+    if int(p[every].max(initial=0)) > SCAN_BUDGET:
+        raise ResourceBudgetError(f"every residue mod {p[every].max()} is a root")
+    n = hp.astype(np.int64)
+    own = np.repeat(np.arange(q.size), n)
+    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    r = np.where(every[own], k, roots_p[own, k % roots_p.shape[1]]).astype(q.dtype)
+    pj = p[own]
     der = poly_derivative(coeffs)
     while (act := pj < q[own]).any():
         # each step runs in int64 while its moduli are below FINDER_PRIME_LIMIT
@@ -446,7 +450,6 @@ def roots_mod_prime_powers(coeffs, p, e):
         size = np.bincount(o, np.where(full, pa, one).astype(float), minlength=q.size)
         if size.max() > SCAN_BUDGET:
             raise ResourceBudgetError(f"roots mod {q[size.argmax()]} pass the scan budget")
-        # the lifts of each root follow one another, so a row keeps its order
         n = pa[full].astype(np.int64)
         src = np.concatenate([np.flatnonzero(one), np.repeat(np.flatnonzero(full), n)])
         t = -val[one] * _vpow(slope[one], pa[one] - 2, pa[one]) % pa[one]
@@ -460,9 +463,8 @@ def roots_mod_prime_powers(coeffs, p, e):
 
 @lru_cache(maxsize=1 << 16)
 def _root_count_at(coeffs: tuple, p: int, k: int) -> int:
-    """h(p^k) for one prime of any size: the finder's count for k = 1, the
-    prime-power table's for k >= 2; remembered, since scalar callers ask
-    for the same few."""
+    """h(p^k) for one prime of any size; remembered, since scalar callers
+    ask for the same few."""
     if k == 1:
         return int(roots_mod_primes(coeffs, [p], split=False)[0][0])
     return len(roots_mod_prime_powers(coeffs, np.array([p], dtype=object), [k])[1])

@@ -172,8 +172,14 @@ def test_root_counts_up_to_1e4_vs_scan(coeffs):
         assert arith.poly_root_count(coeffs, d) == scan, f"d={d}"
 
 
+# every residue is a root mod 2 while F != 0 mod 2: X^2 + X + 2, X^3 - X,
+# and X^3 + X^2 + 2, which is also not squarefree mod 2
+EVERY_RESIDUE_MOD_2 = [(2, 1, 1), (0, -1, 0, 1), (2, 0, 1, 1)]
+
+
 @pytest.mark.parametrize(
-    "coeffs", [X2_PLUS_1, X3_MINUS_2, (1, 1, 3), (2, 0, 2), (7, -7, 2), (7, 0, 1)]
+    "coeffs",
+    [X2_PLUS_1, X3_MINUS_2, (1, 1, 3), (2, 0, 2), (7, -7, 2), (7, 0, 1), *EVERY_RESIDUE_MOD_2],
 )
 def test_root_classes_vs_scan(coeffs):
     own, r = arith.root_classes(coeffs, np.arange(1, 1001))
@@ -290,6 +296,7 @@ def test_root_classes_take_every_modulus():
         ((1, 1, 3), 3, range(1, 9)),  # 3X^2 + X + 1: p | lead
         ((2, 0, 2), 2, range(1, 16)),  # 2X^2 + 2 = 0 mod 2: every residue
         (X2_PLUS_1, 10**12 + 61, [1, 2]),  # a prime above 2**29
+        ((2, 1, 1), 2, range(1, 21)),  # X^2 + X + 2: every residue mod 2, F != 0 mod 2
     ],
 )
 def test_lifted_root_counts_vs_sympy(coeffs, p, ks):
@@ -313,7 +320,7 @@ def test_root_counts_consult_no_discriminant(monkeypatch):
 
     monkeypatch.setattr(arith, "_sylvester_det", refuse)
     arith._root_count_at.cache_clear()
-    for coeffs in (X2_PLUS_1, (7, 0, 1), (2, 0, 2)):
+    for coeffs in (X2_PLUS_1, (7, 0, 1), (2, 0, 2), *EVERY_RESIDUE_MOD_2):
         g = arith.GFunctionSpec(kind="root_density", coeffs=coeffs)
         hv = arith._g_h_values(g, 600)[1]
         own, r = arith.root_classes(coeffs, np.arange(1, 601))
