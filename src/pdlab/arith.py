@@ -378,8 +378,10 @@ def roots_mod_primes(coeffs, primes, split: bool = True):
     FINDER_PRIME_LIMIT and in Python integers otherwise; h and roots come
     in that dtype, so a root mod a prime above 2**63 stays exact.
     """
-    primes = _exact_array(primes)
     deg = poly_degree(coeffs)
+    if deg < 1:
+        raise ValidationError(f"roots mod p need deg F >= 1, got F = {tuple(coeffs)}")
+    primes = _exact_array(primes)
     h = np.zeros(primes.size, dtype=primes.dtype)
     roots = np.full((primes.size, deg), -1, dtype=primes.dtype) if split else None
     lead = _residues(coeffs[deg], primes)
@@ -542,6 +544,8 @@ def root_classes(coeffs, ds) -> tuple[np.ndarray, np.ndarray]:
     below 2**58; with a larger modulus it runs in Python integers, and
     roots is an object array.
     """
+    if poly_degree(coeffs) < 1:
+        raise ValidationError(f"root classes need deg F >= 1, got F = {tuple(coeffs)}")
     ds = _exact_array(ds)
     if ds.size and int(ds.min()) < 1:
         raise ValidationError(f"root classes need moduli >= 1, got {int(ds.min())}")

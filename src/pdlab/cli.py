@@ -6,8 +6,9 @@ A human-readable table goes to stdout; --out writes the machine report
 (JSON, or CSV for sweeps).  The file payload excludes wall time, so for
 a fixed seed and config it is byte-identical regardless of --threads.
 
-Exit codes: 0 success, 2 validation error, 3 resource budget exceeded,
-4 internal assertion failure.
+Exit codes: 0 success, 2 validation error, 3 resource budget exceeded
+(a budget check, or an allocation that failed), 4 internal assertion
+failure.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import json
 import math
 import sys
 import time
-
-from scipy.integrate import quad
 
 from pdlab import arith, dickman, pdprocess, sequences, stats
 from pdlab.boxes import (
@@ -149,11 +148,7 @@ def run_pd(config: dict) -> ExperimentReport:
     seed = _seed(config)
     threads = _threads(config)
     mean_l1, dev = pdprocess.l1_mass_mc(n, seed, threads)
-    table = dickman.default_table()
-    # E[L1] = 1 - integral of rho(t)/t**2 over t >= 1 (Golomb-Dickman constant),
-    # from E[L1] = integral of (1 - P(L1 <= c)) dc with P(L1 <= c) = rho(1/c)
-    tail_int, _ = quad(lambda t: table.rho(t) / (t * t), 1.0, float(table.u_max), limit=200)
-    oracle = 1.0 - tail_int
+    oracle = dickman.default_table().mean_l1()
     return ExperimentReport(
         experiment="pd-sample",
         config=config,
@@ -557,8 +552,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except ResourceBudgetError as exc:
-        print(f"resource budget exceeded: {exc}", file=sys.stderr)
+    except (ResourceBudgetError, MemoryError) as exc:
+        print(f"resource budget exceeded: {exc or type(exc).__name__}", file=sys.stderr)
         return 3
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)

@@ -23,6 +23,11 @@ from pdlab.errors import ResourceBudgetError, ValidationError
 
 DEFAULT_U_MAX = 20
 DEFAULT_NODES = 40
+# every panel up to u_max = 100 reaches its fixed point within 28 iterations
+# at the default order; past the cap a panel must have stalled at rounding
+MAX_FIXED_POINT_ITERATIONS = 400
+# values per Legendre call in rho_vec, so the Clenshaw temporaries stay in cache
+RHO_CHUNK = 1 << 15
 
 
 class RhoTable:
@@ -58,6 +63,12 @@ class RhoTable:
         return self.rho(1.0 / c)
 
     def rho_vec(self, u: np.ndarray) -> np.ndarray:
+        """rho at every value of u, each by its panel's series, in one pass.
+
+        The values are grouped by panel with a stable sort of their small
+        integer panel index, so each panel's series runs once per chunk of
+        RHO_CHUNK values; every value gets the bits of a direct call.
+        """
         u = np.asarray(u, dtype=np.float64)
         if u.size and u.min() <= 0:
             raise ValidationError("rho_vec requires u > 0")
@@ -65,13 +76,31 @@ class RhoTable:
             raise ResourceBudgetError(
                 f"u={u.max()} is out of table (u_max={self.u_max}); extend the table"
             )
-        out = np.ones_like(u)
-        k = np.clip(np.floor(u).astype(int), 1, self.u_max - 1)
+        flat = u.ravel()
+        out = np.ones_like(flat)
+        # panel k covers [k, k+1], the last one also u_max; 0 marks u <= 1
+        k = np.where(flat > 1, np.clip(np.floor(flat), 1, self.u_max - 1), 0).astype(np.uint8)
+        order = np.argsort(k, kind="stable")
+        counts = np.bincount(k, minlength=self.u_max)
+        start = np.cumsum(counts) - counts
         for panel in range(1, self.u_max):
-            sel = (k == panel) & (u > 1)
-            if sel.any():
-                out[sel] = self._panels[panel - 1](u[sel])
-        return out
+            idx = order[start[panel] : start[panel] + counts[panel]]
+            for lo in range(0, idx.size, RHO_CHUNK):
+                sel = idx[lo : lo + RHO_CHUNK]
+                out[sel] = self._panels[panel - 1](flat[sel])
+        return out.reshape(u.shape)
+
+    def mean_l1(self) -> float:
+        """E[L1] = 1 - integral of rho(t)/t**2 over t >= 1 (Golomb-Dickman).
+
+        From E[L1] = integral of (1 - P(L1 <= c)) dc with P(L1 <= c) =
+        rho(1/c).  Gauss-Legendre of the table's order on each unit panel
+        integrates its series against the smooth 1/t**2 to rounding; past
+        u_max the tail is below rho(u_max)/u_max.
+        """
+        xg, wg = leggauss(self.nodes)
+        t = np.arange(1, self.u_max)[:, None] + (xg + 1.0) / 2.0
+        return float(1.0 - np.sum(self.rho_vec(t) / (t * t) * (wg / 2.0)))
 
     def dump_csv(self, path, step: float = 0.01) -> None:
         """Write the table as CSV columns u, rho(u) for plot tooling."""
@@ -98,14 +127,22 @@ def _build_panels(u_max: int, nodes: int) -> list[Legendre]:
             anti = prev.integ()
             i1 = anti(float(k)) - anti(t - 1.0)
         y = np.full(nodes, panels[-1](float(k)) if panels else 1.0)
-        for _ in range(400):
+        for _ in range(MAX_FIXED_POINT_ITERATIONS):
             series = Legendre.fit(t, y, deg=nodes - 1, domain=[k, k + 1])
             anti = series.integ()
             y_new = (i1 + anti(t) - anti(float(k))) / t
-            if np.max(np.abs(y_new - y)) < 1e-16:
-                y = y_new
-                break
+            step = np.max(np.abs(y_new - y))
             y = y_new
+            if step < 1e-16:
+                break
+        else:
+            # near rho = 1 an ulp exceeds 1e-16, and some orders (12, 48, ..)
+            # stall there a rounding step apart; anything larger is a failure
+            if step > 4 * np.finfo(float).eps * np.max(np.abs(y)):
+                raise AssertionError(
+                    f"rho panel [{k}, {k + 1}] did not converge in "
+                    f"{MAX_FIXED_POINT_ITERATIONS} iterations (last step {step:.3g})"
+                )
         panels.append(Legendre.fit(t, y, deg=nodes - 1, domain=[k, k + 1]))
     return panels
 

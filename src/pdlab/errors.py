@@ -2,7 +2,8 @@
 that config parsing raises through it.
 
 The CLI maps these onto exit codes: ValidationError -> 2,
-ResourceBudgetError -> 3, and any AssertionError -> 4.
+ResourceBudgetError (and a MemoryError from a failed allocation) -> 3,
+and any AssertionError -> 4.
 """
 
 import numbers

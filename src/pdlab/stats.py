@@ -24,6 +24,9 @@ from pdlab.factor import TOP_K
 from pdlab.report import Estimate
 from pdlab.sequences import SequenceSpec
 
+# values of the sorted column per reference-cdf call in ks_distance
+KS_CHUNK = 1 << 18
+
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -194,10 +197,15 @@ def ks_distance(values: np.ndarray, ref_cdf) -> float:
     if values.size == 0:
         raise ValidationError("ks_distance requires a nonempty sample")
     v = np.sort(values)
-    ref = np.asarray(ref_cdf(v), dtype=np.float64)
     n = len(v)
-    grid = np.arange(1, n + 1) / n
-    return float(max(np.max(grid - ref), np.max(ref - (grid - 1.0 / n))))
+    dist = -np.inf
+    # chunks of the sorted column keep the cdf and its temporaries small
+    for lo in range(0, n, KS_CHUNK):
+        chunk = v[lo : lo + KS_CHUNK]
+        ref = np.asarray(ref_cdf(chunk), dtype=np.float64)
+        grid = np.arange(lo + 1, lo + chunk.size + 1) / n
+        dist = max(dist, np.max(grid - ref), np.max(ref - (grid - 1.0 / n)))
+    return float(dist)
 
 
 def dickman_reference_cdf(table: dickman.RhoTable | None = None):

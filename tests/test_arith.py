@@ -285,6 +285,14 @@ def test_root_classes_take_every_modulus():
     assert sorted(r[own == 5].tolist()) == [2, 9]
 
 
+@pytest.mark.parametrize("coeffs", [(5,), (0,), (0, 0), ()])
+def test_root_finders_refuse_constant_polynomials(coeffs):
+    with pytest.raises(ValidationError):
+        arith.roots_mod_primes(coeffs, [7])
+    with pytest.raises(ValidationError):
+        arith.root_classes(coeffs, [7])
+
+
 @pytest.mark.parametrize(
     "coeffs, p, ks",
     [

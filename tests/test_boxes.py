@@ -1,5 +1,6 @@
 """Box test functions: exact correlation values, quadrature, tuple sums."""
 
+import itertools
 import math
 
 import numpy as np
@@ -39,6 +40,10 @@ def test_exact_product_formula():
     got = box_correlation_exact([(0.1, 0.2), (0.3, 0.4)])
     assert got == pytest.approx(math.log(2) * math.log(4 / 3), abs=1e-15)
     assert box_correlation_exact([(0.3, 0.3)]) == 0.0
+    # intervals meeting at an endpoint: the shared end carries no mass
+    assert box_correlation_exact([(0.1, 0.3), (0.3, 0.6)]) == 0.7615000104188089
+    got = box_correlation_exact([(0.1, 0.2), (0.2, 0.3), (0.3, 0.4)])
+    assert got == pytest.approx(math.log(2) * math.log(1.5) * math.log(4 / 3), abs=1e-15)
 
 
 def test_exact_formula_hypothesis_violations():
@@ -55,10 +60,64 @@ def test_quadrature_matches_product_on_disjoint_boxes():
         [(0.25, 0.5)],
         [(0.1, 0.2), (0.3, 0.4)],
         [(0.05, 0.1), (0.15, 0.25), (0.3, 0.45)],
+        [(0.1, 0.3), (0.3, 0.6)],
+        [(0.001, 0.2), (0.3, 0.5), (0.21, 0.29)],
+        [(0.4, 0.45), (0.002, 0.2), (0.31, 0.34)],
     ):
         eta = box(*ivals)
         want = box_correlation_exact(ivals)
-        assert box_correlation_quadrature(eta) == pytest.approx(want, abs=1e-9)
+        assert box_correlation_quadrature(eta) == pytest.approx(want, abs=1e-13)
+
+
+def _nested_quad(ivals, budget=1.0):
+    """The correlation integral by nested adaptive scipy quadrature, cut at
+    the points where a later coordinate's clip switches."""
+    from scipy.integrate import quad
+
+    (a, b), rest = ivals[0], ivals[1:]
+    hi = min(b, budget - sum(lo for lo, _ in rest))
+    if hi <= a:
+        return 0.0
+    if not rest:
+        return math.log(hi / a)
+    kinks = sorted(p for p in (budget - sum(v) for v in itertools.product(*rest)) if a < p < hi)
+    val, _ = quad(
+        lambda t: _nested_quad(rest, budget - t) / t,
+        a,
+        hi,
+        points=kinks or None,
+        epsabs=1e-13,
+        epsrel=1e-12,
+        limit=400,
+    )
+    return val
+
+
+@pytest.mark.parametrize(
+    "ivals",
+    [
+        [(0.4, 0.6), (0.5, 0.7)],  # clipped by the simplex
+        [(0.1, 0.5), (0.2, 0.6)],  # overlapping and clipped
+        [(0.01, 0.9), (0.01, 0.9)],
+        [(0.1, 0.5), (0.2, 0.6), (0.05, 0.4)],
+        [(0.02, 0.8), (0.03, 0.7), (0.01, 0.6)],
+        [(0.3, 0.5), (0.3, 0.5), (0.3, 0.5)],  # only the corner below 1
+        [(0.0044, 0.452), (0.0013, 0.517), (0.232, 0.556)],  # tiny lower ends
+        [(0.7, 0.9), (0.2, 0.4)],  # the clip leaves nothing
+    ],
+)
+def test_quadrature_matches_scipy_on_clipped_boxes(ivals):
+    want = _nested_quad(ivals)
+    assert box_correlation_quadrature(box(*ivals)) == pytest.approx(want, abs=1e-8)
+
+
+def test_quadrature_chunks_agree(monkeypatch):
+    from pdlab import boxes
+
+    eta = box((0.1, 0.5), (0.2, 0.6), (0.05, 0.4))
+    want = box_correlation_quadrature(eta)
+    monkeypatch.setattr(boxes, "QUAD_CHUNK", 5)
+    assert box_correlation_quadrature(eta) == want
 
 
 def test_quadrature_simplex_clipping():

@@ -87,3 +87,39 @@ def test_csv_dump(tmp_path, table):
     rows = {float(r["u"]): float(r["rho"]) for r in csv.DictReader(open(path))}
     assert rows[1.0] == 1.0
     assert rows[2.0] == pytest.approx(1.0 - math.log(2.0), abs=1e-10)
+
+
+def test_rho_vec_is_the_panel_series_bit_for_bit():
+    table = dickman.RhoTable(u_max=12)
+    rng = np.random.Generator(np.random.Philox(key=17))
+    u = np.concatenate(
+        [rng.uniform(0.01, 12.0, 5000), [0.5, 1.0, 2.0, 3.0, 11.0, 12.0, np.nextafter(1.0, 2.0)]]
+    )
+    rng.shuffle(u)
+    want = np.ones_like(u)
+    for i, v in enumerate(u):
+        if v > 1:
+            want[i] = table._panels[min(int(v), table.u_max - 1) - 1](v)
+    got = table.rho_vec(u)
+    assert got.tobytes() == want.tobytes()
+    # chunking and shape do not move a bit
+    assert table.rho_vec(u[:5005].reshape(-1, 7)).tobytes() == want[:5005].tobytes()
+    assert table.rho_vec(u[::-1])[::-1].tobytes() == want.tobytes()
+
+
+def test_rho_vec_chunks_agree(monkeypatch):
+    table = dickman.RhoTable(u_max=6)
+    u = np.linspace(0.5, 6.0, 3001)
+    want = table.rho_vec(u)
+    monkeypatch.setattr(dickman, "RHO_CHUNK", 7)
+    assert table.rho_vec(u).tobytes() == want.tobytes()
+
+
+def test_mean_l1_is_the_golomb_dickman_constant(table):
+    assert abs(table.mean_l1() - 0.62432998854355087099293638310083724417964262018) <= 1e-14
+
+
+def test_panel_build_raises_without_convergence(monkeypatch):
+    monkeypatch.setattr(dickman, "MAX_FIXED_POINT_ITERATIONS", 3)
+    with pytest.raises(AssertionError, match="did not converge"):
+        dickman.RhoTable(u_max=4)

@@ -150,6 +150,19 @@ def test_ks_distance_self_test():
     assert stats.ks_distance(sample, lambda c: 1.0 - ref(np.asarray(c))) > 0.4
 
 
+def test_ks_distance_chunks_agree(monkeypatch):
+    ref = stats.dickman_reference_cdf()
+    rng = np.random.Generator(np.random.Philox(key=23))
+    sample = np.concatenate([rng.uniform(0.01, 1.0, 3000), np.ones(40)])
+    v = np.sort(sample)
+    r = ref(v)
+    grid = np.arange(1, v.size + 1) / v.size
+    want = max(np.max(grid - r), np.max(r - (grid - 1.0 / v.size)))
+    assert stats.ks_distance(sample, ref) == want
+    monkeypatch.setattr(stats, "KS_CHUNK", 7)
+    assert stats.ks_distance(sample, ref) == want
+
+
 def test_lod_uniform_closed_bound():
     for x in (10**4, 10**5):
         for c in (0.3, 0.5):
