@@ -553,7 +553,7 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except (ResourceBudgetError, MemoryError) as exc:
-        print(f"resource budget exceeded: {exc or type(exc).__name__}", file=sys.stderr)
+        print(f"resource budget exceeded: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
