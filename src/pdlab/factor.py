@@ -190,10 +190,9 @@ def is_dense(values: np.ndarray) -> bool:
     """Whether arrays indexed by value over [0, max(values)] suit the set.
 
     True when the values fill at least 1/64 of that range and the range
-    fits an spf sieve.  Such a set is factored through the spf sieve and
-    its multiples are read from value-indexed masks; a sparser or larger
-    set uses per-member residues and, unless it holds polynomial values,
-    trial division.
+    fits an spf sieve.  Such a set is factored through the spf sieve; a
+    sparser or larger set, unless it holds polynomial values, by trial
+    division.
     """
     maxval = int(values.max(initial=0))
     return values.size >= maxval // 64 and maxval <= MAX_SPF_SIEVE_LIMIT

@@ -13,13 +13,15 @@ members: the n in [lo, N] with d | F(n) are those in the root classes of F
 mod d (``arith.root_classes``), counted in closed form (``class_counts``)
 for a modulus of any size.
 
-Every other divisibility question about a member set goes through one
-primitive, ``count_divisible`` / ``divisible_by_any``, and one density
-predicate, ``factor.is_dense``, picks its path: a dense set (uniform,
-Thue-Morse, shifted primes, a dense subsample) is a boolean array indexed
-by value, so a query for q reads only the multiples of q; a sparse set
-tests each member's residue mod q.  The same predicate picks the factor
-path of a sample set that is not polynomial values.
+Every other divisibility question about a member set is asked of its
+index: the value itself for uniform, Thue-Morse and shifted primes, the
+argument n for polynomial values.  p^e divides a member exactly when its
+index lies in a residue class -- 0 mod p^e for a value, a root of F mod
+p^e (``arith.roots_mod_prime_powers``) for an argument -- so
+``divisible_by_any`` marks each class by one strided write over a boolean
+array on [min(index), max(index)], and ``count_divisible`` counts the
+multiples of d among values by one strided read of the same array.  The
+array never covers more than the one the set was enumerated from.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 from pdlab import arith, factor
 from pdlab.errors import ResourceBudgetError, ValidationError, integral
-from pdlab.factor import is_dense
 
 # Largest x for which dense enumeration (uniform / Thue-Morse) is allowed.
 MAX_DENSE_X = 200_000_000
@@ -239,13 +242,15 @@ def _parity_even_vec(arr: np.ndarray) -> np.ndarray:
     return (v & np.uint64(1)) == 0
 
 
+@lru_cache(maxsize=8)
 def _poly_bounds(spec: SequenceSpec):
     """(n0, below): F increases for n >= n0, and ``below`` maps each
     positive value F(n), 1 <= n < n0, to its least such n.
 
     n0 is past the Cauchy bound 1 + max |c_i| / lead on the real roots of
     F', in integers.  The arguments below it are evaluated one by one, so
-    more than MAX_DENSE_X of them raise ResourceBudgetError first.
+    more than MAX_DENSE_X of them raise ResourceBudgetError first.  The
+    result is remembered per spec, with ``below`` read-only.
     """
     dcoeffs = arith.poly_derivative(spec.coeffs)
     ddeg = arith.poly_degree(dcoeffs)
@@ -260,7 +265,7 @@ def _poly_bounds(spec: SequenceSpec):
         v = arith.poly_eval(spec.coeffs, n)
         if v >= 1:
             below.setdefault(v, n)
-    return n0, below
+    return n0, MappingProxyType(below)
 
 
 def membership(spec: SequenceSpec, n: int) -> bool:
@@ -404,28 +409,41 @@ def members(spec: SequenceSpec, x: int) -> np.ndarray:
 # divisibility over a member set
 
 
+def _index_mask(index: np.ndarray) -> tuple[int, np.ndarray]:
+    """(lo, mask): a boolean array over [lo, max(index)], lo = min(index)
+    (0 for an empty index), all False."""
+    lo = int(index.min()) if index.size else 0
+    return lo, np.zeros(int(index.max(initial=lo)) - lo + 1, dtype=bool)
+
+
+def _classes(spec: SequenceSpec, p: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
+    """(start, step): the index of a member lies in some class start[j]
+    mod step[j] exactly when one of the prime powers p**e divides it; the
+    class 0 mod p**e for a value, the roots of F mod p**e for an argument."""
+    q = p**e
+    if spec.kind != "poly":
+        return np.zeros_like(q), q
+    h, roots = arith.roots_mod_prime_powers(spec.coeffs, p, e)
+    return roots, np.repeat(q, h)
+
+
+def divisible_by_any(
+    spec: SequenceSpec, index: np.ndarray, p: np.ndarray, e
+) -> np.ndarray:
+    """Per member of the spec's set, given by its index (the value, or the
+    argument n of a polynomial value): whether some p**e divides it."""
+    lo, marks = _index_mask(index)
+    for start, step in zip(*(a.tolist() for a in _classes(spec, p, e))):
+        marks[(start - lo) % step :: step] = True
+    return marks[index - lo]
+
+
 def count_divisible(mem: np.ndarray, ds) -> np.ndarray:
     """N_d, the number of members divisible by d, for each d >= 1 in ds."""
-    if is_dense(mem):
-        mask = np.zeros(int(mem.max(initial=0)) + 1, dtype=bool)
-        mask[mem] = True
-        counts = [np.count_nonzero(mask[d::d]) for d in ds]
-    else:
-        counts = [np.count_nonzero(mem % d == 0) for d in ds]
+    lo, mask = _index_mask(mem)
+    mask[mem - lo] = True
+    counts = [np.count_nonzero(mask[-lo % d :: d]) for d in ds]
     return np.array(counts, dtype=np.int64)
-
-
-def divisible_by_any(mem: np.ndarray, qs) -> np.ndarray:
-    """Per member: whether some q >= 1 in qs divides it."""
-    if is_dense(mem):
-        marks = np.zeros(int(mem.max(initial=0)) + 1, dtype=bool)
-        for q in qs:
-            marks[q::q] = True
-        return marks[mem]
-    hit = np.zeros(mem.size, dtype=bool)
-    for q in qs:
-        hit |= mem % q == 0
-    return hit
 
 
 def class_counts(spec: SequenceSpec, x: int, ds) -> tuple[int, np.ndarray]:

@@ -32,6 +32,9 @@ KS_CHUNK = 1 << 18
 class SampleSet:
     """What the estimators read of the spectra of a sequence's members up to x.
 
+    ``index`` is what the divisibility marks read of each member
+    (``sequences.divisible_by_any``): its argument n for polynomial
+    values, else ``u`` itself.
     ``top`` holds the k largest spectrum entries per member (zero padded;
     the u = 1 member gets the single entry 1); k = 0 gives no columns.
     ``entry_idx`` / ``entry_val`` is the ragged list of every entry
@@ -42,6 +45,7 @@ class SampleSet:
     spec: SequenceSpec
     x: int
     u: np.ndarray
+    index: np.ndarray
     top: np.ndarray
     entry_idx: np.ndarray
     entry_val: np.ndarray
@@ -70,7 +74,8 @@ def build_sample_set(
     entries.  The factor peel stops each member once it has given both,
     so a top-k build never computes smaller entries.  With k = 0 and no
     floor nothing is factored: the set holds only the (subsampled)
-    members, which is all ``repeated_factor_frequency`` reads.
+    members and their index, which is all ``repeated_factor_frequency``
+    and ``sieve_survivor_experiment`` read.
 
     Polynomial values, full or subsampled, are factored by the sieve over
     their arguments (``factor.bulk_spectra_sieve``), dense sets through
@@ -90,7 +95,7 @@ def build_sample_set(
             table = factor.build_prime_table(max(math.isqrt(span.largest) + 1, 3))
         args, mem = sequences.poly_arguments(spec, x, span)
     else:
-        mem = sequences.members(spec, x)
+        mem = args = sequences.members(spec, x)
     if mem.size == 0:
         raise ValidationError(f"sequence has no members up to x={x}")
     exhaustive = True
@@ -101,8 +106,7 @@ def build_sample_set(
         sel = np.sort(rng.choice(mem.size, size=max_members, replace=False))
         rate = max_members / mem.size
         mem = mem[sel]
-        if spec.kind == "poly":
-            args = args[sel]
+        args = args[sel] if spec.kind == "poly" else mem
         exhaustive = False
         seed_used = subsample_seed
     maxval = int(mem.max())
@@ -114,7 +118,7 @@ def build_sample_set(
         entry_idx, entry_val, top = factor.bulk_spectra_sieve(
             mem, args, table, roots, k, floor
         )
-    elif sequences.is_dense(mem):
+    elif factor.is_dense(mem):
         spf = factor.smallest_factor_sieve(max(maxval, 2))
         entry_idx, entry_val, top = factor.bulk_spectra(mem, spf, k, floor)
     else:
@@ -124,6 +128,7 @@ def build_sample_set(
         spec=spec,
         x=x,
         u=mem,
+        index=args,
         top=top,
         entry_idx=entry_idx,
         entry_val=entry_val,
@@ -241,6 +246,8 @@ def lod_error_sum(spec: SequenceSpec, x: int, c: float):
         )
     d = np.arange(1, dmax + 1, dtype=np.int64)
     n_total, nd = sequences.class_counts(spec, x, d)
+    if n_total == 0:
+        raise ValidationError(f"sequence has no members up to x={x}")
     if spec.kind == "uniform":
         gn = x / d.astype(np.float64)
     else:
@@ -259,7 +266,7 @@ def repeated_factor_frequency(s: SampleSet, alpha: float, c: float) -> Estimate:
         return Estimate.frequency(0, s.n)
     table = factor.build_prime_table(int(math.floor(hi)) + 1)
     window = table.primes[(table.primes >= lo) & (table.primes <= hi)]
-    hit = sequences.divisible_by_any(s.u, window * window)
+    hit = sequences.divisible_by_any(s.spec, s.index, window, 2)
     return Estimate.frequency(int(np.count_nonzero(hit)), s.n)
 
 
@@ -292,16 +299,20 @@ def sieve_survivor_experiment(
         raise ValidationError(
             f"empty sieving window: x={x}, eps={eps}, z0={z0}, delta0={delta0}"
         )
-    mem = sequences.members(spec, x)
-    n_total = len(mem)
-    survivors = n_total - int(np.count_nonzero(sequences.divisible_by_any(mem, window)))
+    g = arith._g_at_primes(spec.g_function(), window)
+    full = window[g >= 1.0]
+    if full.size:
+        raise ValidationError(f"g({full[0]}) = 1 makes V = 0: raise z0 to at least {full[0]}")
+    s = build_sample_set(spec, x, k=0)
+    hit = sequences.divisible_by_any(spec, s.index, window, 1)
+    survivors = s.n - int(np.count_nonzero(hit))
     # math.prod multiplies in window order; np.prod may regroup the factors
-    v = math.prod((1.0 - arith._g_at_primes(spec.g_function(), window)).tolist())
+    v = math.prod((1.0 - g).tolist())
     return SurvivorResult(
         survivors=survivors,
-        n_total=n_total,
+        n_total=s.n,
         v_product=v,
-        ratio=survivors / (v * n_total),
+        ratio=survivors / (v * s.n),
         window=(lo, hi),
         n_window_primes=int(window.size),
     )

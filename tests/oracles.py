@@ -15,6 +15,9 @@ L1(u) = log P+(u) / log u is compared with a = n/d through the integer
 test P+(u)**d >= u**n, so ties at prime powers never depend on libm.
 L1(1) = 1 by convention.  Each count is checked against sympy brute
 force in ``tests/test_oracles.py``.
+
+``residue_counts`` and ``divisible_by_any`` are the direct references for
+pdlab's divisibility marks: one ``v % d`` pass over the values per modulus.
 """
 
 from __future__ import annotations
@@ -218,3 +221,16 @@ def leading_entries(limit: int, pc: PrimeCounts) -> np.ndarray:
     u = np.arange(2, limit + 1, dtype=np.float64)
     out[1:] = np.log(lpf[2:].astype(np.float64)) / np.log(u)
     return out
+
+
+def residue_counts(values: np.ndarray, ds) -> np.ndarray:
+    """#{v in values : d | v} for each d in ds, by one residue pass per d."""
+    return np.array([np.count_nonzero(values % d == 0) for d in ds], dtype=np.int64)
+
+
+def divisible_by_any(values: np.ndarray, qs) -> np.ndarray:
+    """Per value: whether some q in qs divides it, by one residue pass per q."""
+    hit = np.zeros(values.size, dtype=bool)
+    for q in qs:
+        hit |= values % q == 0
+    return hit

@@ -92,6 +92,28 @@ def test_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
+NO_MEMBERS = json.dumps({"kind": "shifted_primes", "shift": -10**6})
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["sieve", "--spec", NO_MEMBERS, "--x", "100", "--eps", "0.1"], "no members"),
+        (["lod", "--spec", NO_MEMBERS, "--x", "100", "--c", "0.5"], "no members"),
+        (["lod", "--spec", '{"kind": "poly", "coeffs": [1, 0, 1]}', "--x", "1", "--c", "0.5"],
+         "no members"),
+        (["sieve", "--spec", '{"kind": "shifted_primes", "shift": 1}', "--x", "1000",
+          "--eps", "0.1", "--z0", "1"], "g(2) = 1"),
+        (["sieve", "--spec", '{"kind": "poly", "coeffs": [2, 1, 1]}', "--x", "1000",
+          "--eps", "0.1", "--z0", "1"], "g(2) = 1"),
+    ],
+    ids=["sieve-empty", "lod-empty", "lod-poly-empty", "sieve-v0-shifted", "sieve-v0-poly"],
+)
+def test_empty_set_or_zero_v_exits_2(argv, shown, capsys):
+    assert run_cli(*argv) == 2
+    assert shown in capsys.readouterr().err
+
+
 def test_unknown_spec_kind_exits_2():
     assert run_cli("tail", "--spec", '{"kind":"martian"}', "--x", "100", "--eps", "0.1") == 2
 

@@ -118,7 +118,7 @@ def _thue_morse_1e5():
 def _dense_subsample():
     rng = np.random.Generator(np.random.Philox(key=9))
     values = np.sort(rng.choice(np.arange(1, 2**16 + 4), size=8000, replace=False))
-    assert sequences.is_dense(values)
+    assert factor.is_dense(values)
     return values
 
 

@@ -136,3 +136,14 @@ def test_largest_prime_factor_and_leading_entries(pc, factored):
     assert l1.shape == (X,) and l1[0] == 1.0
     want = [math.log(max(factored[u])) / math.log(u) for u in range(2, X + 1)]
     np.testing.assert_allclose(l1[1:], want, rtol=1e-15, atol=0)
+
+
+def test_residue_references(factored):
+    values = np.arange(2, 2001)
+    ds = np.arange(1, 60)
+    want = [sum(all(factored[u].get(p, 0) >= e for p, e in sympy.factorint(int(d)).items())
+                for u in range(2, 2001)) for d in ds]
+    assert oracles.residue_counts(values, ds).tolist() == want
+    qs = [9, 25, 49]
+    hit = [any(factored[u].get(p, 0) >= 2 for p in (3, 5, 7)) for u in range(2, 2001)]
+    assert oracles.divisible_by_any(values, qs).tolist() == hit

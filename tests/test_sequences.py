@@ -123,6 +123,22 @@ def test_enumerate_matches_membership_filter(spec):
     assert enumerated == filtered
 
 
+def test_poly_bounds_are_remembered_per_spec(monkeypatch):
+    spec = sequences.polynomial_values([1, -2000, 1])  # n0 = 1002
+    sequences._poly_bounds.cache_clear()
+    calls = []
+    real = arith.poly_eval
+    monkeypatch.setattr(arith, "poly_eval", lambda c, n: calls.append(n) or real(c, n))
+    assert not sequences.membership(spec, 5)
+    assert len(calls) > 1000
+    calls.clear()
+    assert not sequences.membership(spec, 5)
+    assert 0 < len(calls) < 100  # the bisection only
+    calls.clear()
+    sequences._poly_bounds(spec)
+    assert calls == []
+
+
 def _members_by_loop(spec, x):
     """The enumeration loop that vectorized ``members`` replaced."""
     n0, _ = sequences._poly_bounds(spec)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+import oracles
 from pdlab import arith, dickman, factor, sequences, stats
 from pdlab.boxes import box
 from pdlab.errors import ValidationError
@@ -111,7 +112,7 @@ def test_sparse_trial_division_path():
     sparse = stats.build_sample_set(
         sequences.shifted_primes(1), 10**6, floor=0.0, max_members=999, subsample_seed=2
     )
-    assert not sequences.is_dense(sparse.u)
+    assert not factor.is_dense(sparse.u)
     for s in (poly, sparse):
         for i, u in enumerate(s.u[:50]):
             lu = math.log(int(u))
@@ -334,7 +335,7 @@ def _member_multisets(idx, val):
 
 def test_shaped_builds_equal_the_complete_build(complete_build):
     name, (spec, x, kw), full = complete_build
-    dense = sequences.is_dense(full.u)
+    dense = factor.is_dense(full.u)
     assert dense == (name != "x2p1")
     for k in (1, 2, 3):
         s = stats.build_sample_set(spec, x, k=k, **kw)
@@ -383,7 +384,71 @@ def test_poly_sieve_reproduces_the_trial_path(name):
         ds = np.arange(1, 1001)
         n_total, nd = sequences.class_counts(spec, x, ds)
         assert n_total == mem.size
-        assert np.array_equal(nd, sequences.count_divisible(mem, ds))
+        assert np.array_equal(nd, oracles.residue_counts(mem, ds))
+
+
+MARK_CASES = {
+    "x2p1": ([1, 0, 1], 10**10),
+    "x3m2": ([-2, 0, 0, 1], 10**12),
+    "x2pxp2": ([2, 1, 1], 10**8),  # every residue is a root mod 2
+    "content2": ([2, 0, 2], 10**8),  # every residue is a root mod 2
+}
+
+
+@pytest.mark.parametrize(
+    "kw", [{}, {"max_members": 3000, "subsample_seed": 7}], ids=["full", "subsample"]
+)
+@pytest.mark.parametrize("name", list(MARK_CASES))
+def test_poly_marks_equal_the_residue_oracle(name, kw):
+    coeffs, x = MARK_CASES[name]
+    spec = sequences.polynomial_values(coeffs)
+    s = stats.build_sample_set(spec, x, k=0, **kw)
+    assert [arith.poly_eval(coeffs, n) for n in s.index.tolist()] == s.u.tolist()
+    window = factor.build_prime_table(200).primes
+    for e in (1, 2):
+        got = sequences.divisible_by_any(spec, s.index, window, e)
+        assert np.array_equal(got, oracles.divisible_by_any(s.u, window**e))
+        for p in window[:8].tolist():
+            got = sequences.divisible_by_any(spec, s.index, np.array([p]), e)
+            assert np.array_equal(got, oracles.divisible_by_any(s.u, [p**e])), (p, e)
+    if name in ("x2pxp2", "content2"):
+        assert sequences.divisible_by_any(spec, s.index, np.array([2]), 1).all()
+
+
+def test_value_marks_on_a_far_narrow_range():
+    # sparse by factor.is_dense, every member above 9e6: the marks cover
+    # [min, max] of the values, an offset range of 10^6
+    spec = sequences.shifted_primes(-9 * 10**6)
+    s = stats.build_sample_set(spec, 10**7, k=0)
+    assert not factor.is_dense(s.u) and s.index is s.u and s.u.min() > 9 * 10**6
+    window = factor.build_prime_table(1000).primes
+    for e in (1, 2):
+        got = sequences.divisible_by_any(spec, s.index, window, e)
+        assert np.array_equal(got, oracles.divisible_by_any(s.u, window**e))
+    ds = np.arange(1, 2001)
+    assert np.array_equal(sequences.count_divisible(s.u, ds), oracles.residue_counts(s.u, ds))
+
+
+@pytest.mark.parametrize(
+    "coeffs, x, kw",
+    [
+        ([1, 0, 1], 10**6, {}),
+        ([2, 0, 2], 10**6, {}),
+        ([-2, 0, 0, 1], 10**9, {}),
+        ([1, 0, 1], 10**8, {"max_members": 500, "subsample_seed": 3}),
+    ],
+    ids=["x2p1", "content2", "x3m2", "subsample"],
+)
+def test_repeated_factor_on_polynomial_values_brute_force(coeffs, x, kw):
+    s = stats.build_sample_set(sequences.polynomial_values(coeffs), x, k=0, **kw)
+    alpha, c = 0.04, 0.5  # the window starts below 2
+    got = stats.repeated_factor_frequency(s, alpha, c).value
+    lo, hi = x**alpha, x**c
+    brute = sum(
+        any(lo <= p <= hi and e >= 2 for p, e in sympy.factorint(u).items())
+        for u in s.u.tolist()
+    )
+    assert brute > 0 and got == brute / s.n
 
 
 def test_members_only_build_factors_nothing(monkeypatch):
