@@ -20,8 +20,11 @@ power of p at a time; F'(r) mod p decides whether a root lifts once, p
 times or not at all.  ``root_classes`` combines them into the roots mod d
 by the Chinese remainder theorem, for moduli of any size, and the density
 pass and the scalar counts h(p^k) read the same table.  The vectors g(n),
-n <= x, come from one spf pass that builds their integer numerators
-exactly, so each g(n) is a correctly rounded ratio.
+n <= x, come from one prime-power pass that builds their integer
+numerators exactly, so each g(n) is a correctly rounded ratio.
+
+Nothing here factors: the moduli and the density pass read
+``factor.prime_powers``, and the scalar functions ``factor.factorize``.
 """
 
 from __future__ import annotations
@@ -39,26 +42,12 @@ from pdlab.errors import ResourceBudgetError, ValidationError
 # Longest residue list that a scan (roots_mod) or a root lift builds.
 SCAN_BUDGET = 10**6
 
-_table = None
-
-
-def _small_table(need: int) -> factor.PrimeTable:
-    global _table
-    need = max(need, 10**6)
-    if _table is None or _table.limit < need:
-        _table = factor.build_prime_table(need)
-    return _table
-
-
-def _factorize(d: int) -> factor.Factorization:
-    return factor.factorize(d, _small_table(math.isqrt(d) + 1))
-
 
 def euler_phi(d: int) -> int:
     if d < 1:
         raise ValidationError(f"euler_phi requires d >= 1, got {d}")
     out = 1
-    for p, e in _factorize(d).factors:
+    for p, e in factor.factorize(d).factors:
         out *= (p - 1) * p ** (e - 1)
     return out
 
@@ -67,7 +56,7 @@ def big_omega(d: int) -> int:
     """Number of prime factors counted with multiplicity; Omega(1) = 0."""
     if d < 1:
         raise ValidationError(f"big_omega requires d >= 1, got {d}")
-    return sum(e for _, e in _factorize(d).factors)
+    return sum(e for _, e in factor.factorize(d).factors)
 
 
 def tau3(d: int) -> int:
@@ -75,7 +64,7 @@ def tau3(d: int) -> int:
     if d < 1:
         raise ValidationError(f"tau3 requires d >= 1, got {d}")
     out = 1
-    for _, e in _factorize(d).factors:
+    for _, e in factor.factorize(d).factors:
         out *= (e + 1) * (e + 2) // 2
     return out
 
@@ -491,45 +480,11 @@ def poly_root_count_pk(coeffs, p: int, k: int) -> int:
 
 
 def poly_root_count(coeffs, d: int) -> int:
-    """h(d) = prod over p^k || d of h(p^k), by CRT multiplicativity."""
+    """h(d) = prod over p^k || d of h(p^k), by CRT multiplicativity; d past
+    factor.MAX_PRIME_TABLE_LIMIT**2 raises ResourceBudgetError."""
     if d < 1:
         raise ValidationError(f"poly_root_count requires d >= 1, got {d}")
-    return math.prod(poly_root_count_pk(coeffs, p, e) for p, e in _factorize(d).factors)
-
-
-def _prime_power_peel(spf: np.ndarray, values: np.ndarray):
-    """Per step, (idx, p, e): the smallest remaining prime power p**e of
-    each values[idx] > 1, read from an spf sieve covering the values."""
-    idx = np.flatnonzero(values > 1)
-    rem = values[idx].astype(np.int64)
-    while idx.size:
-        # int64, the dtype of the products that callers build from p and e
-        p = spf[rem].astype(np.int64)
-        rem //= p
-        e = np.ones_like(p)
-        sel = np.flatnonzero(rem % p == 0)
-        while sel.size:
-            rem[sel] //= p[sel]
-            e[sel] += 1
-            sel = sel[rem[sel] % p[sel] == 0]
-        yield idx, p, e
-        alive = rem > 1
-        idx, rem = idx[alive], rem[alive]
-
-
-def _prime_power_steps(ds: np.ndarray):
-    """_prime_power_peel over the moduli ds: through one spf sieve when
-    they are dense (factor.is_dense), else by factoring each; p and e
-    come in the dtype of ds."""
-    if factor.is_dense(ds):
-        top = int(ds.max(initial=0))
-        yield from _prime_power_peel(factor.smallest_factor_sieve(max(top, 2)), ds)
-        return
-    facs = [_factorize(d).factors for d in ds.tolist()]
-    for j in range(max(map(len, facs), default=0)):
-        pos = [i for i, f in enumerate(facs) if len(f) > j]
-        pe = np.array([facs[i][j] for i in pos], dtype=ds.dtype)
-        yield np.array(pos, dtype=np.int64), pe[:, 0], pe[:, 1]
+    return math.prod(poly_root_count_pk(coeffs, p, e) for p, e in factor.factorize(d).factors)
 
 
 def root_classes(coeffs, ds) -> tuple[np.ndarray, np.ndarray]:
@@ -537,9 +492,10 @@ def root_classes(coeffs, ds) -> tuple[np.ndarray, np.ndarray]:
     with own ascending, for each modulus d = ds[i] >= 1 of any size.
 
     One roots_mod_prime_powers call gives the roots mod every prime power
-    of every modulus; the roots mod d combine them by the Chinese remainder
-    theorem, one prime power per step for all moduli, each step finding its
-    roots in that table by one searchsorted.
+    of every modulus (factor.prime_powers, which refuses moduli past
+    MAX_PRIME_TABLE_LIMIT**2); the roots mod d combine them by the Chinese
+    remainder theorem, one prime power per step for all moduli, each step
+    finding its roots in that table by one searchsorted.
     Below FINDER_PRIME_LIMIT = 2**29 the CRT runs in int64, every product
     below 2**58; with a larger modulus it runs in Python integers, and
     roots is an object array.
@@ -549,7 +505,7 @@ def root_classes(coeffs, ds) -> tuple[np.ndarray, np.ndarray]:
     ds = _exact_array(ds)
     if ds.size and int(ds.min()) < 1:
         raise ValidationError(f"root classes need moduli >= 1, got {int(ds.min())}")
-    steps = [(pos, p, e, p**e) for pos, p, e in _prime_power_steps(ds)]
+    steps = [(pos, p, e, p**e) for pos, p, e in factor.prime_powers(ds)]
     p, e, q = (np.concatenate([s[j] for s in steps] + [ds[:0]]) for j in (1, 2, 3))
     keys, first = np.unique(q, return_index=True)
     count, flat = roots_mod_prime_powers(coeffs, p[first], e[first])
@@ -619,28 +575,29 @@ def mertens_deviation(g: GFunctionSpec, x: int) -> float:
     """sum_{p<=x} g(p) log p - log x, a boundedness diagnostic."""
     if x < 2:
         raise ValidationError(f"mertens_deviation requires x >= 2, got {x}")
-    primes = _small_table(x).primes
-    primes = primes[primes <= x]
+    primes = factor.build_prime_table(x).primes
     gp = _g_at_primes(g, primes)
     return float(np.sum(gp * np.log(primes.astype(np.float64))) - math.log(x))
 
 
 def _g_h_values(g: GFunctionSpec, x: int):
-    """(g(n), h(n), Omega(n)) for 0 <= n <= x from one spf division pass.
+    """(g(n), h(n), Omega(n)) for 0 <= n <= x from one factor.prime_powers pass.
 
-    The pass divides out each prime power p^e || n and builds the exact
-    integer behind g: phi(n) for reciprocal_totient, the root count h(n)
-    for root_density.  g(n) is then the correctly rounded ratio 1/n,
+    The pass gives each prime power p^e || n and builds the exact integer
+    behind g: phi(n) for reciprocal_totient, the root count h(n) for
+    root_density.  g(n) is then the correctly rounded ratio 1/n,
     1/phi(n) or h(n)/n.  h is None unless g is a root density; g(0) = 0.
     """
-    spf = factor.smallest_factor_sieve(max(x, 2))[: x + 1]
+    if x > factor.MAX_SPF_SIEVE_LIMIT:
+        raise ResourceBudgetError(f"density pass to {x} exceeds {factor.MAX_SPF_SIEVE_LIMIT}")
     n = np.arange(x + 1, dtype=np.int64)
     num = np.ones(x + 1, dtype=np.int64)
     omega = np.zeros(x + 1, dtype=np.int8)
     if g.kind == "root_density":
         # hq[q] = h(q) at every prime power q <= x; ps[j] holds the primes
         # with p**(j + 2) <= x
-        primes = np.flatnonzero(spf[2:] == n[2:]) + 2
+        primes = factor.build_prime_table(max(x, 2)).primes
+        primes = primes[primes <= x]
         hq = np.zeros(x + 1, dtype=np.int64)
         hq[primes] = roots_mod_primes(g.coeffs, primes, split=False)[0]
         ps = [primes[primes <= math.isqrt(x)]]
@@ -652,7 +609,7 @@ def _g_h_values(g: GFunctionSpec, x: int):
         hq[p**e] = hq[p]
         lift = ~_squarefree_mod(g.coeffs, p)
         hq[p[lift] ** e[lift]] = roots_mod_prime_powers(g.coeffs, p[lift], e[lift])[0]
-    for idx, p, e in _prime_power_peel(spf, n):
+    for idx, p, e in factor.prime_powers(n):
         omega[idx] += e
         if g.kind == "reciprocal_totient":
             num[idx] *= (p - 1) * p ** (e - 1)

@@ -1,4 +1,8 @@
-"""Prime generation and bulk factorization.
+"""Prime generation and factorization, the one place that chooses how.
+
+``prime_powers`` factors any integer array, through an spf sieve when the
+values are dense (``is_dense``), else by one chunked trial division;
+``spectra`` chooses the same way, and ``factorize`` factors one integer.
 
 Three peel sources produce the prime factors of a set of values:
 
@@ -8,8 +12,8 @@ Three peel sources produce the prime factors of a set of values:
 * a sieve over the arguments n of polynomial values F(n)
   (``bulk_spectra_sieve``): p divides F(n) exactly when n lies in a root
   class of F mod p, so each class gives its p with no trial division;
-* vectorized trial division against a prime table for sparse values of
-  the other kinds (``bulk_spectra_trial``), valid for u <= limit**2.
+* the trial division of ``prime_powers`` for other sparse values
+  (``bulk_spectra_trial``), valid for u <= limit**2.
 
 The last two find every prime smallest first, and one regroup
 (``_from_the_top``) turns that stream into the same peel as the first:
@@ -47,6 +51,8 @@ MAX_SPF_SIEVE_LIMIT = 200_000_000
 TOP_K = 3
 # arguments per block of the polynomial sieve: bounds its (n, p) pairs
 _SIEVE_BLOCK = 1 << 18
+# (live value, table prime) pairs per chunk of the trial division
+_TRIAL_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -95,30 +101,40 @@ class NormalizedSpectrum:
 
 
 def build_prime_table(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to limit (inclusive)."""
+    """Sieve of Eratosthenes over the odd numbers up to limit (inclusive)."""
     if limit < 2:
         raise ValidationError(f"prime table limit must be >= 2, got {limit}")
     if limit > MAX_PRIME_TABLE_LIMIT:
         raise ResourceBudgetError(
             f"prime table limit {limit} exceeds budget {MAX_PRIME_TABLE_LIMIT}"
         )
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return PrimeTable(limit=limit, primes=np.flatnonzero(is_prime).astype(np.int64))
+    # odd[i]: whether 2i + 1 is prime, with i = 0 standing for the prime 2
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            odd[2 * i * (i + 1) :: 2 * i + 1] = False  # from (2i + 1)**2 on
+    primes = 2 * np.flatnonzero(odd).astype(np.int64) + 1
+    primes[0] = 2
+    return PrimeTable(limit=limit, primes=primes)
 
 
-def factorize(u: int, table: PrimeTable) -> Factorization:
-    """Trial division by table primes up to sqrt(u).
+def _table_for(vmax: int) -> PrimeTable:
+    """The primes that factor every value up to vmax."""
+    return build_prime_table(max(math.isqrt(vmax) + 1, 3))
+
+
+def factorize(u: int, table: PrimeTable | None = None) -> Factorization:
+    """Trial division by table primes up to sqrt(u), for one integer.
 
     Requires table.limit**2 >= u: after removing all table prime factors
     p <= sqrt(remaining), at most one cofactor larger than the table limit
-    remains and it is prime.
+    remains and it is prime.  With no table, it builds the primes up to
+    sqrt(u), which past MAX_PRIME_TABLE_LIMIT**2 raises ResourceBudgetError.
     """
     if u < 1:
         raise ValidationError(f"factorize requires u >= 1, got {u}")
+    if table is None:
+        table = _table_for(u)
     if table.limit * table.limit < u:
         raise ValidationError(
             f"prime table limit {table.limit} too small for u={u} (need limit**2 >= u)"
@@ -196,6 +212,81 @@ def is_dense(values: np.ndarray) -> bool:
     """
     maxval = int(values.max(initial=0))
     return values.size >= maxval // 64 and maxval <= MAX_SPF_SIEVE_LIMIT
+
+
+def prime_powers(values):
+    """Batches (idx, p, e), int64, with p**e || values[idx]: every prime
+    power of every value >= 2 once, at most one per value in a batch, each
+    value's with p ascending.  The trial table is built, and so checked
+    against its budget, before values of any size are cast to int64."""
+    values = np.asarray(values)
+    vmax = int(values.max(initial=0))
+    if is_dense(values):
+        return _spf_prime_powers(values, smallest_factor_sieve(max(vmax, 2)))
+    table = _table_for(vmax)
+    return _trial_prime_powers(values.astype(np.int64), table)
+
+
+def _divide_out(rem: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """e with p**e || rem elementwise, for primes p | rem; rem /= p**e in place."""
+    e, sel = np.zeros_like(p), np.arange(p.size)
+    while sel.size:
+        rem[sel] //= p[sel]
+        e[sel] += 1
+        sel = sel[rem[sel] % p[sel] == 0]
+    return e
+
+
+def _spf_prime_powers(values: np.ndarray, spf: np.ndarray):
+    """prime_powers read from an spf sieve covering the values."""
+    idx = np.flatnonzero(values > 1)
+    rem = values[idx].astype(np.int64)
+    while idx.size:
+        p = spf[rem].astype(np.int64)
+        yield idx, p, _divide_out(rem, p)
+        alive = rem > 1
+        idx, rem = idx[alive], rem[alive]
+
+
+def _trial_prime_powers(values: np.ndarray, table: PrimeTable):
+    """prime_powers by trial division, for int64 values up to table.limit**2:
+    each chunk tests the live cofactors against the next table primes,
+    about _TRIAL_CELLS pairs and none past sqrt(largest cofactor)."""
+    primes = table.primes
+    idx = np.flatnonzero(values > 1)
+    rem, lo = values[idx], 0
+    while idx.size:
+        # no factor below primes[lo]: prime below its square, or past the table
+        done = rem < (primes[lo] ** 2 if lo < primes.size else table.limit**2 + 1)
+        if done.any():
+            yield idx[done], rem[done], np.ones_like(rem[done])
+            idx, rem = idx[~done], rem[~done]
+        big = int(rem.max(initial=0))
+        top = np.searchsorted(primes, math.isqrt(big), side="right")
+        hi = min(lo + _TRIAL_CELLS // max(idx.size, 1) + 1, top)
+        # uint32 divides faster than int64; hits come row-major, so p ascends per value
+        cof = rem.astype(np.uint32 if big < 1 << 32 else np.int64)
+        hit = np.flatnonzero(cof[:, None] % primes[lo:hi].astype(cof.dtype) == 0)
+        row, p = hit // (hi - lo), primes[lo + hit % (hi - lo)]
+        e = _divide_out(rem[row], p)
+        rank = np.arange(row.size) - np.searchsorted(row, row)
+        for r in range(int(rank.max(initial=-1)) + 1):
+            at = rank == r
+            rem[row[at]] //= p[at] ** e[at]
+            yield idx[row[at]], p[at], e[at]
+        alive = rem > 1
+        idx, rem = idx[alive], rem[alive]
+        lo = hi
+
+
+def spectra(values, k: int = TOP_K, floor: float | None = 0.0):
+    """bulk_spectra through an spf sieve for a dense set (is_dense), else
+    bulk_spectra_trial against the primes up to sqrt(max)."""
+    values = np.asarray(values)
+    vmax = int(values.max(initial=0))
+    if is_dense(values):
+        return bulk_spectra(values, smallest_factor_sieve(max(vmax, 2)), k, floor)
+    return bulk_spectra_trial(values, _table_for(vmax), k, floor)
 
 
 def _largest_factor_table(spf: np.ndarray) -> np.ndarray:
@@ -320,7 +411,7 @@ def bulk_spectra(values, spf: np.ndarray, k: int = TOP_K, floor: float | None = 
 def bulk_spectra_trial(
     values, table: PrimeTable, k: int = TOP_K, floor: float | None = 0.0
 ):
-    """Normalized spectra by vectorized trial division (sparse/large values).
+    """Normalized spectra by prime_powers' trial division (sparse/large values).
 
     Valid for values up to table.limit**2; each value's final cofactor
     beyond the table is prime by the trial-division contract.  Every
@@ -332,29 +423,8 @@ def bulk_spectra_trial(
         values, table.limit * table.limit, f"prime table limit {table.limit}"
     )
 
-    def ascending():
-        idx = np.flatnonzero(values > 1).astype(np.int32)
-        rem = values[idx]
-        for p in table.primes.tolist():
-            if idx.size == 0:
-                return
-            # cofactors below p*p are prime: retire them
-            done = rem < p * p
-            if done.any():
-                yield idx[done], rem[done]
-                idx, rem = idx[~done], rem[~done]
-            sel = np.flatnonzero(rem % p == 0)
-            while sel.size:
-                yield idx[sel], np.full(sel.size, p, dtype=np.int64)
-                rem[sel] //= p
-                sel = sel[rem[sel] % p == 0]
-            alive = rem > 1
-            idx, rem = idx[alive], rem[alive]
-        if idx.size:
-            # remaining cofactors exceed every table prime squared: prime by contract
-            yield idx, rem
-
-    return _fold_spectra(values, _from_the_top(len(values), ascending()), k, floor)
+    peel = _from_the_top(len(values), _trial_prime_powers(values, table))
+    return _fold_spectra(values, peel, k, floor)
 
 
 def bulk_spectra_sieve(
@@ -404,32 +474,27 @@ def bulk_spectra_sieve(
             keep = rem[n] > 1  # member arguments only
             n, p = n[keep], p[keep]
             # every F(n) in a root class is divisible by p at least once
-            t, e = rem[n], np.zeros_like(n)
-            sel = np.arange(n.size)
-            while sel.size:
-                t[sel] //= p[sel]
-                e[sel] += 1
-                sel = sel[t[sel] % p[sel] == 0]
-            yield pos[np.repeat(n, e)], np.repeat(p, e)
+            e = _divide_out(rem[n], p)
+            yield pos[n], p, e
             div = np.ones(hi - lo, dtype=np.int64)
             np.multiply.at(div, n - lo, p**e)
             cof = rem[lo:hi] // div
             left = np.flatnonzero(cof > 1)
-            yield pos[lo + left], cof[left]
+            yield pos[lo + left], cof[left], np.ones_like(left)
 
     return _fold_spectra(values, _from_the_top(len(values), ascending()), k, floor)
 
 
 def _from_the_top(n: int, ascending):
-    """A peel, largest prime first, from a stream of (idx, p) batches that
-    gives every prime factor of n values, with multiplicity, each value's
+    """A peel, largest prime first, from a stream of (idx, p, e) batches
+    that gives every prime power p**e || value of n values, each value's
     in ascending order.  The regroup stops a value once the fold needs no
     more of it."""
-    pairs = list(ascending)
-    if not pairs:
+    batches = list(ascending)
+    if not batches:
         return
-    idx = np.concatenate([i for i, _ in pairs])
-    p = np.concatenate([q for _, q in pairs])
+    idx = np.concatenate([np.repeat(i, e) for i, _, e in batches])
+    p = np.concatenate([np.repeat(q, e) for _, q, e in batches])
     # a stable sort by value keeps each value's primes ascending, so the
     # (j+1)-th largest prime of a value is j places before the end of its run
     order = np.argsort(idx, kind="stable")

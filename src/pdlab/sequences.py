@@ -26,7 +26,6 @@ array never covers more than the one the set was enumerated from.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -175,26 +174,21 @@ def _check_poly(coeffs) -> None:
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for i in range(1, math.isqrt(n) + 1):
-        if n % i == 0:
-            out.extend((i, n // i))
-    return sorted(set(out))
+    """The positive divisors of n != 0, from its prime powers."""
+    out = [1]
+    for p, e in factor.factorize(abs(n)).factors:
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return out
 
 
 def _has_rational_root(coeffs) -> bool:
     deg = arith.poly_degree(coeffs)
-    for q in _divisors(coeffs[deg]):
-        for p in _divisors(coeffs[0]):
-            for s in (p, -p):
-                # root s/q iff sum c_i s^i q^(deg-i) = 0
-                val = sum(
-                    c * s**i * q ** (deg - i) for i, c in enumerate(coeffs)
-                )
-                if val == 0:
-                    return True
-    return False
+    ps = _divisors(coeffs[0])
+    # root s/q iff sum c_i s^i q^(deg-i) = 0
+    return any(
+        sum(c * s**i * q ** (deg - i) for i, c in enumerate(coeffs)) == 0
+        for q in _divisors(coeffs[deg]) for p in ps for s in (p, -p)
+    )
 
 
 def _irreducible_mod_p(coeffs, p: int) -> bool:
@@ -215,20 +209,6 @@ def _irreducible_mod_p(coeffs, p: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # membership and enumeration
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3):
-        if n % p == 0:
-            return n == p
-    i = 5
-    while i * i <= n:
-        if n % i == 0 or n % (i + 2) == 0:
-            return False
-        i += 6
-    return True
 
 
 def _popcount_parity_even(n: int) -> bool:
@@ -275,7 +255,8 @@ def membership(spec: SequenceSpec, n: int) -> bool:
     if spec.kind == "uniform":
         return True
     if spec.kind == "shifted_primes":
-        return _is_prime(n + spec.shift)
+        m = n + spec.shift
+        return m >= 2 and factor.factorize(m).factors == ((m, 1),)
     if spec.kind == "thue_morse":
         return _popcount_parity_even(n)
     n0, below = _poly_bounds(spec)

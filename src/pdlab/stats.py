@@ -78,8 +78,8 @@ def build_sample_set(
     and ``sieve_survivor_experiment`` read.
 
     Polynomial values, full or subsampled, are factored by the sieve over
-    their arguments (``factor.bulk_spectra_sieve``), dense sets through
-    the spf sieve, and other sparse sets by trial division.
+    their arguments (``factor.bulk_spectra_sieve``); any other set goes to
+    ``factor.spectra``, which chooses its own source.
     """
     if not 0 <= k <= TOP_K:
         raise ValidationError(
@@ -109,7 +109,6 @@ def build_sample_set(
         args = args[sel] if spec.kind == "poly" else mem
         exhaustive = False
         seed_used = subsample_seed
-    maxval = int(mem.max())
     if not factoring:
         entry_idx, entry_val = np.zeros(0, dtype=np.int32), np.zeros(0)
         top = np.zeros((mem.size, 0))
@@ -118,12 +117,8 @@ def build_sample_set(
         entry_idx, entry_val, top = factor.bulk_spectra_sieve(
             mem, args, table, roots, k, floor
         )
-    elif factor.is_dense(mem):
-        spf = factor.smallest_factor_sieve(max(maxval, 2))
-        entry_idx, entry_val, top = factor.bulk_spectra(mem, spf, k, floor)
     else:
-        table = factor.build_prime_table(max(math.isqrt(maxval) + 1, 3))
-        entry_idx, entry_val, top = factor.bulk_spectra_trial(mem, table, k, floor)
+        entry_idx, entry_val, top = factor.spectra(mem, k, floor)
     return SampleSet(
         spec=spec,
         x=x,

@@ -498,3 +498,42 @@ def test_empirical_c_bound_reported():
 def test_invalid_g_kind():
     with pytest.raises(ValidationError):
         arith.GFunctionSpec(kind="nope")
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        (10**6 + 3) * (10**6 + 33),
+        1000033 * 1000037,  # X^2 + 1: two roots mod each
+        1000037 * 1000039,  # X^3 - 2: one root, then three
+        1000037**2,
+        2 * 1000033 * 1000037,
+    ],
+)
+def test_scalar_functions_past_a_million_vs_sympy(d):
+    # each d has a prime factor above 10**6, past any table kept between calls
+    assert max(sympy.factorint(d)) > 10**6
+    assert arith.euler_phi(d) == sympy.totient(d)
+    assert arith.big_omega(d) == sympy.primeomega(d)
+    assert arith.tau3(d) == sum(sympy.divisor_count(d // a) for a in sympy.divisors(d))
+    for coeffs in (X2_PLUS_1, X3_MINUS_2):
+        assert arith.poly_root_count(coeffs, d) == _sympy_count_mod(coeffs, d)
+
+
+@pytest.mark.parametrize("d", [(10**12 + 61) ** 2, 10**20])
+@pytest.mark.parametrize(
+    "count",
+    [lambda d: arith.poly_root_count(X2_PLUS_1, d), lambda d: arith.root_classes(X2_PLUS_1, [d])],
+    ids=["poly_root_count", "root_classes"],
+)
+def test_moduli_past_the_table_budget_are_refused(count, d):
+    # factoring d needs primes past MAX_PRIME_TABLE_LIMIT; 10**20 is past int64 too
+    with pytest.raises(ResourceBudgetError):
+        count(d)
+
+
+def test_density_pass_refuses_past_the_spf_budget():
+    # refused before the arrays over 0..x are allocated
+    g = arith.GFunctionSpec(kind="reciprocal")
+    with pytest.raises(ResourceBudgetError):
+        arith.empirical_c_bound(g, factor.MAX_SPF_SIEVE_LIMIT + 1)

@@ -187,6 +187,16 @@ def test_oversized_polynomial_run_exits_3_before_enumerating(argv, capsys):
     assert "resource budget exceeded" in capsys.readouterr().err
 
 
+def test_huge_constant_coefficient_exits_3_at_once(capsys):
+    # the rational-root test factors c0 = 10**18 + 3, which needs primes
+    # past the prime table budget
+    spec = '{"kind":"poly","coeffs":[1000000000000000003,0,1]}'
+    t0 = time.perf_counter()
+    assert run_cli("tail", "--spec", spec, "--x", "100", "--eps", "0.1") == 3
+    assert time.perf_counter() - t0 < 5.0
+    assert "resource budget exceeded" in capsys.readouterr().err
+
+
 def test_far_turning_point_exits_3_before_enumerating(capsys):
     # X^2 - 3e9 X + 1 decreases up to n = 1.5e9
     spec = '{"kind":"poly","coeffs":[1,-3000000000,1]}'

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import PrimeCounts, largest_prime_factor
 
 from pdlab import factor, sequences
-from pdlab.errors import ValidationError
+from pdlab.errors import ResourceBudgetError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +180,84 @@ def test_factorize_table_too_small():
     small = factor.build_prime_table(10)
     with pytest.raises(ValidationError):
         factor.factorize(10**4 + 7, small)
+
+
+def _per_value(batches, n):
+    """Each value's [(p, e), ...] from prime_powers batches; checks that no
+    batch repeats an index and that each value's primes ascend across
+    batches."""
+    per = [[] for _ in range(n)]
+    for idx, p, e in batches:
+        idx = idx.tolist()
+        assert len(set(idx)) == len(idx)
+        for i, q, k in zip(idx, p.tolist(), e.tolist()):
+            assert not per[i] or per[i][-1][0] < q
+            per[i].append((q, k))
+    return per
+
+
+def _factorint(values):
+    return [sorted(sympy.factorint(int(v)).items()) if v > 1 else [] for v in values]
+
+
+def test_prime_powers_spf_branch_vs_sympy():
+    values = np.arange(1, 20001)
+    assert factor.is_dense(values)
+    assert _per_value(factor.prime_powers(values), values.size) == _factorint(values)
+
+
+def test_prime_powers_trial_branch_vs_sympy():
+    values = np.random.Generator(np.random.Philox(key=13)).integers(1, 10**12, size=1000)
+    assert not factor.is_dense(values)
+    assert _per_value(factor.prime_powers(values), values.size) == _factorint(values)
+
+
+def test_prime_powers_with_cofactors_past_the_table():
+    # the table reaches sqrt(max) ~ 1e6; each of these keeps a prime cofactor above it
+    big = [sympy.nextprime(10**12), 2 * sympy.nextprime(5 * 10**11),
+           6 * sympy.nextprime(10**11), sympy.nextprime(10**6) * sympy.nextprime(10**6 + 10),
+           2**39, 3 * 7**13]
+    values = np.array(big, dtype=np.int64)
+    assert _per_value(factor.prime_powers(values), values.size) == _factorint(big)
+
+
+def test_trial_branch_at_the_table_limit_squared():
+    limit = 10**5
+    table = factor.build_prime_table(limit)
+    p, q = sympy.prevprime(limit), sympy.prevprime(sympy.prevprime(limit))
+    r = sympy.nextprime(limit)
+    # p**2 and p*q just below limit**2; r*q with a cofactor past the table;
+    # a prime below limit**2 that outlives every table prime
+    big = [p**2, p * q, r * q, sympy.prevprime(limit**2), limit**2, 2**33]
+    values = np.array(big, dtype=np.int64)
+    assert max(big) <= limit**2
+    got = _per_value(factor._trial_prime_powers(values, table), values.size)
+    assert got == _factorint(big)
+
+
+def test_prime_powers_of_an_object_array():
+    # moduli past int64's exact F_p range come as Python integers
+    big = [1, 12, 2**29 + 11, (10**6 + 3) ** 2, 10**12 + 39, 2**31 * 3**5]
+    values = np.array(big, dtype=object)
+    assert _per_value(factor.prime_powers(values), values.size) == _factorint(big)
+
+
+@pytest.mark.parametrize("u", [(10**12 + 61) ** 2, 10**20])
+def test_prime_powers_refuse_values_past_the_table_budget(u):
+    with pytest.raises(ResourceBudgetError):
+        factor.prime_powers(np.array([6, u], dtype=object))
+
+
+def test_spf_and_trial_branches_give_the_same_prime_powers():
+    values = np.arange(0, 20001)
+    spf = factor._spf_prime_powers(values, factor.smallest_factor_sieve(20000))
+    trial = factor._trial_prime_powers(values, factor.build_prime_table(142))
+    assert _per_value(spf, values.size) == _per_value(trial, values.size)
+
+
+def test_factorize_sizes_its_own_table():
+    u = (10**6 + 3) * (10**6 + 33)
+    assert factor.factorize(u).factors == ((10**6 + 3, 1), (10**6 + 33, 1))
+    assert factor.factorize(1).factors == ()
+    with pytest.raises(ResourceBudgetError):
+        factor.factorize(10**18 + 3)

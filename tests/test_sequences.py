@@ -35,6 +35,20 @@ def test_reducible_polynomial_rejected():
         sequences.polynomial_values([1, 0, -1])
 
 
+def test_rational_root_past_a_million_is_found():
+    # c0 = 3 * 1000003 has a prime factor above 10**6, and -c0 is the root
+    c0 = 3 * 1000003
+    x = sympy.Symbol("x")
+    for coeffs, irreducible in (([c0, 1, c0, 1], False), ([c0, 1, 0, 1], True)):
+        poly = sympy.Poly(sum(c * x**i for i, c in enumerate(coeffs)), x)
+        assert poly.is_irreducible == irreducible
+        if irreducible:
+            sequences.polynomial_values(coeffs)
+        else:
+            with pytest.raises(ValidationError, match="rational root"):
+                sequences.polynomial_values(coeffs)
+
+
 def test_irreducible_polynomials_accepted():
     for coeffs in ([1, 0, 1], [-2, 0, 0, 1], [-1, -1, 1], [1, 1, 0, 0, 1], [7, 2]):
         sequences.polynomial_values(coeffs)
