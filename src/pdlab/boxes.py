@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from pdlab.errors import ValidationError
+from pdlab.errors import ResourceBudgetError, ValidationError
 
 # Gauss-Legendre order per sub-panel of box_correlation_quadrature: on panels
 # graded by factors of 2 toward the nearest singularity it converges like
@@ -27,6 +27,10 @@ QUAD_NODES = 12
 # budgets per vectorized step of the nested quadrature, which bounds its
 # arrays to QUAD_CHUNK x sub-panels x QUAD_NODES values per level
 QUAD_CHUNK = 1 << 12
+# nodes past which box_correlation_quadrature refuses a box function: about
+# a second of work at some 50 ns per node (2-vCPU x86 host); each added
+# dimension multiplies the count by one level's sub-panel nodes
+QUAD_NODE_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -198,8 +202,15 @@ def box_correlation_quadrature(eta: BoxFunction) -> float:
     Integrates 1[t_1 + .. + t_k <= 1] / (t_1 .. t_k) over eta by nested
     fixed-order Gauss-Legendre, with the simplex clip folded into the
     inner limits (see _clipped_mass).  Independent of both the product
-    formula and the Monte Carlo estimator.
+    formula and the Monte Carlo estimator.  Raises ResourceBudgetError,
+    before any level runs, when the estimated node count passes
+    QUAD_NODE_BUDGET.
     """
+    nodes = sum(_node_estimate(b.intervals()) for b in eta.boxes)
+    if nodes > QUAD_NODE_BUDGET:
+        raise ResourceBudgetError(
+            f"box quadrature needs about {nodes} nodes, more than its budget of {QUAD_NODE_BUDGET}"
+        )
     one = np.ones(1)
     return sum(b.weight * float(_clipped_mass(b.intervals(), one)[0]) for b in eta.boxes)
 
@@ -222,9 +233,23 @@ def _clipped_mass(ivals, budget: np.ndarray) -> np.ndarray:
         parts = range(0, budget.size, QUAD_CHUNK)
         return np.concatenate([_clipped_mass(ivals, budget[i : i + QUAD_CHUNK]) for i in parts])
     (a, b), rest = ivals[0], ivals[1:]
-    hi = np.maximum(np.minimum(b, budget - sum(lo for lo, _ in rest)), a)
     if not rest:
-        return np.log(hi / a)
+        return np.log(np.maximum(np.minimum(b, budget), a) / a)
+    row, lo, up = _sub_panels(ivals, budget)
+    xg, wg = leggauss(QUAD_NODES)
+    half = (up - lo)[:, None] / 2
+    t = (up + lo)[:, None] / 2 + half * xg
+    inner = _clipped_mass(rest, (budget[row, None] - t).ravel()).reshape(t.shape)
+    return np.bincount(row, (inner * half * wg / t).sum(axis=1), minlength=budget.size)
+
+
+def _sub_panels(ivals, budget: np.ndarray):
+    """The first coordinate's sub-panels for each budget s, as (row, lo, up):
+    its range [a, min(b, s - later lower ends)] cut at the vertex sums of
+    the later intervals, each piece graded by factors of 2 toward both
+    ends, empty panels dropped."""
+    (a, b), rest = ivals[0], ivals[1:]
+    hi = np.maximum(np.minimum(b, budget - sum(lo for lo, _ in rest)), a)
     vertices = [budget - sum(v) for v in itertools.product(*rest)]
     cuts = np.column_stack([np.full_like(budget, a), *vertices, hi])
     cuts = np.sort(np.clip(cuts, a, hi[:, None]), axis=1)
@@ -238,9 +263,20 @@ def _clipped_mass(ivals, budget: np.ndarray) -> np.ndarray:
     lo, up = edges[..., :-1], edges[..., 1:]
     keep = up > lo
     row = np.broadcast_to(np.arange(budget.size)[:, None, None], lo.shape)[keep]
-    lo, up = lo[keep], up[keep]
-    xg, wg = leggauss(QUAD_NODES)
-    half = (up - lo)[:, None] / 2
-    t = (up + lo)[:, None] / 2 + half * xg
-    inner = _clipped_mass(rest, (budget[row, None] - t).ravel()).reshape(t.shape)
-    return np.bincount(row, (inner * half * wg / t).sum(axis=1), minlength=budget.size)
+    return row, lo[keep], up[keep]
+
+
+def _node_estimate(ivals) -> int:
+    """Nodes and vertex sums the nested quadrature of one box evaluates,
+    counted level by level at the largest budget each level can get (1
+    less the lower ends before it); within a factor of about 2 of the true
+    count, and given up once past QUAD_NODE_BUDGET."""
+    total, per_row, budget = 0, 1, 1.0
+    for i in range(len(ivals) - 1):
+        total += per_row << (len(ivals) - 1 - i)
+        if total > QUAD_NODE_BUDGET:
+            break
+        per_row *= _sub_panels(ivals[i:], np.array([budget]))[1].size * QUAD_NODES
+        total += per_row
+        budget -= ivals[i][0]
+    return total

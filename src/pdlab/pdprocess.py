@@ -5,14 +5,23 @@ G_1 = 1 - U_1, G_2 = U_1 (1 - U_2), G_3 = U_1 U_2 (1 - U_3), ...; sorting
 them in nonincreasing order gives L_1 >= L_2 >= ...
 
 One round generator, ``_stick_rounds``, draws the sticks of a block of
-samples: each round draws one uniform per sample still in play and
-yields (idx, stick, residual).  A sample leaves once its residual is
-below the consumer's floor, since no later stick can reach the floor, or
-once the consumer marks it done.  Every estimator is a fold over those
-rounds with its own stopping rule:
+samples on a lazy live frame.  The frame holds the block's rows with
+each fold's per-row state arrays (running maximum, running sum, top-k
+columns); every round draws one uniform per live row, in ascending row
+order, and yields the frame's rows, sticks and state for the fold to
+update in place.  A row leaves once its residual is below the fold's
+floor, since no later stick can reach the floor, or once the fold's
+``done`` test marks it; the generator hands leaving rows to the fold's
+``retire(idx, residual, state)`` callback, which writes the row's
+outputs once.  A row that has left keeps u = 1, so its stick is 0.0 and
+its residual and state stay bit-exact; the frame drops such rows only
+when fewer than half of its rows are live.  Every estimator is a fold
+with its own stopping rule:
 
-* ``_topk_block`` keeps the exact top-k entries and retires a row once
-  its residual cannot beat its k-th entry (``joint_cdf_mc``);
+* ``_topk_block`` keeps k columns c_0 >= .. >= c_{k-1} and inserts each
+  stick by compare-exchange, c_j = max(c_j, min(c_{j-1}, stick)) from
+  j = k-1 down, then c_0 = max(c_0, stick); a row is certified and
+  retires once its residual cannot beat c_{k-1} (``joint_cdf_mc``);
 * ``_entries_above`` keeps every entry above a floor (``corr_mc`` and the
   counting path of ``joint_cdf_mc``);
 * ``_l1_and_deviation`` folds the leading entry and the telescoping sum
@@ -63,69 +72,114 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + block))
 
 
-def _stick_rounds(rng, n: int, floor: float, done=None):
-    """Stick rounds for n samples, yielding (idx, stick, residual) per round.
+def _stick_rounds(rng, n: int, floor: float, state, retire=None, done=None):
+    """Stick rounds for n samples on a lazy live frame.
 
-    Each round draws one uniform per sample still in play: ``idx`` holds
-    their positions, ``stick`` their new stick and ``residual`` the mass
-    left after it.  Once the consumer has folded a round, a sample leaves
-    if its residual is below ``floor`` (no later stick can reach it) or if
-    ``done(idx, residual)`` marks it.
+    Each round yields (rows, stick, state): ``rows`` are the sample
+    indices of the frame, ``stick`` each row's new stick and ``state`` the
+    caller's per-row arrays, which the fold updates in place.  Only live
+    rows draw, one uniform each in ascending order; a row that has left
+    keeps u = 1, so its stick is 0.0 and its residual and state stay
+    bit-exact.  After the fold a row leaves if its residual is below
+    ``floor`` (no later stick can reach it) or if ``done(residual, state)``
+    marks it; ``retire(idx, residual, state)`` then gets the leaving rows'
+    indices, residuals and state.  The frame drops the rows that have left
+    only once fewer than half of its rows are live.
     """
-    idx = np.arange(n, dtype=np.int64)
+    rows = np.arange(n, dtype=np.int64)
     residual = np.ones(n, dtype=np.float64)
-    while idx.size:
-        u = rng.uniform(size=idx.size)
-        stick = residual * (1.0 - u)
-        residual = residual * u
-        yield idx, stick, residual
-        alive = residual >= floor
+    state = list(state)
+    u = np.empty(n, dtype=np.float64)
+    stick = np.empty(n, dtype=np.float64)
+    live = None  # every row of the frame is live
+    m = n
+    while m:
+        if live is None:
+            rng.random(out=u)
+        else:
+            u[live] = rng.random(m)
+        np.subtract(1.0, u, out=stick)
+        stick *= residual
+        residual *= u
+        yield rows, stick, state
+        leave = residual < floor
         if done is not None:
-            alive &= ~done(idx, residual)
-        idx, residual = idx[alive], residual[alive]
+            leave |= done(residual, state)
+        if live is not None:
+            leave &= live
+        out = np.flatnonzero(leave)
+        if not out.size:
+            continue
+        if retire is not None:
+            retire(rows.take(out), residual.take(out), [a.take(out) for a in state])
+        m -= out.size
+        if live is None:
+            live = ~leave
+        else:
+            live[out] = False
+        if 2 * m < rows.size:
+            # a take per array, and ndarray.take holds the GIL: compacting
+            # every round would serialize the worker threads
+            keep = np.flatnonzero(live)
+            rows, residual = rows.take(keep), residual.take(keep)
+            state = [a.take(keep) for a in state]
+            u, stick, live = u[:m], stick[:m], None
+        else:
+            u[out] = 1.0
 
 
 def _entries_above(rng, n: int, floor: float):
     """All stick entries >= floor for n >= 1 samples, as a ragged (idx, value) pair."""
     out_i, out_v = [], []
-    for idx, stick, _ in _stick_rounds(rng, n, floor):
-        keep = stick >= floor
-        out_i.append(idx[keep])
-        out_v.append(stick[keep])
+    for rows, stick, _ in _stick_rounds(rng, n, floor, ()):
+        keep = np.flatnonzero(stick >= floor)
+        out_i.append(rows.take(keep))
+        out_v.append(stick.take(keep))
     return np.concatenate(out_i), np.concatenate(out_v)
 
 
 def _topk_block(rng, n: int, k: int, truncation: float):
     """Exact top-k entries for n samples, and the number of rows whose
-    top-k the truncation threshold cut off before it was certified."""
-    top = np.zeros((n, k), dtype=np.float64)
+    top-k the truncation threshold cut off before it was certified.
+
+    The fold keeps k columns c_0 >= .. >= c_{k-1} and inserts each stick
+    by compare-exchange; a row's top-k is final (certified) once its
+    residual cannot beat c_{k-1}.
+    """
+    top = np.empty((n, k), dtype=np.float64)
     uncertified = 0
 
-    def certified(idx, residual):
-        # top-k is final once the residual cannot beat the k-th entry
+    def retire(idx, residual, c):
         nonlocal uncertified
-        final = residual <= top[idx, k - 1]
-        uncertified += int(np.count_nonzero(~final & (residual < truncation)))
-        return final
+        for j in range(k):
+            top[idx, j] = c[j]
+        uncertified += int(np.count_nonzero(residual > c[-1]))
 
-    for idx, stick, _ in _stick_rounds(rng, n, truncation, certified):
-        merged = np.concatenate([top[idx], stick[:, None]], axis=1)
-        merged.sort(axis=1)
-        top[idx] = merged[:, :0:-1]
+    zeros = [np.zeros(n) for _ in range(k)]
+    for _, stick, c in _stick_rounds(rng, n, truncation, zeros, retire, lambda r, c: r <= c[-1]):
+        for j in range(k - 1, 0, -1):
+            np.maximum(c[j], np.minimum(c[j - 1], stick), out=c[j])
+        np.maximum(c[0], stick, out=c[0])
     return top, uncertified
 
 
 def _l1_and_deviation(rng, n: int, truncation: float):
     """Per sample the leading entry L_1, and the block's largest
     |sum(sticks) + residual - 1|, from one fold over the sticks."""
-    l1 = np.zeros(n, dtype=np.float64)
-    total = np.zeros(n, dtype=np.float64)
-    tail = np.empty(n, dtype=np.float64)
-    for idx, stick, residual in _stick_rounds(rng, n, truncation):
-        l1[idx] = np.maximum(l1[idx], stick)
-        total[idx] += stick
-        tail[idx] = residual
-    return l1, float(np.max(np.abs(total + tail - 1.0)))
+    l1 = np.empty(n, dtype=np.float64)
+    deviation = 0.0
+
+    def retire(idx, residual, state):
+        nonlocal deviation
+        lead, total = state
+        l1[idx] = lead
+        deviation = max(deviation, float(np.max(np.abs(total + residual - 1.0))))
+
+    zeros = [np.zeros(n), np.zeros(n)]
+    for _, stick, (lead, total) in _stick_rounds(rng, n, truncation, zeros, retire):
+        np.maximum(lead, stick, out=lead)
+        total += stick
+    return l1, deviation
 
 
 def _combine_blocks(n_samples: int, threads: int, work):

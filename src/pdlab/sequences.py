@@ -391,10 +391,15 @@ def members(spec: SequenceSpec, x: int) -> np.ndarray:
 
 
 def _index_mask(index: np.ndarray) -> tuple[int, np.ndarray]:
-    """(lo, mask): a boolean array over [lo, max(index)], lo = min(index)
-    (0 for an empty index), all False."""
+    """(lo, mask): a boolean array over [lo, max(index)], all False.  lo is
+    0 when min(index) is no larger than the index range, so the mask at
+    most doubles and callers index it without an offset copy of index;
+    otherwise (a far range, or a negative index) lo = min(index)."""
     lo = int(index.min()) if index.size else 0
-    return lo, np.zeros(int(index.max(initial=lo)) - lo + 1, dtype=bool)
+    hi = int(index.max(initial=lo))
+    if 0 <= lo <= hi - lo:
+        lo = 0
+    return lo, np.zeros(hi - lo + 1, dtype=bool)
 
 
 def _classes(spec: SequenceSpec, p: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
@@ -416,13 +421,13 @@ def divisible_by_any(
     lo, marks = _index_mask(index)
     for start, step in zip(*(a.tolist() for a in _classes(spec, p, e))):
         marks[(start - lo) % step :: step] = True
-    return marks[index - lo]
+    return marks[index - lo if lo else index]
 
 
 def count_divisible(mem: np.ndarray, ds) -> np.ndarray:
     """N_d, the number of members divisible by d, for each d >= 1 in ds."""
     lo, mask = _index_mask(mem)
-    mask[mem - lo] = True
+    mask[mem - lo if lo else mem] = True
     counts = [np.count_nonzero(mask[-lo % d :: d]) for d in ds]
     return np.array(counts, dtype=np.int64)
 

@@ -120,6 +120,20 @@ def test_quadrature_chunks_agree(monkeypatch):
     assert box_correlation_quadrature(eta) == want
 
 
+def test_quadrature_node_budget():
+    from pdlab import boxes
+    from pdlab.errors import ResourceBudgetError
+
+    # about 1.1e6 nodes, 0.1 s: inside the budget
+    eta = box((0.05, 0.5), (0.06, 0.6), (0.07, 0.4), (0.08, 0.3))
+    assert box_correlation_quadrature(eta) > 0
+    # about 8.4e7 nodes, 5 s: refused before the first level
+    eta = box((0.001, 0.5), (0.002, 0.6), (0.003, 0.4), (0.004, 0.3))
+    assert boxes.QUAD_NODE_BUDGET < boxes._node_estimate(eta.boxes[0].intervals())
+    with pytest.raises(ResourceBudgetError):
+        box_correlation_quadrature(eta)
+
+
 def test_quadrature_simplex_clipping():
     # [0.4, 0.6] x [0.5, 0.7] intersected with t1 + t2 <= 1 by direct 2-D sum
     eta = box((0.4, 0.6), (0.5, 0.7))

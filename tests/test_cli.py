@@ -206,6 +206,17 @@ def test_far_turning_point_exits_3_before_enumerating(capsys):
     assert "resource budget exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [4, 6, 40])
+def test_oversized_box_quadrature_exits_3_at_once(k, capsys):
+    # tiny lower ends whose upper ends sum past 1 leave the product formula
+    # for the quadrature, whose work grows as (sub-panels x 12)^(k-1)
+    boxes = json.dumps([[0.001 * (i + 1), 0.5] for i in range(k)])
+    t0 = time.perf_counter()
+    assert run_cli("corr", "--boxes", boxes, "--n-samples", "10") == 3
+    assert time.perf_counter() - t0 < 0.5
+    assert "box quadrature" in capsys.readouterr().err
+
+
 def test_growth_on_a_ramified_quadratic(capsys):
     # X^2 + 1009 has a double root mod 1009 and no root mod 1009^2
     g = '{"kind":"root_density","coeffs":[1009,0,1]}'

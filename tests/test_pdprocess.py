@@ -12,6 +12,70 @@ from pdlab import dickman, pdprocess
 from pdlab.boxes import box, box_correlation_exact, box_correlation_quadrature
 from pdlab.errors import ValidationError
 
+# Reference folds: one boolean-compacted row set per round, drawn with
+# uniform(), every fold gathering and scattering whole-block arrays and
+# top-k merging by a sort.  The live-frame engine must reproduce them bit
+# for bit.
+
+
+def _ref_stick_rounds(rng, n, floor, done=None):
+    idx = np.arange(n, dtype=np.int64)
+    residual = np.ones(n, dtype=np.float64)
+    while idx.size:
+        u = rng.uniform(size=idx.size)
+        stick = residual * (1.0 - u)
+        residual = residual * u
+        yield idx, stick, residual
+        alive = residual >= floor
+        if done is not None:
+            alive &= ~done(idx, residual)
+        idx, residual = idx[alive], residual[alive]
+
+
+def _ref_entries_above(rng, n, floor):
+    out_i, out_v = [], []
+    for idx, stick, _ in _ref_stick_rounds(rng, n, floor):
+        keep = stick >= floor
+        out_i.append(idx[keep])
+        out_v.append(stick[keep])
+    return np.concatenate(out_i), np.concatenate(out_v)
+
+
+def _ref_topk_block(rng, n, k, truncation):
+    top = np.zeros((n, k), dtype=np.float64)
+    uncertified = 0
+
+    def certified(idx, residual):
+        nonlocal uncertified
+        final = residual <= top[idx, k - 1]
+        uncertified += int(np.count_nonzero(~final & (residual < truncation)))
+        return final
+
+    for idx, stick, _ in _ref_stick_rounds(rng, n, truncation, certified):
+        merged = np.concatenate([top[idx], stick[:, None]], axis=1)
+        merged.sort(axis=1)
+        top[idx] = merged[:, :0:-1]
+    return top, uncertified
+
+
+def _ref_l1_and_deviation(rng, n, truncation):
+    l1 = np.zeros(n, dtype=np.float64)
+    total = np.zeros(n, dtype=np.float64)
+    tail = np.empty(n, dtype=np.float64)
+    for idx, stick, residual in _ref_stick_rounds(rng, n, truncation):
+        l1[idx] = np.maximum(l1[idx], stick)
+        total[idx] += stick
+        tail[idx] = residual
+    return l1, float(np.max(np.abs(total + tail - 1.0)))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _rngs(block):
+    return pdprocess._block_rng(41, block), pdprocess._block_rng(41, block)
+
 
 def test_sticks_from_forced_uniforms():
     # all U_i = 1/2 gives sticks 1/2, 1/4, 1/8, ... already descending
@@ -26,6 +90,72 @@ def test_stick_telescoping_exact(us):
     sticks, residual = pdprocess.sticks_from_uniforms(us)
     assert sum(sticks) + residual == 1  # exact rational identity
     assert all(s >= 0 for s in sticks)
+
+
+def test_random_draws_equal_uniform_draws():
+    # the engine draws with Generator.random; the stream is uniform()'s
+    a, b = _rngs(0)
+    want = a.uniform(size=10**5)
+    sizes = [1, 2, 999, 4096, 17, 33333, 0, 5]
+    parts = [b.random(m) for m in sizes]
+    parts.append(b.random(10**5 - sum(sizes)))
+    assert _same_bits(np.concatenate(parts), want)
+
+
+@pytest.mark.parametrize("truncation", [1e-12, 1e-6])
+def test_topk_fold_equals_the_sorting_fold(truncation):
+    cut = 0
+    for block in range(6):
+        for k in (1, 2, 3, 5):
+            a, b = _rngs(block)
+            want_top, want_cut = _ref_topk_block(a, 5000, k, truncation)
+            top, uncertified = pdprocess._topk_block(b, 5000, k, truncation)
+            assert _same_bits(top, want_top)
+            assert uncertified == want_cut
+            cut += uncertified
+    # at 1e-6 the truncation cuts some rows off uncertified
+    assert (cut > 0) == (truncation == 1e-6)
+
+
+@pytest.mark.parametrize("floor", [0.3, 0.1, 1e-12])
+def test_entries_fold_equals_the_compacting_fold(floor):
+    for block in range(6):
+        a, b = _rngs(block)
+        want_idx, want_val = _ref_entries_above(a, 5000, floor)
+        idx, val = pdprocess._entries_above(b, 5000, floor)
+        assert _same_bits(idx, want_idx)
+        assert _same_bits(val, want_val)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, pdprocess.BLOCK])
+def test_l1_fold_equals_the_scattering_fold(n):
+    for block in range(6):
+        a, b = _rngs(block)
+        want_l1, want_dev = _ref_l1_and_deviation(a, n, 1e-12)
+        l1, dev = pdprocess._l1_and_deviation(b, n, 1e-12)
+        assert _same_bits(l1, want_l1)
+        assert dev == want_dev
+
+
+def test_rows_that_leave_stay_frozen_in_the_frame():
+    # a row that leaves keeps u = 1 until the frame drops it: zero sticks,
+    # and the residual and state it retired with
+    n = 1000
+    retired = {}
+
+    def retire(idx, residual, state):
+        retired.update(zip(idx.tolist(), state[0].tolist()))
+
+    def done(residual, state):
+        return state[0] > 0.5
+
+    rounds = pdprocess._stick_rounds(pdprocess._block_rng(5, 0), n, 1e-12, [np.zeros(n)], retire, done)
+    for rows, stick, (lead,) in rounds:
+        np.maximum(lead, stick, out=lead)
+        gone = np.isin(rows, list(retired))
+        assert not stick[gone].any()
+        assert lead[gone].tolist() == [retired[i] for i in rows[gone].tolist()]
+    assert sorted(retired) == list(range(n))
 
 
 def test_mass_identity_bulk():
@@ -95,6 +225,12 @@ def test_thread_count_never_changes_estimates():
     c = pdprocess.joint_cdf_mc([0.5], 3 * 10**5, seed=12, threads=1)
     d = pdprocess.joint_cdf_mc([0.5], 3 * 10**5, seed=12, threads=8)
     assert c == d
+    # a short last block, and more blocks than threads at every count
+    n = 3 * pdprocess.BLOCK + 5
+    l1 = {t: pdprocess.l1_mass_mc(n, seed=13, threads=t) for t in (1, 2, 3)}
+    cdf = {t: pdprocess.joint_cdf_mc([0.6, 0.3, 0.1], n, seed=13, threads=t) for t in (1, 2, 3)}
+    assert l1[1] == l1[2] == l1[3]
+    assert cdf[1] == cdf[2] == cdf[3]
 
 
 def test_l1_mass_mc_thread_independent_and_near_golomb_dickman():

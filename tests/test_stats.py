@@ -429,6 +429,24 @@ def test_value_marks_on_a_far_narrow_range():
     assert np.array_equal(sequences.count_divisible(s.u, ds), oracles.residue_counts(s.u, ds))
 
 
+@pytest.mark.parametrize("start", [1, 4999, 5000, 10**9])
+def test_marks_with_and_without_the_index_offset(start):
+    # over 5 000 consecutive indices (a range of 4 999) the mask starts at
+    # 0 up to start 4 999, and at min(index) from 5 000 on
+    index = np.arange(start, start + 5000, dtype=np.int64)
+    assert (sequences._index_mask(index)[0] == 0) == (start < 5000)
+    ds = np.arange(1, 300)
+    assert np.array_equal(sequences.count_divisible(index, ds), oracles.residue_counts(index, ds))
+    window = factor.build_prime_table(200).primes
+    for spec, values in (
+        (sequences.uniform_integers(), index),
+        (sequences.polynomial_values([1, 0, 1]), index**2 + 1),
+    ):
+        for e in (1, 2):
+            got = sequences.divisible_by_any(spec, index, window, e)
+            assert np.array_equal(got, oracles.divisible_by_any(values, window**e))
+
+
 @pytest.mark.parametrize(
     "coeffs, x, kw",
     [
