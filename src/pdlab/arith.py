@@ -73,7 +73,8 @@ def tau3(d: int) -> int:
 # integer polynomials, constant-first coefficient order
 
 
-def poly_eval(coeffs, x: int) -> int:
+def poly_eval(coeffs, x):
+    """F(x) by Horner's rule, for a Python integer or elementwise on an int64 array."""
     out = 0
     for c in reversed(coeffs):
         out = out * x + c

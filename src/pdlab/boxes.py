@@ -31,6 +31,11 @@ QUAD_CHUNK = 1 << 12
 # a second of work at some 50 ns per node (2-vCPU x86 host); each added
 # dimension multiplies the count by one level's sub-panel nodes
 QUAD_NODE_BUDGET = 1 << 24
+# box dimension past which the distinct-index tuple sums refuse a box
+# function: they list all Bell(k) set partitions of the k coordinates, once
+# per box for every block of samples on each thread; Bell(11) = 678 570
+# partitions take 116 MiB, Bell(12) = 4 213 597 some 800 MiB
+MAX_TUPLE_K = 11
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,16 @@ def box(*intervals, weight: float = 1.0) -> BoxFunction:
     return BoxFunction(boxes=(Box(lower=lower, upper=upper, weight=weight),))
 
 
+def check_tuple_budget(eta: BoxFunction) -> None:
+    """ResourceBudgetError when eta's dimension passes MAX_TUPLE_K, before
+    any set partition is listed."""
+    if eta.k > MAX_TUPLE_K:
+        raise ResourceBudgetError(
+            f"tuple sums over {eta.k} coordinates list Bell({eta.k}) set partitions;"
+            f" the budget allows k <= {MAX_TUPLE_K}"
+        )
+
+
 def set_partitions(k: int):
     """All partitions of {0, .., k-1} as tuples of blocks (k <= 4 in practice)."""
     if k == 1:
@@ -136,7 +151,9 @@ def tuple_sum_per_item(
     ``values`` holds all point coordinates (spectrum entries or PD
     entries), ``item_idx`` maps each value to its item.  Every value of
     the item at or above eta's support lower bound must be present.
+    Raises ResourceBudgetError past MAX_TUPLE_K (``check_tuple_budget``).
     """
+    check_tuple_budget(eta)
     out = np.zeros(n_items, dtype=np.float64)
     count_cache: dict[tuple[float, float], np.ndarray] = {}
 

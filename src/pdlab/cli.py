@@ -24,9 +24,10 @@ from pdlab.boxes import (
     BoxFunction,
     box_correlation_exact,
     box_correlation_quadrature,
+    check_tuple_budget,
 )
 from pdlab.errors import ResourceBudgetError, ValidationError, integral
-from pdlab.report import ExperimentReport, write_csv
+from pdlab.report import Estimate, ExperimentReport, write_csv
 from pdlab.sequences import SequenceSpec
 
 DEFAULT_N_SAMPLES = 10**6
@@ -36,31 +37,32 @@ DEFAULT_N_SAMPLES = 10**6
 # config plumbing
 
 
-def _require(config: dict, field: str):
-    if field not in config or config[field] is None:
-        raise ValidationError(f"missing required config field {field!r}")
-    return config[field]
+_REQUIRED = object()
 
 
-def _as_int(config: dict, field: str, default=None) -> int:
-    val = config.get(field, default)
+def _field(config: dict, name: str, kind=None, default=_REQUIRED):
+    """config[name] read as ``kind`` (int, float, or None for the raw value).
+
+    An absent or null field takes ``default``, and without one it is a
+    ValidationError, as is a value that is not of its kind.
+    """
+    val = config.get(name)
     if val is None:
-        raise ValidationError(f"missing required config field {field!r}")
-    return integral(val, f"field {field!r}")
-
-
-def _as_float(config: dict, field: str, default=None) -> float:
-    val = config.get(field, default)
-    if val is None:
-        raise ValidationError(f"missing required config field {field!r}")
-    try:
-        return float(val)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"field {field!r} must be a number, got {val!r}") from exc
+        if default is _REQUIRED:
+            raise ValidationError(f"missing required config field {name!r}")
+        return default
+    if kind is int:
+        return integral(val, f"field {name!r}")
+    if kind is float:
+        try:
+            return float(val)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"field {name!r} must be a number, got {val!r}") from exc
+    return val
 
 
 def _parse_spec(config: dict) -> SequenceSpec:
-    raw = _require(config, "spec")
+    raw = _field(config, "spec")
     if isinstance(raw, str):
         raw = {"kind": raw}
     if not isinstance(raw, dict):
@@ -69,7 +71,7 @@ def _parse_spec(config: dict) -> SequenceSpec:
 
 
 def _parse_boxes(config: dict) -> BoxFunction:
-    raw = _require(config, "boxes")
+    raw = _field(config, "boxes")
     if isinstance(raw, dict):
         return BoxFunction.from_dict(raw)
     if isinstance(raw, list):
@@ -102,17 +104,51 @@ def _parse_g(config: dict) -> arith.GFunctionSpec:
 
 
 def _seed(config: dict) -> int:
-    s = _as_int(config, "seed", 0)
+    s = _field(config, "seed", int, 0)
     if not 0 <= s < 1 << 64:
         raise ValidationError(f"field 'seed' must fit in 64 bits, got {s}")
     return s
 
 
 def _threads(config: dict) -> int:
-    t = _as_int(config, "threads", 1)
+    t = _field(config, "threads", int, 1)
     if t < 1:
         raise ValidationError(f"field 'threads' must be >= 1, got {t}")
     return t
+
+
+def _member_report(
+    experiment: str, config: dict, s: stats.SampleSet, est: Estimate, extras: dict, **fields
+) -> ExperimentReport:
+    """The report of an estimate over the members of s, which give its
+    spec, x, exhaustive flag and n_members."""
+    return ExperimentReport(
+        experiment=experiment,
+        config=config,
+        spec=s.spec.to_dict(),
+        x=s.x,
+        estimate=est.value,
+        std_error=est.std_error,
+        exhaustive=s.exhaustive,
+        extras={**extras, "n_members": s.n},
+        **fields,
+    )
+
+
+def _mc_report(
+    experiment: str, config: dict, seed: int, est: Estimate, extras: dict, **fields
+) -> ExperimentReport:
+    """The report of a Monte Carlo estimate over est.n PD samples from seed."""
+    return ExperimentReport(
+        experiment=experiment,
+        config=config,
+        seed=seed,
+        estimate=est.value,
+        std_error=est.std_error,
+        exhaustive=False,
+        extras={**extras, "n_samples": est.n},
+        **fields,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +156,11 @@ def _threads(config: dict) -> int:
 
 
 def run_rho(config: dict) -> ExperimentReport:
-    u_max = _as_int(config, "u_max", dickman.DEFAULT_U_MAX)
+    u_max = _field(config, "u_max", int, dickman.DEFAULT_U_MAX)
     table = dickman.RhoTable(u_max=u_max)
     if config.get("table_out"):
         try:
-            table.dump_csv(config["table_out"], step=_as_float(config, "step", 0.01))
+            table.dump_csv(config["table_out"], step=_field(config, "step", float, 0.01))
         except OSError as exc:
             raise ValidationError(f"cannot write table: {exc}") from exc
     est = table.rho(2.0)
@@ -144,20 +180,12 @@ def run_rho(config: dict) -> ExperimentReport:
 
 
 def run_pd(config: dict) -> ExperimentReport:
-    n = _as_int(config, "n_samples", DEFAULT_N_SAMPLES)
+    n = _field(config, "n_samples", int, DEFAULT_N_SAMPLES)
     seed = _seed(config)
-    threads = _threads(config)
-    mean_l1, dev = pdprocess.l1_mass_mc(n, seed, threads)
+    mean_l1, dev = pdprocess.l1_mass_mc(n, seed, _threads(config))
     oracle = dickman.default_table().mean_l1()
-    return ExperimentReport(
-        experiment="pd-sample",
-        config=config,
-        seed=seed,
-        estimate=mean_l1.value,
-        std_error=mean_l1.std_error,
-        oracle_value=oracle,
-        exhaustive=False,
-        extras={"n_samples": n, "mass_identity_max_deviation": dev},
+    return _mc_report(
+        "pd-sample", config, seed, mean_l1, {"mass_identity_max_deviation": dev}, oracle_value=oracle
     )
 
 
@@ -173,39 +201,20 @@ def _corr_oracle(eta: BoxFunction) -> float:
 def run_corr(config: dict) -> ExperimentReport:
     eta = _parse_boxes(config)
     oracle = _corr_oracle(eta)
+    check_tuple_budget(eta)
     if config.get("spec") is not None:
         spec = _parse_spec(config)
-        x = _as_int(config, "x")
-        s = stats.build_sample_set(spec, x, k=0, floor=eta.alpha)
+        s = stats.build_sample_set(spec, _field(config, "x", int), k=0, floor=eta.alpha)
         est = stats.empirical_corr(s, eta)
-        return ExperimentReport(
-            experiment="seq-corr",
-            config=config,
-            spec=spec.to_dict(),
-            x=x,
-            estimate=est.value,
-            std_error=est.std_error,
-            oracle_value=oracle,
-            exhaustive=s.exhaustive,
-            extras={"k": eta.k, "n_members": s.n},
-        )
-    n = _as_int(config, "n_samples", DEFAULT_N_SAMPLES)
+        return _member_report("seq-corr", config, s, est, {"k": eta.k}, oracle_value=oracle)
+    n = _field(config, "n_samples", int, DEFAULT_N_SAMPLES)
     seed = _seed(config)
     est = pdprocess.corr_mc(eta, n, seed, threads=_threads(config))
-    return ExperimentReport(
-        experiment="pd-corr",
-        config=config,
-        seed=seed,
-        estimate=est.value,
-        std_error=est.std_error,
-        oracle_value=oracle,
-        exhaustive=False,
-        extras={"k": eta.k, "n_samples": n},
-    )
+    return _mc_report("pd-corr", config, seed, est, {"k": eta.k}, oracle_value=oracle)
 
 
 def _thresholds(config: dict) -> list[float]:
-    raw = _require(config, "c")
+    raw = _field(config, "c")
     if isinstance(raw, (int, float)):
         raw = [raw]
     try:
@@ -221,70 +230,39 @@ def run_cdf(config: dict) -> ExperimentReport:
     if len(c) == 1 and c[0] > 0 and 1.0 / c[0] <= dickman.default_table().u_max:
         oracle = dickman.cdf_l1(c[0])
     if config.get("spec") is not None:
-        spec = _parse_spec(config)
-        x = _as_int(config, "x")
-        s = stats.build_sample_set(spec, x, k=len(c))
+        s = stats.build_sample_set(_parse_spec(config), _field(config, "x", int), k=len(c))
         est = stats.empirical_joint_cdf(s, c)
-        return ExperimentReport(
-            experiment="joint-cdf",
-            config=config,
-            spec=spec.to_dict(),
-            x=x,
-            estimate=est.value,
-            std_error=est.std_error,
-            oracle_value=oracle,
-            exhaustive=s.exhaustive,
-            extras={"c": c, "n_members": s.n},
-        )
-    n = _as_int(config, "n_samples", DEFAULT_N_SAMPLES)
+        return _member_report("joint-cdf", config, s, est, {"c": c}, oracle_value=oracle)
+    n = _field(config, "n_samples", int, DEFAULT_N_SAMPLES)
     seed = _seed(config)
     est = pdprocess.joint_cdf_mc(c, n, seed, threads=_threads(config))
-    return ExperimentReport(
-        experiment="joint-cdf",
-        config=config,
-        seed=seed,
-        estimate=est.value,
-        std_error=est.std_error,
-        oracle_value=oracle,
-        exhaustive=False,
-        extras={"c": c, "n_samples": n},
-    )
+    return _mc_report("joint-cdf", config, seed, est, {"c": c}, oracle_value=oracle)
 
 
 def run_tail(config: dict) -> ExperimentReport:
     spec = _parse_spec(config)
-    x = _as_int(config, "x")
-    eps = _as_float(config, "eps")
+    x = _field(config, "x", int)
+    eps = _field(config, "eps", float)
+    guard = _field(config, "guard_band", float, None)
     s = stats.build_sample_set(spec, x, k=1)
     est = stats.tail_frequency(s, eps)
     oracle = None
     if 0 < eps < 1 and 1.0 / (1.0 - eps) <= dickman.default_table().u_max:
         oracle = 1.0 - dickman.cdf_l1(1.0 - eps)
-    guard = config.get("guard_band")
     warnings = []
-    if guard is not None and oracle is not None and est.value > float(guard) * oracle:
+    if guard is not None and oracle is not None and est.value > guard * oracle:
         warnings.append(
             f"estimate {est.value:.6f} exceeds guard band {guard} x oracle {oracle:.6f}"
         )
-    return ExperimentReport(
-        experiment="tail",
-        config=config,
-        spec=spec.to_dict(),
-        x=x,
-        estimate=est.value,
-        std_error=est.std_error,
-        oracle_value=oracle,
-        guard_band=float(guard) if guard is not None else None,
-        exhaustive=s.exhaustive,
-        extras={"eps": eps, "n_members": s.n},
-        warnings=warnings,
+    return _member_report(
+        "tail", config, s, est, {"eps": eps}, oracle_value=oracle, guard_band=guard, warnings=warnings
     )
 
 
 def run_lod(config: dict) -> ExperimentReport:
     spec = _parse_spec(config)
-    x = _as_int(config, "x")
-    c = _as_float(config, "c")
+    x = _field(config, "x", int)
+    c = _field(config, "c", float)
     err, max_r = stats.lod_error_sum(spec, x, c)
     extras = {"c": c, "max_abs_r": max_r}
     oracle = None
@@ -305,32 +283,21 @@ def run_lod(config: dict) -> ExperimentReport:
 
 def run_repeated(config: dict) -> ExperimentReport:
     spec = _parse_spec(config)
-    x = _as_int(config, "x")
-    alpha = _as_float(config, "alpha")
-    c = _as_float(config, "c")
+    x = _field(config, "x", int)
+    alpha = _field(config, "alpha", float)
+    c = _field(config, "c", float)
     s = stats.build_sample_set(spec, x, k=0)
     est = stats.repeated_factor_frequency(s, alpha, c)
-    return ExperimentReport(
-        experiment="repeated",
-        config=config,
-        spec=spec.to_dict(),
-        x=x,
-        estimate=est.value,
-        std_error=est.std_error,
-        exhaustive=s.exhaustive,
-        extras={"alpha": alpha, "c": c, "n_members": s.n},
-    )
+    return _member_report("repeated", config, s, est, {"alpha": alpha, "c": c})
 
 
 def run_sieve(config: dict) -> ExperimentReport:
     spec = _parse_spec(config)
-    x = _as_int(config, "x")
-    eps = _as_float(config, "eps")
-    z0 = _as_float(config, "z0", 2.0)
-    delta0 = config.get("delta0")
-    res = stats.sieve_survivor_experiment(
-        spec, x, eps, z0=z0, delta0=float(delta0) if delta0 is not None else None
-    )
+    x = _field(config, "x", int)
+    eps = _field(config, "eps", float)
+    z0 = _field(config, "z0", float, 2.0)
+    delta0 = _field(config, "delta0", float, None)
+    res = stats.sieve_survivor_experiment(spec, x, eps, z0=z0, delta0=delta0)
     return ExperimentReport(
         experiment="sieve-survivors",
         config=config,
@@ -352,7 +319,7 @@ def run_sieve(config: dict) -> ExperimentReport:
 
 def run_mertens(config: dict) -> ExperimentReport:
     g = _parse_g(config)
-    x = _as_int(config, "x")
+    x = _field(config, "x", int)
     dev = arith.mertens_deviation(g, x)
     return ExperimentReport(
         experiment="mertens",
@@ -367,7 +334,7 @@ def run_mertens(config: dict) -> ExperimentReport:
 
 def run_growth(config: dict) -> ExperimentReport:
     g = _parse_g(config)
-    x = _as_int(config, "x")
+    x = _field(config, "x", int)
     sum_g, sum_h = arith.partial_sums_gh(g, x)
     extras = {"g_kind": g.kind, "sum_g": sum_g}
     if sum_h is not None:
@@ -523,7 +490,7 @@ def _emit(reports: list[ExperimentReport], out: str | None, fmt: str | None) -> 
     if fmt is None:
         fmt = "csv" if out.endswith(".csv") or len(reports) > 1 else "json"
     try:
-        if fmt == "csv" or len(reports) > 1:
+        if fmt == "csv":
             write_csv(reports, out)
         else:
             with open(out, "w") as fh:
@@ -538,6 +505,8 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         if args.command == "sweep":
+            if args.format == "json":
+                raise ValidationError("sweep writes one CSV row per run; --format json is not available")
             experiment = config.pop("experiment", None)
             if experiment is None:
                 raise ValidationError("sweep needs an 'experiment' field")

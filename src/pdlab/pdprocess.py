@@ -25,28 +25,30 @@ with its own stopping rule:
 * ``_entries_above`` keeps every entry above a floor (``corr_mc`` and the
   counting path of ``joint_cdf_mc``);
 * ``_l1_and_deviation`` folds the leading entry and the telescoping sum
-  in one pass to the truncation threshold (``l1_mass_mc`` for the ``pd``
+  in one pass to ``TRUNCATION`` (``l1_mass_mc`` for the ``pd``
   subcommand, and ``mass_identity_max_deviation``).
 
-Randomness is counter based (Philox) and keyed per fixed-size sample
-block, and block results are reduced in block order, so estimates are
+``_combine_blocks`` runs a fold on each fixed-size sample block with the
+block's own counter-based (Philox) generator and returns the results in
+block order; each worker reduces its block to ``moments`` or a hit
+count, and the blocks are combined in that order, so estimates are
 bit-identical for a given seed regardless of the number of worker
 threads.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from pdlab.boxes import BoxFunction, tuple_sum_per_item
 from pdlab.errors import ValidationError
-from pdlab.report import Estimate
+from pdlab.report import Estimate, moments
 
 BLOCK = 1 << 15  # samples per RNG block; fixed, never tied to thread count
-DEFAULT_TRUNCATION = 1e-12
+# residual below which a sample's stick loop stops: no later stick is above it
+TRUNCATION = 1e-12
 
 
 def sticks_from_uniforms(us):
@@ -61,11 +63,6 @@ def sticks_from_uniforms(us):
         sticks.append(residual * (1 - u))
         residual = residual * u
     return sticks, residual
-
-
-def _check_truncation(truncation: float) -> None:
-    if not 0 < truncation <= 1e-6:
-        raise ValidationError(f"truncation must be in (0, 1e-6], got {truncation}")
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -182,40 +179,21 @@ def _l1_and_deviation(rng, n: int, truncation: float):
     return l1, deviation
 
 
-def _combine_blocks(n_samples: int, threads: int, work):
-    """Run ``work(block_index, block_size)`` over fixed blocks, reducing in
-    block order so results do not depend on the thread count."""
+def _combine_blocks(n_samples: int, seed: int, threads: int, fold) -> list:
+    """``fold(rng, size)`` on each fixed block of n_samples, with the
+    block's own generator keyed by (seed, block index); the results come
+    in block order, so they do not depend on the thread count."""
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
-    blocks = [(i, min(BLOCK, n_samples - i * BLOCK)) for i in range((n_samples + BLOCK - 1) // BLOCK)]
+
+    def work(block):
+        return fold(_block_rng(seed, block), min(BLOCK, n_samples - block * BLOCK))
+
+    blocks = range((n_samples + BLOCK - 1) // BLOCK)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda b: work(*b), blocks))
-    else:
-        results = [work(*b) for b in blocks]
-    return results
-
-
-def _mean_mc(per_sample, n_samples: int, seed: int, threads: int) -> tuple[Estimate, float]:
-    """Mean and standard error of a per-sample statistic over the RNG blocks.
-
-    ``per_sample(rng, size)`` returns the statistic of each of a block's
-    samples and one float for the block; the sums are reduced in block
-    order, so the estimate does not depend on the thread count.  Returns
-    the estimate and the largest block float.
-    """
-
-    def work(block, size):
-        per, block_max = per_sample(_block_rng(seed, block), size)
-        return per.sum(), np.square(per).sum(), size, block_max
-
-    parts = _combine_blocks(n_samples, threads, work)
-    s = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-    mean = s / n
-    var = max(s2 / n - mean * mean, 0.0)
-    return Estimate(value=mean, std_error=math.sqrt(var / n), n=n), max(p[3] for p in parts)
+            return list(pool.map(work, blocks))
+    return [work(b) for b in blocks]
 
 
 def corr_mc(
@@ -231,22 +209,23 @@ def corr_mc(
     if alpha <= 0:
         raise ValidationError("eta must have support bounded away from 0")
 
-    def per_sample(rng, size):
+    def fold(rng, size):
         idx, vals = _entries_above(rng, size, alpha)
-        return tuple_sum_per_item(idx, vals, size, eta), 0.0
+        return moments(tuple_sum_per_item(idx, vals, size, eta))
 
-    return _mean_mc(per_sample, n_samples, seed, threads)[0]
+    return Estimate.mean(_combine_blocks(n_samples, seed, threads, fold))
 
 
-def l1_mass_mc(
-    n_samples: int, seed: int, threads: int = 1, truncation: float = DEFAULT_TRUNCATION
-) -> tuple[Estimate, float]:
+def l1_mass_mc(n_samples: int, seed: int, threads: int = 1) -> tuple[Estimate, float]:
     """One Monte Carlo pass: the mean leading entry L_1 (the Golomb-Dickman
     constant) and the max over samples of |sum(sticks) + residual - 1|."""
-    _check_truncation(truncation)
-    return _mean_mc(
-        lambda rng, size: _l1_and_deviation(rng, size, truncation), n_samples, seed, threads
-    )
+
+    def fold(rng, size):
+        l1, deviation = _l1_and_deviation(rng, size, TRUNCATION)
+        return moments(l1), deviation
+
+    parts = _combine_blocks(n_samples, seed, threads, fold)
+    return Estimate.mean([m for m, _ in parts]), max(d for _, d in parts)
 
 
 def joint_cdf_mc(
@@ -254,7 +233,6 @@ def joint_cdf_mc(
     n_samples: int,
     seed: int,
     threads: int = 1,
-    truncation: float = DEFAULT_TRUNCATION,
     method: str = "topk",
 ) -> Estimate:
     """Estimate P(L_1 <= c_1, ..., L_k <= c_k) by Monte Carlo.
@@ -268,30 +246,25 @@ def joint_cdf_mc(
         raise ValidationError("thresholds must be a nonempty vector in (0, 1]")
     if method not in ("topk", "counting"):
         raise ValidationError(f"unknown joint_cdf_mc method {method!r}")
-    _check_truncation(truncation)
     k = len(c)
 
-    def work_topk(block, size):
-        rng = _block_rng(seed, block)
-        top, _ = _topk_block(rng, size, k, truncation)
-        hit = np.all(top <= np.asarray(c)[None, :], axis=1)
-        return int(np.count_nonzero(hit)), size
+    def topk(rng, size):
+        top, _ = _topk_block(rng, size, k, TRUNCATION)
+        return int(np.count_nonzero(np.all(top <= np.asarray(c)[None, :], axis=1)))
 
-    def work_counting(block, size):
-        rng = _block_rng(seed, block)
-        idx, vals = _entries_above(rng, size, truncation)
+    def counting(rng, size):
+        idx, vals = _entries_above(rng, size, TRUNCATION)
         ok = np.ones(size, dtype=bool)
         for j, cj in enumerate(c, start=1):
             above = np.bincount(idx[vals > cj], minlength=size)
             ok &= above < j
-        return int(np.count_nonzero(ok)), size
+        return int(np.count_nonzero(ok))
 
-    work = work_topk if method == "topk" else work_counting
-    parts = _combine_blocks(n_samples, threads, work)
-    return Estimate.frequency(sum(p[0] for p in parts), sum(p[1] for p in parts))
+    hits = _combine_blocks(n_samples, seed, threads, topk if method == "topk" else counting)
+    return Estimate.frequency(sum(hits), n_samples)
 
 
-def mass_identity_max_deviation(n_samples: int, seed: int, truncation: float = DEFAULT_TRUNCATION, threads: int = 1) -> float:
+def mass_identity_max_deviation(n_samples: int, seed: int, threads: int = 1) -> float:
     """max over samples of |sum(sticks) + residual - 1| (telescoping check),
     from the same pass as ``l1_mass_mc``."""
-    return l1_mass_mc(n_samples, seed, threads, truncation)[1]
+    return l1_mass_mc(n_samples, seed, threads)[1]

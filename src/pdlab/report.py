@@ -1,4 +1,5 @@
-"""Experiment report records and their JSON/CSV serialization.
+"""Experiment report records and their JSON/CSV serialization, and the
+estimates they carry: a mean from block moments, or a frequency.
 
 Every report embeds the full configuration it was produced from, so any
 report can be re-run from itself.  The JSON payload is written with
@@ -13,7 +14,19 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 SCHEMA_VERSION = 1
+
+
+def moments(values) -> tuple[int, float, float]:
+    """(n, sum x, sum (x - mean)**2) of a nonempty sample: the block
+    summary that ``Estimate.mean`` combines.  The sums are numpy's
+    pairwise sums, as in np.mean and np.var."""
+    values = np.asarray(values, dtype=np.float64)
+    total = float(np.sum(values))
+    dev = values - total / values.size
+    return values.size, total, float(np.sum(dev * dev))
 
 
 @dataclass(frozen=True)
@@ -21,6 +34,22 @@ class Estimate:
     value: float
     std_error: float
     n: int
+
+    @classmethod
+    def mean(cls, parts) -> Estimate:
+        """The mean of a sample given as block ``moments``, with its standard
+        error sqrt(var / n).
+
+        Blocks are combined in the order given, by the pairwise update of
+        Chan, Golub and LeVeque; one block gives np.mean and np.var bit
+        for bit.
+        """
+        n, total, m2 = parts[0]
+        for nb, tb, m2b in parts[1:]:
+            delta = tb / nb - total / n
+            m2 += m2b + delta * delta * (n * nb / (n + nb))
+            n, total = n + nb, total + tb
+        return cls(value=total / n, std_error=math.sqrt(m2 / n / n), n=n)
 
     @classmethod
     def frequency(cls, hits: int, n: int) -> Estimate:

@@ -314,13 +314,6 @@ def poly_range(spec: SequenceSpec, x: int) -> PolyRange:
     return PolyRange(lo, hi, sorted(small.values()), largest)
 
 
-def _horner(coeffs, n: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(n)
-    for c in reversed(coeffs):
-        out = out * n + c
-    return out
-
-
 def poly_arguments(
     spec: SequenceSpec, x: int, span: PolyRange | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -340,7 +333,7 @@ def poly_arguments(
     if sum(abs(c) * hi**i for i, c in enumerate(spec.coeffs)) > np.iinfo(np.int64).max:
         raise ResourceBudgetError(f"F(n) for n <= {hi} may overflow int64")
     args = np.concatenate([np.array(small, dtype=np.int64), np.arange(lo, hi + 1)])
-    values = _horner(spec.coeffs, args)
+    values = arith.poly_eval(spec.coeffs, args)
     if small:
         order = np.argsort(values, kind="stable")
         args, values = args[order], values[order]

@@ -21,7 +21,7 @@ from pdlab import arith, dickman, factor, sequences
 from pdlab.boxes import BoxFunction, tuple_sum_per_item
 from pdlab.errors import ResourceBudgetError, ValidationError
 from pdlab.factor import TOP_K
-from pdlab.report import Estimate
+from pdlab.report import Estimate, moments
 from pdlab.sequences import SequenceSpec
 
 # values of the sorted column per reference-cdf call in ks_distance
@@ -134,13 +134,6 @@ def build_sample_set(
     )
 
 
-def _mean_se(values: np.ndarray) -> Estimate:
-    n = len(values)
-    mean = float(np.mean(values))
-    var = float(np.var(values))
-    return Estimate(value=mean, std_error=math.sqrt(var / n), n=n)
-
-
 def empirical_corr(s: SampleSet, eta: BoxFunction) -> Estimate:
     """Average over members of the distinct-index tuple sum of eta at the
     normalized log-prime coordinates (multiplicity via distinct indices)."""
@@ -151,7 +144,7 @@ def empirical_corr(s: SampleSet, eta: BoxFunction) -> Estimate:
             f"eta support bound {eta.alpha} lies below the sample floor {s.floor}"
         )
     per = tuple_sum_per_item(s.entry_idx, s.entry_val, s.n, eta)
-    return _mean_se(per)
+    return Estimate.mean([moments(per)])
 
 
 def _need_top(s: SampleSet, k: int) -> None:

@@ -184,6 +184,19 @@ def test_tuple_sum_overlapping_intervals_brute_force():
         assert got == pytest.approx(brute, abs=1e-9), f"trial {trial}"
 
 
+def test_tuple_sum_dimension_budget():
+    from pdlab.errors import ResourceBudgetError
+
+    # k = 10 runs: each item has one value in each of ten disjoint
+    # intervals or misses one
+    ivals = [(0.01 * (2 * i + 1), 0.01 * (2 * i + 2)) for i in range(10)]
+    vals = np.array([a + 0.001 for a, _ in ivals + ivals[:9]])
+    idx = np.repeat([0, 1], [10, 9])
+    assert tuple_sum_per_item(idx, vals, 2, box(*ivals)).tolist() == [1.0, 0.0]
+    with pytest.raises(ResourceBudgetError):
+        tuple_sum_per_item(idx, vals, 2, box(*ivals, (0.5, 0.6), (0.7, 0.8)))
+
+
 def test_tuple_sum_symmetry():
     # permuting the box coordinates leaves the distinct-tuple sum unchanged
     rng = np.random.Generator(np.random.Philox(key=13))

@@ -254,11 +254,59 @@ def test_cdf_sequence_path(tmp_path):
 
 
 def test_reports_byte_identical_across_threads(tmp_path):
-    args = ["cdf", "--c", "[0.5]", "--n-samples", "200000", "--seed", "11"]
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run_cli(*args, "--threads", "1", "--out", str(a)) == 0
-    assert run_cli(*args, "--threads", "8", "--out", str(b)) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for args in (
+        ["cdf", "--c", "[0.5]", "--n-samples", "200000", "--seed", "11"],
+        ["pd", "--n-samples", "100000", "--seed", "11"],
+        ["corr", "--boxes", "[[0.1,0.3],[0.3,0.6]]", "--n-samples", "100000", "--seed", "11"],
+    ):
+        payloads = set()
+        for threads in ("1", "2", "8"):
+            out = tmp_path / f"{args[0]}-{threads}.json"
+            assert run_cli(*args, "--threads", threads, "--out", str(out)) == 0
+            payloads.add(out.read_bytes())
+        assert len(payloads) == 1, args[0]
+
+
+@pytest.mark.parametrize(
+    "config, command, field",
+    [
+        ({"spec": "uniform", "x": 1000, "eps": 0.1, "guard_band": "wide"}, "tail", "guard_band"),
+        ({"spec": "uniform", "x": 1000, "eps": 0.1, "delta0": "x"}, "sieve", "delta0"),
+    ],
+)
+def test_non_numeric_optional_field_exits_2(config, command, field, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(command, "--config", str(cfg)) == 2
+    assert f"field {field!r} must be a number" in capsys.readouterr().err
+
+
+def test_sweep_refuses_json_before_running(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    argv = ["sweep", "--experiment", "rho", "--axis", "u_max", "--values", "[5, 6]"]
+    assert run_cli(*argv, "--format", "json", "--out", str(out)) == 2
+    std = capsys.readouterr()
+    assert "--format json" in std.err and std.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path", [["--spec", "uniform", "--x", "1000000"], ["--n-samples", "1000000"]]
+)
+def test_thirteen_point_correlation_exits_3_at_once(path, monkeypatch, capsys):
+    # 13 disjoint intervals take the exact product oracle, and then the
+    # tuple sums would list Bell(13) = 27 644 437 set partitions
+    from pdlab import boxes, pdprocess, stats
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran past the partition budget")
+
+    for module, name in ((stats, "build_sample_set"), (pdprocess, "_stick_rounds"),
+                         (boxes, "set_partitions")):
+        monkeypatch.setattr(module, name, forbidden)
+    boxes_arg = json.dumps([[0.005 * i + 0.001, 0.005 * i + 0.004] for i in range(13)])
+    assert run_cli("corr", "--boxes", boxes_arg, *path) == 3
+    assert "Bell(13)" in capsys.readouterr().err
 
 
 def test_sweep_writes_combined_csv(tmp_path, capsys):

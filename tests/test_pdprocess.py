@@ -243,17 +243,15 @@ def test_l1_mass_mc_thread_independent_and_near_golomb_dickman():
     assert dev_a == pdprocess.mass_identity_max_deviation(2 * 10**5, seed=3)
 
 
-@pytest.mark.parametrize("truncation", [0.0, -1e-12, 1e-3, 2.0])
-def test_truncation_outside_range_raises(truncation):
-    # truncation 0 never ends the stick loop (the residual underflows to 0),
-    # and one above 1e-6 stops rows uncertified after a stick or two
-    with pytest.raises(ValidationError):
-        pdprocess.mass_identity_max_deviation(10, seed=0, truncation=truncation)
-    with pytest.raises(ValidationError):
-        pdprocess.l1_mass_mc(10, seed=0, truncation=truncation)
-    for method in ("topk", "counting"):
-        with pytest.raises(ValidationError):
-            pdprocess.joint_cdf_mc([0.5], 1000, seed=0, truncation=truncation, method=method)
+def test_estimates_pinned_at_the_parent_values():
+    # 10^5 samples, seed 3, 2 threads: the block moments and hit counts
+    # reproduce the estimates of the one-pass sums they replaced
+    eta = box((0.1, 0.3), (0.3, 0.6))
+    assert pdprocess.corr_mc(eta, 10**5, seed=3, threads=2).value == 0.76037
+    l1, dev = pdprocess.l1_mass_mc(10**5, seed=3, threads=2)
+    assert (l1.value, dev) == (0.6242439819067127, 8.881784197001252e-16)
+    cdf = pdprocess.joint_cdf_mc([0.5, 0.3], 10**5, seed=3, threads=2)
+    assert (cdf.value, cdf.std_error) == (0.1777, 0.0012088122683030645)
 
 
 def test_validation_errors():

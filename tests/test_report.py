@@ -1,0 +1,45 @@
+"""The one mean reduction: block moments and their combination."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pdlab.report import Estimate, moments
+
+finite = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finite, min_size=1, max_size=300))
+def test_one_block_gives_numpy_mean_and_var_bits(xs):
+    values = np.array(xs)
+    est = Estimate.mean([moments(values)])
+    assert est.n == len(xs)
+    assert est.value == float(np.mean(values))
+    assert est.std_error == math.sqrt(float(np.var(values)) / len(xs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=5000),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+    st.sampled_from([1.0, 1e-3, 1e6]),
+)
+def test_split_blocks_agree_with_one_block(seed, n, cuts, scale):
+    # block statistics of the shape the Monte Carlo folds produce
+    rng = np.random.default_rng(seed)
+    values = scale * rng.exponential(size=n)
+    edges = sorted({0, n, *(int(c * n) for c in cuts)})
+    parts = [moments(values[a:b]) for a, b in zip(edges, edges[1:]) if b > a]
+    split, whole = Estimate.mean(parts), Estimate.mean([moments(values)])
+    assert split.n == whole.n == n
+    assert math.isclose(split.value, whole.value, rel_tol=1e-12)
+    assert math.isclose(split.std_error, whole.std_error, rel_tol=1e-12)
+
+
+def test_mean_of_a_constant_has_no_error():
+    est = Estimate.mean([moments(np.full(7, 0.25)), moments(np.full(3, 0.25))])
+    assert (est.value, est.std_error, est.n) == (0.25, 0.0, 10)
