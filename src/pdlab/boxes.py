@@ -11,6 +11,7 @@ shared block must land in the intersection interval, with the usual
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,9 +33,9 @@ QUAD_CHUNK = 1 << 12
 # dimension multiplies the count by one level's sub-panel nodes
 QUAD_NODE_BUDGET = 1 << 24
 # box dimension past which the distinct-index tuple sums refuse a box
-# function: they list all Bell(k) set partitions of the k coordinates, once
-# per box for every block of samples on each thread; Bell(11) = 678 570
-# partitions take 116 MiB, Bell(12) = 4 213 597 some 800 MiB
+# function: they list all Bell(k) set partitions of the k coordinates,
+# once per box; Bell(11) = 678 570 partitions take 116 MiB, Bell(12) =
+# 4 213 597 some 800 MiB
 MAX_TUPLE_K = 11
 
 
@@ -59,6 +60,28 @@ class Box:
 
     def intervals(self) -> list[tuple[float, float]]:
         return list(zip(self.lower, self.upper))
+
+    @functools.cached_property
+    def partitions(self) -> tuple[tuple[float, tuple[tuple[float, float], ...]], ...]:
+        """The set partitions of the coordinates whose blocks' intervals
+        all meet, in set_partitions order, each as (sign, intersections):
+        the product of the blocks' Moebius weights (-1)**(|B|-1) (|B|-1)!
+        and each block's common interval.  Listed once per box, and read
+        by every tuple sum over it; the caller checks the dimension
+        against MAX_TUPLE_K first."""
+        ivals = self.intervals()
+        out = []
+        for part in set_partitions(self.k):
+            inters, sign = [], 1.0
+            for blk in part:
+                inter = _intersection([ivals[i] for i in blk])
+                if inter is None:
+                    break
+                inters.append(inter)
+                sign *= (-1.0) ** (len(blk) - 1) * math.factorial(len(blk) - 1)
+            else:
+                out.append((sign, tuple(inters)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -126,14 +149,17 @@ def check_tuple_budget(eta: BoxFunction) -> None:
 
 
 def set_partitions(k: int):
-    """All partitions of {0, .., k-1} as tuples of blocks (k <= 4 in practice)."""
-    if k == 1:
-        return [((0,),)]
-    out = []
-    for part in set_partitions(k - 1):
-        out.append(part + ((k - 1,),))
-        for i, blk in enumerate(part):
-            out.append(part[:i] + (blk + (k - 1,),) + part[i + 1 :])
+    """All Bell(k) partitions of {0, .., k-1} as tuples of blocks: each
+    partition of {0, .., m-1} gives m as a block of its own, then m
+    joined to each of its blocks in turn."""
+    out = [((0,),)]
+    for m in range(1, k):
+        grown = []
+        for part in out:
+            grown.append(part + ((m,),))
+            for i, blk in enumerate(part):
+                grown.append(part[:i] + (blk + (m,),) + part[i + 1 :])
+        out = grown
     return out
 
 
@@ -150,7 +176,9 @@ def tuple_sum_per_item(
 
     ``values`` holds all point coordinates (spectrum entries or PD
     entries), ``item_idx`` maps each value to its item.  Every value of
-    the item at or above eta's support lower bound must be present.
+    the item at or above eta's support lower bound must be present.  Each
+    box's set partitions come from its ``partitions``, listed on the first
+    call and reused by every later one (each block of members or samples).
     Raises ResourceBudgetError past MAX_TUPLE_K (``check_tuple_budget``).
     """
     check_tuple_budget(eta)
@@ -167,21 +195,12 @@ def tuple_sum_per_item(
         return count_cache[interval]
 
     for b in eta.boxes:
-        ivals = b.intervals()
         acc = np.zeros(n_items, dtype=np.float64)
-        for part in set_partitions(b.k):
-            term = None
-            sign = 1.0
-            for blk in part:
-                inter = _intersection([ivals[i] for i in blk])
-                if inter is None:
-                    term = None
-                    break
-                sign *= (-1.0) ** (len(blk) - 1) * math.factorial(len(blk) - 1)
-                c = counts(inter)
-                term = c if term is None else term * c
-            if term is not None:
-                acc += sign * term
+        for sign, inters in b.partitions:
+            term = counts(inters[0])
+            for inter in inters[1:]:
+                term = term * counts(inter)
+            acc += sign * term
         out += b.weight * acc
     return out
 

@@ -204,7 +204,7 @@ def run_corr(config: dict) -> ExperimentReport:
     check_tuple_budget(eta)
     if config.get("spec") is not None:
         spec = _parse_spec(config)
-        s = stats.build_sample_set(spec, _field(config, "x", int), k=0, floor=eta.alpha)
+        s = stats.build_sample_set(spec, _field(config, "x", int), k=0)
         est = stats.empirical_corr(s, eta)
         return _member_report("seq-corr", config, s, est, {"k": eta.k}, oracle_value=oracle)
     n = _field(config, "n_samples", int, DEFAULT_N_SAMPLES)

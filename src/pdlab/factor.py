@@ -2,7 +2,8 @@
 
 ``prime_powers`` factors any integer array, through an spf sieve when the
 values are dense (``is_dense``), else by one chunked trial division;
-``spectra`` chooses the same way, and ``factorize`` factors one integer.
+``spectra_blocks`` chooses the same way, and ``factorize`` factors one
+integer.
 
 Three peel sources produce the prime factors of a set of values:
 
@@ -10,7 +11,7 @@ Three peel sources produce the prime factors of a set of values:
   (``smallest_factor_sieve`` + ``bulk_spectra``), which peels the largest
   prime first through a P+ table derived from the sieve;
 * a sieve over the arguments n of polynomial values F(n)
-  (``bulk_spectra_sieve``): p divides F(n) exactly when n lies in a root
+  (``sieve_blocks``): p divides F(n) exactly when n lies in a root
   class of F mod p, so each class gives its p with no trial division;
 * the trial division of ``prime_powers`` for other sparse values
   (``bulk_spectra_trial``), valid for u <= limit**2.
@@ -26,6 +27,15 @@ each value by one of two rules:
   value needs no prime after its k-th;
 * entries at or above a floor: entries descend, so a value retires at its
   first entry below the floor; floor = 0.0 keeps complete spectra.
+
+The fold runs over fixed blocks of MEMBER_BLOCK values (``_fold_blocks``):
+each block peels from the shared P+ table or by its own trial division
+and regroup, so only the tables, the caller's ``top`` array and one
+block's arrays are resident.  The ``*_blocks`` functions yield each
+block's entries for a consumer that reduces them block by block, and
+``concat_blocks`` concatenates them, as ``bulk_spectra`` and
+``bulk_spectra_trial`` do.  The polynomial sieve regroups by value, not
+by argument, so it stays one block.
 
 All value arithmetic is exact integer arithmetic; logarithms appear only
 in that fold.
@@ -51,6 +61,9 @@ MAX_SPF_SIEVE_LIMIT = 200_000_000
 TOP_K = 3
 # arguments per block of the polynomial sieve: bounds its (n, p) pairs
 _SIEVE_BLOCK = 1 << 18
+# values per block of the spectrum fold: bounds its logs/idx/rem/entry
+# arrays, some 100 B per value of a block
+MEMBER_BLOCK = 1 << 16
 # (live value, table prime) pairs per chunk of the trial division
 _TRIAL_CELLS = 1 << 20
 
@@ -279,32 +292,38 @@ def _trial_prime_powers(values: np.ndarray, table: PrimeTable):
         lo = hi
 
 
-def spectra(values, k: int = TOP_K, floor: float | None = 0.0):
-    """bulk_spectra through an spf sieve for a dense set (is_dense), else
-    bulk_spectra_trial against the primes up to sqrt(max)."""
+def spectra_blocks(values, k: int, floor: float | None, top: np.ndarray):
+    """The spectra of a value set as a block fold into top (see
+    _fold_blocks): through the P+ table of one spf sieve for a dense set
+    (is_dense), else by trial division against the primes up to
+    sqrt(max), block by block."""
     values = np.asarray(values)
     vmax = int(values.max(initial=0))
     if is_dense(values):
-        return bulk_spectra(values, smallest_factor_sieve(max(vmax, 2)), k, floor)
-    return bulk_spectra_trial(values, _table_for(vmax), k, floor)
+        values = _checked_values(values, vmax, "spf sieve")
+        lpf = _largest_factor_table(smallest_factor_sieve(max(vmax, 2)))
+        return _fold_blocks(values, _lpf_peel, lpf, k, floor, top)
+    table = _table_for(vmax)
+    values = _checked_values(values, table.limit * table.limit, f"prime table limit {table.limit}")
+    return _fold_blocks(values, _trial_peel, table, k, floor, top)
 
 
 def _largest_factor_table(spf: np.ndarray) -> np.ndarray:
-    """lpf[n] = P+(n) for 0 <= n < len(spf), with lpf[1] = 1, from an spf sieve.
+    """P+(n) for 0 <= n < len(spf), with P+(1) = 1, written over an spf
+    sieve in place and returned.
 
     One vectorized pass per range [2**k, 2**(k+1)): there the quotient
-    q = n // spf[n] is at most n/2, so lpf[q] is already final, and
-    P+(n) = max(spf[n], P+(q)) (lpf[1] = 1 covers prime n).
+    q = n // spf[n] is at most n/2, so P+(q) is already final, and
+    P+(n) = max(spf[n], P+(q)) (P+(1) = 1 covers prime n).
     """
-    lpf = spf.copy()
     lo = 4
-    while lo < len(lpf):
-        hi = min(2 * lo, len(lpf))
+    while lo < len(spf):
+        hi = min(2 * lo, len(spf))
         s = spf[lo:hi]
         q = np.arange(lo, hi, dtype=spf.dtype) // s
-        np.maximum(s, lpf[q], out=lpf[lo:hi])
+        np.maximum(s, spf[q], out=s)
         lo = hi
-    return lpf
+    return spf
 
 
 def _checked_values(values, vmax: int, table: str) -> np.ndarray:
@@ -321,7 +340,7 @@ def _checked_values(values, vmax: int, table: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _fold_spectra(values, peel, k: int, floor: float | None):
+def _fold_spectra(values, peel, k: int, floor: float | None, top: np.ndarray):
     """Normalized spectra of values from a peel of (idx, p) batches.
 
     ``peel`` is a generator: batch j gives the (j+1)-th largest prime
@@ -333,18 +352,16 @@ def _fold_spectra(values, peel, k: int, floor: float | None):
     its entry is >= floor: entries descend, so the first entry below the
     floor retires the value.
 
-    Returns (entry_idx, entry_val, top): ``top`` holds the k largest
-    entries log(p)/log(u) per value, zero padded, which are the first k
-    batches; entry_idx/entry_val is the ragged list of every entry
-    >= floor with the int32 index of its value, in stream order, and is
-    empty when floor is None.  floor = 0.0 keeps complete spectra.  u = 1
-    gets the single entry 1 (the log 1 / log 1 convention), last.
+    Writes the k largest entries log(p)/log(u) per value, which are the
+    first k batches, into its row of ``top`` (zero (n, k)), and returns
+    (entry_idx, entry_val): the ragged list of every entry >= floor with
+    the int32 index of its value, in stream order, empty when floor is
+    None.  floor = 0.0 keeps complete spectra.  u = 1 gets the single
+    entry 1 (the log 1 / log 1 convention), last.
     """
-    n = len(values)
     logs = np.maximum(values, 2).astype(np.float64)
     np.log(logs, out=logs)
-    top = np.zeros((n, k), dtype=np.float64)
-    out_idx, out_val = [], []
+    out_idx, out_val = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.float64)]
     try:
         idx, p = next(peel)
         for j in itertools.count():
@@ -365,11 +382,36 @@ def _fold_spectra(values, peel, k: int, floor: float | None):
     one = np.flatnonzero(values == 1).astype(np.int32)
     if k:
         top[one, 0] = 1.0
-    if floor is None:
-        return np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.float64), top
-    out_idx.append(one)
-    out_val.append(np.ones(one.size))
-    return _drain(out_idx, np.int32), _drain(out_val, np.float64), top
+    if floor is not None:
+        out_idx.append(one)
+        out_val.append(np.ones(one.size))
+    return np.concatenate(out_idx), np.concatenate(out_val)
+
+
+def _fold_blocks(values, peel, source, k: int, floor: float | None, top: np.ndarray):
+    """The spectrum fold over blocks of MEMBER_BLOCK values, each block
+    peeled by ``peel(block values, source)``.
+
+    Writes each value's k leading entries into its row of ``top`` (zero
+    (n, k)) and yields (rows, entry_idx, entry_val) per block, in order:
+    ``rows`` is the block's slice of values, and entry_idx, entry_val
+    are its entries as _fold_spectra gives them, indexed within the block.
+    """
+    for lo in range(0, values.size, MEMBER_BLOCK):
+        rows = slice(lo, min(lo + MEMBER_BLOCK, values.size))
+        block = values[rows]
+        yield rows, *_fold_spectra(block, peel(block, source), k, floor, top[rows])
+
+
+def concat_blocks(blocks):
+    """(entry_idx, entry_val) of a block fold, in block order, with
+    entry_idx the int32 index of each entry's value in the whole set."""
+    idx, val = [], []
+    for rows, i, v in blocks:
+        i += rows.start
+        idx.append(i)
+        val.append(v)
+    return _drain(idx, np.int32), _drain(val, np.float64)
 
 
 def _drain(chunks: list, dtype) -> np.ndarray:
@@ -384,28 +426,44 @@ def _drain(chunks: list, dtype) -> np.ndarray:
     return out
 
 
+def _lpf_peel(values: np.ndarray, lpf: np.ndarray):
+    """The peel of values, largest prime first, from a P+ table covering
+    them; a value stops once the fold needs no more of it."""
+    idx = np.flatnonzero(values > 1).astype(np.int32)
+    rem = values[idx].astype(np.int32)
+    while idx.size:
+        p = lpf[rem]
+        more = yield idx, p
+        rem //= p
+        alive = more & (rem > 1)
+        idx, rem = idx[alive], rem[alive]
+
+
+def _trial_peel(values: np.ndarray, table: PrimeTable):
+    """The peel of values by prime_powers' trial division, regrouped from
+    the top."""
+    return _from_the_top(values.size, _trial_prime_powers(values, table))
+
+
+def _concat_fold(values, peel, source, k: int, floor: float | None):
+    """(entry_idx, entry_val, top) of the whole block fold."""
+    top = np.zeros((values.size, k), dtype=np.float64)
+    return (*concat_blocks(_fold_blocks(values, peel, source, k, floor, top)), top)
+
+
 def bulk_spectra(values, spf: np.ndarray, k: int = TOP_K, floor: float | None = 0.0):
     """Normalized spectra for a dense set of values covered by an spf sieve.
 
     Peels the largest prime factor first through a P+ table derived from
     spf, and stops each value once the fold needs no more of it (after k
     primes, or at its first entry below floor).  Returns (entry_idx,
-    entry_val, top) as described in _fold_spectra.
+    entry_val, top): ``top`` holds the k largest entries per value, zero
+    padded, and entry_idx/entry_val every entry >= floor (none when floor
+    is None) in block order, as described in _fold_spectra.
     """
     values = _checked_values(values, len(spf) - 1, "spf sieve")
-
-    def peel():
-        lpf = _largest_factor_table(spf[: int(values.max(initial=1)) + 1])
-        idx = np.flatnonzero(values > 1).astype(np.int32)
-        rem = values[idx].astype(np.int32)
-        while idx.size:
-            p = lpf[rem]
-            more = yield idx, p
-            rem //= p
-            alive = more & (rem > 1)
-            idx, rem = idx[alive], rem[alive]
-
-    return _fold_spectra(values, peel(), k, floor)
+    lpf = _largest_factor_table(spf[: int(values.max(initial=1)) + 1].copy())
+    return _concat_fold(values, _lpf_peel, lpf, k, floor)
 
 
 def bulk_spectra_trial(
@@ -415,23 +473,19 @@ def bulk_spectra_trial(
 
     Valid for values up to table.limit**2; each value's final cofactor
     beyond the table is prime by the trial-division contract.  Every
-    prime is found, smallest first, then regrouped by rank from the top;
-    the regroup stops each value once the fold needs no more of it.
-    Returns (entry_idx, entry_val, top) as described in _fold_spectra.
+    prime of a block is found, smallest first, then regrouped by rank
+    from the top; the regroup stops each value once the fold needs no
+    more of it.  Returns (entry_idx, entry_val, top) as bulk_spectra does.
     """
     values = _checked_values(
         values, table.limit * table.limit, f"prime table limit {table.limit}"
     )
-
-    peel = _from_the_top(len(values), _trial_prime_powers(values, table))
-    return _fold_spectra(values, peel, k, floor)
+    return _concat_fold(values, _trial_peel, table, k, floor)
 
 
-def bulk_spectra_sieve(
-    values, args, table: PrimeTable, roots, k: int = TOP_K, floor: float | None = 0.0
-):
-    """Normalized spectra of polynomial values values[i] = F(args[i]) by a
-    sieve over the arguments n.
+def sieve_blocks(values, args, table: PrimeTable, roots, k: int, floor: float | None, top):
+    """The block fold of polynomial values values[i] = F(args[i]) into top,
+    by a sieve over the arguments n, as one block (see _fold_blocks).
 
     ``roots`` = (h, r) holds the roots of F modulo each of table.primes,
     as arith.roots_mod_primes gives them: p divides F(n) exactly when n is
@@ -440,8 +494,8 @@ def bulk_spectra_sieve(
     of F(n) repeatedly, which covers prime powers with no lift.  A
     cofactor > 1 left then has no prime factor <= table.limit >=
     sqrt(F(n)), so it is prime.  Valid for values up to table.limit**2,
-    with distinct arguments n >= 1.  Returns (entry_idx, entry_val, top)
-    as described in _fold_spectra.
+    with distinct arguments n >= 1.  The values are ordered by value, not
+    by n, so the regroup takes the whole set: one block.
     """
     values = _checked_values(
         values, table.limit * table.limit, f"prime table limit {table.limit}"
@@ -459,13 +513,13 @@ def bulk_spectra_sieve(
     cls_p, cls_start, cls_step = cls_p[order], cls_start[order], cls_step[order]
 
     def ascending():
-        top = int(args.max(initial=0))
-        rem = np.ones(top + 1, dtype=np.int64)
+        nmax = int(args.max(initial=0))
+        rem = np.ones(nmax + 1, dtype=np.int64)
         rem[args] = values
-        pos = np.zeros(top + 1, dtype=np.int32)
+        pos = np.zeros(nmax + 1, dtype=np.int32)
         pos[args] = np.arange(len(values), dtype=np.int32)
-        for lo in range(0, top + 1, _SIEVE_BLOCK):
-            hi = min(lo + _SIEVE_BLOCK, top + 1)
+        for lo in range(0, nmax + 1, _SIEVE_BLOCK):
+            hi = min(lo + _SIEVE_BLOCK, nmax + 1)
             first = lo + (cls_start - lo) % cls_step
             cnt = np.maximum((hi - 1 - first) // cls_step + 1, 0)
             j = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
@@ -482,7 +536,9 @@ def bulk_spectra_sieve(
             left = np.flatnonzero(cof > 1)
             yield pos[lo + left], cof[left], np.ones_like(left)
 
-    return _fold_spectra(values, _from_the_top(len(values), ascending()), k, floor)
+    yield slice(0, values.size), *_fold_spectra(
+        values, _from_the_top(values.size, ascending()), k, floor, top
+    )
 
 
 def _from_the_top(n: int, ascending):

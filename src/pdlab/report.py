@@ -26,7 +26,8 @@ def moments(values) -> tuple[int, float, float]:
     values = np.asarray(values, dtype=np.float64)
     total = float(np.sum(values))
     dev = values - total / values.size
-    return values.size, total, float(np.sum(dev * dev))
+    dev *= dev  # in place: one temporary the size of values, not two
+    return values.size, total, float(np.sum(dev))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ or nothing.  The estimators are pure folds over those arrays:
 correlation sums over distinct index tuples, joint CDFs of the leading
 entries, tail frequencies of the largest prime factor,
 level-of-distribution error sums, repeated-factor frequencies, sieve
-survivor counts, and a one-sample Kolmogorov-Smirnov distance.
+survivor counts, and a one-sample Kolmogorov-Smirnov distance.  The
+correlation sums alone read only the members: they fold the spectra
+again block by block (``_spectrum_blocks``), so the whole set's entries
+are never held.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pdlab import arith, dickman, factor, sequences
-from pdlab.boxes import BoxFunction, tuple_sum_per_item
+from pdlab.boxes import BoxFunction, check_tuple_budget, tuple_sum_per_item
 from pdlab.errors import ResourceBudgetError, ValidationError
 from pdlab.factor import TOP_K
 from pdlab.report import Estimate, moments
@@ -38,7 +41,8 @@ class SampleSet:
     ``top`` holds the k largest spectrum entries per member (zero padded;
     the u = 1 member gets the single entry 1); k = 0 gives no columns.
     ``entry_idx`` / ``entry_val`` is the ragged list of every entry
-    >= floor, unordered within a member; floor = 0.0 keeps complete
+    >= floor, in block-major order (the blocks of ``_spectrum_blocks`` in
+    member order, unordered within a block); floor = 0.0 keeps complete
     spectra, and floor = None means no entries were built (both empty).
     """
 
@@ -59,6 +63,33 @@ class SampleSet:
         return len(self.u)
 
 
+def _sieve_table(spec: SequenceSpec, x: int) -> factor.PrimeTable | None:
+    """The primes that the sieve over n reads for polynomial values up to
+    x, sized from the largest member (so refused before enumeration);
+    None for any other kind."""
+    if spec.kind != "poly":
+        return None
+    largest = sequences.poly_range(spec, x).largest
+    return factor.build_prime_table(max(math.isqrt(largest) + 1, 3))
+
+
+def _spectrum_blocks(spec, u, index, k, floor, top, table):
+    """The one block driver over members u (with their index): yields
+    (rows, entry_idx, entry_val) per block of members, in order, as
+    factor's block folds give them, and writes the k leading entries of
+    each member into its row of top.
+
+    Polynomial values, full or subsampled, are factored by the sieve over
+    their arguments with ``table`` (``factor.sieve_blocks``, one block);
+    any other set by ``factor.spectra_blocks``, which chooses its own
+    source.
+    """
+    if spec.kind == "poly":
+        roots = arith.roots_mod_primes(spec.coeffs, table.primes)
+        return factor.sieve_blocks(u, index, table, roots, k, floor, top)
+    return factor.spectra_blocks(u, k, floor, top)
+
+
 def build_sample_set(
     spec: SequenceSpec,
     x: int,
@@ -74,12 +105,9 @@ def build_sample_set(
     entries.  The factor peel stops each member once it has given both,
     so a top-k build never computes smaller entries.  With k = 0 and no
     floor nothing is factored: the set holds only the (subsampled)
-    members and their index, which is all ``repeated_factor_frequency``
-    and ``sieve_survivor_experiment`` read.
-
-    Polynomial values, full or subsampled, are factored by the sieve over
-    their arguments (``factor.bulk_spectra_sieve``); any other set goes to
-    ``factor.spectra``, which chooses its own source.
+    members and their index, which is all ``repeated_factor_frequency``,
+    ``sieve_survivor_experiment`` and ``empirical_corr`` read.  The
+    spectra come from ``_spectrum_blocks``, concatenated.
     """
     if not 0 <= k <= TOP_K:
         raise ValidationError(
@@ -88,12 +116,9 @@ def build_sample_set(
     if floor is not None and not floor >= 0.0:
         raise ValidationError(f"floor must be >= 0, got {floor}")
     factoring = k > 0 or floor is not None
+    table = _sieve_table(spec, x) if factoring else None
     if spec.kind == "poly":
-        span = sequences.poly_range(spec, x)
-        if factoring:
-            # sized from the largest member, and so refused before enumeration
-            table = factor.build_prime_table(max(math.isqrt(span.largest) + 1, 3))
-        args, mem = sequences.poly_arguments(spec, x, span)
+        args, mem = sequences.poly_arguments(spec, x)
     else:
         mem = args = sequences.members(spec, x)
     if mem.size == 0:
@@ -109,16 +134,12 @@ def build_sample_set(
         args = args[sel] if spec.kind == "poly" else mem
         exhaustive = False
         seed_used = subsample_seed
-    if not factoring:
-        entry_idx, entry_val = np.zeros(0, dtype=np.int32), np.zeros(0)
-        top = np.zeros((mem.size, 0))
-    elif spec.kind == "poly":
-        roots = arith.roots_mod_primes(spec.coeffs, table.primes)
-        entry_idx, entry_val, top = factor.bulk_spectra_sieve(
-            mem, args, table, roots, k, floor
-        )
+    top = np.zeros((mem.size, k), dtype=np.float64)
+    if factoring:
+        blocks = _spectrum_blocks(spec, mem, args, k, floor, top, table)
+        entry_idx, entry_val = factor.concat_blocks(blocks)
     else:
-        entry_idx, entry_val, top = factor.spectra(mem, k, floor)
+        entry_idx, entry_val = np.zeros(0, dtype=np.int32), np.zeros(0)
     return SampleSet(
         spec=spec,
         x=x,
@@ -136,14 +157,19 @@ def build_sample_set(
 
 def empirical_corr(s: SampleSet, eta: BoxFunction) -> Estimate:
     """Average over members of the distinct-index tuple sum of eta at the
-    normalized log-prime coordinates (multiplicity via distinct indices)."""
-    if s.floor is None:
-        raise ValidationError("empirical_corr needs a sample set built with a floor")
-    if eta.alpha < s.floor:
-        raise ValidationError(
-            f"eta support bound {eta.alpha} lies below the sample floor {s.floor}"
-        )
-    per = tuple_sum_per_item(s.entry_idx, s.entry_val, s.n, eta)
+    normalized log-prime coordinates (multiplicity via distinct indices).
+
+    Reads only the members of s, whatever else it was built with: their
+    spectra are folded again, block by block, down to eta's support bound
+    eta.alpha, and each block's tuple sums fill its part of one per-member
+    array, so no entry list of the whole set is held.
+    """
+    check_tuple_budget(eta)
+    top = np.zeros((s.n, 0), dtype=np.float64)
+    blocks = _spectrum_blocks(s.spec, s.u, s.index, 0, eta.alpha, top, _sieve_table(s.spec, s.x))
+    per = np.empty(s.n, dtype=np.float64)
+    for rows, idx, val in blocks:
+        per[rows] = tuple_sum_per_item(idx, val, rows.stop - rows.start, eta)
     return Estimate.mean([moments(per)])
 
 

@@ -226,3 +226,41 @@ def test_box_function_serialization_round_trip():
     assert BoxFunction.from_dict(eta.to_dict()) == eta
     with pytest.raises(ValidationError):
         BoxFunction.from_dict({"boxes": [{"lower": [0.1]}]})
+
+
+def test_partitions_listed_once_per_box(monkeypatch):
+    from pdlab import boxes, factor, pdprocess, sequences, stats
+
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return set_partitions(k)
+
+    monkeypatch.setattr(boxes, "set_partitions", counted)
+
+    def eta():  # new boxes, with nothing listed yet
+        return BoxFunction(
+            boxes=(Box((0.1, 0.3), (0.2, 0.5)), Box((0.15, 0.25), (0.3, 0.4), weight=2.0))
+        )
+
+    # four blocks of samples, one thread
+    pdprocess.corr_mc(eta(), 3 * pdprocess.BLOCK + 5, seed=1)
+    assert calls == [2, 2]
+    calls.clear()
+    # ten blocks of members
+    monkeypatch.setattr(factor, "MEMBER_BLOCK", 1000)
+    s = stats.build_sample_set(sequences.uniform_integers(), 10**4, k=0)
+    stats.empirical_corr(s, eta())
+    assert calls == [2, 2]
+
+
+def test_partitions_keep_the_meeting_ones_in_order():
+    # the first two intervals meet and the third meets neither, so of the
+    # five partitions in set_partitions order, ((0,), (1,), (2,)) and
+    # ((0, 1), (2,)) are kept
+    b = Box((0.1, 0.2, 0.5), (0.3, 0.4, 0.6))
+    assert b.partitions == (
+        (1.0, ((0.1, 0.3), (0.2, 0.4), (0.5, 0.6))),
+        (-1.0, ((0.2, 0.3), (0.5, 0.6))),
+    )

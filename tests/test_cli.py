@@ -396,3 +396,32 @@ def test_sieve_subcommand(tmp_path):
     )
     payload = json.loads(out.read_text())
     assert payload["estimate"] == pytest.approx(1.0, abs=0.15)
+
+
+@pytest.mark.parametrize(
+    "argv, bound_mib",
+    [
+        # u (int64, 7.6 MiB), the P+ table written over the spf sieve
+        # (int32, 3.8 MiB) and the per-member tuple sums `per` (float64,
+        # 7.6 MiB), plus one block of 2**16 members: its spectrum arrays,
+        # its entries and the tuple sums' counts, some 6 MiB (25 MiB
+        # measured); `moments` then holds u, per and one deviation array
+        (["corr", "--boxes", "[[0.1,0.3],[0.3,0.6]]"], 40),
+        # u, the P+ table and `top` (one float64 column, 7.6 MiB), plus one
+        # block, some 4 MiB (23 MiB measured)
+        (["tail", "--eps", "0.1"], 35),
+    ],
+    ids=["corr", "tail"],
+)
+def test_member_ops_hold_one_block_beyond_their_arrays(argv, bound_mib, tmp_path):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = str(tmp_path / "r.json")
+        rc = run_cli(*argv, "--spec", "uniform", "--x", "1000000", "--out", out)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < bound_mib, f"{argv[0]} peaked at {peak:.1f} MiB"

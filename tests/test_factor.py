@@ -145,6 +145,26 @@ def test_spf_and_trial_paths_agree_and_descend(make_values, table):
     assert np.array_equal(runs[0][1], runs[1][1])
 
 
+def _per_member(idx, val):
+    order = np.lexsort((val, idx))
+    return idx[order], val[order]
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 16])
+def test_bulk_spectra_do_not_depend_on_the_member_block(block, table, monkeypatch):
+    # 2 000 values, a multiple of neither 3 nor 2**16: the last block is short
+    values = np.arange(1, 2001)
+    spf = factor.smallest_factor_sieve(2000)
+    paths = ((factor.bulk_spectra, spf), (factor.bulk_spectra_trial, table))
+    whole = [path(values, source, 3, 0.0) for path, source in paths]
+    monkeypatch.setattr(factor, "MEMBER_BLOCK", block)
+    for (path, source), (w_idx, w_val, w_top) in zip(paths, whole):
+        idx, val, top = path(values, source, 3, 0.0)
+        assert top.tobytes() == w_top.tobytes()
+        for got, want in zip(_per_member(idx, val), _per_member(w_idx, w_val)):
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("bad", [[0, -3, 6], [6.7], [5, 0]])
 def test_bulk_paths_reject_invalid_values(bad, table):
     spf = factor.smallest_factor_sieve(100)

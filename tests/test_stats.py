@@ -96,12 +96,10 @@ def test_u_equals_one_counts_in_every_tail():
 def test_floor_truncation_respected(uniform_small):
     s = stats.build_sample_set(sequences.uniform_integers(), 3000, floor=0.2)
     assert (s.entry_val >= 0.2).all()
-    with pytest.raises(ValidationError):
-        stats.empirical_corr(s, box((0.1, 0.3)))  # support dips below floor
-    eta = box((0.25, 0.5))
-    assert stats.empirical_corr(s, eta).value == pytest.approx(
-        stats.empirical_corr(uniform_small, eta).value
-    )
+    # empirical_corr folds the members again down to eta's support bound,
+    # so a support below the build's floor gives the floor-0 set's result
+    for eta in (box((0.1, 0.3)), box((0.25, 0.5))):
+        assert stats.empirical_corr(s, eta) == stats.empirical_corr(uniform_small, eta)
 
 
 def test_sparse_trial_division_path():
@@ -490,10 +488,8 @@ def test_members_only_build_factors_nothing(monkeypatch):
         assert s.top.shape == (s.n, 0) and s.entry_idx.size == 0 and s.floor is None
 
 
-def test_estimators_reject_what_the_build_left_out():
+def test_estimators_reject_what_the_build_left_out(uniform_small):
     s = stats.build_sample_set(sequences.uniform_integers(), 1000, k=1)
-    with pytest.raises(ValidationError):
-        stats.empirical_corr(s, box((0.25, 0.5)))  # no entries built
     with pytest.raises(ValidationError):
         stats.empirical_joint_cdf(s, [0.9, 0.5])  # one top column, two thresholds
     none = stats.build_sample_set(sequences.uniform_integers(), 1000, k=0)
@@ -501,3 +497,49 @@ def test_estimators_reject_what_the_build_left_out():
         stats.tail_frequency(none, 0.1)
     with pytest.raises(ValidationError):
         stats.build_sample_set(sequences.uniform_integers(), 1000, k=stats.TOP_K + 1)
+    # empirical_corr reads only the members: a members-only set is accepted
+    eta = box((0.25, 0.5))
+    members = stats.build_sample_set(sequences.uniform_integers(), 3000, k=0)
+    assert stats.empirical_corr(members, eta) == stats.empirical_corr(uniform_small, eta)
+
+
+BLOCK_CASES = {
+    # dense: the spf source
+    "thue_morse": (sequences.thue_morse_zeros(), 4001, {}),
+    # sparse: the trial source
+    "shifted_primes_subsample": (
+        sequences.shifted_primes(1), 10**6, {"max_members": 1501, "subsample_seed": 5}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_CASES))
+def test_sets_do_not_depend_on_the_member_block(name, monkeypatch):
+    spec, x, kw = BLOCK_CASES[name]
+    eta = box((0.1, 0.3), (0.3, 0.6))
+    runs = []
+    for block in (1 << 16, 1, 3):
+        monkeypatch.setattr(factor, "MEMBER_BLOCK", block)
+        s = stats.build_sample_set(spec, x, floor=0.0, **kw)
+        runs.append((s, stats.empirical_corr(s, eta)))
+    whole, corr = runs[0]
+    # one block at 2**16, and a short last block at 3
+    assert whole.n < 1 << 16 and whole.n % 3
+    assert factor.is_dense(whole.u) == (name == "thue_morse")
+    want = _member_multisets(whole.entry_idx, whole.entry_val)
+    for s, c in runs[1:]:
+        assert s.top.tobytes() == whole.top.tobytes()
+        got = _member_multisets(s.entry_idx, s.entry_val)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert (c.value, c.std_error) == (corr.value, corr.std_error)
+
+
+def test_member_corr_pinned_at_the_parent_values():
+    # the values of the whole-set fold that the block fold replaced
+    eta = box((0.1, 0.3), (0.3, 0.6))
+    for spec, x, value, std_error in (
+        (sequences.uniform_integers(), 10**5, 0.65949, 0.0035600322188148806),
+        (sequences.shifted_primes(1), 10**6, 0.7092409997706948, 0.003653096009301352),
+    ):
+        est = stats.empirical_corr(stats.build_sample_set(spec, x, k=0), eta)
+        assert (est.value, est.std_error) == (value, std_error)
