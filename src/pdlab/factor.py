@@ -17,16 +17,24 @@ Three peel sources produce the prime factors of a set of values:
   (``bulk_spectra_trial``), valid for u <= limit**2.
 
 The last two find every prime smallest first, and one regroup
-(``_from_the_top``) turns that stream into the same peel as the first:
-batch j holds the (j+1)-th largest prime factor p, with multiplicity, of
-every value at positions idx that has that many.  One spectrum fold
-(``_fold_spectra``) turns any peel into what its consumer reads, and stops
-each value by one of two rules:
+(``_from_the_top``) turns that stream into the same peel as the first.
+A peel is a per-row step: step j gives the (j+1)-th largest prime factor
+p, with multiplicity, of the value of every row, P+(rem) for the P+
+table (then rem /= p), and for the regroup the prime j places before the
+end of the value's run.  One spectrum fold (``_fold_spectra``) turns any peel
+into what its consumer reads, and stops each value by one of two rules:
 
 * top-k: the k largest entries per value are the first k batches, so a
   value needs no prime after its k-th;
 * entries at or above a floor: entries descend, so a value retires at its
   first entry below the floor; floor = 0.0 keeps complete spectra.
+
+The fold runs on a lazy live frame, as ``pdprocess._stick_rounds`` does:
+the frame holds the rows with the peel's per-row state and log(u), every
+step runs over all of its rows, and a live mask keeps the rows that have
+left out of ``top`` and the kept entries.  The frame drops them only once
+fewer than half of its rows are live, so no per-row array is compacted
+until then, and entries stay in ascending row order per batch.
 
 The fold runs over fixed blocks of MEMBER_BLOCK values (``_fold_blocks``):
 each block peels from the shared P+ table or by its own trial division
@@ -341,44 +349,66 @@ def _checked_values(values, vmax: int, table: str) -> np.ndarray:
 
 
 def _fold_spectra(values, peel, k: int, floor: float | None, top: np.ndarray):
-    """Normalized spectra of values from a peel of (idx, p) batches.
+    """Normalized spectra of values from a peel, on a lazy live frame.
 
-    ``peel`` is a generator: batch j gives the (j+1)-th largest prime
-    factor p, with multiplicity, of each value at positions idx (distinct
-    within a batch); per value the primes must descend and multiply to
-    the value.  The fold sends back, per position, whether the value
-    still needs its next prime, and the peel drops the others.  The fold
-    needs a value's next entry while j + 1 < k (a top-k column) or while
-    its entry is >= floor: entries descend, so the first entry below the
-    floor retires the value.
+    ``peel`` is (rows, state, step): ``rows`` are the positions of the
+    values > 1, ascending, and ``state`` the peel's per-row arrays;
+    ``step(j, state)`` gives, for every row of the frame, the (j+1)-th
+    largest prime factor p of its value, with multiplicity, and whether
+    the value has another.  The frame holds the rows with their state and
+    log(u).  A row leaves once its value has no next prime or the fold
+    needs none: the fold needs a value's next entry while j + 1 < k (a
+    top-k column) or while its entry is >= floor (entries descend, so the
+    first entry below the floor retires the value).  A row that has left
+    stays in the frame, and keeps stepping, until fewer than half of the
+    frame's rows are live; until then a live mask keeps it out of ``top``
+    and out of the kept entries, so what it steps to is never read.
 
     Writes the k largest entries log(p)/log(u) per value, which are the
     first k batches, into its row of ``top`` (zero (n, k)), and returns
     (entry_idx, entry_val): the ragged list of every entry >= floor with
-    the int32 index of its value, in stream order, empty when floor is
-    None.  floor = 0.0 keeps complete spectra.  u = 1 gets the single
-    entry 1 (the log 1 / log 1 convention), last.
+    the int32 index of its value, batch by batch and in ascending index
+    within a batch, empty when floor is None.  floor = 0.0 keeps complete
+    spectra.  u = 1 gets the single entry 1 (the log 1 / log 1
+    convention), last.
     """
-    logs = np.maximum(values, 2).astype(np.float64)
+    rows, state, step = peel
+    logs = values[rows].astype(np.float64)
     np.log(logs, out=logs)
     out_idx, out_val = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.float64)]
-    try:
-        idx, p = next(peel)
-        for j in itertools.count():
-            entry = p.astype(np.float64)
-            np.log(entry, out=entry)
-            entry /= logs[idx]
-            if j < k:
-                top[idx, j] = entry
-            more = np.full(idx.size, j + 1 < k)
-            if floor is not None:
-                keep = entry >= floor
-                out_idx.append(idx[keep])
-                out_val.append(entry[keep])
-                more |= keep
-            idx, p = peel.send(more)
-    except StopIteration:
-        pass
+    live = None  # every row of the frame is live
+    for j in itertools.count():
+        if not rows.size:
+            break
+        p, more = step(j, state)
+        entry = p.astype(np.float64)
+        np.log(entry, out=entry)
+        entry /= logs
+        if live is not None:
+            more &= live
+        if j < k:
+            if live is None:
+                top[rows, j] = entry
+            else:
+                top[rows[live], j] = entry[live]
+        if floor is not None:
+            keep = entry >= floor
+            if live is not None:
+                keep &= live
+            at = np.flatnonzero(keep)
+            out_idx.append(rows.take(at))
+            out_val.append(entry.take(at))
+        if j + 1 >= k:
+            if floor is None:
+                break
+            more &= keep
+        if 2 * np.count_nonzero(more) < rows.size:
+            at = np.flatnonzero(more)
+            rows, logs = rows.take(at), logs.take(at)
+            state = [a.take(at) for a in state]
+            live = None
+        else:
+            live = more
     one = np.flatnonzero(values == 1).astype(np.int32)
     if k:
         top[one, 0] = 1.0
@@ -428,15 +458,17 @@ def _drain(chunks: list, dtype) -> np.ndarray:
 
 def _lpf_peel(values: np.ndarray, lpf: np.ndarray):
     """The peel of values, largest prime first, from a P+ table covering
-    them; a value stops once the fold needs no more of it."""
-    idx = np.flatnonzero(values > 1).astype(np.int32)
-    rem = values[idx].astype(np.int32)
-    while idx.size:
+    them: each step reads p = P+(rem) and divides it out of rem.  A row
+    at rem = 1 reads P+(1) = 1, whose entry is 0.0."""
+
+    def step(j, state):
+        (rem,) = state
         p = lpf[rem]
-        more = yield idx, p
         rem //= p
-        alive = more & (rem > 1)
-        idx, rem = idx[alive], rem[alive]
+        return p, rem > 1
+
+    rows = np.flatnonzero(values > 1).astype(np.int32)
+    return rows, [values[rows].astype(np.int32)], step
 
 
 def _trial_peel(values: np.ndarray, table: PrimeTable):
@@ -544,11 +576,10 @@ def sieve_blocks(values, args, table: PrimeTable, roots, k: int, floor: float | 
 def _from_the_top(n: int, ascending):
     """A peel, largest prime first, from a stream of (idx, p, e) batches
     that gives every prime power p**e || value of n values, each value's
-    in ascending order.  The regroup stops a value once the fold needs no
-    more of it."""
+    in ascending order: step j reads each row's (j+1)-th largest prime."""
     batches = list(ascending)
     if not batches:
-        return
+        return np.zeros(0, dtype=np.int32), [], None
     idx = np.concatenate([np.repeat(i, e) for i, _, e in batches])
     p = np.concatenate([np.repeat(q, e) for _, q, e in batches])
     # a stable sort by value keeps each value's primes ascending, so the
@@ -556,10 +587,12 @@ def _from_the_top(n: int, ascending):
     order = np.argsort(idx, kind="stable")
     p = p[order]
     omega = np.bincount(idx, minlength=n)
-    end = np.cumsum(omega)
-    live = np.flatnonzero(omega).astype(np.int32)
-    j = 0
-    while live.size:
-        more = yield live, p[end[live] - 1 - j]
-        j += 1
-        live = live[more & (omega[live] > j)]
+    rows = np.flatnonzero(omega).astype(np.int32)
+
+    def step(j, state):
+        last, count = state
+        # a row past its primes reads an earlier row's prime; the fold
+        # masks it out
+        return p[np.maximum(last - j, 0)], count > j + 1
+
+    return rows, [np.cumsum(omega)[rows] - 1, omega[rows]], step

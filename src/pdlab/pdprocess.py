@@ -44,7 +44,7 @@ import numpy as np
 
 from pdlab.boxes import BoxFunction, tuple_sum_per_item
 from pdlab.errors import ValidationError
-from pdlab.report import Estimate, moments
+from pdlab.report import Estimate, joint_cdf_hits, moments
 
 BLOCK = 1 << 15  # samples per RNG block; fixed, never tied to thread count
 # residual below which a sample's stick loop stops: no later stick is above it
@@ -250,7 +250,7 @@ def joint_cdf_mc(
 
     def topk(rng, size):
         top, _ = _topk_block(rng, size, k, TRUNCATION)
-        return int(np.count_nonzero(np.all(top <= np.asarray(c)[None, :], axis=1)))
+        return joint_cdf_hits(top, c)
 
     def counting(rng, size):
         idx, vals = _entries_above(rng, size, TRUNCATION)

@@ -1,5 +1,6 @@
 """Experiment report records and their JSON/CSV serialization, and the
-estimates they carry: a mean from block moments, or a frequency.
+estimates they carry: a mean from block moments, or a frequency such
+as the hit count of a joint cdf.
 
 Every report embeds the full configuration it was produced from, so any
 report can be re-run from itself.  The JSON payload is written with
@@ -28,6 +29,16 @@ def moments(values) -> tuple[int, float, float]:
     dev = values - total / values.size
     dev *= dev  # in place: one temporary the size of values, not two
     return values.size, total, float(np.sum(dev))
+
+
+def joint_cdf_hits(top: np.ndarray, c) -> int:
+    """The rows of top with top[:, j] <= c[j] for every threshold: the hit
+    count of the joint cdf P(L_1 <= c_1, .., L_k <= c_k), for members
+    and PD samples alike.  One compare per column, ANDed into one mask."""
+    hit = top[:, 0] <= c[0]
+    for j in range(1, len(c)):
+        hit &= top[:, j] <= c[j]
+    return int(np.count_nonzero(hit))
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,25 @@ from pdlab import arith, dickman, factor, sequences
 from pdlab.boxes import BoxFunction, check_tuple_budget, tuple_sum_per_item
 from pdlab.errors import ResourceBudgetError, ValidationError
 from pdlab.factor import TOP_K
-from pdlab.report import Estimate, moments
+from pdlab.report import Estimate, joint_cdf_hits, moments
 from pdlab.sequences import SequenceSpec
 
-# values of the sorted column per reference-cdf call in ks_distance
+# ks_distance's certified sweep: values of the sorted column per cell,
+# values per reference-cdf call, and the margin by which the reference may
+# fall between two points and still count as non-decreasing.  Each panel
+# of the default rho table is a Legendre series of degree 39 whose
+# coefficients sum to at most 1 in absolute value, summed by Clenshaw's
+# recurrence: a value is within some 2 * 40 * 2**-53 < 1e-14 of the exact
+# series, and 1/c and the panel's affine map are monotone in c.  Adjacent
+# panels meet at the integer breakpoints to the fit's accuracy, below
+# 1e-14 too (2.3e-15 was the largest drop seen across adjacent floats
+# there).  A skipped cell's terms exceed its computed bound by at most that
+# drop plus two roundings of a difference in [-1, 1], 2**-53 each; 1e-10
+# covers both with four orders to spare, and the cells it adds to the
+# full evaluation are few.
+KS_CELL = 1 << 10
 KS_CHUNK = 1 << 18
+KS_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -186,8 +200,7 @@ def empirical_joint_cdf(s: SampleSet, c) -> Estimate:
     if not c or any(not 0 < v <= 1 for v in c):
         raise ValidationError("thresholds must be a nonempty vector in (0, 1]")
     _need_top(s, len(c))
-    hit = np.all(s.top[:, : len(c)] <= np.asarray(c)[None, :], axis=1)
-    return Estimate.frequency(int(np.count_nonzero(hit)), s.n)
+    return Estimate.frequency(joint_cdf_hits(s.top, c), s.n)
 
 
 def tail_frequency(s: SampleSet, eps: float) -> Estimate:
@@ -206,32 +219,66 @@ def tail_frequency(s: SampleSet, eps: float) -> Estimate:
 def ks_distance(values: np.ndarray, ref_cdf) -> float:
     """One-sample Kolmogorov-Smirnov distance against a callable CDF.
 
+    A certified sweep over the sorted sample: the column is cut into
+    cells of KS_CELL values, and ref_cdf is evaluated only at each cell's
+    first and last value.  A cdf is non-decreasing, so a cell's terms
+    (i+1)/n - F(v_i) and F(v_i) - i/n are bounded by grid_last - F(first)
+    and F(last) - (grid_first - 1/n).  Only the cells whose bound comes
+    within KS_MARGIN of the running max are evaluated in full, KS_CHUNK
+    values per ref_cdf call, with the same expressions as a full sweep,
+    so the result is the full sweep's float whenever ref_cdf is
+    non-decreasing to within KS_MARGIN (as dickman_reference_cdf is).  If
+    the values at the cell ends are not, every cell is evaluated.
+
     Against the continuous dickman_reference_cdf, the leading entries of an
     exhaustive sample up to x can come no closer than the atom
     (pi(x) + 1)/x that the primes and u = 1 put at L1 = 1.  From x = 10^4
     to 10^7 the distance equals that atom, so it says nothing about the
-    continuous part of the law.
+    continuous part of the law; the sweep then evaluates the one cell
+    where the atom starts.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValidationError("ks_distance requires a nonempty sample")
     v = np.sort(values)
     n = len(v)
-    dist = -np.inf
-    # chunks of the sorted column keep the cdf and its temporaries small
-    for lo in range(0, n, KS_CHUNK):
-        chunk = v[lo : lo + KS_CHUNK]
-        ref = np.asarray(ref_cdf(chunk), dtype=np.float64)
-        grid = np.arange(lo + 1, lo + chunk.size + 1) / n
-        dist = max(dist, np.max(grid - ref), np.max(ref - (grid - 1.0 / n)))
-    return float(dist)
+    lo = np.arange(0, n, KS_CELL)
+    hi = np.minimum(lo + KS_CELL, n)
+    ends = np.stack([lo, hi - 1], axis=1).ravel()
+    ref = np.asarray(ref_cdf(v[ends]), dtype=np.float64)
+    dist = _ks_terms(ends, ref, n)
+    first, last = ref[0::2], ref[1::2]
+    bound = np.maximum(hi / n - first, last - ((lo + 1) / n - 1.0 / n))
+    if np.any(np.diff(ref) < -KS_MARGIN):
+        bound[:] = np.inf
+    # cells by decreasing bound; each pass takes the next cells that can
+    # still reach the running max
+    order = np.argsort(-bound, kind="stable")
+    per_call = max(KS_CHUNK // KS_CELL, 1)
+    done = 0
+    while done < order.size and bound[order[done]] >= dist - KS_MARGIN:
+        cells = order[done : done + per_call]
+        cells = cells[bound[cells] >= dist - KS_MARGIN]
+        pos = np.concatenate([np.arange(lo[c], hi[c]) for c in cells])
+        dist = max(dist, _ks_terms(pos, np.asarray(ref_cdf(v[pos]), dtype=np.float64), n))
+        done += cells.size
+    return dist
+
+
+def _ks_terms(pos, ref, n: int) -> float:
+    """The largest KS term at the sorted positions pos, given the
+    reference cdf's values ref there."""
+    grid = (pos + 1) / n
+    return float(max(np.max(grid - ref), np.max(ref - (grid - 1.0 / n))))
 
 
 def dickman_reference_cdf(table: dickman.RhoTable | None = None):
     """The limit CDF c -> rho(1/c) of the normalized largest prime factor.
 
     It is continuous and reaches 1 only at c = 1, where an exhaustive
-    sample has the atom (pi(x) + 1)/x; see ks_distance.
+    sample has the atom (pi(x) + 1)/x; see ks_distance.  As evaluated it
+    is non-decreasing to within KS_MARGIN (see its comment), which the
+    certified sweep of ks_distance relies on.
     """
     tab = table or dickman.default_table()
 

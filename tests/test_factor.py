@@ -1,5 +1,6 @@
 """Prime tables, factorization round-trips, normalized spectra."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import PrimeCounts, largest_prime_factor
+from scalar_spectra import assert_fold_matches, scalar_spectra
 
 from pdlab import factor, sequences
 from pdlab.errors import ResourceBudgetError, ValidationError
@@ -150,6 +152,26 @@ def _per_member(idx, val):
     return idx[order], val[order]
 
 
+def _frame_sets(table):
+    """Value sets, each folded as its own blocks, that reach both states of
+    the fold's live frame: every row live, and departed rows masked."""
+    rng = np.random.Generator(np.random.Philox(key=11))
+    return {
+        "range": np.arange(1, 61),
+        # every row leaves after the first batch
+        "primes": table.primes[:40],
+        # u = 1, then rows that stay live longest, one leaving per batch
+        "powers_of_2": 2 ** np.arange(17),
+        "one": np.ones(1, dtype=np.int64),
+        # not contiguous
+        "thue_morse": sequences.members(sequences.thue_morse_zeros(), 400),
+        "subsample": np.sort(rng.choice(np.arange(1, 10**5), size=60, replace=False)),
+    }
+
+
+FOLDS = list(itertools.product(range(factor.TOP_K + 1), (None, 0.0, 0.1, 0.5)))
+
+
 @pytest.mark.parametrize("block", [1, 3, 1 << 16])
 def test_bulk_spectra_do_not_depend_on_the_member_block(block, table, monkeypatch):
     # 2 000 values, a multiple of neither 3 nor 2**16: the last block is short
@@ -157,12 +179,34 @@ def test_bulk_spectra_do_not_depend_on_the_member_block(block, table, monkeypatc
     spf = factor.smallest_factor_sieve(2000)
     paths = ((factor.bulk_spectra, spf), (factor.bulk_spectra_trial, table))
     whole = [path(values, source, 3, 0.0) for path, source in paths]
+    sets = _frame_sets(table)
+    set_paths = {
+        name: ((factor.bulk_spectra, factor.smallest_factor_sieve(max(int(v.max()), 2))),
+               (factor.bulk_spectra_trial, table))
+        for name, v in sets.items()
+    }
+    set_whole = {
+        (name, k, floor, i): path(sets[name], source, k, floor)
+        for name in sets
+        for k, floor in FOLDS
+        for i, (path, source) in enumerate(set_paths[name])
+    }
     monkeypatch.setattr(factor, "MEMBER_BLOCK", block)
     for (path, source), (w_idx, w_val, w_top) in zip(paths, whole):
         idx, val, top = path(values, source, 3, 0.0)
         assert top.tobytes() == w_top.tobytes()
         for got, want in zip(_per_member(idx, val), _per_member(w_idx, w_val)):
             assert np.array_equal(got, want)
+    for name, values in sets.items():
+        ref = scalar_spectra(values, table)
+        for k, floor in FOLDS:
+            for i, (path, source) in enumerate(set_paths[name]):
+                idx, val, top = path(values, source, k, floor)
+                w_idx, w_val, w_top = set_whole[name, k, floor, i]
+                assert top.tobytes() == w_top.tobytes(), (name, k, floor)
+                for got, want in zip(_per_member(idx, val), _per_member(w_idx, w_val)):
+                    assert np.array_equal(got, want), (name, k, floor)
+                assert_fold_matches(ref, top, idx, val, k, floor)
 
 
 @pytest.mark.parametrize("bad", [[0, -3, 6], [6.7], [5, 0]])

@@ -1,4 +1,5 @@
-"""The one mean reduction: block moments and their combination."""
+"""The one mean reduction: block moments and their combination; the one
+joint-cdf hit count."""
 
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdlab.report import Estimate, moments
+from pdlab.report import Estimate, joint_cdf_hits, moments
 
 finite = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
 
@@ -43,3 +44,15 @@ def test_split_blocks_agree_with_one_block(seed, n, cuts, scale):
 def test_mean_of_a_constant_has_no_error():
     est = Estimate.mean([moments(np.full(7, 0.25)), moments(np.full(3, 0.25))])
     assert (est.value, est.std_error, est.n) == (0.25, 0.0, 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 400))
+def test_joint_cdf_hits_count_rows_under_every_threshold(seed, k, n):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    # entries on a coarse grid, so that many sit exactly on a threshold
+    top = np.sort(rng.integers(0, 11, (n, 3)) / 10, axis=1)[:, ::-1]
+    c = (rng.integers(1, 11, k) / 10).tolist()
+    want = int(np.count_nonzero(np.all(top[:, :k] <= np.asarray(c)[None, :], axis=1)))
+    # the hit count reads only the first len(c) columns of a wider top
+    assert joint_cdf_hits(top, c) == joint_cdf_hits(np.ascontiguousarray(top[:, :k]), c) == want

@@ -1,5 +1,6 @@
 """Empirical estimators on arithmetic samples, cross-checked by brute force."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 import sympy
 
 import oracles
-from pdlab import arith, dickman, factor, sequences, stats
+from scalar_spectra import assert_fold_matches, scalar_spectra
+
+from pdlab import arith, dickman, factor, pdprocess, sequences, stats
 from pdlab.boxes import box
 from pdlab.errors import ValidationError
 
@@ -160,6 +163,92 @@ def test_ks_distance_chunks_agree(monkeypatch):
     assert stats.ks_distance(sample, ref) == want
     monkeypatch.setattr(stats, "KS_CHUNK", 7)
     assert stats.ks_distance(sample, ref) == want
+
+
+def _full_ks(values, ref_cdf):
+    """The full KS sweep that the certified one replaced: ref_cdf at every
+    sorted value, one chunk of 2**18 values per call."""
+    v = np.sort(np.asarray(values, dtype=np.float64))
+    n = len(v)
+    dist = -np.inf
+    for lo in range(0, n, 1 << 18):
+        chunk = v[lo : lo + (1 << 18)]
+        ref = np.asarray(ref_cdf(chunk), dtype=np.float64)
+        grid = np.arange(lo + 1, lo + chunk.size + 1) / n
+        dist = max(dist, np.max(grid - ref), np.max(ref - (grid - 1.0 / n)))
+    return float(dist)
+
+
+def _leading(spec, x, **kw):
+    return stats.build_sample_set(spec, x, k=1, **kw).top[:, 0]
+
+
+def _pd_leading():
+    rng = pdprocess._block_rng(7, 0)
+    sample = pdprocess._topk_block(rng, 1 << 20, 1, pdprocess.TRUNCATION)[0][:, 0]
+    # no atom, so the sup is in the continuous part, and at 2**20 values
+    # some cells can be skipped and some cannot
+    assert sample.max() < 1.0
+    return sample
+
+
+def _ties():
+    rng = np.random.Generator(np.random.Philox(key=31))
+    return np.concatenate([np.round(rng.uniform(0.05, 1.0, 5000), 2), np.ones(300)])
+
+
+KS_SAMPLES = {
+    **{f"uniform_1e{e}": lambda e=e: _leading(sequences.uniform_integers(), 10**e) for e in range(3, 7)},
+    "thue_morse": lambda: _leading(sequences.thue_morse_zeros(), 10**5),
+    "shifted_primes_subsample": lambda: _leading(
+        sequences.shifted_primes(1), 10**6, max_members=20000, subsample_seed=3
+    ),
+    "pd": _pd_leading,
+    "ties": _ties,
+    "one_value": lambda: np.array([0.4]),
+    "below_one_cell": lambda: np.linspace(0.1, 1.0, 100),
+    "one_cell_and_one": lambda: np.random.Generator(np.random.Philox(key=5)).uniform(
+        0.05, 1.0, stats.KS_CELL + 1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(KS_SAMPLES))
+def test_ks_sweep_equals_the_full_sweep(name):
+    sample = KS_SAMPLES[name]()
+    ref = stats.dickman_reference_cdf()
+    assert stats.ks_distance(sample, ref) == _full_ks(sample, ref)
+    # a decreasing reference fails the check at the cell ends: every cell is swept
+    reverse = lambda c: 1.0 - ref(c)  # noqa: E731
+    assert stats.ks_distance(sample, reverse) == _full_ks(sample, reverse)
+
+
+def test_ks_sweep_reads_few_points_of_an_exhaustive_set():
+    sample = _leading(sequences.uniform_integers(), 10**6)
+    ref = stats.dickman_reference_cdf()
+    seen = []
+
+    def spy(c):
+        seen.append(np.size(c))
+        return ref(c)
+
+    assert stats.ks_distance(sample, spy) == _full_ks(sample, ref)
+    # the cell ends, and the cell where the atom at L1 = 1 starts
+    assert sum(seen) < 0.05 * sample.size
+
+
+def test_dickman_reference_cdf_is_monotone_within_the_margin():
+    # ks_distance skips a cell on the assumption that the reference cdf
+    # falls by at most KS_MARGIN between two points; its comment derives
+    # that from the Legendre evaluation's rounding
+    ref = stats.dickman_reference_cdf()
+    u_max = dickman.default_table().u_max
+    c = np.linspace(1.0 / u_max, 1.0, 1_000_001)[1:]
+    # and every run of adjacent floats around the panel breakpoints c = 1/m
+    near = [1.0 / m + np.arange(-500, 500) * np.spacing(1.0 / m) for m in range(1, u_max + 1)]
+    for grid in (c, *near):
+        grid = grid[(grid > 1.0 / u_max) & (grid <= 1.0)]
+        assert np.diff(ref(grid)).min() >= -stats.KS_MARGIN
 
 
 def test_lod_uniform_closed_bound():
@@ -532,6 +621,22 @@ def test_sets_do_not_depend_on_the_member_block(name, monkeypatch):
         got = _member_multisets(s.entry_idx, s.entry_val)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert (c.value, c.std_error) == (corr.value, corr.std_error)
+    # every shape of build, in one block and in blocks of 61 (a short last
+    # one, and frames with departed rows masked), is the scalar path's
+    ref = scalar_spectra(whole.u, factor.build_prime_table(10**4))
+    for k, floor in itertools.product(range(factor.TOP_K + 1), (None, 0.0, 0.1, 0.5)):
+        if k == 0 and floor is None:
+            continue  # factors nothing
+        builds = []
+        for block in (1 << 16, 61):
+            monkeypatch.setattr(factor, "MEMBER_BLOCK", block)
+            builds.append(stats.build_sample_set(spec, x, k=k, floor=floor, **kw))
+        one, short = builds
+        assert short.top.tobytes() == one.top.tobytes()
+        got = _member_multisets(short.entry_idx, short.entry_val)
+        want = _member_multisets(one.entry_idx, one.entry_val)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert_fold_matches(ref, one.top, one.entry_idx, one.entry_val, k, floor)
 
 
 def test_member_corr_pinned_at_the_parent_values():
