@@ -183,11 +183,6 @@ def factorize(u: int, table: PrimeTable | None = None) -> Factorization:
     return Factorization(value=u, factors=tuple(factors))
 
 
-def largest_prime(f: Factorization) -> int:
-    """P+(u): the largest prime factor, with P+(1) = 1."""
-    return f.factors[-1][0] if f.factors else 1
-
-
 def spectrum(f: Factorization) -> NormalizedSpectrum:
     if f.value == 1:
         return NormalizedSpectrum(u=1, entries=(1.0,))

@@ -18,6 +18,8 @@ force in ``tests/test_oracles.py``.
 
 ``residue_counts`` and ``divisible_by_any`` are the direct references for
 pdlab's divisibility marks: one ``v % d`` pass over the values per modulus.
+``sticks_from_uniforms`` is the stick-breaking reference for pdlab's
+Poisson-Dirichlet sampler, exact on fractions.
 """
 
 from __future__ import annotations
@@ -234,3 +236,17 @@ def divisible_by_any(values: np.ndarray, qs) -> np.ndarray:
     for q in qs:
         hit |= values % q == 0
     return hit
+
+
+def sticks_from_uniforms(us):
+    """Unsorted sticks G_j from explicit uniforms; exact for exact inputs.
+
+    Works with any numeric type (fractions included): returns
+    (sticks, residual) with sum(sticks) + residual == 1 by telescoping.
+    """
+    sticks = []
+    residual = 1
+    for u in us:
+        sticks.append(residual * (1 - u))
+        residual = residual * u
+    return sticks, residual

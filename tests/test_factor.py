@@ -58,12 +58,6 @@ def test_spectrum_examples(table):
     assert factor.spectrum(factor.factorize(7, table)).entries == (1.0,)
 
 
-def test_largest_prime(table):
-    assert factor.largest_prime(factor.factorize(12, table)) == 3
-    assert factor.largest_prime(factor.factorize(1, table)) == 1
-    assert factor.largest_prime(factor.factorize(9991, table)) == 103
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=1, max_value=10**12))
 def test_round_trip_and_spectrum_properties(u):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sticks_from_uniforms
 from pdlab import dickman, pdprocess
 from pdlab.boxes import box, box_correlation_exact, box_correlation_quadrature
 from pdlab.errors import ValidationError
@@ -79,7 +80,7 @@ def _rngs(block):
 
 def test_sticks_from_forced_uniforms():
     # all U_i = 1/2 gives sticks 1/2, 1/4, 1/8, ... already descending
-    sticks, residual = pdprocess.sticks_from_uniforms([Fraction(1, 2)] * 6)
+    sticks, residual = sticks_from_uniforms([Fraction(1, 2)] * 6)
     assert sticks == [Fraction(1, 2**j) for j in range(1, 7)]
     assert sum(sticks) + residual == 1
 
@@ -87,9 +88,28 @@ def test_sticks_from_forced_uniforms():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.fractions(min_value=0, max_value=1), min_size=1, max_size=12))
 def test_stick_telescoping_exact(us):
-    sticks, residual = pdprocess.sticks_from_uniforms(us)
+    sticks, residual = sticks_from_uniforms(us)
     assert sum(sticks) + residual == 1  # exact rational identity
     assert all(s >= 0 for s in sticks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fractions(min_value=0, max_value=1), min_size=1, max_size=40))
+def test_certified_lead_is_the_lead_of_the_full_run(us):
+    # no stick after round j exceeds round j's residual, so the running
+    # maximum is final at the first round whose residual is at most it
+    sticks, _ = sticks_from_uniforms(us)
+    residuals = [sticks_from_uniforms(us[: j + 1])[1] for j in range(len(us))]
+
+    def lead(certify):
+        top = 0
+        for stick, residual in zip(sticks, residuals):
+            top = max(top, stick)
+            if residual < pdprocess.TRUNCATION or (certify and residual <= top):
+                break
+        return top
+
+    assert lead(certify=True) == lead(certify=False)
 
 
 def test_random_draws_equal_uniform_draws():
@@ -135,6 +155,75 @@ def test_l1_fold_equals_the_scattering_fold(n):
         l1, dev = pdprocess._l1_and_deviation(b, n, 1e-12)
         assert _same_bits(l1, want_l1)
         assert dev == want_dev
+
+
+def _certified_l1(rng, n):
+    return pdprocess._l1_and_deviation(rng, n, pdprocess.TRUNCATION, pdprocess._lead_certified)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, pdprocess.BLOCK])
+def test_certified_l1_fold_equals_the_top_1_column(n):
+    # the same rule as the top-k fold at k = 1, so the same draws and bits
+    for block in range(6):
+        a, b = _rngs(block)
+        top, uncertified = pdprocess._topk_block(a, n, 1, pdprocess.TRUNCATION)
+        l1, dev = _certified_l1(b, n)
+        assert _same_bits(l1, top[:, 0])
+        assert uncertified == 0
+        assert dev <= 1e-12
+
+
+def test_certified_rows_retire_by_their_rule(monkeypatch):
+    real = pdprocess._stick_rounds
+    retired = []
+
+    def spy(rng, n, floor, state, retire=None, done=None):
+        def check(idx, residual, st):
+            assert np.all((residual <= st[0]) | (residual < floor))
+            retired.append(idx)
+            retire(idx, residual, st)
+
+        return real(rng, n, floor, state, check, done)
+
+    monkeypatch.setattr(pdprocess, "_stick_rounds", spy)
+    _certified_l1(pdprocess._block_rng(17, 0), 5000)
+    assert np.array_equal(np.sort(np.concatenate(retired)), np.arange(5000))
+
+
+class _CountingRng:
+    """A generator proxy that counts the uniforms drawn through it."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def random(self, size=None, out=None):
+        self.draws += out.size if out is not None else size
+        return self.rng.random(size, out=out)
+
+
+def test_certified_pass_draws_few_uniforms_per_sample(monkeypatch):
+    # E[rounds] is 1.83 per sample; a pass run to TRUNCATION draws about 31
+    rngs = []
+
+    def counted(seed, block):
+        rngs.append(_CountingRng(np.random.Generator(np.random.Philox(key=(seed << 64) + block))))
+        return rngs[-1]
+
+    monkeypatch.setattr(pdprocess, "_block_rng", counted)
+    n = 4 * pdprocess.BLOCK
+    pdprocess.l1_mass_mc(n, seed=23)
+    assert len(rngs) == 4
+    assert sum(r.draws for r in rngs) < 2.5 * n
+
+
+def test_certified_l1_follows_the_dickman_cdf():
+    n = 2 * 10**5
+    parts = pdprocess._combine_blocks(n, 29, 1, lambda rng, size: _certified_l1(rng, size)[0])
+    l1 = np.concatenate(parts)
+    for c in (0.3, 0.5, 0.7, 0.9):
+        want = dickman.cdf_l1(c)
+        sigma = math.sqrt(want * (1 - want) / n)
+        assert abs(np.count_nonzero(l1 <= c) / n - want) <= 5 * sigma
 
 
 def test_rows_that_leave_stay_frozen_in_the_frame():
@@ -240,7 +329,7 @@ def test_l1_mass_mc_thread_independent_and_near_golomb_dickman():
     assert a.n == 2 * 10**5
     assert abs(a.value - 0.6243299885) <= 5 * a.std_error
     assert dev_a <= 1e-12
-    assert dev_a == pdprocess.mass_identity_max_deviation(2 * 10**5, seed=3)
+    assert pdprocess.mass_identity_max_deviation(2 * 10**5, seed=3) <= 1e-12
 
 
 def test_estimates_pinned_at_the_parent_values():
@@ -248,8 +337,10 @@ def test_estimates_pinned_at_the_parent_values():
     # reproduce the estimates of the one-pass sums they replaced
     eta = box((0.1, 0.3), (0.3, 0.6))
     assert pdprocess.corr_mc(eta, 10**5, seed=3, threads=2).value == 0.76037
-    l1, dev = pdprocess.l1_mass_mc(10**5, seed=3, threads=2)
-    assert (l1.value, dev) == (0.6242439819067127, 8.881784197001252e-16)
+    # l1_mass_mc stops each sample once its L1 is certified, which moved
+    # its bits; the full-truncation mass identity pass keeps the parent's
+    assert pdprocess.l1_mass_mc(10**5, seed=3, threads=2)[0].value == 0.6245400994483579
+    assert pdprocess.mass_identity_max_deviation(10**5, seed=3, threads=2) == 8.881784197001252e-16
     cdf = pdprocess.joint_cdf_mc([0.5, 0.3], 10**5, seed=3, threads=2)
     assert (cdf.value, cdf.std_error) == (0.1777, 0.0012088122683030645)
 
