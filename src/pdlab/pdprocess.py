@@ -27,10 +27,10 @@ with its own stopping rule:
 * ``_l1_and_deviation`` folds the leading entry and the telescoping sum.
   ``l1_mass_mc`` (the ``pd`` subcommand) runs it with the rule
   ``_lead_certified``: a row retires once its residual is at most its
-  running maximum, since no later stick can exceed the residual, so L_1
-  is final after 1.83 rounds per sample on average.
+  running maximum, since no later stick can exceed the residual; that
+  takes 1.83 rounds per sample on average (measured).
   ``mass_identity_max_deviation`` runs it with no rule, to ``TRUNCATION``
-  (about 31 rounds per sample).
+  (about 29 rounds per sample).
 
 A fold's stopping rule decides which rows draw in each round, and so
 which uniforms every later row of the block gets: two folds over the
@@ -227,11 +227,9 @@ def l1_mass_mc(n_samples: int, seed: int, threads: int = 1) -> tuple[Estimate, f
     over the sticks the pass drew.
 
     Each sample stops at the first round whose residual is at most its
-    running maximum (``_lead_certified``), where its L_1 is certified.
-    The deviation therefore covers fewer sticks than
-    ``mass_identity_max_deviation``, which runs every sample to
-    ``TRUNCATION``, and the estimate's bits differ from a full-truncation
-    pass with the same seed, though not its law.
+    running maximum (``_lead_certified``), where its L_1 is certified, so
+    the deviation covers fewer sticks than ``mass_identity_max_deviation``,
+    which runs every sample to ``TRUNCATION``.
     """
 
     def fold(rng, size):
