@@ -9,7 +9,9 @@ Three peel sources produce the prime factors of a set of values:
 
 * a smallest-prime-factor sieve over [1, limit] for dense value sets
   (``smallest_factor_sieve`` + ``bulk_spectra``), which peels the largest
-  prime first through a P+ table derived from the sieve;
+  prime first through a P+ table derived from the sieve.  The sieve fills
+  cache-sized segments from the odd primes <= sqrt(limit) of
+  ``build_prime_table``, with no mask over the whole range;
 * a sieve over the arguments n of polynomial values F(n)
   (``sieve_blocks``): p divides F(n) exactly when n lies in a root
   class of F mod p, so each class gives its p with no trial division;
@@ -34,7 +36,10 @@ the frame holds the rows with the peel's per-row state and log(u), every
 step runs over all of its rows, and a live mask keeps the rows that have
 left out of ``top`` and the kept entries.  The frame drops them only once
 fewer than half of its rows are live, so no per-row array is compacted
-until then, and entries stay in ascending row order per batch.
+until then, and entries stay in ascending row order per batch.  Until a
+block's frame first compacts, and when the block has no value 1, the
+frame's rows are the whole block: the fold then reads u and writes
+``top`` by slices, with no gather or scatter by row.
 
 The fold runs over fixed blocks of MEMBER_BLOCK values (``_fold_blocks``):
 each block peels from the shared P+ table or by its own trial division
@@ -67,7 +72,8 @@ MAX_SPF_SIEVE_LIMIT = 200_000_000
 # leading spectrum entries per value that a build returns by default, and
 # the most a sample set holds (the widest joint cdf)
 TOP_K = 3
-# arguments per block of the polynomial sieve: bounds its (n, p) pairs
+# arguments per block of the polynomial sieve, which bounds its (n, p)
+# pairs, and entries per segment of the spf sieve (1 MiB of int32)
 _SIEVE_BLOCK = 1 << 18
 # values per block of the spectrum fold: bounds its logs/idx/rem/entry
 # arrays, some 100 B per value of a block
@@ -197,7 +203,14 @@ def spectrum(f: Factorization) -> NormalizedSpectrum:
 def smallest_factor_sieve(limit: int) -> np.ndarray:
     """spf[n] = smallest prime factor of n, for 0 <= n <= limit (spf[1] = 1).
 
-    int32: MAX_SPF_SIEVE_LIMIT < 2**31 bounds every entry.
+    int32: MAX_SPF_SIEVE_LIMIT < 2**31 bounds every entry.  A segmented
+    sieve (Bays & Hudson, BIT 17, 1977): each segment of _SIEVE_BLOCK
+    entries starts as n itself, which is final for primes and 1, then
+    takes 2 on its even entries and, for each odd prime p <= sqrt(limit)
+    from build_prime_table, largest first, p on its odd multiples from
+    p*p on, by plain strided writes.  A composite n >= p*p for its
+    smallest prime p, so p is the last prime written there; no entry is
+    read back and no mask covers the whole range.
     """
     if limit < 2:
         raise ValidationError(f"sieve limit must be >= 2, got {limit}")
@@ -205,16 +218,22 @@ def smallest_factor_sieve(limit: int) -> np.ndarray:
         raise ResourceBudgetError(
             f"spf sieve limit {limit} exceeds budget {MAX_SPF_SIEVE_LIMIT}"
         )
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    spf[1] = 1
-    spf[2::2] = 2
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if spf[p] == 0:
-            spf[p] = p
-            view = spf[p * p :: 2 * p]
-            view[view == 0] = p
-    unset = np.flatnonzero(spf == 0)
-    spf[unset] = unset
+    primes = build_prime_table(max(math.isqrt(limit), 2)).primes[1:]
+    squares = primes * primes
+    primes = primes.tolist()
+    spf = np.empty(limit + 1, dtype=np.int32)
+    ramp = np.arange(min(_SIEVE_BLOCK, limit + 1), dtype=np.int32)
+    for lo in range(0, limit + 1, _SIEVE_BLOCK):
+        hi = min(lo + _SIEVE_BLOCK, limit + 1)
+        seg = spf[lo:hi]
+        np.add(ramp[: hi - lo], lo, out=seg)  # n itself, final for primes
+        seg[::2] = 2  # lo is even
+        # the odd multiples n >= p*p of each odd prime p with p*p < hi,
+        # largest p first, so that the smallest prime factor is written last
+        for p in reversed(primes[: int(np.searchsorted(squares, hi))]):
+            start = max(p * p, lo + (p - lo) % (2 * p))
+            seg[start - lo :: 2 * p] = p
+    spf[0] = 0
     return spf
 
 
@@ -356,8 +375,8 @@ def _fold_spectra(values, peel, k: int, floor: float | None, top: np.ndarray):
     top-k column) or while its entry is >= floor (entries descend, so the
     first entry below the floor retires the value).  A row that has left
     stays in the frame, and keeps stepping, until fewer than half of the
-    frame's rows are live; until then a live mask keeps it out of ``top``
-    and out of the kept entries, so what it steps to is never read.
+    frame's rows are live; until then a live mask keeps what it steps to
+    out of ``top`` and out of the kept entries.
 
     Writes the k largest entries log(p)/log(u) per value, which are the
     first k batches, into its row of ``top`` (zero (n, k)), and returns
@@ -368,7 +387,10 @@ def _fold_spectra(values, peel, k: int, floor: float | None, top: np.ndarray):
     convention), last.
     """
     rows, state, step = peel
-    logs = values[rows].astype(np.float64)
+    # with no value 1, the frame holds every row until it first compacts
+    whole = rows.size == values.size
+    one = np.zeros(0, dtype=np.int32) if whole else np.flatnonzero(values == 1).astype(np.int32)
+    logs = (values if whole else values[rows]).astype(np.float64)
     np.log(logs, out=logs)
     out_idx, out_val = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.float64)]
     live = None  # every row of the frame is live
@@ -382,10 +404,13 @@ def _fold_spectra(values, peel, k: int, floor: float | None, top: np.ndarray):
         if live is not None:
             more &= live
         if j < k:
-            if live is None:
-                top[rows, j] = entry
+            # column j still holds 0.0 for every row and entries are finite,
+            # so entry * live leaves a departed row's 0.0 as it is
+            col = entry if live is None else entry * live
+            if whole:
+                top[:, j] = col
             else:
-                top[rows[live], j] = entry[live]
+                top[rows, j] = col
         if floor is not None:
             keep = entry >= floor
             if live is not None:
@@ -401,10 +426,9 @@ def _fold_spectra(values, peel, k: int, floor: float | None, top: np.ndarray):
             at = np.flatnonzero(more)
             rows, logs = rows.take(at), logs.take(at)
             state = [a.take(at) for a in state]
-            live = None
+            live, whole = None, False
         else:
             live = more
-    one = np.flatnonzero(values == 1).astype(np.int32)
     if k:
         top[one, 0] = 1.0
     if floor is not None:
@@ -458,12 +482,14 @@ def _lpf_peel(values: np.ndarray, lpf: np.ndarray):
 
     def step(j, state):
         (rem,) = state
-        p = lpf[rem]
-        rem //= p
+        p = lpf.take(rem)
+        # p | rem < 2**31, so the float64 quotient is exact
+        np.copyto(rem, rem / p, casting="unsafe")
         return p, rem > 1
 
     rows = np.flatnonzero(values > 1).astype(np.int32)
-    return rows, [values[rows].astype(np.int32)], step
+    rem = values if rows.size == values.size else values[rows]
+    return rows, [rem.astype(np.int32)], step
 
 
 def _trial_peel(values: np.ndarray, table: PrimeTable):
@@ -588,6 +614,6 @@ def _from_the_top(n: int, ascending):
         last, count = state
         # a row past its primes reads an earlier row's prime; the fold
         # masks it out
-        return p[np.maximum(last - j, 0)], count > j + 1
+        return p.take(np.maximum(last - j, 0)), count > j + 1
 
     return rows, [np.cumsum(omega)[rows] - 1, omega[rows]], step

@@ -100,6 +100,39 @@ def test_spf_sieve_agrees_with_factorize(table):
     assert spf.dtype == np.int32
 
 
+def _oracle_spf(limit):
+    """spf[n] for 0 <= n <= limit from the oracle's primes, each writing
+    its multiples, largest first, so the smallest prime factor writes last."""
+    spf = np.arange(limit + 1)
+    for p in PrimeCounts(limit).primes[::-1].tolist():
+        spf[p::p] = p
+    return spf
+
+
+B = factor._SIEVE_BLOCK
+# 3 * B + 5: the square of the largest prime <= sqrt(limit) lies two
+# segments after the prime itself
+SIEVE_LIMITS = [*range(2, 65), B - 1, B, B + 1, 2 * B + 7, 3 * B + 5]
+
+
+def test_segmented_sieve_matches_oracle_sieve():
+    for limit in SIEVE_LIMITS:
+        spf = factor.smallest_factor_sieve(limit)
+        assert spf.dtype == np.int32
+        assert spf[1] == 1
+        assert np.array_equal(spf, _oracle_spf(limit)), limit
+    p = int(PrimeCounts(math.isqrt(3 * B + 5)).primes[-1])
+    assert p // B == 0 and p * p // B == 2
+
+
+@pytest.mark.parametrize("block", [2, 16, 30])
+def test_segmented_sieve_does_not_depend_on_the_segment(block, monkeypatch):
+    # small segments: most primes have their squares many segments later
+    monkeypatch.setattr(factor, "_SIEVE_BLOCK", block)
+    for limit in (2, 3, block + 1, 2 * block + 7, 4099):
+        assert np.array_equal(factor.smallest_factor_sieve(limit), _oracle_spf(limit)), limit
+
+
 def test_largest_factor_table_matches_oracle():
     # 2**17 + 5 crosses every pass boundary 2**k of the table build
     limit = 2**17 + 5
@@ -201,6 +234,33 @@ def test_bulk_spectra_do_not_depend_on_the_member_block(block, table, monkeypatc
                 for got, want in zip(_per_member(idx, val), _per_member(w_idx, w_val)):
                     assert np.array_equal(got, want), (name, k, floor)
                 assert_fold_matches(ref, top, idx, val, k, floor)
+
+
+@pytest.mark.parametrize("peel", ["lpf", "trial"])
+def test_fold_of_every_row_matches_the_generic_frame(peel, table):
+    # with no value 1 the frame holds every row, and the fold writes top by
+    # columns; a leading 1 puts the same values, one row later, on the
+    # generic path
+    rest = np.concatenate([np.arange(2, 3001), 2 ** np.arange(12, 20), table.primes[-50:]])
+    lpf = factor._largest_factor_table(factor.smallest_factor_sieve(int(rest.max())))
+    peels = {
+        "lpf": lambda v: factor._lpf_peel(v, lpf),
+        "trial": lambda v: factor._trial_peel(v, table),
+    }
+    with_one = np.concatenate([[1], rest])
+    for k, floor in itertools.product(range(factor.TOP_K + 1), (None, 0.0, 0.3)):
+        top1, top0 = np.zeros((with_one.size, k)), np.zeros((rest.size, k))
+        idx1, val1 = factor._fold_spectra(with_one, peels[peel](with_one), k, floor, top1)
+        idx0, val0 = factor._fold_spectra(rest, peels[peel](rest), k, floor, top0)
+        assert top1[1:].tobytes() == top0.tobytes(), (k, floor)
+        assert top1[0].tolist() == [1.0, 0.0, 0.0][:k]
+        if floor is None:
+            assert idx1.size == idx0.size == 0
+            continue
+        # u = 1's entry comes last
+        assert (idx1[-1], val1[-1]) == (0, 1.0)
+        assert (idx1[:-1] - 1).tobytes() == idx0.tobytes(), (k, floor)
+        assert val1[:-1].tobytes() == val0.tobytes(), (k, floor)
 
 
 @pytest.mark.parametrize("bad", [[0, -3, 6], [6.7], [5, 0]])
