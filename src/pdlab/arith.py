@@ -1,8 +1,8 @@
 """Multiplicative arithmetic functions and per-sequence density functions g.
 
-Covers the Euler totient, Omega, the threefold divisor function, the roots
-and distinct root counts h(d) of integer polynomials, the density vectors
-g(n), and the Mertens-type diagnostics sum_{p<=x} g(p) log p - log x.
+Covers the Euler totient, the roots and distinct root counts h(d) of
+integer polynomials, the density vectors g(n), and the Mertens-type
+diagnostics sum_{p<=x} g(p) log p - log x.
 
 One copy of F_p[X] arithmetic serves every prime: polynomials are the
 columns of arrays of shape (degree, number of primes), in int64 when every
@@ -49,23 +49,6 @@ def euler_phi(d: int) -> int:
     out = 1
     for p, e in factor.factorize(d).factors:
         out *= (p - 1) * p ** (e - 1)
-    return out
-
-
-def big_omega(d: int) -> int:
-    """Number of prime factors counted with multiplicity; Omega(1) = 0."""
-    if d < 1:
-        raise ValidationError(f"big_omega requires d >= 1, got {d}")
-    return sum(e for _, e in factor.factorize(d).factors)
-
-
-def tau3(d: int) -> int:
-    """Threefold divisor function: ordered triples d1*d2*d3 = d."""
-    if d < 1:
-        raise ValidationError(f"tau3 requires d >= 1, got {d}")
-    out = 1
-    for _, e in factor.factorize(d).factors:
-        out *= (e + 1) * (e + 2) // 2
     return out
 
 
@@ -582,7 +565,7 @@ def mertens_deviation(g: GFunctionSpec, x: int) -> float:
 
 
 def _g_h_values(g: GFunctionSpec, x: int):
-    """(g(n), h(n), Omega(n)) for 0 <= n <= x from one factor.prime_powers pass.
+    """(g(n), h(n)) for 0 <= n <= x from one factor.prime_powers pass.
 
     The pass gives each prime power p^e || n and builds the exact integer
     behind g: phi(n) for reciprocal_totient, the root count h(n) for
@@ -593,7 +576,6 @@ def _g_h_values(g: GFunctionSpec, x: int):
         raise ResourceBudgetError(f"density pass to {x} exceeds {factor.MAX_SPF_SIEVE_LIMIT}")
     n = np.arange(x + 1, dtype=np.int64)
     num = np.ones(x + 1, dtype=np.int64)
-    omega = np.zeros(x + 1, dtype=np.int8)
     if g.kind == "root_density":
         # hq[q] = h(q) at every prime power q <= x; ps[j] holds the primes
         # with p**(j + 2) <= x
@@ -611,7 +593,6 @@ def _g_h_values(g: GFunctionSpec, x: int):
         lift = ~_squarefree_mod(g.coeffs, p)
         hq[p[lift] ** e[lift]] = roots_mod_prime_powers(g.coeffs, p[lift], e[lift])[0]
     for idx, p, e in factor.prime_powers(n):
-        omega[idx] += e
         if g.kind == "reciprocal_totient":
             num[idx] *= (p - 1) * p ** (e - 1)
         elif g.kind == "root_density":
@@ -620,9 +601,9 @@ def _g_h_values(g: GFunctionSpec, x: int):
     if g.kind == "root_density":
         num[0] = 0
         gv[1:] = num[1:] / n[1:]
-        return gv, num, omega
+        return gv, num
     gv[1:] = 1.0 / (num if g.kind == "reciprocal_totient" else n)[1:]
-    return gv, None, omega
+    return gv, None
 
 
 def partial_sums_gh(g: GFunctionSpec, x: int):
@@ -631,19 +612,6 @@ def partial_sums_gh(g: GFunctionSpec, x: int):
         raise ValidationError(f"partial_sums_gh requires x >= 1, got {x}")
     if x > 10**7:
         raise ResourceBudgetError(f"partial_sums_gh capped at x = 1e7, got {x}")
-    gv, hv, _ = _g_h_values(g, x)
+    gv, hv = _g_h_values(g, x)
     return float(np.sum(gv)), None if hv is None else float(np.sum(hv))
 
-
-def empirical_c_bound(g: GFunctionSpec, dmax: int) -> float:
-    """Smallest C with g(d) <= C**Omega(d) / d over 2 <= d <= dmax.
-
-    The constant in the growth condition is existential; this reports the
-    measured value max_d (d*g(d))**(1/Omega(d)).
-    """
-    if dmax < 2:
-        raise ValidationError(f"empirical_c_bound requires dmax >= 2, got {dmax}")
-    gv, _, omega = _g_h_values(g, dmax)
-    d = np.arange(dmax + 1, dtype=np.float64)
-    c = (gv[2:] * d[2:]) ** (1.0 / omega[2:])
-    return float(np.max(c))

@@ -41,14 +41,14 @@ block's frame first compacts, and when the block has no value 1, the
 frame's rows are the whole block: the fold then reads u and writes
 ``top`` by slices, with no gather or scatter by row.
 
-The fold runs over fixed blocks of MEMBER_BLOCK values (``_fold_blocks``):
-each block peels from the shared P+ table or by its own trial division
-and regroup, so only the tables, the caller's ``top`` array and one
-block's arrays are resident.  The ``*_blocks`` functions yield each
-block's entries for a consumer that reduces them block by block, and
-``concat_blocks`` concatenates them, as ``bulk_spectra`` and
-``bulk_spectra_trial`` do.  The polynomial sieve regroups by value, not
-by argument, so it stays one block.
+The fold runs over blocks of at most MEMBER_BLOCK values (``_fold_blocks``):
+each block peels from the shared P+ table, by its own trial division, or
+by its own sieve over the arguments in one window of MEMBER_BLOCK
+integers, and the last two regroup the block alone, so only the tables,
+the caller's ``top`` array and one block's arrays are resident.  The
+``*_blocks`` functions yield each block's entries for a consumer that
+reduces them block by block, and ``concat_blocks`` concatenates them, as
+``bulk_spectra`` and ``bulk_spectra_trial`` do.
 
 All value arithmetic is exact integer arithmetic; logarithms appear only
 in that fold.
@@ -72,11 +72,11 @@ MAX_SPF_SIEVE_LIMIT = 200_000_000
 # leading spectrum entries per value that a build returns by default, and
 # the most a sample set holds (the widest joint cdf)
 TOP_K = 3
-# arguments per block of the polynomial sieve, which bounds its (n, p)
-# pairs, and entries per segment of the spf sieve (1 MiB of int32)
+# entries per segment of the spf sieve (1 MiB of int32)
 _SIEVE_BLOCK = 1 << 18
-# values per block of the spectrum fold: bounds its logs/idx/rem/entry
-# arrays, some 100 B per value of a block
+# values per block of the spectrum fold, and arguments per window of the
+# polynomial sieve: bounds its logs/idx/rem/entry arrays and the sieve's
+# (n, p) pairs, some 100 B per value of a block
 MEMBER_BLOCK = 1 << 16
 # (live value, table prime) pairs per chunk of the trial division
 _TRIAL_CELLS = 1 << 20
@@ -324,10 +324,10 @@ def spectra_blocks(values, k: int, floor: float | None, top: np.ndarray):
     if is_dense(values):
         values = _checked_values(values, vmax, "spf sieve")
         lpf = _largest_factor_table(smallest_factor_sieve(max(vmax, 2)))
-        return _fold_blocks(values, _lpf_peel, lpf, k, floor, top)
+        return _fold_blocks(values, lambda rows: _lpf_peel(values[rows], lpf), k, floor, top)
     table = _table_for(vmax)
     values = _checked_values(values, table.limit * table.limit, f"prime table limit {table.limit}")
-    return _fold_blocks(values, _trial_peel, table, k, floor, top)
+    return _fold_blocks(values, lambda rows: _trial_peel(values[rows], table), k, floor, top)
 
 
 def _largest_factor_table(spf: np.ndarray) -> np.ndarray:
@@ -437,19 +437,27 @@ def _fold_spectra(values, peel, k: int, floor: float | None, top: np.ndarray):
     return np.concatenate(out_idx), np.concatenate(out_val)
 
 
-def _fold_blocks(values, peel, source, k: int, floor: float | None, top: np.ndarray):
-    """The spectrum fold over blocks of MEMBER_BLOCK values, each block
-    peeled by ``peel(block values, source)``.
+def _fold_blocks(values, peel, k: int, floor: float | None, top: np.ndarray, key=None):
+    """The spectrum fold over blocks of at most MEMBER_BLOCK values, the
+    block of values[rows] peeled by ``peel(rows)``.  With ``key``, distinct
+    integers aligned with values, a block also keeps to one window of
+    key // MEMBER_BLOCK: it ends where that window changes.
 
     Writes each value's k leading entries into its row of ``top`` (zero
     (n, k)) and yields (rows, entry_idx, entry_val) per block, in order:
     ``rows`` is the block's slice of values, and entry_idx, entry_val
     are its entries as _fold_spectra gives them, indexed within the block.
     """
-    for lo in range(0, values.size, MEMBER_BLOCK):
-        rows = slice(lo, min(lo + MEMBER_BLOCK, values.size))
-        block = values[rows]
-        yield rows, *_fold_spectra(block, peel(block, source), k, floor, top[rows])
+    lo = 0
+    while lo < values.size:
+        hi = min(lo + MEMBER_BLOCK, values.size)
+        if key is not None:
+            # the first value in another window; never the block's first
+            w = key[lo:hi] // MEMBER_BLOCK
+            hi = lo + (int(np.argmax(w != w[0])) or w.size)
+        rows = slice(lo, hi)
+        yield rows, *_fold_spectra(values[rows], peel(rows), k, floor, top[rows])
+        lo = hi
 
 
 def concat_blocks(blocks):
@@ -498,10 +506,10 @@ def _trial_peel(values: np.ndarray, table: PrimeTable):
     return _from_the_top(values.size, _trial_prime_powers(values, table))
 
 
-def _concat_fold(values, peel, source, k: int, floor: float | None):
+def _concat_fold(values, peel, k: int, floor: float | None):
     """(entry_idx, entry_val, top) of the whole block fold."""
     top = np.zeros((values.size, k), dtype=np.float64)
-    return (*concat_blocks(_fold_blocks(values, peel, source, k, floor, top)), top)
+    return (*concat_blocks(_fold_blocks(values, peel, k, floor, top)), top)
 
 
 def bulk_spectra(values, spf: np.ndarray, k: int = TOP_K, floor: float | None = 0.0):
@@ -516,7 +524,7 @@ def bulk_spectra(values, spf: np.ndarray, k: int = TOP_K, floor: float | None = 
     """
     values = _checked_values(values, len(spf) - 1, "spf sieve")
     lpf = _largest_factor_table(spf[: int(values.max(initial=1)) + 1].copy())
-    return _concat_fold(values, _lpf_peel, lpf, k, floor)
+    return _concat_fold(values, lambda rows: _lpf_peel(values[rows], lpf), k, floor)
 
 
 def bulk_spectra_trial(
@@ -533,22 +541,30 @@ def bulk_spectra_trial(
     values = _checked_values(
         values, table.limit * table.limit, f"prime table limit {table.limit}"
     )
-    return _concat_fold(values, _trial_peel, table, k, floor)
+    return _concat_fold(values, lambda rows: _trial_peel(values[rows], table), k, floor)
 
 
 def sieve_blocks(values, args, table: PrimeTable, roots, k: int, floor: float | None, top):
-    """The block fold of polynomial values values[i] = F(args[i]) into top,
-    by a sieve over the arguments n, as one block (see _fold_blocks).
+    """The block fold of polynomial values values[i] = F(args[i]) into top
+    (see _fold_blocks), each block by a sieve over its own arguments n.
+
+    A block is a run of values whose arguments share one window
+    [w * MEMBER_BLOCK, (w + 1) * MEMBER_BLOCK) of n (the key of
+    _fold_blocks), so its sieve range, [min, max] of its arguments, is at
+    most MEMBER_BLOCK wide, for a full set and a subsample alike; together
+    the blocks sieve the argument range once.  The values ascend, so the
+    arguments >= PolyRange.lo make one run per window; the few below n0
+    (PolyRange.small), which need not ascend, may split theirs.
 
     ``roots`` = (h, r) holds the roots of F modulo each of table.primes,
     as arith.roots_mod_primes gives them: p divides F(n) exactly when n is
-    in a root class mod p (every n when h = p).  Each block of n takes,
-    for every prime and root class, its n in the block, and divides p out
-    of F(n) repeatedly, which covers prime powers with no lift.  A
-    cofactor > 1 left then has no prime factor <= table.limit >=
-    sqrt(F(n)), so it is prime.  Valid for values up to table.limit**2,
-    with distinct arguments n >= 1.  The values are ordered by value, not
-    by n, so the regroup takes the whole set: one block.
+    in a root class mod p (every n when h = p).  A block takes, for every
+    prime and root class, its n in the block's range, and divides p out of
+    F(n) repeatedly, which covers prime powers with no lift.  A cofactor
+    > 1 left then has no prime factor <= table.limit >= sqrt(F(n)), so it
+    is prime.  All primes of F(n) arrive in n's own block, so each block
+    regroups (_from_the_top) and folds alone.  Valid for values up to
+    table.limit**2, with distinct arguments n >= 1.
     """
     values = _checked_values(
         values, table.limit * table.limit, f"prime table limit {table.limit}"
@@ -565,39 +581,41 @@ def sieve_blocks(values, args, table: PrimeTable, roots, k: int, floor: float | 
     order = np.argsort(cls_p, kind="stable")
     cls_p, cls_start, cls_step = cls_p[order], cls_start[order], cls_step[order]
 
-    def ascending():
-        nmax = int(args.max(initial=0))
-        rem = np.ones(nmax + 1, dtype=np.int64)
-        rem[args] = values
-        pos = np.zeros(nmax + 1, dtype=np.int32)
-        pos[args] = np.arange(len(values), dtype=np.int32)
-        for lo in range(0, nmax + 1, _SIEVE_BLOCK):
-            hi = min(lo + _SIEVE_BLOCK, nmax + 1)
-            first = lo + (cls_start - lo) % cls_step
-            cnt = np.maximum((hi - 1 - first) // cls_step + 1, 0)
-            j = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-            n = np.repeat(first, cnt) + j * np.repeat(cls_step, cnt)
-            p = np.repeat(cls_p, cnt)
-            keep = rem[n] > 1  # member arguments only
-            n, p = n[keep], p[keep]
-            # every F(n) in a root class is divisible by p at least once
-            e = _divide_out(rem[n], p)
-            yield pos[n], p, e
-            div = np.ones(hi - lo, dtype=np.int64)
-            np.multiply.at(div, n - lo, p**e)
-            cof = rem[lo:hi] // div
-            left = np.flatnonzero(cof > 1)
-            yield pos[lo + left], cof[left], np.ones_like(left)
+    def peel(rows):
+        # fn[n - lo] = F(n) and pos[n - lo] its row, over the block's range
+        n = args[rows]
+        lo = int(n.min())
+        size = int(n.max()) - lo + 1
+        fn = np.ones(size, dtype=np.int64)
+        fn[n - lo] = values[rows]
+        pos = np.zeros(size, dtype=np.int32)
+        pos[n - lo] = np.arange(n.size, dtype=np.int32)
+        # the classes that meet the range, each from its first n there
+        first = (cls_start - lo) % cls_step
+        meet = np.flatnonzero(first < size)
+        first, step = first[meet], cls_step[meet]
+        cnt = (size - 1 - first) // step + 1
+        j = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        at = np.repeat(first, cnt) + j * np.repeat(step, cnt)
+        p = np.repeat(cls_p[meet], cnt)
+        keep = fn[at] > 1  # member arguments only
+        at, p = at[keep], p[keep]
+        # every F(n) in a root class is divisible by p at least once
+        e = _divide_out(fn[at], p)
+        div = np.ones(size, dtype=np.int64)
+        np.multiply.at(div, at, p**e)
+        cof = fn // div
+        left = np.flatnonzero(cof > 1)
+        return _from_the_top(n.size, [(pos[at], p, e), (pos[left], cof[left], np.ones_like(left))])
 
-    yield slice(0, values.size), *_fold_spectra(
-        values, _from_the_top(values.size, ascending()), k, floor, top
-    )
+    return _fold_blocks(values, peel, k, floor, top, key=args)
 
 
 def _from_the_top(n: int, ascending):
     """A peel, largest prime first, from a stream of (idx, p, e) batches
-    that gives every prime power p**e || value of n values, each value's
-    in ascending order: step j reads each row's (j+1)-th largest prime."""
+    that gives every prime power p**e || value of one block's n values,
+    each value's in ascending order: step j reads each row's (j+1)-th
+    largest prime."""
     batches = list(ascending)
     if not batches:
         return np.zeros(0, dtype=np.int32), [], None

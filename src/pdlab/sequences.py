@@ -446,9 +446,3 @@ def count(spec: SequenceSpec, x: int) -> int:
     """N(x) = number of members <= x."""
     return class_counts(spec, x, [])[0]
 
-
-def count_in_class(spec: SequenceSpec, x: int, d: int) -> int:
-    """N_d(x) = number of members <= x divisible by d."""
-    if d < 1:
-        raise ValidationError(f"count_in_class requires d >= 1, got {d}")
-    return int(class_counts(spec, x, [d])[1][0])

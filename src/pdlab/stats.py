@@ -94,9 +94,9 @@ def _spectrum_blocks(spec, u, index, k, floor, top, table):
     each member into its row of top.
 
     Polynomial values, full or subsampled, are factored by the sieve over
-    their arguments with ``table`` (``factor.sieve_blocks``, one block);
-    any other set by ``factor.spectra_blocks``, which chooses its own
-    source.
+    their arguments with ``table`` (``factor.sieve_blocks``, each block
+    over its own window of arguments); any other set by
+    ``factor.spectra_blocks``, which chooses its own source.
     """
     if spec.kind == "poly":
         roots = arith.roots_mod_primes(spec.coeffs, table.primes)

@@ -22,22 +22,7 @@ FIBONACCI_POLY = (-1, -1, 1)  # X**2 - X - 1
 
 def test_small_multiplicative_values():
     assert arith.euler_phi(12) == 4
-    assert arith.big_omega(12) == 3
-    assert arith.tau3(12) == 18
-    assert (arith.euler_phi(1), arith.big_omega(1), arith.tau3(1)) == (1, 0, 1)
-    assert arith.big_omega(8) == 3
-
-
-def test_tau3_brute_force():
-    for d in range(1, 200):
-        brute = sum(
-            1
-            for a in range(1, d + 1)
-            if d % a == 0
-            for b in range(1, d + 1)
-            if (d // a) % b == 0
-        )
-        assert arith.tau3(d) == brute
+    assert arith.euler_phi(1) == 1
 
 
 def test_discriminants():
@@ -393,7 +378,7 @@ def test_mertens_deviation_cubic_beyond_old_scan_limit():
 )
 def test_density_vector_is_correctly_rounded(kind, coeffs):
     g = arith.GFunctionSpec(kind=kind, coeffs=coeffs)
-    gv, hv, _ = arith._g_h_values(g, 2000)
+    gv, hv = arith._g_h_values(g, 2000)
     assert gv[0] == 0.0
     for n in range(1, 2001):
         exact = arith.g_eval(g, n)
@@ -402,20 +387,13 @@ def test_density_vector_is_correctly_rounded(kind, coeffs):
             assert hv[n] == exact * n
 
 
-def test_density_pass_omega():
-    _, _, omega = arith._g_h_values(arith.GFunctionSpec(kind="reciprocal"), 3000)
-    for n in range(1, 3001):
-        assert omega[n] == arith.big_omega(n), f"n={n}"
-
-
 def test_density_pass_totient_and_omega_vs_sympy():
-    # the pass reads an int32 spf sieve; phi and Omega must stay exact
+    # the pass reads an int32 spf sieve; phi must stay exact
     x = 10**6
-    gv, _, omega = arith._g_h_values(arith.GFunctionSpec(kind="reciprocal_totient"), x)
+    gv, _ = arith._g_h_values(arith.GFunctionSpec(kind="reciprocal_totient"), x)
     rng = np.random.Generator(np.random.Philox(key=11))
     for n in rng.integers(1, x + 1, size=500).tolist():
         assert gv[n] == 1 / int(sympy.totient(n)), f"n={n}"
-        assert omega[n] == sum(sympy.factorint(n).values()), f"n={n}"
 
 
 @settings(max_examples=200, deadline=None)
@@ -454,7 +432,7 @@ def test_g_growth_bound():
     g = arith.GFunctionSpec(kind="root_density", coeffs=X2_PLUS_1)
     c = max(2, 2)  # deg 2; disc -4 has prime divisor 2
     for d in range(1, 10**4):
-        assert arith.g_eval(g, d) <= Fraction(c ** arith.big_omega(d), d)
+        assert arith.g_eval(g, d) <= Fraction(c ** sympy.primeomega(d), d)
 
 
 def test_mertens_deviation_bounded():
@@ -489,12 +467,6 @@ def test_partial_sums_totient_polylog_growth():
     assert (vals[2] - vals[1]) < 2 * (vals[1] - vals[0]) + 1
 
 
-def test_empirical_c_bound_reported():
-    g = arith.GFunctionSpec(kind="root_density", coeffs=X2_PLUS_1)
-    c = arith.empirical_c_bound(g, 10**4)
-    assert 1.0 <= c <= 2.0 + 1e-9  # recipe constant max(D, p | disc) = 2
-
-
 def test_invalid_g_kind():
     with pytest.raises(ValidationError):
         arith.GFunctionSpec(kind="nope")
@@ -514,8 +486,6 @@ def test_scalar_functions_past_a_million_vs_sympy(d):
     # each d has a prime factor above 10**6, past any table kept between calls
     assert max(sympy.factorint(d)) > 10**6
     assert arith.euler_phi(d) == sympy.totient(d)
-    assert arith.big_omega(d) == sympy.primeomega(d)
-    assert arith.tau3(d) == sum(sympy.divisor_count(d // a) for a in sympy.divisors(d))
     for coeffs in (X2_PLUS_1, X3_MINUS_2):
         assert arith.poly_root_count(coeffs, d) == _sympy_count_mod(coeffs, d)
 
@@ -536,4 +506,4 @@ def test_density_pass_refuses_past_the_spf_budget():
     # refused before the arrays over 0..x are allocated
     g = arith.GFunctionSpec(kind="reciprocal")
     with pytest.raises(ResourceBudgetError):
-        arith.empirical_c_bound(g, factor.MAX_SPF_SIEVE_LIMIT + 1)
+        arith._g_h_values(g, factor.MAX_SPF_SIEVE_LIMIT + 1)

@@ -599,6 +599,14 @@ BLOCK_CASES = {
     "shifted_primes_subsample": (
         sequences.shifted_primes(1), 10**6, {"max_members": 1501, "subsample_seed": 5}
     ),
+    # polynomial values: the sieve over each block's window of arguments
+    "x2p1": (sequences.polynomial_values([1, 0, 1]), 10**10, {}),
+    "x2p1_subsample": (
+        sequences.polynomial_values([1, 0, 1]), 10**10, {"max_members": 1501, "subsample_seed": 5}
+    ),
+    # X**3 - 30X**2 + 250X + 1: its 85 arguments below n0 = 86 are its
+    # first 85 members, but not in argument order
+    "cubic": (sequences.polynomial_values([1, 250, -30, 1]), 10**9, {}),
 }
 
 
@@ -612,9 +620,13 @@ def test_sets_do_not_depend_on_the_member_block(name, monkeypatch):
         s = stats.build_sample_set(spec, x, floor=0.0, **kw)
         runs.append((s, stats.empirical_corr(s, eta)))
     whole, corr = runs[0]
-    # one block at 2**16, and a short last block at 3
-    assert whole.n < 1 << 16 and whole.n % 3
-    assert factor.is_dense(whole.u) == (name == "thue_morse")
+    # a short last block at 61
+    assert whole.n % 61
+    if name == "cubic":
+        first = whole.index[:85]
+        assert sorted(first.tolist()) == list(range(1, 86)) and (np.diff(first) < 0).any()
+    elif spec.kind != "poly":
+        assert factor.is_dense(whole.u) == (name == "thue_morse")
     want = _member_multisets(whole.entry_idx, whole.entry_val)
     for s, c in runs[1:]:
         assert s.top.tobytes() == whole.top.tobytes()
@@ -623,7 +635,7 @@ def test_sets_do_not_depend_on_the_member_block(name, monkeypatch):
         assert (c.value, c.std_error) == (corr.value, corr.std_error)
     # every shape of build, in one block and in blocks of 61 (a short last
     # one, and frames with departed rows masked), is the scalar path's
-    ref = scalar_spectra(whole.u, factor.build_prime_table(10**4))
+    ref = scalar_spectra(whole.u, factor.build_prime_table(math.isqrt(int(whole.u.max())) + 1))
     for k, floor in itertools.product(range(factor.TOP_K + 1), (None, 0.0, 0.1, 0.5)):
         if k == 0 and floor is None:
             continue  # factors nothing
@@ -637,6 +649,23 @@ def test_sets_do_not_depend_on_the_member_block(name, monkeypatch):
         want = _member_multisets(one.entry_idx, one.entry_val)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert_fold_matches(ref, one.top, one.entry_idx, one.entry_val, k, floor)
+
+
+def test_poly_blocks_keep_to_one_window_of_arguments(monkeypatch):
+    # a subsample's block sieves no more than MEMBER_BLOCK arguments, so no
+    # array of the sieve covers the whole argument range
+    monkeypatch.setattr(factor, "MEMBER_BLOCK", 61)
+    spec, x, kw = BLOCK_CASES["x2p1_subsample"]
+    s = stats.build_sample_set(spec, x, k=0, **kw)
+    top = np.zeros((s.n, 1))
+    blocks = stats._spectrum_blocks(spec, s.u, s.index, 1, None, top, stats._sieve_table(spec, x))
+    rows = [r for r, _, _ in blocks]
+    assert [r.start for r in rows] == [0] + [r.stop for r in rows[:-1]] and rows[-1].stop == s.n
+    window = [np.unique(s.index[r] // 61) for r in rows]
+    assert all(w.size == 1 for w in window)
+    # the arguments ascend, so each window is one block
+    assert (np.diff(np.concatenate(window)) > 0).all()
+    assert np.array_equal(top, stats.build_sample_set(spec, x, k=1, **kw).top)
 
 
 def test_member_corr_pinned_at_the_parent_values():
