@@ -13,15 +13,18 @@ prime, takes g = gcd(F, X^p - X) by masked Euclid steps, so h(p) = deg g,
 and splits g into its roots by Cantor-Zassenhaus with the fixed sequence
 delta = 0, 1, 2, ... (Cantor & Zassenhaus, Math. Comp. 36, 1981; Cohen, A
 Course in Computational Algebraic Number Theory, 1.6 and 3.4), so its
-output is deterministic.  The finitely many primes dividing the leading
-coefficient, and p = 2, are handled apart.  ``roots_mod_prime_powers``
-gives the roots mod every prime power p^e, lifting the finder's roots one
-power of p at a time; F'(r) mod p decides whether a root lifts once, p
-times or not at all.  ``root_classes`` combines them into the roots mod d
-by the Chinese remainder theorem, for moduli of any size, and the density
-pass and the scalar counts h(p^k) read the same table.  The vectors g(n),
-n <= x, come from one prime-power pass that builds their integer
-numerators exactly, so each g(n) is a correctly rounded ratio.
+output is deterministic.  A quadratic F needs none of that: h(p) comes
+from Euler's criterion on its discriminant and the roots from a square
+root mod p in closed form (Cohen 1.5).  The finitely many primes dividing
+the leading coefficient, and p = 2, are handled apart.
+``roots_mod_prime_powers`` gives the roots mod every prime power p^e,
+lifting the finder's roots one power of p at a time; F'(r) mod p decides
+whether a root lifts once, p times or not at all.  ``root_classes``
+combines them into the roots mod d by the Chinese remainder theorem, for
+moduli of any size, and the density pass and the scalar counts h(p^k)
+read the same table.  The vectors g(n), n <= x, come from one
+prime-power pass that builds their integer numerators exactly, so each
+g(n) is a correctly rounded ratio.
 
 Nothing here factors: the moduli and the density pass read
 ``factor.prime_powers``, and the scalar functions ``factor.factorize``.
@@ -334,6 +337,97 @@ def _squarefree_mod(coeffs, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _general_roots(coeffs, p, split: bool):
+    """(h, roots) mod odd primes p not dividing lead F, for any degree: F
+    made monic, X^p mod F, the masked gcd and the Cantor-Zassenhaus split."""
+    f = _monic(coeffs, p)
+    g, h = _vgcd(f, _xe_less_x(f, p, p), p)
+    return h, _split_roots(g, h, p, poly_degree(coeffs)) if split else None
+
+
+def _tonelli_shanks(d, p):
+    """A square root of each quadratic residue d != 0 mod the prime p = 1
+    (mod 8), by Tonelli-Shanks (Cohen 1.5.1), all primes at once.
+
+    The non-residue z is the least one in the order 2, 3, ...: 2 is a
+    square mod every such p, and a product of squares is a square, so the
+    least non-residue is an odd prime and the search tries 3, 5, 7, ...;
+    each prime leaves it once its z is found.  Each Tonelli-Shanks step
+    runs on the primes whose root is not yet final.
+    """
+    q, e = p - 1, np.zeros_like(p)
+    while (even := q % 2 == 0).any():
+        q, e = np.where(even, q // 2, q), e + even
+    z, todo, cand = np.zeros_like(p), np.arange(p.size), 3
+    while todo.size:
+        pt = p[todo]
+        found = _vpow(np.full(todo.size, cand, dtype=p.dtype), (pt - 1) // 2, pt) == pt - 1
+        z[todo[found]] = cand
+        todo, cand = todo[~found], cand + 2
+    y = _vpow(z, q, p)  # generates the 2-Sylow subgroup of F_p^*, of order 2**e
+    x = _vpow(d, (q - 1) // 2, p)
+    b = d * x % p * x % p  # d**q, in that subgroup
+    x = d * x % p  # d**((q + 1)/2), so x**2 = d b
+    live = np.flatnonzero(b != 1)
+    while live.size:
+        pl, bl, yl = p[live], b[live], y[live]
+        # m: the order of b is 2**m, with m < e
+        m, bm = np.zeros_like(bl), bl
+        while (up := bm != 1).any():
+            m, bm = m + up, np.where(up, bm * bm % pl, bm)
+        k = e[live] - m - 1
+        for j in range(int(k.max())):
+            yl = np.where(k > j, yl * yl % pl, yl)  # y**(2**(e - m - 1))
+        x[live] = x[live] * yl % pl
+        y[live] = yl = yl * yl % pl
+        e[live] = m
+        b[live] = bl = bl * yl % pl
+        live = live[bl != 1]
+    return x
+
+
+def _sqrt_mod(d, p):
+    """A square root of each quadratic residue d != 0 mod the odd prime p:
+    d**((p+1)/4) for p = 3 (mod 4), Atkin's formula for p = 5 (mod 8),
+    Tonelli-Shanks for p = 1 (mod 8)."""
+    s = np.zeros_like(d)
+    m3 = p % 4 == 3
+    s[m3] = _vpow(d[m3], (p[m3] + 1) // 4, p[m3])
+    m5 = p % 8 == 5
+    d5, p5 = d[m5], p[m5]
+    # v = (2d)**((p-5)/8); i = 2d v**2 is a square root of -1
+    v = _vpow(2 * d5 % p5, (p5 - 5) // 8, p5)
+    i = 2 * d5 * v % p5 * v % p5
+    s[m5] = d5 * v % p5 * (i - 1) % p5
+    m1 = p % 8 == 1
+    s[m1] = _tonelli_shanks(d[m1], p[m1])
+    return s
+
+
+def _quadratic_roots(coeffs, p, split: bool):
+    """(h, roots) of F = a X**2 + b X + c mod odd primes p not dividing a,
+    in closed form: with disc = b**2 - 4ac mod p, h = 1 where p | disc and
+    1 + (disc/p) otherwise, by Euler's criterion, and the roots are
+    (-b +/- sqrt(disc)) / 2a, ascending and -1 padded.  Equal to the
+    general pass, with no polynomial arithmetic."""
+    c, b, a = coeffs[:3]
+    disc = _residues(b * b - 4 * a * c, p)
+    euler = _vpow(disc, (p - 1) // 2, p)
+    h = np.where(disc == 0, 1, np.where(euler == 1, 2, 0)).astype(p.dtype)
+    if not split:
+        return h, None
+    roots = np.full((p.size, 2), -1, dtype=p.dtype)
+    one, two = h >= 1, h == 2
+    pr, s = p[one], np.zeros_like(p[one])
+    s[two[one]] = _sqrt_mod(disc[two], p[two])
+    inv = _vpow(_residues(2 * a, pr), pr - 2, pr)
+    minus_b = _residues(-b, pr)
+    r1, r2 = (minus_b + s) % pr * inv % pr, (minus_b - s) % pr * inv % pr
+    roots[one, 0] = np.minimum(r1, r2)
+    roots[two, 1] = np.maximum(r1, r2)[two[one]]
+    return h, roots
+
+
 def roots_mod_primes(coeffs, primes, split: bool = True):
     """(h, roots): the distinct roots of F modulo each of an array of primes.
 
@@ -345,9 +439,10 @@ def roots_mod_primes(coeffs, primes, split: bool = True):
 
     The primes not dividing lead F, except 2, go through one vectorized
     pass: F made monic mod p, X^p mod F by square-and-multiply, the masked
-    gcd, and the Cantor-Zassenhaus split.  The finitely many others: p = 2
-    by a residue scan, and p | lead F by the same pass on the lower-degree
-    F mod p.  The pass runs in int64 when every prime is below
+    gcd, and the Cantor-Zassenhaus split (``_general_roots``), or, for
+    deg F = 2, the same h and roots in closed form (``_quadratic_roots``).
+    The finitely many others: p = 2 by a residue scan, and p | lead F by
+    the same pass on the lower-degree F mod p.  The pass runs in int64 when every prime is below
     FINDER_PRIME_LIMIT and in Python integers otherwise; h and roots come
     in that dtype, so a root mod a prime above 2**63 stays exact.
     """
@@ -360,12 +455,10 @@ def roots_mod_primes(coeffs, primes, split: bool = True):
     lead = _residues(coeffs[deg], primes)
     fast = np.flatnonzero((lead != 0) & (primes != 2))
     if fast.size:
-        p = primes[fast]
-        f = _monic(coeffs, p)
-        g, hf = _vgcd(f, _xe_less_x(f, p, p), p)
-        h[fast] = hf
+        finder = _quadratic_roots if deg == 2 else _general_roots
+        h[fast], r = finder(coeffs, primes[fast], split)
         if split:
-            roots[fast] = _split_roots(g, hf, p, deg)
+            roots[fast] = r
     for i in np.flatnonzero((lead == 0) | (primes == 2)).tolist():
         p = int(primes[i])
         f = [c % p for c in coeffs]

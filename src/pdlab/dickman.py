@@ -3,7 +3,8 @@
 rho satisfies rho(u) = 1 on (0, 1] and the delay relation
 u rho'(u) = -rho(u - 1), equivalently rho(u) = (1/u) * integral of rho
 over [u-1, u].  The table is built panel by panel on unit intervals
-[k, k+1] by Gauss-Legendre collocation; aligning panels to the integer
+[k, k+1] by Gauss-Legendre collocation, each panel from the one before
+it, in order, the first time a query needs it; aligning panels to the integer
 breakpoints keeps full accuracy at the derivative kinks.  Each panel is
 stored as a Legendre series, so point queries are spectral-accuracy
 interpolations (well past the 1e-10 target; a cubic-on-grid scheme was
@@ -42,7 +43,14 @@ class RhoTable:
             raise ValidationError(f"need at least 8 quadrature nodes, got {nodes}")
         self.u_max = u_max
         self.nodes = nodes
-        self._panels = _build_panels(u_max, nodes)
+        self._panels: list[Legendre] = []
+
+    def _panel(self, k: int) -> Legendre:
+        """Panel k, on [k, k+1]; the panels up to k are built in order the
+        first time one of them is needed."""
+        while len(self._panels) < k:
+            self._panels.append(_next_panel(self._panels, self.nodes))
+        return self._panels[k - 1]
 
     def rho(self, u: float) -> float:
         if u <= 0:
@@ -54,7 +62,7 @@ class RhoTable:
                 f"u={u} is out of table (u_max={self.u_max}); extend the table"
             )
         k = min(int(math.floor(u)), self.u_max - 1)
-        return float(self._panels[k - 1](u))
+        return float(self._panel(k)(u))
 
     def cdf_l1(self, c: float) -> float:
         """P(L1 <= c) = rho(1/c) for c in (0, 1]."""
@@ -83,11 +91,11 @@ class RhoTable:
         order = np.argsort(k, kind="stable")
         counts = np.bincount(k, minlength=self.u_max)
         start = np.cumsum(counts) - counts
-        for panel in range(1, self.u_max):
+        for panel in range(1, int(k.max(initial=0)) + 1):
             idx = order[start[panel] : start[panel] + counts[panel]]
             for lo in range(0, idx.size, RHO_CHUNK):
                 sel = idx[lo : lo + RHO_CHUNK]
-                out[sel] = self._panels[panel - 1](flat[sel])
+                out[sel] = self._panel(panel)(flat[sel])
         return out.reshape(u.shape)
 
     def mean_l1(self) -> float:
@@ -115,35 +123,43 @@ class RhoTable:
                 w.writerow([f"{u:.6f}", f"{self.rho(float(u)):.12e}"])
 
 
-def _build_panels(u_max: int, nodes: int) -> list[Legendre]:
+def _next_panel(panels: list[Legendre], nodes: int) -> Legendre:
+    """The panel after the built ones, k = len(panels) + 1 on [k, k+1],
+    from the panel before it (rho = 1 on [0, 1] for k = 1)."""
+    k = len(panels) + 1
+    prev = panels[-1] if panels else None  # panel on [k-1, k]
     xg, _ = leggauss(nodes)
+    t = k + (xg + 1.0) / 2.0  # collocation points inside [k, k+1]
+    if prev is None:
+        i1 = 2.0 - t  # integral of 1 over [t-1, 1]
+    else:
+        anti = prev.integ()
+        i1 = anti(float(k)) - anti(t - 1.0)
+    y = np.full(nodes, 1.0 if prev is None else prev(float(k)))
+    for _ in range(MAX_FIXED_POINT_ITERATIONS):
+        series = Legendre.fit(t, y, deg=nodes - 1, domain=[k, k + 1])
+        anti = series.integ()
+        y_new = (i1 + anti(t) - anti(float(k))) / t
+        step = np.max(np.abs(y_new - y))
+        y = y_new
+        if step < 1e-16:
+            break
+    else:
+        # near rho = 1 an ulp exceeds 1e-16, and some orders (12, 48, ..)
+        # stall there a rounding step apart; anything larger is a failure
+        if step > 4 * np.finfo(float).eps * np.max(np.abs(y)):
+            raise AssertionError(
+                f"rho panel [{k}, {k + 1}] did not converge in "
+                f"{MAX_FIXED_POINT_ITERATIONS} iterations (last step {step:.3g})"
+            )
+    return Legendre.fit(t, y, deg=nodes - 1, domain=[k, k + 1])
+
+
+def _build_panels(u_max: int, nodes: int) -> list[Legendre]:
+    """Every panel on [1, u_max] at once, as a table fills them on use."""
     panels: list[Legendre] = []
-    for k in range(1, u_max):
-        prev = panels[-1] if panels else None  # panel on [k-1, k]; None: rho = 1
-        t = k + (xg + 1.0) / 2.0  # collocation points inside [k, k+1]
-        if prev is None:
-            i1 = 2.0 - t  # integral of 1 over [t-1, 1]
-        else:
-            anti = prev.integ()
-            i1 = anti(float(k)) - anti(t - 1.0)
-        y = np.full(nodes, panels[-1](float(k)) if panels else 1.0)
-        for _ in range(MAX_FIXED_POINT_ITERATIONS):
-            series = Legendre.fit(t, y, deg=nodes - 1, domain=[k, k + 1])
-            anti = series.integ()
-            y_new = (i1 + anti(t) - anti(float(k))) / t
-            step = np.max(np.abs(y_new - y))
-            y = y_new
-            if step < 1e-16:
-                break
-        else:
-            # near rho = 1 an ulp exceeds 1e-16, and some orders (12, 48, ..)
-            # stall there a rounding step apart; anything larger is a failure
-            if step > 4 * np.finfo(float).eps * np.max(np.abs(y)):
-                raise AssertionError(
-                    f"rho panel [{k}, {k + 1}] did not converge in "
-                    f"{MAX_FIXED_POINT_ITERATIONS} iterations (last step {step:.3g})"
-                )
-        panels.append(Legendre.fit(t, y, deg=nodes - 1, domain=[k, k + 1]))
+    for _ in range(1, u_max):
+        panels.append(_next_panel(panels, nodes))
     return panels
 
 

@@ -18,10 +18,12 @@ index: the value itself for uniform, Thue-Morse and shifted primes, the
 argument n for polynomial values.  p^e divides a member exactly when its
 index lies in a residue class -- 0 mod p^e for a value, a root of F mod
 p^e (``arith.roots_mod_prime_powers``) for an argument -- so
-``divisible_by_any`` marks each class by one strided write over a boolean
+``divisible_by_any`` marks each class by strided writes over a boolean
 array on [min(index), max(index)], and ``count_divisible`` counts the
-multiples of d among values by one strided read of the same array.  The
-array never covers more than the one the set was enumerated from.
+multiples of d among values by strided reads of the same array.  Both
+sweep the array one cache-sized window at a time, every class over a
+window before the next.  The array never covers more than the one the
+set was enumerated from.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ from pdlab.errors import ResourceBudgetError, ValidationError, integral
 MAX_DENSE_X = 200_000_000
 # Primes used to certify irreducibility of degrees 4..6 by reduction mod p.
 _CERT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# Booleans per window of a residue-class pass (_class_slices): 1 MiB, which
+# a core's cache holds while every class visits it
+_WINDOW = 1 << 20
 
 KINDS = ("uniform", "shifted_primes", "poly", "thue_morse")
 
@@ -406,14 +411,36 @@ def _classes(spec: SequenceSpec, p: np.ndarray, e) -> tuple[np.ndarray, np.ndarr
     return roots, np.repeat(q, h)
 
 
+def _class_slices(size: int, first: list[int], step: list[int]):
+    """(j, slice) pairs that together cover class j, the positions first[j]
+    + i step[j] of an array of ``size``, for every j.
+
+    A class with a step up to _WINDOW is cut at each window of _WINDOW
+    positions, and the pairs come window by window, every such class
+    within one window before the next, so a pass over many classes reads
+    each window while it is in cache.  A class with a longer step touches
+    a window at most once and comes as one slice over the whole array.
+    """
+    small = [j for j, q in enumerate(step) if q <= _WINDOW]
+    for j, q in enumerate(step):
+        if q > _WINDOW:
+            yield j, slice(first[j], size, q)
+    for w0 in range(0, size, _WINDOW):
+        w1 = min(w0 + _WINDOW, size)
+        for j in small:
+            yield j, slice(w0 + (first[j] - w0) % step[j], w1, step[j])
+
+
 def divisible_by_any(
     spec: SequenceSpec, index: np.ndarray, p: np.ndarray, e
 ) -> np.ndarray:
     """Per member of the spec's set, given by its index (the value, or the
     argument n of a polynomial value): whether some p**e divides it."""
     lo, marks = _index_mask(index)
-    for start, step in zip(*(a.tolist() for a in _classes(spec, p, e))):
-        marks[(start - lo) % step :: step] = True
+    start, step = (a.tolist() for a in _classes(spec, p, e))
+    first = [(r - lo) % q for r, q in zip(start, step)]
+    for _, sl in _class_slices(marks.size, first, step):
+        marks[sl] = True
     return marks[index - lo if lo else index]
 
 
@@ -421,7 +448,10 @@ def count_divisible(mem: np.ndarray, ds) -> np.ndarray:
     """N_d, the number of members divisible by d, for each d >= 1 in ds."""
     lo, mask = _index_mask(mem)
     mask[mem - lo if lo else mem] = True
-    counts = [np.count_nonzero(mask[-lo % d :: d]) for d in ds]
+    ds = [int(d) for d in ds]
+    counts = [0] * len(ds)
+    for j, sl in _class_slices(mask.size, [-lo % d for d in ds], ds):
+        counts[j] += np.count_nonzero(mask[sl])
     return np.array(counts, dtype=np.int64)
 
 

@@ -345,6 +345,58 @@ def test_roots_mod_primes_batch_straddling_2_29():
             assert roots[i].tolist() == ri[0].tolist(), p
 
 
+def test_quadratic_branch_equals_the_general_pass_on_random_quadratics():
+    rng = np.random.default_rng(2022)
+    primes = np.array(list(sympy.primerange(3, 3000)) + list(sympy.primerange(10**6, 10**6 + 400)))
+    for _ in range(40):
+        a = int(rng.choice([-1, 1])) * int(rng.integers(2, 60))
+        b, c = (int(v) for v in rng.integers(-(10**7), 10**7, size=2))
+        coeffs = (c, b, a)
+        p = primes[a % primes != 0]
+        want_h, want_r = arith._general_roots(coeffs, p, True)
+        h, roots = arith._quadratic_roots(coeffs, p, True)
+        assert h.tolist() == want_h.tolist(), coeffs
+        assert roots.tolist() == want_r.tolist(), coeffs
+        assert arith._quadratic_roots(coeffs, p, False)[0].tolist() == want_h.tolist()
+
+
+QUADRATICS = [X2_PLUS_1, (7, 0, 1), (1, 1, 1), (30, -10, 1), (2, 3, 1), (1, 0, 3), (-5, 7, -3)]
+
+
+@pytest.mark.parametrize("coeffs", QUADRATICS)
+def test_quadratic_roots_vs_scan_below_1e3(coeffs):
+    primes = np.array(list(sympy.primerange(2, 1000)))
+    h, roots = arith.roots_mod_primes(coeffs, primes)
+    for i, p in enumerate(primes.tolist()):
+        scan = _scan_roots(coeffs, p)
+        assert h[i] == len(scan), p
+        assert roots[i, : h[i]].tolist() == scan, p
+        assert (roots[i, h[i] :] == -1).all(), p
+
+
+@pytest.mark.parametrize("coeffs", QUADRATICS)
+def test_quadratic_roots_at_large_primes(coeffs):
+    # p = 7 divides the discriminant of X^2 + 7; X^2 + 3X + 2 has a square
+    # discriminant mod every p; 65537, 786433 and 3221225473 have 16, 18 and
+    # 30 factors of 2 in p - 1; past 2**29 the pass runs in Python integers
+    near = [list(sympy.primerange(s, s + 2000))[:12] for s in (10**6, 2**31, 10**12, 10**18)]
+    c, b, a = coeffs
+    for primes, dtype in ([7, 65537, 786433, *near[0]], np.int64), (
+        [3221225473, *near[1], *near[2], *near[3]], object,
+    ):
+        h, roots = arith.roots_mod_primes(coeffs, primes)
+        assert roots.dtype == dtype
+        assert h.tolist() == arith.roots_mod_primes(coeffs, primes, split=False)[0].tolist()
+        for i, p in enumerate(primes):
+            if a % p == 0:
+                continue
+            assert h[i] == 1 + sympy.legendre_symbol((b * b - 4 * a * c) % p, p), p
+            got = roots[i, : h[i]].tolist()
+            assert got == sorted(set(got)), p
+            assert all(0 <= r < p and arith.poly_eval(coeffs, r) % p == 0 for r in got), p
+            assert (roots[i, h[i] :] == -1).all(), p
+
+
 def test_lift_refuses_a_root_list_past_the_budget():
     # X^6 has 2^(k - ceil(k/6)) roots mod 2^k: 2^33 at 2^40
     t0 = time.perf_counter()

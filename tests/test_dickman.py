@@ -96,6 +96,7 @@ def test_rho_vec_is_the_panel_series_bit_for_bit():
         [rng.uniform(0.01, 12.0, 5000), [0.5, 1.0, 2.0, 3.0, 11.0, 12.0, np.nextafter(1.0, 2.0)]]
     )
     rng.shuffle(u)
+    table.rho(12.0)  # builds every panel, so the loop below reads built ones
     want = np.ones_like(u)
     for i, v in enumerate(u):
         if v > 1:
@@ -121,5 +122,27 @@ def test_mean_l1_is_the_golomb_dickman_constant(table):
 
 def test_panel_build_raises_without_convergence(monkeypatch):
     monkeypatch.setattr(dickman, "MAX_FIXED_POINT_ITERATIONS", 3)
+    table = dickman.RhoTable(u_max=4)  # panels are built on first use
     with pytest.raises(AssertionError, match="did not converge"):
-        dickman.RhoTable(u_max=4)
+        table.rho(3.5)
+
+
+def test_panels_are_built_on_demand_with_the_eager_bits():
+    table = dickman.RhoTable()
+    assert not table._panels
+    table.rho(2.0)
+    assert len(table._panels) == 2
+    for u_max in (20, 100):
+        table = dickman.RhoTable(u_max=u_max)
+        u = np.linspace(0.01, u_max, 20 * u_max + 1)
+        for v in u:  # every u <= u_max, panel by panel in order
+            table.rho(float(v))
+        eager = dickman._build_panels(u_max, dickman.DEFAULT_NODES)
+        assert len(table._panels) == len(eager) == u_max - 1
+        want = np.ones_like(u)
+        for i, v in enumerate(u):
+            if v > 1:
+                want[i] = eager[min(int(v), u_max - 1) - 1](v)
+        assert table.rho_vec(u).tobytes() == want.tobytes()
+        for built, ref in zip(table._panels, eager, strict=True):
+            assert built.coef.tobytes() == ref.coef.tobytes()

@@ -258,3 +258,43 @@ def test_far_turning_point_is_refused_before_the_loop():
     with pytest.raises(ResourceBudgetError, match="below n0"):
         sequences.count(spec, 10**6)
     assert time.perf_counter() - t0 < 1.0
+
+
+W = sequences._WINDOW
+# a prime above 2**20 and 1 mod 4, so X^2 + 1 has two roots mod it
+BIG_P = 1048601
+assert sympy.isprime(BIG_P) and BIG_P > W and BIG_P % 4 == 1
+
+
+@pytest.mark.parametrize("window", [W, 4099])
+@pytest.mark.parametrize("start", [0, 3, 5 * W])
+def test_residue_passes_by_windows_equal_the_brute_force(monkeypatch, window, start):
+    # start 0 and 3 give a mask from 0; 5 W is a far range, whose mask
+    # starts at min(index); the mask spans 3.5 real windows, and steps run
+    # from below the window to past the whole mask
+    monkeypatch.setattr(sequences, "_WINDOW", window)
+    rng = np.random.default_rng(start + window)
+    span = 7 * W // 2
+    index = np.unique(rng.integers(start, start + span, 20_000))
+    # the few hits of each step past the real window: multiples of it, and
+    # the arguments n with BIG_P | n^2 + 1
+    hits = [np.arange(-start % q, span + 1, q) + start for q in (W + 1, BIG_P, 3 * W)]
+    roots = sympy.sqrt_mod(-1, BIG_P, all_roots=True)
+    hits += [np.arange((r - start) % BIG_P, span + 1, BIG_P) + start for r in roots]
+    index = np.union1d(index, np.concatenate([[start, start + span], *hits]))
+    ds = [*range(1, 40), 1000, window - 1, window, window + 1, W + 1, BIG_P, 3 * W, 10 * span]
+    want = [int(np.count_nonzero(index % d == 0)) for d in ds]
+    got = sequences.count_divisible(index, ds)
+    assert got.dtype == np.int64 and got.tolist() == want
+    empty = sequences.count_divisible(index, [])
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    uniform, poly = sequences.uniform_integers(), sequences.polynomial_values([1, 0, 1])
+    p = np.array([2, 3, 5, 13, 61, 1009, 4099, BIG_P])
+    for e in (1, 2):
+        q = (p**e).tolist()
+        hit = sequences.divisible_by_any(uniform, index, p, e)
+        assert hit.tolist() == [any(n % m == 0 for m in q) for n in index.tolist()]
+        # the argument n of X^2 + 1 is marked when F(n) = n^2 + 1 is divisible
+        hit = sequences.divisible_by_any(poly, index, p, e)
+        assert hit.tolist() == [any((n * n + 1) % m == 0 for m in q) for n in index.tolist()]
+    assert not sequences.divisible_by_any(uniform, index, p[:0], 1).any()
