@@ -346,29 +346,37 @@ def _general_roots(coeffs, p, split: bool):
 
 
 def _tonelli_shanks(d, p):
-    """A square root of each quadratic residue d != 0 mod the prime p = 1
-    (mod 8), by Tonelli-Shanks (Cohen 1.5.1), all primes at once.
+    """A square root of each quadratic residue d != 0 mod the odd prime p,
+    by Tonelli-Shanks (Cohen 1.5.1), all primes at once.
 
-    The non-residue z is the least one in the order 2, 3, ...: 2 is a
-    square mod every such p, and a product of squares is a square, so the
-    least non-residue is an odd prime and the search tries 3, 5, 7, ...;
-    each prime leaves it once its z is found.  Each Tonelli-Shanks step
-    runs on the primes whose root is not yet final.
+    With p - 1 = 2**e q, q odd, x = d**((q+1)/2) is final where d**q = 1,
+    as at every p = 3 (mod 4), where e = 1 and x = d**((p+1)/4).  Only the
+    other primes take a non-residue z, the least one in the order 2, 3,
+    5, 7, 9, ... (an even z > 2 is a non-residue only if 2 or z/2 is one):
+    a candidate z is one exactly when y = z**q has order 2**e, so the test
+    also gives y.  Each prime leaves the search once its z is found,
+    and each Tonelli-Shanks step runs on the primes whose root is not yet
+    final.
     """
-    q, e = p - 1, np.zeros_like(p)
-    while (even := q % 2 == 0).any():
-        q, e = np.where(even, q // 2, q), e + even
-    z, todo, cand = np.zeros_like(p), np.arange(p.size), 3
-    while todo.size:
-        pt = p[todo]
-        found = _vpow(np.full(todo.size, cand, dtype=p.dtype), (pt - 1) // 2, pt) == pt - 1
-        z[todo[found]] = cand
-        todo, cand = todo[~found], cand + 2
-    y = _vpow(z, q, p)  # generates the 2-Sylow subgroup of F_p^*, of order 2**e
+    q, e, even = p - 1, np.zeros_like(p), np.arange(p.size)
+    while even.size:
+        q[even] //= 2
+        e[even] += 1
+        even = even[q[even] % 2 == 0]
     x = _vpow(d, (q - 1) // 2, p)
-    b = d * x % p * x % p  # d**q, in that subgroup
+    b = d * x % p * x % p  # d**q, in the 2-Sylow subgroup of F_p^*
     x = d * x % p  # d**((q + 1)/2), so x**2 = d b
     live = np.flatnonzero(b != 1)
+    y, todo, cand = np.zeros_like(p), live, 2
+    while todo.size:
+        pt, et = p[todo], e[todo]
+        yt = _vpow(np.full(todo.size, cand, dtype=p.dtype), q[todo], pt)
+        t = yt  # z**((p-1)/2) = y**(2**(e-1)), -1 for a non-residue
+        for j in range(int(et.max()) - 1):
+            t = np.where(et - 1 > j, t * t % pt, t)
+        found = t == pt - 1
+        y[todo[found]] = yt[found]  # generates the 2-Sylow subgroup
+        todo, cand = todo[~found], cand + 1 + (cand > 2)
     while live.size:
         pl, bl, yl = p[live], b[live], y[live]
         # m: the order of b is 2**m, with m < e
@@ -386,24 +394,6 @@ def _tonelli_shanks(d, p):
     return x
 
 
-def _sqrt_mod(d, p):
-    """A square root of each quadratic residue d != 0 mod the odd prime p:
-    d**((p+1)/4) for p = 3 (mod 4), Atkin's formula for p = 5 (mod 8),
-    Tonelli-Shanks for p = 1 (mod 8)."""
-    s = np.zeros_like(d)
-    m3 = p % 4 == 3
-    s[m3] = _vpow(d[m3], (p[m3] + 1) // 4, p[m3])
-    m5 = p % 8 == 5
-    d5, p5 = d[m5], p[m5]
-    # v = (2d)**((p-5)/8); i = 2d v**2 is a square root of -1
-    v = _vpow(2 * d5 % p5, (p5 - 5) // 8, p5)
-    i = 2 * d5 * v % p5 * v % p5
-    s[m5] = d5 * v % p5 * (i - 1) % p5
-    m1 = p % 8 == 1
-    s[m1] = _tonelli_shanks(d[m1], p[m1])
-    return s
-
-
 def _quadratic_roots(coeffs, p, split: bool):
     """(h, roots) of F = a X**2 + b X + c mod odd primes p not dividing a,
     in closed form: with disc = b**2 - 4ac mod p, h = 1 where p | disc and
@@ -419,7 +409,7 @@ def _quadratic_roots(coeffs, p, split: bool):
     roots = np.full((p.size, 2), -1, dtype=p.dtype)
     one, two = h >= 1, h == 2
     pr, s = p[one], np.zeros_like(p[one])
-    s[two[one]] = _sqrt_mod(disc[two], p[two])
+    s[two[one]] = _tonelli_shanks(disc[two], p[two])
     inv = _vpow(_residues(2 * a, pr), pr - 2, pr)
     minus_b = _residues(-b, pr)
     r1, r2 = (minus_b + s) % pr * inv % pr, (minus_b - s) % pr * inv % pr

@@ -155,14 +155,6 @@ def _next_panel(panels: list[Legendre], nodes: int) -> Legendre:
     return Legendre.fit(t, y, deg=nodes - 1, domain=[k, k + 1])
 
 
-def _build_panels(u_max: int, nodes: int) -> list[Legendre]:
-    """Every panel on [1, u_max] at once, as a table fills them on use."""
-    panels: list[Legendre] = []
-    for _ in range(1, u_max):
-        panels.append(_next_panel(panels, nodes))
-    return panels
-
-
 _default: RhoTable | None = None
 
 

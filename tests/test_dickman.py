@@ -127,22 +127,22 @@ def test_panel_build_raises_without_convergence(monkeypatch):
         table.rho(3.5)
 
 
-def test_panels_are_built_on_demand_with_the_eager_bits():
+def test_panels_are_built_on_demand_in_order():
     table = dickman.RhoTable()
     assert not table._panels
     table.rho(2.0)
     assert len(table._panels) == 2
     for u_max in (20, 100):
-        table = dickman.RhoTable(u_max=u_max)
+        # one table queried u by u, one by rho_vec alone, one at u_max first
+        stepped, vec, whole = (dickman.RhoTable(u_max=u_max) for _ in range(3))
         u = np.linspace(0.01, u_max, 20 * u_max + 1)
-        for v in u:  # every u <= u_max, panel by panel in order
-            table.rho(float(v))
-        eager = dickman._build_panels(u_max, dickman.DEFAULT_NODES)
-        assert len(table._panels) == len(eager) == u_max - 1
-        want = np.ones_like(u)
-        for i, v in enumerate(u):
-            if v > 1:
-                want[i] = eager[min(int(v), u_max - 1) - 1](v)
-        assert table.rho_vec(u).tobytes() == want.tobytes()
-        for built, ref in zip(table._panels, eager, strict=True):
-            assert built.coef.tobytes() == ref.coef.tobytes()
+        whole.rho(float(u_max))
+        assert len(whole._panels) == u_max - 1
+        want = whole.rho_vec(u)
+        got = np.array([stepped.rho(float(v)) for v in u])
+        assert got.tobytes() == want.tobytes()
+        assert vec.rho_vec(u).tobytes() == want.tobytes()
+        for t in (stepped, vec):
+            assert len(t._panels) == u_max - 1
+            for built, ref in zip(t._panels, whole._panels, strict=True):
+                assert built.coef.tobytes() == ref.coef.tobytes()

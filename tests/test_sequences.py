@@ -271,7 +271,8 @@ assert sympy.isprime(BIG_P) and BIG_P > W and BIG_P % 4 == 1
 def test_residue_passes_by_windows_equal_the_brute_force(monkeypatch, window, start):
     # start 0 and 3 give a mask from 0; 5 W is a far range, whose mask
     # starts at min(index); the mask spans 3.5 real windows, and steps run
-    # from below the window to past the whole mask
+    # from below the window to past the whole mask, on both sides of the
+    # longest step taken by windows
     monkeypatch.setattr(sequences, "_WINDOW", window)
     rng = np.random.default_rng(start + window)
     span = 7 * W // 2
@@ -282,14 +283,17 @@ def test_residue_passes_by_windows_equal_the_brute_force(monkeypatch, window, st
     roots = sympy.sqrt_mod(-1, BIG_P, all_roots=True)
     hits += [np.arange((r - start) % BIG_P, span + 1, BIG_P) + start for r in roots]
     index = np.union1d(index, np.concatenate([[start, start + span], *hits]))
-    ds = [*range(1, 40), 1000, window - 1, window, window + 1, W + 1, BIG_P, 3 * W, 10 * span]
+    longest = window // sequences._WINDOW_HITS
+    ds = [*range(1, 40), longest, longest + 1, 1000, window - 1, window, window + 1]
+    ds += [W + 1, BIG_P, 3 * W, 10 * span]
     want = [int(np.count_nonzero(index % d == 0)) for d in ds]
     got = sequences.count_divisible(index, ds)
     assert got.dtype == np.int64 and got.tolist() == want
     empty = sequences.count_divisible(index, [])
     assert empty.dtype == np.int64 and empty.shape == (0,)
     uniform, poly = sequences.uniform_integers(), sequences.polynomial_values([1, 0, 1])
-    p = np.array([2, 3, 5, 13, 61, 1009, 4099, BIG_P])
+    # 2029 and 2053 sit on either side of W / _WINDOW_HITS = 2048
+    p = np.array([2, 3, 5, 13, 61, 1009, 2029, 2053, 4099, BIG_P])
     for e in (1, 2):
         q = (p**e).tolist()
         hit = sequences.divisible_by_any(uniform, index, p, e)
