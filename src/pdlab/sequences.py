@@ -428,7 +428,7 @@ def _class_slices(size: int, first: np.ndarray, step: np.ndarray):
     comes as one slice over the whole array; so there are at most one
     slice per class and one per _WINDOW_HITS positions visited.
     """
-    small = step * _WINDOW_HITS <= _WINDOW
+    small = step <= _WINDOW // _WINDOW_HITS
     for j in np.flatnonzero(~small):
         yield j, slice(first[j], size, step[j])
     small = np.flatnonzero(small)
