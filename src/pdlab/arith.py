@@ -670,11 +670,7 @@ def _g_h_values(g: GFunctionSpec, x: int):
         while ps[-1].size:
             ps.append(ps[-1][ps[-1] ** (len(ps) + 2) <= x])
         p, e = np.concatenate(ps), np.repeat(np.arange(2, len(ps) + 2), [a.size for a in ps])
-        # a simple root mod p lifts once, so h(p**e) = h(p) where gcd(F, F')
-        # = 1 mod p; the table lifts the rest
-        hq[p**e] = hq[p]
-        lift = ~_squarefree_mod(g.coeffs, p)
-        hq[p[lift] ** e[lift]] = roots_mod_prime_powers(g.coeffs, p[lift], e[lift])[0]
+        hq[p**e] = roots_mod_prime_powers(g.coeffs, p, e)[0]
     for idx, p, e in factor.prime_powers(n):
         if g.kind == "reciprocal_totient":
             num[idx] *= (p - 1) * p ** (e - 1)

@@ -121,7 +121,8 @@ def _member_report(
     experiment: str, config: dict, s: stats.SampleSet, est: Estimate, extras: dict, **fields
 ) -> ExperimentReport:
     """The report of an estimate over the members of s, which give its
-    spec, x, exhaustive flag and n_members."""
+    spec, x and n_members; every member up to x is enumerated, so the
+    estimate is exhaustive."""
     return ExperimentReport(
         experiment=experiment,
         config=config,
@@ -129,7 +130,7 @@ def _member_report(
         x=s.x,
         estimate=est.value,
         std_error=est.std_error,
-        exhaustive=s.exhaustive,
+        exhaustive=True,
         extras={**extras, "n_members": s.n},
         **fields,
     )

@@ -47,8 +47,8 @@ by its own sieve over the arguments in one window of MEMBER_BLOCK
 integers, and the last two regroup the block alone, so only the tables,
 the caller's ``top`` array and one block's arrays are resident.  The
 ``*_blocks`` functions yield each block's entries for a consumer that
-reduces them block by block, and ``concat_blocks`` concatenates them, as
-``bulk_spectra`` and ``bulk_spectra_trial`` do.
+reduces them block by block; ``bulk_spectra`` and ``bulk_spectra_trial``
+concatenate them.
 
 All value arithmetic is exact integer arithmetic; logarithms appear only
 in that fold.
@@ -460,29 +460,6 @@ def _fold_blocks(values, peel, k: int, floor: float | None, top: np.ndarray, key
         lo = hi
 
 
-def concat_blocks(blocks):
-    """(entry_idx, entry_val) of a block fold, in block order, with
-    entry_idx the int32 index of each entry's value in the whole set."""
-    idx, val = [], []
-    for rows, i, v in blocks:
-        i += rows.start
-        idx.append(i)
-        val.append(v)
-    return _drain(idx, np.int32), _drain(val, np.float64)
-
-
-def _drain(chunks: list, dtype) -> np.ndarray:
-    """Concatenate chunks, dropping each once copied, so that the chunks
-    and the result are not both resident at full size."""
-    out = np.empty(sum(c.size for c in chunks), dtype=dtype)
-    pos = 0
-    for i, c in enumerate(chunks):
-        chunks[i] = None
-        out[pos : pos + c.size] = c
-        pos += c.size
-    return out
-
-
 def _lpf_peel(values: np.ndarray, lpf: np.ndarray):
     """The peel of values, largest prime first, from a P+ table covering
     them: each step reads p = P+(rem) and divides it out of rem.  A row
@@ -507,9 +484,15 @@ def _trial_peel(values: np.ndarray, table: PrimeTable):
 
 
 def _concat_fold(values, peel, k: int, floor: float | None):
-    """(entry_idx, entry_val, top) of the whole block fold."""
+    """(entry_idx, entry_val, top) of the whole block fold, in block order,
+    with entry_idx the int32 index of each entry's value in the whole set."""
     top = np.zeros((values.size, k), dtype=np.float64)
-    return (*concat_blocks(_fold_blocks(values, peel, k, floor, top)), top)
+    idx, val = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.float64)]
+    for rows, i, v in _fold_blocks(values, peel, k, floor, top):
+        i += rows.start
+        idx.append(i)
+        val.append(v)
+    return np.concatenate(idx), np.concatenate(val), top
 
 
 def bulk_spectra(values, spf: np.ndarray, k: int = TOP_K, floor: float | None = 0.0):
@@ -551,10 +534,10 @@ def sieve_blocks(values, args, table: PrimeTable, roots, k: int, floor: float | 
     A block is a run of values whose arguments share one window
     [w * MEMBER_BLOCK, (w + 1) * MEMBER_BLOCK) of n (the key of
     _fold_blocks), so its sieve range, [min, max] of its arguments, is at
-    most MEMBER_BLOCK wide, for a full set and a subsample alike; together
-    the blocks sieve the argument range once.  The values ascend, so the
-    arguments >= PolyRange.lo make one run per window; the few below n0
-    (PolyRange.small), which need not ascend, may split theirs.
+    most MEMBER_BLOCK wide; together the blocks sieve the argument range
+    once.  The values ascend, so the arguments >= PolyRange.lo make one
+    run per window; the few below n0 (PolyRange.small), which need not
+    ascend, may split theirs.
 
     ``roots`` = (h, r) holds the roots of F modulo each of table.primes,
     as arith.roots_mod_primes gives them: p divides F(n) exactly when n is

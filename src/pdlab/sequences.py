@@ -29,7 +29,6 @@ set was enumerated from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -57,7 +56,7 @@ KINDS = ("uniform", "shifted_primes", "poly", "thue_morse")
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """An arithmetic sequence under study, with its known level of distribution.
+    """An arithmetic sequence under study, with the density g(d) paired with it.
 
     For kind "poly" the coefficients are constant-first, e.g. X**2 + 1 is
     (1, 0, 1); the polynomial must be irreducible over the rationals with
@@ -84,15 +83,6 @@ class SequenceSpec:
     @property
     def degree(self) -> int:
         return arith.poly_degree(self.coeffs) if self.kind == "poly" else 0
-
-    @property
-    def theta(self) -> Fraction:
-        """The sequence's level of distribution."""
-        if self.kind == "shifted_primes":
-            return Fraction(1, 2)
-        if self.kind == "poly":
-            return Fraction(1, self.degree)
-        return Fraction(1)
 
     def g_function(self) -> arith.GFunctionSpec:
         """The density g(d) paired with the sequence.
@@ -324,18 +314,15 @@ def poly_range(spec: SequenceSpec, x: int) -> PolyRange:
     return PolyRange(lo, hi, sorted(small.values()), largest)
 
 
-def poly_arguments(
-    spec: SequenceSpec, x: int, span: PolyRange | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def poly_arguments(spec: SequenceSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
     """(args, values): the members F(n) <= x ascending, each with one n >= 1.
 
-    ``span`` is poly_range(spec, x) when the caller already has it.  The
-    N = hi - lo + 1 arguments where F increases are checked against
+    The N = hi - lo + 1 arguments where F increases are checked against
     MAX_DENSE_X before anything is allocated, and evaluated by int64
     Horner only when sum |c_i| hi**i, which bounds every partial sum, fits
     int64; otherwise ResourceBudgetError.
     """
-    lo, hi, small, _ = span or poly_range(spec, x)
+    lo, hi, small, _ = poly_range(spec, x)
     if hi - lo + 1 > MAX_DENSE_X:
         raise ResourceBudgetError(
             f"{hi - lo + 1} polynomial arguments exceed the dense enumeration cap"

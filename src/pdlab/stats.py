@@ -1,16 +1,14 @@
 """Empirical estimators on arithmetic samples.
 
-A SampleSet holds the members of a sequence up to x (or a seeded uniform
-subsample) and the part of their normalized prime-factor spectra that its
-consumer reads: the k leading entries, the entries at or above a floor,
-or nothing.  The estimators are pure folds over those arrays:
-correlation sums over distinct index tuples, joint CDFs of the leading
-entries, tail frequencies of the largest prime factor,
-level-of-distribution error sums, repeated-factor frequencies, sieve
-survivor counts, and a one-sample Kolmogorov-Smirnov distance.  The
-correlation sums alone read only the members: they fold the spectra
-again block by block (``_spectrum_blocks``), so the whole set's entries
-are never held.
+A SampleSet holds the members of a sequence up to x and the k leading
+entries of their normalized prime-factor spectra, or none.  The
+estimators are pure folds over those arrays: correlation sums over
+distinct index tuples, joint CDFs of the leading entries, tail
+frequencies of the largest prime factor, level-of-distribution error
+sums, repeated-factor frequencies, sieve survivor counts, and a
+one-sample Kolmogorov-Smirnov distance.  The correlation sums alone read
+only the members: they fold the spectra again block by block
+(``_spectrum_blocks``), so the whole set's entries are never held.
 """
 
 from __future__ import annotations
@@ -47,17 +45,13 @@ KS_MARGIN = 1e-10
 
 @dataclass(frozen=True)
 class SampleSet:
-    """What the estimators read of the spectra of a sequence's members up to x.
+    """What the estimators read of a sequence's members up to x.
 
     ``index`` is what the divisibility marks read of each member
     (``sequences.divisible_by_any``): its argument n for polynomial
     values, else ``u`` itself.
     ``top`` holds the k largest spectrum entries per member (zero padded;
     the u = 1 member gets the single entry 1); k = 0 gives no columns.
-    ``entry_idx`` / ``entry_val`` is the ragged list of every entry
-    >= floor, in block-major order (the blocks of ``_spectrum_blocks`` in
-    member order, unordered within a block); floor = 0.0 keeps complete
-    spectra, and floor = None means no entries were built (both empty).
     """
 
     spec: SequenceSpec
@@ -65,12 +59,6 @@ class SampleSet:
     u: np.ndarray
     index: np.ndarray
     top: np.ndarray
-    entry_idx: np.ndarray
-    entry_val: np.ndarray
-    floor: float | None
-    exhaustive: bool
-    subsample_seed: int | None = None
-    subsample_rate: float | None = None
 
     @property
     def n(self) -> int:
@@ -93,10 +81,10 @@ def _spectrum_blocks(spec, u, index, k, floor, top, table):
     factor's block folds give them, and writes the k leading entries of
     each member into its row of top.
 
-    Polynomial values, full or subsampled, are factored by the sieve over
-    their arguments with ``table`` (``factor.sieve_blocks``, each block
-    over its own window of arguments); any other set by
-    ``factor.spectra_blocks``, which chooses its own source.
+    Polynomial values are factored by the sieve over their arguments with
+    ``table`` (``factor.sieve_blocks``, each block over its own window of
+    arguments); any other set by ``factor.spectra_blocks``, which chooses
+    its own source.
     """
     if spec.kind == "poly":
         roots = arith.roots_mod_primes(spec.coeffs, table.primes)
@@ -104,69 +92,32 @@ def _spectrum_blocks(spec, u, index, k, floor, top, table):
     return factor.spectra_blocks(u, k, floor, top)
 
 
-def build_sample_set(
-    spec: SequenceSpec,
-    x: int,
-    k: int = TOP_K,
-    floor: float | None = None,
-    max_members: int | None = None,
-    subsample_seed: int = 0,
-) -> SampleSet:
-    """Enumerate the members of the sequence up to x and build what a consumer reads.
+def build_sample_set(spec: SequenceSpec, x: int, k: int = TOP_K) -> SampleSet:
+    """Enumerate the members of the sequence up to x and their k leading entries.
 
     ``k`` (0..TOP_K) is the number of leading entries per member in
-    ``top``; ``floor`` asks for every entry >= floor, and None asks for no
-    entries.  The factor peel stops each member once it has given both,
-    so a top-k build never computes smaller entries.  With k = 0 and no
-    floor nothing is factored: the set holds only the (subsampled)
-    members and their index, which is all ``repeated_factor_frequency``,
-    ``sieve_survivor_experiment`` and ``empirical_corr`` read.  The
-    spectra come from ``_spectrum_blocks``, concatenated.
+    ``top``.  The factor peel stops each member after its k-th prime, so
+    a build never computes smaller entries.  With k = 0 nothing is
+    factored: the set holds only the members and their index, which is
+    all ``repeated_factor_frequency``, ``sieve_survivor_experiment`` and
+    ``empirical_corr`` read.
     """
     if not 0 <= k <= TOP_K:
         raise ValidationError(
             f"k must be in [0, {TOP_K}] (at most {TOP_K} joint thresholds), got {k}"
         )
-    if floor is not None and not floor >= 0.0:
-        raise ValidationError(f"floor must be >= 0, got {floor}")
-    factoring = k > 0 or floor is not None
-    table = _sieve_table(spec, x) if factoring else None
+    table = _sieve_table(spec, x) if k else None
     if spec.kind == "poly":
         args, mem = sequences.poly_arguments(spec, x)
     else:
         mem = args = sequences.members(spec, x)
     if mem.size == 0:
         raise ValidationError(f"sequence has no members up to x={x}")
-    exhaustive = True
-    rate = None
-    seed_used = None
-    if max_members is not None and mem.size > max_members:
-        rng = np.random.Generator(np.random.Philox(key=subsample_seed))
-        sel = np.sort(rng.choice(mem.size, size=max_members, replace=False))
-        rate = max_members / mem.size
-        mem = mem[sel]
-        args = args[sel] if spec.kind == "poly" else mem
-        exhaustive = False
-        seed_used = subsample_seed
     top = np.zeros((mem.size, k), dtype=np.float64)
-    if factoring:
-        blocks = _spectrum_blocks(spec, mem, args, k, floor, top, table)
-        entry_idx, entry_val = factor.concat_blocks(blocks)
-    else:
-        entry_idx, entry_val = np.zeros(0, dtype=np.int32), np.zeros(0)
-    return SampleSet(
-        spec=spec,
-        x=x,
-        u=mem,
-        index=args,
-        top=top,
-        entry_idx=entry_idx,
-        entry_val=entry_val,
-        floor=floor,
-        exhaustive=exhaustive,
-        subsample_seed=seed_used,
-        subsample_rate=rate,
-    )
+    if k:
+        for _ in _spectrum_blocks(spec, mem, args, k, None, top, table):
+            pass  # each block writes its rows of top
+    return SampleSet(spec=spec, x=x, u=mem, index=args, top=top)
 
 
 def empirical_corr(s: SampleSet, eta: BoxFunction) -> Estimate:

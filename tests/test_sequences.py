@@ -61,13 +61,6 @@ def test_conservative_rejection_documents_itself():
         sequences.polynomial_values([1, 0, 0, 0, 1])
 
 
-def test_theta_values():
-    assert sequences.uniform_integers().theta == 1
-    assert sequences.shifted_primes(1).theta == 0.5
-    assert sequences.polynomial_values([-2, 0, 0, 1]).theta == pytest.approx(1 / 3)
-    assert sequences.thue_morse_zeros().theta == 1
-
-
 def test_counting_examples():
     uni = sequences.uniform_integers()
     assert sequences.count(uni, 100) == 100

@@ -15,9 +15,44 @@ from pdlab.boxes import box
 from pdlab.errors import ValidationError
 
 
+def _choice(spec, x, size=None, seed=0):
+    """(u, index) of a seeded uniform choice of size members up to x, in
+    member order; all of them when size is None or there are no more."""
+    full = stats.build_sample_set(spec, x, k=0)
+    if size is None or full.n <= size:
+        return full.u, full.index
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    sel = np.sort(rng.choice(full.n, size=size, replace=False))
+    u = full.u[sel]
+    return u, full.index[sel] if spec.kind == "poly" else u
+
+
+def _fold(spec, x, u, index, k, floor):
+    """(top, entry_idx, entry_val) of members u of the sequence up to x,
+    from the block driver of build_sample_set: the blocks' entries
+    concatenated in block order, each index offset by its block's start."""
+    top = np.zeros((u.size, k))
+    blocks = stats._spectrum_blocks(spec, u, index, k, floor, top, stats._sieve_table(spec, x))
+    idx, val = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
+    for rows, i, v in blocks:
+        idx.append(i + rows.start)
+        val.append(v)
+    return top, np.concatenate(idx), np.concatenate(val)
+
+
+def _sample_set(spec, x, k=factor.TOP_K, size=None, seed=0):
+    """build_sample_set(spec, x, k), or with size the same set over a
+    seeded uniform choice of size members (factored only when k > 0)."""
+    if size is None:
+        return stats.build_sample_set(spec, x, k)
+    u, index = _choice(spec, x, size, seed)
+    top = _fold(spec, x, u, index, k, None)[0] if k else np.zeros((u.size, 0))
+    return stats.SampleSet(spec, x, u, index, top)
+
+
 @pytest.fixture(scope="module")
 def uniform_small():
-    return stats.build_sample_set(sequences.uniform_integers(), 3000, floor=0.0)
+    return stats.build_sample_set(sequences.uniform_integers(), 3000)
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +132,10 @@ def test_u_equals_one_counts_in_every_tail():
 
 
 def test_floor_truncation_respected(uniform_small):
-    s = stats.build_sample_set(sequences.uniform_integers(), 3000, floor=0.2)
-    assert (s.entry_val >= 0.2).all()
+    s = stats.build_sample_set(sequences.uniform_integers(), 3000, k=0)
+    assert (_fold(s.spec, s.x, s.u, s.index, 0, 0.2)[2] >= 0.2).all()
     # empirical_corr folds the members again down to eta's support bound,
-    # so a support below the build's floor gives the floor-0 set's result
+    # so a members-only set gives the top-k set's result
     for eta in (box((0.1, 0.3)), box((0.25, 0.5))):
         assert stats.empirical_corr(s, eta) == stats.empirical_corr(uniform_small, eta)
 
@@ -108,36 +143,22 @@ def test_floor_truncation_respected(uniform_small):
 def test_sparse_trial_division_path():
     # polynomial values go through the sieve over n; a sparse subsample of
     # another kind forces the trial-division branch
-    poly = stats.build_sample_set(sequences.polynomial_values([1, 0, 1]), 10**6, floor=0.0)
-    assert poly.n == 999  # n**2 + 1 <= 1e6 exactly for n <= 999
-    sparse = stats.build_sample_set(
-        sequences.shifted_primes(1), 10**6, floor=0.0, max_members=999, subsample_seed=2
-    )
-    assert not factor.is_dense(sparse.u)
-    for s in (poly, sparse):
-        for i, u in enumerate(s.u[:50]):
-            lu = math.log(int(u))
+    poly = sequences.polynomial_values([1, 0, 1])
+    poly_u, poly_index = _choice(poly, 10**6)
+    assert poly_u.size == 999  # n**2 + 1 <= 1e6 exactly for n <= 999
+    sparse = sequences.shifted_primes(1)
+    sparse_u, sparse_index = _choice(sparse, 10**6, 999, 2)
+    assert not factor.is_dense(sparse_u)
+    for spec, u, index in ((poly, poly_u, poly_index), (sparse, sparse_u, sparse_index)):
+        _, entry_idx, entry_val = _fold(spec, 10**6, u, index, 0, 0.0)
+        for i, v in enumerate(u[:50]):
+            lu = math.log(int(v))
             want = sorted(
-                (math.log(p) / lu for p, e in sympy.factorint(int(u)).items() for _ in range(e)),
+                (math.log(p) / lu for p, e in sympy.factorint(int(v)).items() for _ in range(e)),
                 reverse=True,
             )
-            got = np.sort(s.entry_val[s.entry_idx == i])[::-1]
+            got = np.sort(entry_val[entry_idx == i])[::-1]
             assert np.allclose(got, want, atol=1e-12)
-
-
-def test_subsampling_is_seeded():
-    a = stats.build_sample_set(
-        sequences.uniform_integers(), 10**5, max_members=1000, subsample_seed=4
-    )
-    b = stats.build_sample_set(
-        sequences.uniform_integers(), 10**5, max_members=1000, subsample_seed=4
-    )
-    c = stats.build_sample_set(
-        sequences.uniform_integers(), 10**5, max_members=1000, subsample_seed=5
-    )
-    assert np.array_equal(a.u, b.u)
-    assert not np.array_equal(a.u, c.u)
-    assert not a.exhaustive and a.subsample_seed == 4
 
 
 def test_ks_distance_self_test():
@@ -180,7 +201,7 @@ def _full_ks(values, ref_cdf):
 
 
 def _leading(spec, x, **kw):
-    return stats.build_sample_set(spec, x, k=1, **kw).top[:, 0]
+    return _sample_set(spec, x, k=1, **kw).top[:, 0]
 
 
 def _pd_leading():
@@ -201,7 +222,7 @@ KS_SAMPLES = {
     **{f"uniform_1e{e}": lambda e=e: _leading(sequences.uniform_integers(), 10**e) for e in range(3, 7)},
     "thue_morse": lambda: _leading(sequences.thue_morse_zeros(), 10**5),
     "shifted_primes_subsample": lambda: _leading(
-        sequences.shifted_primes(1), 10**6, max_members=20000, subsample_seed=3
+        sequences.shifted_primes(1), 10**6, size=20000, seed=3
     ),
     "pd": _pd_leading,
     "ties": _ties,
@@ -304,9 +325,7 @@ def test_repeated_factor_brute_force():
 def test_repeated_factor_on_subsample_brute_force(max_members):
     # members are values: p**2 must divide u, not the position of u
     x = 10**5
-    s = stats.build_sample_set(
-        sequences.uniform_integers(), x, max_members=max_members, subsample_seed=4
-    )
+    s = _sample_set(sequences.uniform_integers(), x, k=0, size=max_members, seed=4)
     alpha, c = 0.1, 0.4
     got = stats.repeated_factor_frequency(s, alpha, c).value
     lo, hi = x**alpha, x**c
@@ -399,20 +418,19 @@ def test_empty_sequence_sample_raises():
 
 
 SHAPED_CASES = {
-    "uniform": (sequences.uniform_integers(), 10**5, {}),
-    "thue_morse": (sequences.thue_morse_zeros(), 10**5, {}),
-    "shifted_primes": (sequences.shifted_primes(1), 10**6, {}),
-    "x2p1": (sequences.polynomial_values([1, 0, 1]), 10**9, {}),  # sieve over n
-    "subsample": (
-        sequences.uniform_integers(), 10**6, {"max_members": 20000, "subsample_seed": 4}
-    ),
+    "uniform": (sequences.uniform_integers(), 10**5, None),
+    "thue_morse": (sequences.thue_morse_zeros(), 10**5, None),
+    "shifted_primes": (sequences.shifted_primes(1), 10**6, None),
+    "x2p1": (sequences.polynomial_values([1, 0, 1]), 10**9, None),  # sieve over n
+    "subsample": (sequences.uniform_integers(), 10**6, 20000),  # seed 4
 }
 
 
 @pytest.fixture(scope="module", params=list(SHAPED_CASES))
 def complete_build(request):
-    spec, x, kw = SHAPED_CASES[request.param]
-    return request.param, (spec, x, kw), stats.build_sample_set(spec, x, floor=0.0, **kw)
+    spec, x, size = SHAPED_CASES[request.param]
+    u, index = _choice(spec, x, size, 4)
+    return request.param, (spec, x, u, index), _fold(spec, x, u, index, 3, 0.0)
 
 
 def _member_multisets(idx, val):
@@ -421,52 +439,54 @@ def _member_multisets(idx, val):
 
 
 def test_shaped_builds_equal_the_complete_build(complete_build):
-    name, (spec, x, kw), full = complete_build
-    dense = factor.is_dense(full.u)
+    name, (spec, x, u, index), (full_top, full_idx, full_val) = complete_build
+    dense = factor.is_dense(u)
     assert dense == (name != "x2p1")
     for k in (1, 2, 3):
-        s = stats.build_sample_set(spec, x, k=k, **kw)
-        assert s.floor is None and s.entry_idx.size == 0 and s.entry_val.size == 0
-        assert s.top.shape == (full.n, k)
-        assert np.array_equal(s.top, full.top[:, :k])
+        top, idx, val = _fold(spec, x, u, index, k, None)
+        assert idx.size == 0 and val.size == 0
+        assert top.shape == (u.size, k)
+        assert np.array_equal(top, full_top[:, :k])
+        if name != "subsample":
+            assert np.array_equal(stats.build_sample_set(spec, x, k=k).top, top)
     for floor in (0.1, 0.25):
-        s = stats.build_sample_set(spec, x, k=0, floor=floor, **kw)
-        assert s.top.shape == (full.n, 0)
-        keep = full.entry_val >= floor
+        top, idx, val = _fold(spec, x, u, index, 0, floor)
+        assert top.shape == (u.size, 0)
+        keep = full_val >= floor
         if name == "uniform":
-            assert (full.entry_val == floor).any()  # the boundary is exercised
-        got = _member_multisets(s.entry_idx, s.entry_val)
-        want = _member_multisets(full.entry_idx[keep], full.entry_val[keep])
+            assert (full_val == floor).any()  # the boundary is exercised
+        got = _member_multisets(idx, val)
+        want = _member_multisets(full_idx[keep], full_val[keep])
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 SIEVE_CASES = {
-    "x2p1": ([1, 0, 1], 10**10, {}),
-    "x3m2": ([-2, 0, 0, 1], 10**12, {}),
-    "2x2m7xp7": ([7, -7, 2], 10**8, {}),
-    "content2": ([2, 0, 2], 10**8, {}),
-    "subsample": ([1, 0, 1], 10**10, {"max_members": 5000, "subsample_seed": 9}),
+    "x2p1": ([1, 0, 1], 10**10, None),
+    "x3m2": ([-2, 0, 0, 1], 10**12, None),
+    "2x2m7xp7": ([7, -7, 2], 10**8, None),
+    "content2": ([2, 0, 2], 10**8, None),
+    "subsample": ([1, 0, 1], 10**10, 5000),  # seed 9
 }
 
 
 @pytest.mark.parametrize("name", list(SIEVE_CASES))
 def test_poly_sieve_reproduces_the_trial_path(name):
-    coeffs, x, kw = SIEVE_CASES[name]
+    coeffs, x, size = SIEVE_CASES[name]
     spec = sequences.polynomial_values(coeffs)
-    mem = stats.build_sample_set(spec, x, k=0, **kw).u
+    mem, index = _choice(spec, x, size, 9)
     table = factor.build_prime_table(max(math.isqrt(int(mem.max())) + 1, 3))
     t_idx, t_val, t_top = factor.bulk_spectra_trial(mem, table, 3, 0.0)
     for k in (1, 2, 3):
-        s = stats.build_sample_set(spec, x, k=k, **kw)
+        s = _sample_set(spec, x, k, size, 9)
         assert np.array_equal(s.u, mem)
         assert np.array_equal(s.top, t_top[:, :k]), f"k={k}"
     for floor in (0.0, 0.25):
-        s = stats.build_sample_set(spec, x, k=0, floor=floor, **kw)
+        _, idx, val = _fold(spec, x, mem, index, 0, floor)
         keep = t_val >= floor
-        got = _member_multisets(s.entry_idx, s.entry_val)
+        got = _member_multisets(idx, val)
         want = _member_multisets(t_idx[keep], t_val[keep])
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    if not kw:
+    if size is None:
         # N_d(x) by root classes, with no pass over the members
         ds = np.arange(1, 1001)
         n_total, nd = sequences.class_counts(spec, x, ds)
@@ -482,14 +502,12 @@ MARK_CASES = {
 }
 
 
-@pytest.mark.parametrize(
-    "kw", [{}, {"max_members": 3000, "subsample_seed": 7}], ids=["full", "subsample"]
-)
+@pytest.mark.parametrize("size", [None, 3000], ids=["full", "subsample"])  # seed 7
 @pytest.mark.parametrize("name", list(MARK_CASES))
-def test_poly_marks_equal_the_residue_oracle(name, kw):
+def test_poly_marks_equal_the_residue_oracle(name, size):
     coeffs, x = MARK_CASES[name]
     spec = sequences.polynomial_values(coeffs)
-    s = stats.build_sample_set(spec, x, k=0, **kw)
+    s = _sample_set(spec, x, k=0, size=size, seed=7)
     assert [arith.poly_eval(coeffs, n) for n in s.index.tolist()] == s.u.tolist()
     window = factor.build_prime_table(200).primes
     for e in (1, 2):
@@ -535,17 +553,17 @@ def test_marks_with_and_without_the_index_offset(start):
 
 
 @pytest.mark.parametrize(
-    "coeffs, x, kw",
+    "coeffs, x, size",
     [
-        ([1, 0, 1], 10**6, {}),
-        ([2, 0, 2], 10**6, {}),
-        ([-2, 0, 0, 1], 10**9, {}),
-        ([1, 0, 1], 10**8, {"max_members": 500, "subsample_seed": 3}),
+        ([1, 0, 1], 10**6, None),
+        ([2, 0, 2], 10**6, None),
+        ([-2, 0, 0, 1], 10**9, None),
+        ([1, 0, 1], 10**8, 500),  # seed 3
     ],
     ids=["x2p1", "content2", "x3m2", "subsample"],
 )
-def test_repeated_factor_on_polynomial_values_brute_force(coeffs, x, kw):
-    s = stats.build_sample_set(sequences.polynomial_values(coeffs), x, k=0, **kw)
+def test_repeated_factor_on_polynomial_values_brute_force(coeffs, x, size):
+    s = _sample_set(sequences.polynomial_values(coeffs), x, k=0, size=size, seed=3)
     alpha, c = 0.04, 0.5  # the window starts below 2
     got = stats.repeated_factor_frequency(s, alpha, c).value
     lo, hi = x**alpha, x**c
@@ -560,21 +578,21 @@ def test_members_only_build_factors_nothing(monkeypatch):
     from pdlab import factor
 
     cases = [
-        (sequences.uniform_integers(), 10**5, {}),
-        (sequences.polynomial_values([1, 0, 1]), 10**9, {}),
-        (sequences.uniform_integers(), 10**5, {"max_members": 1000, "subsample_seed": 4}),
+        (sequences.uniform_integers(), 10**5, None),
+        (sequences.polynomial_values([1, 0, 1]), 10**9, None),
+        (sequences.uniform_integers(), 10**5, 1000),  # seed 4
     ]
-    want = [stats.build_sample_set(spec, x, k=1, **kw).u for spec, x, kw in cases]
+    want = [_sample_set(spec, x, 1, size, 4).u for spec, x, size in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a members-only build must not sieve or factor")
 
     monkeypatch.setattr(factor, "smallest_factor_sieve", refuse)
     monkeypatch.setattr(factor, "build_prime_table", refuse)
-    for (spec, x, kw), u in zip(cases, want):
-        s = stats.build_sample_set(spec, x, k=0, **kw)
+    for (spec, x, size), u in zip(cases, want):
+        s = _sample_set(spec, x, 0, size, 4)
         assert np.array_equal(s.u, u)
-        assert s.top.shape == (s.n, 0) and s.entry_idx.size == 0 and s.floor is None
+        assert s.top.shape == (s.n, 0)
 
 
 def test_estimators_reject_what_the_build_left_out(uniform_small):
@@ -594,78 +612,76 @@ def test_estimators_reject_what_the_build_left_out(uniform_small):
 
 BLOCK_CASES = {
     # dense: the spf source
-    "thue_morse": (sequences.thue_morse_zeros(), 4001, {}),
-    # sparse: the trial source
-    "shifted_primes_subsample": (
-        sequences.shifted_primes(1), 10**6, {"max_members": 1501, "subsample_seed": 5}
-    ),
+    "thue_morse": (sequences.thue_morse_zeros(), 4001, None),
+    # sparse: the trial source (1501 members, seed 5)
+    "shifted_primes_subsample": (sequences.shifted_primes(1), 10**6, 1501),
     # polynomial values: the sieve over each block's window of arguments
-    "x2p1": (sequences.polynomial_values([1, 0, 1]), 10**10, {}),
-    "x2p1_subsample": (
-        sequences.polynomial_values([1, 0, 1]), 10**10, {"max_members": 1501, "subsample_seed": 5}
-    ),
+    "x2p1": (sequences.polynomial_values([1, 0, 1]), 10**10, None),
+    "x2p1_subsample": (sequences.polynomial_values([1, 0, 1]), 10**10, 1501),
     # X**3 - 30X**2 + 250X + 1: its 85 arguments below n0 = 86 are its
     # first 85 members, but not in argument order
-    "cubic": (sequences.polynomial_values([1, 250, -30, 1]), 10**9, {}),
+    "cubic": (sequences.polynomial_values([1, 250, -30, 1]), 10**9, None),
 }
 
 
 @pytest.mark.parametrize("name", list(BLOCK_CASES))
 def test_sets_do_not_depend_on_the_member_block(name, monkeypatch):
-    spec, x, kw = BLOCK_CASES[name]
+    spec, x, size = BLOCK_CASES[name]
+    u, index = _choice(spec, x, size, 5)
     eta = box((0.1, 0.3), (0.3, 0.6))
     runs = []
     for block in (1 << 16, 1, 3):
         monkeypatch.setattr(factor, "MEMBER_BLOCK", block)
-        s = stats.build_sample_set(spec, x, floor=0.0, **kw)
-        runs.append((s, stats.empirical_corr(s, eta)))
-    whole, corr = runs[0]
+        top, idx, val = _fold(spec, x, u, index, 3, 0.0)
+        corr = stats.empirical_corr(stats.SampleSet(spec, x, u, index, top), eta)
+        runs.append((top, idx, val, corr))
+    whole_top, whole_idx, whole_val, corr = runs[0]
     # a short last block at 61
-    assert whole.n % 61
+    assert u.size % 61
     if name == "cubic":
-        first = whole.index[:85]
+        first = index[:85]
         assert sorted(first.tolist()) == list(range(1, 86)) and (np.diff(first) < 0).any()
     elif spec.kind != "poly":
-        assert factor.is_dense(whole.u) == (name == "thue_morse")
-    want = _member_multisets(whole.entry_idx, whole.entry_val)
-    for s, c in runs[1:]:
-        assert s.top.tobytes() == whole.top.tobytes()
-        got = _member_multisets(s.entry_idx, s.entry_val)
+        assert factor.is_dense(u) == (name == "thue_morse")
+    want = _member_multisets(whole_idx, whole_val)
+    for top, idx, val, c in runs[1:]:
+        assert top.tobytes() == whole_top.tobytes()
+        got = _member_multisets(idx, val)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert (c.value, c.std_error) == (corr.value, corr.std_error)
     # every shape of build, in one block and in blocks of 61 (a short last
     # one, and frames with departed rows masked), is the scalar path's
-    ref = scalar_spectra(whole.u, factor.build_prime_table(math.isqrt(int(whole.u.max())) + 1))
+    ref = scalar_spectra(u, factor.build_prime_table(math.isqrt(int(u.max())) + 1))
     for k, floor in itertools.product(range(factor.TOP_K + 1), (None, 0.0, 0.1, 0.5)):
         if k == 0 and floor is None:
             continue  # factors nothing
         builds = []
         for block in (1 << 16, 61):
             monkeypatch.setattr(factor, "MEMBER_BLOCK", block)
-            builds.append(stats.build_sample_set(spec, x, k=k, floor=floor, **kw))
-        one, short = builds
-        assert short.top.tobytes() == one.top.tobytes()
-        got = _member_multisets(short.entry_idx, short.entry_val)
-        want = _member_multisets(one.entry_idx, one.entry_val)
+            builds.append(_fold(spec, x, u, index, k, floor))
+        (one_top, one_idx, one_val), (short_top, short_idx, short_val) = builds
+        assert short_top.tobytes() == one_top.tobytes()
+        got = _member_multisets(short_idx, short_val)
+        want = _member_multisets(one_idx, one_val)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert_fold_matches(ref, one.top, one.entry_idx, one.entry_val, k, floor)
+        assert_fold_matches(ref, one_top, one_idx, one_val, k, floor)
 
 
 def test_poly_blocks_keep_to_one_window_of_arguments(monkeypatch):
     # a subsample's block sieves no more than MEMBER_BLOCK arguments, so no
     # array of the sieve covers the whole argument range
     monkeypatch.setattr(factor, "MEMBER_BLOCK", 61)
-    spec, x, kw = BLOCK_CASES["x2p1_subsample"]
-    s = stats.build_sample_set(spec, x, k=0, **kw)
-    top = np.zeros((s.n, 1))
-    blocks = stats._spectrum_blocks(spec, s.u, s.index, 1, None, top, stats._sieve_table(spec, x))
+    spec, x, size = BLOCK_CASES["x2p1_subsample"]
+    u, index = _choice(spec, x, size, 5)
+    top = np.zeros((u.size, 1))
+    blocks = stats._spectrum_blocks(spec, u, index, 1, None, top, stats._sieve_table(spec, x))
     rows = [r for r, _, _ in blocks]
-    assert [r.start for r in rows] == [0] + [r.stop for r in rows[:-1]] and rows[-1].stop == s.n
-    window = [np.unique(s.index[r] // 61) for r in rows]
+    assert [r.start for r in rows] == [0] + [r.stop for r in rows[:-1]] and rows[-1].stop == u.size
+    window = [np.unique(index[r] // 61) for r in rows]
     assert all(w.size == 1 for w in window)
     # the arguments ascend, so each window is one block
     assert (np.diff(np.concatenate(window)) > 0).all()
-    assert np.array_equal(top, stats.build_sample_set(spec, x, k=1, **kw).top)
+    assert np.array_equal(top, _sample_set(spec, x, 1, size, 5).top)
 
 
 def test_member_corr_pinned_at_the_parent_values():
