@@ -22,9 +22,12 @@ lifting the finder's roots one power of p at a time; F'(r) mod p decides
 whether a root lifts once, p times or not at all.  ``root_classes``
 combines them into the roots mod d by the Chinese remainder theorem, for
 moduli of any size, and the density pass and the scalar counts h(p^k)
-read the same table.  The vectors g(n), n <= x, come from one
-prime-power pass that builds their integer numerators exactly, so each
-g(n) is a correctly rounded ratio.
+read the same table.  The vectors g(n), n <= x, of g = 1/phi and
+g = h/d come from one prime-power pass that builds their integer
+denominators or numerators exactly, so each g(n) is a correctly rounded
+ratio; g = 1/n needs no pass.  The same column
+helpers certify irreducibility for ``sequences``: F is irreducible mod p
+when gcd(F, X^(p^d) - X) = 1 for every d <= deg F / 2.
 
 Nothing here factors: the moduli and the density pass read
 ``factor.prime_powers``, and the scalar functions ``factor.factorize``.
@@ -77,46 +80,6 @@ def poly_degree(coeffs) -> int:
         if c != 0:
             deg = i
     return deg
-
-
-def _sylvester_det(f, g) -> int:
-    """Resultant of f and g via Bareiss fraction-free elimination."""
-    m, n = poly_degree(f), poly_degree(g)
-    if m < 0 or n < 0:
-        return 0
-    size = m + n
-    mat = [[0] * size for _ in range(size)]
-    frev = list(reversed(f[: m + 1]))
-    grev = list(reversed(g[: n + 1]))
-    for i in range(n):
-        mat[i][i : i + m + 1] = frev
-    for i in range(m):
-        mat[n + i][i : i + n + 1] = grev
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if mat[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if mat[i][k] != 0), None)
-            if swap is None:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[size - 1][size - 1]
-
-
-def discriminant(coeffs) -> int:
-    """disc F = (-1)^(D(D-1)/2) Res(F, F') / lead, exactly in integers."""
-    d = poly_degree(coeffs)
-    if d < 1:
-        raise ValidationError("discriminant needs degree >= 1")
-    res = _sylvester_det(list(coeffs[: d + 1]), list(poly_derivative(coeffs)))
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * res // coeffs[d]
 
 
 def roots_mod(coeffs, m: int) -> list[int]:
@@ -324,16 +287,6 @@ def _xe_less_x(f: np.ndarray, e, p: np.ndarray) -> np.ndarray:
     one[0] = 1
     out = np.zeros_like(f)
     out[:-1] = (_vpowmod(0, e, f, p) - _vmul_linear(one, 0, f, p)) % p
-    return out
-
-
-def _squarefree_mod(coeffs, p: np.ndarray) -> np.ndarray:
-    """True where gcd(F, F') = 1 over F_p, so that every root of F mod p is
-    simple and lifts to one root mod each p**e."""
-    f = np.array([_residues(c, p) for c in coeffs])
-    der = np.array([_residues(c, p) for c in poly_derivative(coeffs) + (0,)])
-    out = f.any(axis=0)  # where F = 0 mod p, every residue is a multiple root
-    out[out] = _vgcd(f[:, out], der[:, out], p[out])[1] == 0
     return out
 
 
@@ -648,7 +601,8 @@ def mertens_deviation(g: GFunctionSpec, x: int) -> float:
 
 
 def _g_h_values(g: GFunctionSpec, x: int):
-    """(g(n), h(n)) for 0 <= n <= x from one factor.prime_powers pass.
+    """(g(n), h(n)) for 0 <= n <= x; g(n) = 1/n needs no factoring, the
+    other kinds one factor.prime_powers pass.
 
     The pass gives each prime power p^e || n and builds the exact integer
     behind g: phi(n) for reciprocal_totient, the root count h(n) for
@@ -658,6 +612,10 @@ def _g_h_values(g: GFunctionSpec, x: int):
     if x > factor.MAX_SPF_SIEVE_LIMIT:
         raise ResourceBudgetError(f"density pass to {x} exceeds {factor.MAX_SPF_SIEVE_LIMIT}")
     n = np.arange(x + 1, dtype=np.int64)
+    gv = np.zeros(x + 1, dtype=np.float64)
+    if g.kind == "reciprocal":
+        gv[1:] = 1.0 / n[1:]
+        return gv, None
     num = np.ones(x + 1, dtype=np.int64)
     if g.kind == "root_density":
         # hq[q] = h(q) at every prime power q <= x; ps[j] holds the primes
@@ -674,14 +632,13 @@ def _g_h_values(g: GFunctionSpec, x: int):
     for idx, p, e in factor.prime_powers(n):
         if g.kind == "reciprocal_totient":
             num[idx] *= (p - 1) * p ** (e - 1)
-        elif g.kind == "root_density":
+        else:
             num[idx] *= hq[p**e]
-    gv = np.zeros(x + 1, dtype=np.float64)
     if g.kind == "root_density":
         num[0] = 0
         gv[1:] = num[1:] / n[1:]
         return gv, num
-    gv[1:] = 1.0 / (num if g.kind == "reciprocal_totient" else n)[1:]
+    gv[1:] = 1.0 / num[1:]
     return gv, None
 
 

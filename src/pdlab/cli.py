@@ -118,14 +118,13 @@ def _threads(config: dict) -> int:
 
 
 def _member_report(
-    experiment: str, config: dict, s: stats.SampleSet, est: Estimate, extras: dict, **fields
+    experiment: str, s: stats.SampleSet, est: Estimate, extras: dict, **fields
 ) -> ExperimentReport:
     """The report of an estimate over the members of s, which give its
     spec, x and n_members; every member up to x is enumerated, so the
     estimate is exhaustive."""
     return ExperimentReport(
         experiment=experiment,
-        config=config,
         spec=s.spec.to_dict(),
         x=s.x,
         estimate=est.value,
@@ -137,12 +136,11 @@ def _member_report(
 
 
 def _mc_report(
-    experiment: str, config: dict, seed: int, est: Estimate, extras: dict, **fields
+    experiment: str, seed: int, est: Estimate, extras: dict, **fields
 ) -> ExperimentReport:
     """The report of a Monte Carlo estimate over est.n PD samples from seed."""
     return ExperimentReport(
         experiment=experiment,
-        config=config,
         seed=seed,
         estimate=est.value,
         std_error=est.std_error,
@@ -167,7 +165,6 @@ def run_rho(config: dict) -> ExperimentReport:
     est = table.rho(2.0)
     return ExperimentReport(
         experiment="rho-table",
-        config=config,
         estimate=est,
         oracle_value=1.0 - math.log(2.0),
         exhaustive=True,
@@ -186,7 +183,7 @@ def run_pd(config: dict) -> ExperimentReport:
     mean_l1, dev = pdprocess.l1_mass_mc(n, seed, _threads(config))
     oracle = dickman.default_table().mean_l1()
     return _mc_report(
-        "pd-sample", config, seed, mean_l1, {"mass_identity_max_deviation": dev}, oracle_value=oracle
+        "pd-sample", seed, mean_l1, {"mass_identity_max_deviation": dev}, oracle_value=oracle
     )
 
 
@@ -207,11 +204,11 @@ def run_corr(config: dict) -> ExperimentReport:
         spec = _parse_spec(config)
         s = stats.build_sample_set(spec, _field(config, "x", int), k=0)
         est = stats.empirical_corr(s, eta)
-        return _member_report("seq-corr", config, s, est, {"k": eta.k}, oracle_value=oracle)
+        return _member_report("seq-corr", s, est, {"k": eta.k}, oracle_value=oracle)
     n = _field(config, "n_samples", int, DEFAULT_N_SAMPLES)
     seed = _seed(config)
     est = pdprocess.corr_mc(eta, n, seed, threads=_threads(config))
-    return _mc_report("pd-corr", config, seed, est, {"k": eta.k}, oracle_value=oracle)
+    return _mc_report("pd-corr", seed, est, {"k": eta.k}, oracle_value=oracle)
 
 
 def _thresholds(config: dict) -> list[float]:
@@ -233,11 +230,11 @@ def run_cdf(config: dict) -> ExperimentReport:
     if config.get("spec") is not None:
         s = stats.build_sample_set(_parse_spec(config), _field(config, "x", int), k=len(c))
         est = stats.empirical_joint_cdf(s, c)
-        return _member_report("joint-cdf", config, s, est, {"c": c}, oracle_value=oracle)
+        return _member_report("joint-cdf", s, est, {"c": c}, oracle_value=oracle)
     n = _field(config, "n_samples", int, DEFAULT_N_SAMPLES)
     seed = _seed(config)
     est = pdprocess.joint_cdf_mc(c, n, seed, threads=_threads(config))
-    return _mc_report("joint-cdf", config, seed, est, {"c": c}, oracle_value=oracle)
+    return _mc_report("joint-cdf", seed, est, {"c": c}, oracle_value=oracle)
 
 
 def run_tail(config: dict) -> ExperimentReport:
@@ -256,7 +253,7 @@ def run_tail(config: dict) -> ExperimentReport:
             f"estimate {est.value:.6f} exceeds guard band {guard} x oracle {oracle:.6f}"
         )
     return _member_report(
-        "tail", config, s, est, {"eps": eps}, oracle_value=oracle, guard_band=guard, warnings=warnings
+        "tail", s, est, {"eps": eps}, oracle_value=oracle, guard_band=guard, warnings=warnings
     )
 
 
@@ -272,7 +269,6 @@ def run_lod(config: dict) -> ExperimentReport:
         assert err <= oracle, "uniform level-of-distribution bound violated"
     return ExperimentReport(
         experiment="lod",
-        config=config,
         spec=spec.to_dict(),
         x=x,
         estimate=err,
@@ -289,7 +285,7 @@ def run_repeated(config: dict) -> ExperimentReport:
     c = _field(config, "c", float)
     s = stats.build_sample_set(spec, x, k=0)
     est = stats.repeated_factor_frequency(s, alpha, c)
-    return _member_report("repeated", config, s, est, {"alpha": alpha, "c": c})
+    return _member_report("repeated", s, est, {"alpha": alpha, "c": c})
 
 
 def run_sieve(config: dict) -> ExperimentReport:
@@ -301,7 +297,6 @@ def run_sieve(config: dict) -> ExperimentReport:
     res = stats.sieve_survivor_experiment(spec, x, eps, z0=z0, delta0=delta0)
     return ExperimentReport(
         experiment="sieve-survivors",
-        config=config,
         spec=spec.to_dict(),
         x=x,
         estimate=res.ratio,
@@ -324,7 +319,6 @@ def run_mertens(config: dict) -> ExperimentReport:
     dev = arith.mertens_deviation(g, x)
     return ExperimentReport(
         experiment="mertens",
-        config=config,
         x=x,
         estimate=dev,
         oracle_value=0.0,
@@ -342,7 +336,6 @@ def run_growth(config: dict) -> ExperimentReport:
         extras["sum_h"] = sum_h
     return ExperimentReport(
         experiment="growth",
-        config=config,
         x=x,
         estimate=sum_g,
         exhaustive=True,

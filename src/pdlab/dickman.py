@@ -14,7 +14,6 @@ considered and discarded as strictly worse at equal cost).
 from __future__ import annotations
 
 import csv
-import math
 
 import numpy as np
 from numpy.polynomial import Legendre
@@ -53,16 +52,7 @@ class RhoTable:
         return self._panels[k - 1]
 
     def rho(self, u: float) -> float:
-        if u <= 0:
-            raise ValidationError(f"rho requires u > 0, got {u}")
-        if u <= 1:
-            return 1.0
-        if u > self.u_max:
-            raise ResourceBudgetError(
-                f"u={u} is out of table (u_max={self.u_max}); extend the table"
-            )
-        k = min(int(math.floor(u)), self.u_max - 1)
-        return float(self._panel(k)(u))
+        return float(self.rho_vec(u))
 
     def cdf_l1(self, c: float) -> float:
         """P(L1 <= c) = rho(1/c) for c in (0, 1]."""
@@ -78,8 +68,8 @@ class RhoTable:
         RHO_CHUNK values; every value gets the bits of a direct call.
         """
         u = np.asarray(u, dtype=np.float64)
-        if u.size and u.min() <= 0:
-            raise ValidationError("rho_vec requires u > 0")
+        if u.size and not u.min() > 0:  # NaN fails too
+            raise ValidationError(f"rho requires u > 0, got {u.min()}")
         if u.size and u.max() > self.u_max:
             raise ResourceBudgetError(
                 f"u={u.max()} is out of table (u_max={self.u_max}); extend the table"
@@ -119,8 +109,8 @@ class RhoTable:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["u", "rho"])
-            for u in grid:
-                w.writerow([f"{u:.6f}", f"{self.rho(float(u)):.12e}"])
+            for u, r in zip(grid, self.rho_vec(grid)):
+                w.writerow([f"{u:.6f}", f"{r:.12e}"])
 
 
 def _next_panel(panels: list[Legendre], nodes: int) -> Legendre:

@@ -605,8 +605,9 @@ def _from_the_top(n: int, ascending):
     idx = np.concatenate([np.repeat(i, e) for i, _, e in batches])
     p = np.concatenate([np.repeat(q, e) for _, q, e in batches])
     # a stable sort by value keeps each value's primes ascending, so the
-    # (j+1)-th largest prime of a value is j places before the end of its run
-    order = np.argsort(idx, kind="stable")
+    # (j+1)-th largest prime of a value is j places before the end of its
+    # run; numpy sorts uint16 keys, the rows of a block, by radix
+    order = np.argsort(idx.astype(np.uint16) if n <= 1 << 16 else idx, kind="stable")
     p = p[order]
     omega = np.bincount(idx, minlength=n)
     rows = np.flatnonzero(omega).astype(np.int32)

@@ -73,7 +73,7 @@ class Estimate:
 @dataclass
 class ExperimentReport:
     experiment: str
-    config: dict
+    config: dict = field(default_factory=dict)
     seed: int | None = None
     spec: dict | None = None
     x: int | None = None

@@ -193,17 +193,19 @@ def _has_rational_root(coeffs) -> bool:
 
 def _irreducible_mod_p(coeffs, p: int) -> bool:
     """F irreducible over F_p, for deg F <= 6 and p not dividing lead F:
-    no factor of degree <= deg/2.
+    gcd(F, X^(p^d) - X) = 1 for d = 1..deg//2, on one column of arith's
+    F_p[X] helpers.
 
-    Checks gcd(F, X^(p^d) - X) = 1 for d = 1..deg//2 plus squarefreeness,
-    on one column of arith's F_p[X] helpers.
+    The gcds alone decide: a reducible F has an irreducible factor of some
+    degree d <= deg/2, repeated or not, and that factor divides
+    X^(p^d) - X, so a repeated factor needs no squarefree test.
     """
     deg = arith.poly_degree(coeffs)
     col = np.array([p])
     f = arith._monic(coeffs, col)
-    tests = [arith._xe_less_x(f, p**d, col) for d in range(1, deg // 2 + 1)]
-    return arith._squarefree_mod(coeffs, col)[0] and all(
-        arith._vgcd(f, t, col)[1][0] == 0 for t in tests
+    return all(
+        arith._vgcd(f, arith._xe_less_x(f, p**d, col), col)[1][0] == 0
+        for d in range(1, deg // 2 + 1)
     )
 
 

@@ -223,7 +223,7 @@ def _ks_terms(pos, ref, n: int) -> float:
     return float(max(np.max(grid - ref), np.max(ref - (grid - 1.0 / n))))
 
 
-def dickman_reference_cdf(table: dickman.RhoTable | None = None):
+def dickman_reference_cdf():
     """The limit CDF c -> rho(1/c) of the normalized largest prime factor.
 
     It is continuous and reaches 1 only at c = 1, where an exhaustive
@@ -231,7 +231,7 @@ def dickman_reference_cdf(table: dickman.RhoTable | None = None):
     is non-decreasing to within KS_MARGIN (see its comment), which the
     certified sweep of ks_distance relies on.
     """
-    tab = table or dickman.default_table()
+    tab = dickman.default_table()
 
     def cdf(c):
         c = np.asarray(c, dtype=np.float64)

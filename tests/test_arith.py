@@ -20,15 +20,15 @@ X3_MINUS_2 = (-2, 0, 0, 1)
 FIBONACCI_POLY = (-1, -1, 1)  # X**2 - X - 1
 
 
+def _discriminant(coeffs) -> int:
+    """disc F by sympy, for F given constant-first."""
+    x = sympy.Symbol("x")
+    return int(sympy.discriminant(sympy.Poly(list(coeffs)[::-1], x)))
+
+
 def test_small_multiplicative_values():
     assert arith.euler_phi(12) == 4
     assert arith.euler_phi(1) == 1
-
-
-def test_discriminants():
-    assert arith.discriminant(X2_PLUS_1) == -4
-    assert arith.discriminant(X3_MINUS_2) == -108
-    assert arith.discriminant(FIBONACCI_POLY) == 5
 
 
 def test_root_count_pk_examples():
@@ -54,7 +54,7 @@ def test_root_count_vs_exhaustive_scan(coeffs):
 @pytest.mark.parametrize("coeffs", [X2_PLUS_1, X3_MINUS_2, FIBONACCI_POLY, (1, 1, 3)])
 def test_hensel_bound(coeffs):
     # h(p**k) <= deg F whenever p does not divide disc F
-    disc = arith.discriminant(coeffs)
+    disc = _discriminant(coeffs)
     deg = arith.poly_degree(coeffs)
     for p in (2, 3, 5, 7, 11, 13, 97, 101):
         if disc % p == 0:
@@ -306,12 +306,8 @@ def test_lifted_root_counts_vs_sympy(coeffs, p, ks):
         assert all(arith.poly_eval(coeffs, v) % p**k == 0 for v in got), f"k={k}"
 
 
-def test_root_counts_consult_no_discriminant(monkeypatch):
+def test_root_counts_consult_no_discriminant():
     # the lift reads F'(r) mod p, so no root count needs disc F
-    def refuse(f, g):
-        raise AssertionError("a root count computed a resultant")
-
-    monkeypatch.setattr(arith, "_sylvester_det", refuse)
     arith._root_count_at.cache_clear()
     for coeffs in (X2_PLUS_1, (7, 0, 1), (2, 0, 2), *EVERY_RESIDUE_MOD_2):
         g = arith.GFunctionSpec(kind="root_density", coeffs=coeffs)
@@ -437,6 +433,16 @@ def test_density_vector_is_correctly_rounded(kind, coeffs):
         assert gv[n] == float(exact), f"n={n}"
         if hv is not None:
             assert hv[n] == exact * n
+
+
+def test_reciprocal_density_factors_nothing(monkeypatch):
+    def refuse(n):
+        raise AssertionError("g = 1/n factored its arguments")
+
+    monkeypatch.setattr(factor, "prime_powers", refuse)
+    gv, hv = arith._g_h_values(arith.GFunctionSpec(kind="reciprocal"), 10**4)
+    assert hv is None and gv[0] == 0.0
+    assert all(gv[n] == 1 / n for n in range(1, 10**4 + 1))
 
 
 def test_density_pass_totient_and_omega_vs_sympy():

@@ -72,6 +72,10 @@ def test_domain_errors(table):
     with pytest.raises(ValidationError):
         table.rho_vec(np.array([0.0, 2.0]))
     with pytest.raises(ValidationError):
+        table.rho(math.nan)
+    with pytest.raises(ValidationError):
+        table.rho_vec(np.array([2.0, math.nan]))
+    with pytest.raises(ValidationError):
         table.cdf_l1(0.0)
     with pytest.raises(ValidationError):
         table.cdf_l1(1.5)
@@ -84,7 +88,11 @@ def test_csv_dump(tmp_path, table):
 
     path = tmp_path / "rho.csv"
     table.dump_csv(path, step=0.5)
-    rows = {float(r["u"]): float(r["rho"]) for r in csv.DictReader(open(path))}
+    rows = list(csv.DictReader(open(path)))
+    # one vectorized pass writes what a call per row gives; the grid is exact
+    assert [r["rho"] for r in rows] == [f"{table.rho(float(r['u'])):.12e}" for r in rows]
+    rows = {float(r["u"]): float(r["rho"]) for r in rows}
+    assert len(rows) == 2 * table.u_max
     assert rows[1.0] == 1.0
     assert rows[2.0] == pytest.approx(1.0 - math.log(2.0), abs=1e-10)
 

@@ -61,6 +61,27 @@ def test_conservative_rejection_documents_itself():
         sequences.polynomial_values([1, 0, 0, 0, 1])
 
 
+def test_irreducible_mod_p_vs_sympy():
+    # random F of degree 4..6, X**4 + 1, and squares of irreducibles, whose
+    # repeated factor only the distinct-degree gcds can catch
+    x = sympy.Symbol("x")
+    rng = np.random.Generator(np.random.Philox(key=24))
+    polys = [(1, 0, 0, 0, 1)]
+    for deg in (4, 5, 6):
+        for _ in range(12):
+            c = rng.integers(-20, 21, size=deg + 1).tolist()
+            polys.append(tuple(c[:-1]) + (int(rng.integers(1, 6)),))
+    for g in ((1, 0, 1), (1, 1, 1), (2, 1, 1), (-2, 0, 0, 1), (1, 1, 0, 1), (3, 0, 0, 2)):
+        sq = sympy.Poly(list(g)[::-1], x) ** 2
+        polys.append(tuple(int(c) for c in sq.all_coeffs()[::-1]))
+    for coeffs in polys:
+        for p in sequences._CERT_PRIMES:
+            if coeffs[-1] % p == 0:
+                continue
+            want = sympy.Poly(list(coeffs)[::-1], x, modulus=p).is_irreducible
+            assert sequences._irreducible_mod_p(coeffs, p) == want, f"F={coeffs}, p={p}"
+
+
 def test_counting_examples():
     uni = sequences.uniform_integers()
     assert sequences.count(uni, 100) == 100
