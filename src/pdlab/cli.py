@@ -118,19 +118,19 @@ def _threads(config: dict) -> int:
 
 
 def _member_report(
-    experiment: str, s: stats.SampleSet, est: Estimate, extras: dict, **fields
+    experiment: str, spec: SequenceSpec, x: int, est: Estimate, extras: dict, **fields
 ) -> ExperimentReport:
-    """The report of an estimate over the members of s, which give its
-    spec, x and n_members; every member up to x is enumerated, so the
-    estimate is exhaustive."""
+    """The report of an estimate over the est.n members of the sequence up
+    to x; every member up to x is enumerated, so the estimate is
+    exhaustive."""
     return ExperimentReport(
         experiment=experiment,
-        spec=s.spec.to_dict(),
-        x=s.x,
+        spec=spec.to_dict(),
+        x=x,
         estimate=est.value,
         std_error=est.std_error,
         exhaustive=True,
-        extras={**extras, "n_members": s.n},
+        extras={**extras, "n_members": est.n},
         **fields,
     )
 
@@ -201,10 +201,9 @@ def run_corr(config: dict) -> ExperimentReport:
     oracle = _corr_oracle(eta)
     check_tuple_budget(eta)
     if config.get("spec") is not None:
-        spec = _parse_spec(config)
-        s = stats.build_sample_set(spec, _field(config, "x", int), k=0)
-        est = stats.empirical_corr(s, eta)
-        return _member_report("seq-corr", s, est, {"k": eta.k}, oracle_value=oracle)
+        spec, x = _parse_spec(config), _field(config, "x", int)
+        est = stats.empirical_corr(spec, x, eta)
+        return _member_report("seq-corr", spec, x, est, {"k": eta.k}, oracle_value=oracle)
     n = _field(config, "n_samples", int, DEFAULT_N_SAMPLES)
     seed = _seed(config)
     est = pdprocess.corr_mc(eta, n, seed, threads=_threads(config))
@@ -228,9 +227,9 @@ def run_cdf(config: dict) -> ExperimentReport:
     if len(c) == 1 and c[0] > 0 and 1.0 / c[0] <= dickman.default_table().u_max:
         oracle = dickman.cdf_l1(c[0])
     if config.get("spec") is not None:
-        s = stats.build_sample_set(_parse_spec(config), _field(config, "x", int), k=len(c))
-        est = stats.empirical_joint_cdf(s, c)
-        return _member_report("joint-cdf", s, est, {"c": c}, oracle_value=oracle)
+        spec, x = _parse_spec(config), _field(config, "x", int)
+        est = stats.empirical_joint_cdf(spec, x, c)
+        return _member_report("joint-cdf", spec, x, est, {"c": c}, oracle_value=oracle)
     n = _field(config, "n_samples", int, DEFAULT_N_SAMPLES)
     seed = _seed(config)
     est = pdprocess.joint_cdf_mc(c, n, seed, threads=_threads(config))
@@ -242,8 +241,7 @@ def run_tail(config: dict) -> ExperimentReport:
     x = _field(config, "x", int)
     eps = _field(config, "eps", float)
     guard = _field(config, "guard_band", float, None)
-    s = stats.build_sample_set(spec, x, k=1)
-    est = stats.tail_frequency(s, eps)
+    est = stats.tail_frequency(spec, x, eps)
     oracle = None
     if 0 < eps < 1 and 1.0 / (1.0 - eps) <= dickman.default_table().u_max:
         oracle = 1.0 - dickman.cdf_l1(1.0 - eps)
@@ -253,7 +251,7 @@ def run_tail(config: dict) -> ExperimentReport:
             f"estimate {est.value:.6f} exceeds guard band {guard} x oracle {oracle:.6f}"
         )
     return _member_report(
-        "tail", s, est, {"eps": eps}, oracle_value=oracle, guard_band=guard, warnings=warnings
+        "tail", spec, x, est, {"eps": eps}, oracle_value=oracle, guard_band=guard, warnings=warnings
     )
 
 
@@ -283,9 +281,8 @@ def run_repeated(config: dict) -> ExperimentReport:
     x = _field(config, "x", int)
     alpha = _field(config, "alpha", float)
     c = _field(config, "c", float)
-    s = stats.build_sample_set(spec, x, k=0)
-    est = stats.repeated_factor_frequency(s, alpha, c)
-    return _member_report("repeated", s, est, {"alpha": alpha, "c": c})
+    est = stats.repeated_factor_frequency(spec, x, alpha, c)
+    return _member_report("repeated", spec, x, est, {"alpha": alpha, "c": c})
 
 
 def run_sieve(config: dict) -> ExperimentReport:

@@ -34,21 +34,21 @@ into what its consumer reads, and stops each value by one of two rules:
 The fold runs on a lazy live frame, as ``pdprocess._stick_rounds`` does:
 the frame holds the rows with the peel's per-row state and log(u), every
 step runs over all of its rows, and a live mask keeps the rows that have
-left out of ``top`` and the kept entries.  The frame drops them only once
-fewer than half of its rows are live, so no per-row array is compacted
-until then, and entries stay in ascending row order per batch.  Until a
-block's frame first compacts, and when the block has no value 1, the
-frame's rows are the whole block: the fold then reads u and writes
-``top`` by slices, with no gather or scatter by row.
+left out of the top-k columns and the kept entries.  The frame drops them
+only once fewer than half of its rows are live, so no per-row array is
+compacted until then, and entries stay in ascending row order per batch.
+Until a block's frame first compacts, and when the block has no value 1,
+the frame's rows are the whole block: the fold then reads u and writes
+the top-k columns by slices, with no gather or scatter by row.
 
 The fold runs over blocks of at most MEMBER_BLOCK values (``_fold_blocks``):
 each block peels from the shared P+ table, by its own trial division, or
 by its own sieve over the arguments in one window of MEMBER_BLOCK
-integers, and the last two regroup the block alone, so only the tables,
-the caller's ``top`` array and one block's arrays are resident.  The
-``*_blocks`` functions yield each block's entries for a consumer that
-reduces them block by block; ``bulk_spectra`` and ``bulk_spectra_trial``
-concatenate them.
+integers, and the last two regroup the block alone, so only the tables
+and one block's arrays are resident.  The ``*_blocks`` functions yield
+each block's top-k columns and entries for a consumer that reduces them
+block by block; ``bulk_spectra`` and ``bulk_spectra_trial`` concatenate
+them.
 
 All value arithmetic is exact integer arithmetic; logarithms appear only
 in that fold.
@@ -76,8 +76,10 @@ TOP_K = 3
 _SIEVE_BLOCK = 1 << 18
 # values per block of the spectrum fold, and arguments per window of the
 # polynomial sieve: bounds its logs/idx/rem/entry arrays and the sieve's
-# (n, p) pairs, some 100 B per value of a block
+# (n, p) pairs, some 100 B per value of a block.  _from_the_top sorts a
+# block's rows as uint16 keys.
 MEMBER_BLOCK = 1 << 16
+assert MEMBER_BLOCK <= 1 << 16
 # (live value, table prime) pairs per chunk of the trial division
 _TRIAL_CELLS = 1 << 20
 
@@ -88,9 +90,6 @@ class PrimeTable:
 
     limit: int
     primes: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.primes)
 
 
 @dataclass(frozen=True)
@@ -314,33 +313,33 @@ def _trial_prime_powers(values: np.ndarray, table: PrimeTable):
         lo = hi
 
 
-def spectra_blocks(values, k: int, floor: float | None, top: np.ndarray):
-    """The spectra of a value set as a block fold into top (see
-    _fold_blocks): through the P+ table of one spf sieve for a dense set
-    (is_dense), else by trial division against the primes up to
-    sqrt(max), block by block."""
+def spectra_blocks(values, k: int, floor: float | None):
+    """The spectra of a value set as a block fold (see _fold_blocks):
+    through the P+ table of one spf sieve for a dense set (is_dense), else
+    by trial division against the primes up to sqrt(max), block by block."""
     values = np.asarray(values)
     vmax = int(values.max(initial=0))
     if is_dense(values):
         values = _checked_values(values, vmax, "spf sieve")
         lpf = _largest_factor_table(smallest_factor_sieve(max(vmax, 2)))
-        return _fold_blocks(values, lambda rows: _lpf_peel(values[rows], lpf), k, floor, top)
+        return _fold_blocks(values, lambda rows: _lpf_peel(values[rows], lpf), k, floor)
     table = _table_for(vmax)
     values = _checked_values(values, table.limit * table.limit, f"prime table limit {table.limit}")
-    return _fold_blocks(values, lambda rows: _trial_peel(values[rows], table), k, floor, top)
+    return _fold_blocks(values, lambda rows: _trial_peel(values[rows], table), k, floor)
 
 
 def _largest_factor_table(spf: np.ndarray) -> np.ndarray:
     """P+(n) for 0 <= n < len(spf), with P+(1) = 1, written over an spf
     sieve in place and returned.
 
-    One vectorized pass per range [2**k, 2**(k+1)): there the quotient
-    q = n // spf[n] is at most n/2, so P+(q) is already final, and
+    One vectorized pass per chunk of at most _SIEVE_BLOCK entries within
+    a range [2**k, 2**(k+1)): there the quotient q = n // spf[n] is at most
+    n/2, below the chunk, so P+(q) is already final, and
     P+(n) = max(spf[n], P+(q)) (P+(1) = 1 covers prime n).
     """
     lo = 4
     while lo < len(spf):
-        hi = min(2 * lo, len(spf))
+        hi = min(2 * lo, lo + _SIEVE_BLOCK, len(spf))
         s = spf[lo:hi]
         q = np.arange(lo, hi, dtype=spf.dtype) // s
         np.maximum(s, spf[q], out=s)
@@ -362,7 +361,7 @@ def _checked_values(values, vmax: int, table: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _fold_spectra(values, peel, k: int, floor: float | None, top: np.ndarray):
+def _fold_spectra(values, peel, k: int, floor: float | None):
     """Normalized spectra of values from a peel, on a lazy live frame.
 
     ``peel`` is (rows, state, step): ``rows`` are the positions of the
@@ -378,15 +377,16 @@ def _fold_spectra(values, peel, k: int, floor: float | None, top: np.ndarray):
     frame's rows are live; until then a live mask keeps what it steps to
     out of ``top`` and out of the kept entries.
 
-    Writes the k largest entries log(p)/log(u) per value, which are the
-    first k batches, into its row of ``top`` (zero (n, k)), and returns
-    (entry_idx, entry_val): the ragged list of every entry >= floor with
-    the int32 index of its value, batch by batch and in ascending index
-    within a batch, empty when floor is None.  floor = 0.0 keeps complete
+    Returns (top, entry_idx, entry_val): ``top`` (n, k) holds the k
+    largest entries log(p)/log(u) per value, which are the first k
+    batches, zero padded; entry_idx, entry_val are the ragged list of
+    every entry >= floor with the int32 index of its value, batch by batch
+    and in ascending index within a batch, empty when floor is None.  floor = 0.0 keeps complete
     spectra.  u = 1 gets the single entry 1 (the log 1 / log 1
     convention), last.
     """
     rows, state, step = peel
+    top = np.zeros((values.size, k), dtype=np.float64)
     # with no value 1, the frame holds every row until it first compacts
     whole = rows.size == values.size
     one = np.zeros(0, dtype=np.int32) if whole else np.flatnonzero(values == 1).astype(np.int32)
@@ -434,19 +434,19 @@ def _fold_spectra(values, peel, k: int, floor: float | None, top: np.ndarray):
     if floor is not None:
         out_idx.append(one)
         out_val.append(np.ones(one.size))
-    return np.concatenate(out_idx), np.concatenate(out_val)
+    return top, np.concatenate(out_idx), np.concatenate(out_val)
 
 
-def _fold_blocks(values, peel, k: int, floor: float | None, top: np.ndarray, key=None):
+def _fold_blocks(values, peel, k: int, floor: float | None, key=None):
     """The spectrum fold over blocks of at most MEMBER_BLOCK values, the
     block of values[rows] peeled by ``peel(rows)``.  With ``key``, distinct
     integers aligned with values, a block also keeps to one window of
     key // MEMBER_BLOCK: it ends where that window changes.
 
-    Writes each value's k leading entries into its row of ``top`` (zero
-    (n, k)) and yields (rows, entry_idx, entry_val) per block, in order:
-    ``rows`` is the block's slice of values, and entry_idx, entry_val
-    are its entries as _fold_spectra gives them, indexed within the block.
+    Yields (rows, top, entry_idx, entry_val) per block, in order: ``rows``
+    is the block's slice of values, and top, entry_idx, entry_val are its
+    top-k columns and entries as _fold_spectra gives them, indexed within
+    the block.
     """
     lo = 0
     while lo < values.size:
@@ -456,7 +456,7 @@ def _fold_blocks(values, peel, k: int, floor: float | None, top: np.ndarray, key
             w = key[lo:hi] // MEMBER_BLOCK
             hi = lo + (int(np.argmax(w != w[0])) or w.size)
         rows = slice(lo, hi)
-        yield rows, *_fold_spectra(values[rows], peel(rows), k, floor, top[rows])
+        yield rows, *_fold_spectra(values[rows], peel(rows), k, floor)
         lo = hi
 
 
@@ -486,9 +486,10 @@ def _trial_peel(values: np.ndarray, table: PrimeTable):
 def _concat_fold(values, peel, k: int, floor: float | None):
     """(entry_idx, entry_val, top) of the whole block fold, in block order,
     with entry_idx the int32 index of each entry's value in the whole set."""
-    top = np.zeros((values.size, k), dtype=np.float64)
+    top = np.empty((values.size, k), dtype=np.float64)
     idx, val = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.float64)]
-    for rows, i, v in _fold_blocks(values, peel, k, floor, top):
+    for rows, t, i, v in _fold_blocks(values, peel, k, floor):
+        top[rows] = t
         i += rows.start
         idx.append(i)
         val.append(v)
@@ -527,9 +528,9 @@ def bulk_spectra_trial(
     return _concat_fold(values, lambda rows: _trial_peel(values[rows], table), k, floor)
 
 
-def sieve_blocks(values, args, table: PrimeTable, roots, k: int, floor: float | None, top):
-    """The block fold of polynomial values values[i] = F(args[i]) into top
-    (see _fold_blocks), each block by a sieve over its own arguments n.
+def sieve_blocks(values, args, table: PrimeTable, roots, k: int, floor: float | None):
+    """The block fold of polynomial values values[i] = F(args[i]) (see
+    _fold_blocks), each block by a sieve over its own arguments n.
 
     A block is a run of values whose arguments share one window
     [w * MEMBER_BLOCK, (w + 1) * MEMBER_BLOCK) of n (the key of
@@ -591,7 +592,7 @@ def sieve_blocks(values, args, table: PrimeTable, roots, k: int, floor: float | 
         left = np.flatnonzero(cof > 1)
         return _from_the_top(n.size, [(pos[at], p, e), (pos[left], cof[left], np.ones_like(left))])
 
-    return _fold_blocks(values, peel, k, floor, top, key=args)
+    return _fold_blocks(values, peel, k, floor, key=args)
 
 
 def _from_the_top(n: int, ascending):
@@ -607,7 +608,7 @@ def _from_the_top(n: int, ascending):
     # a stable sort by value keeps each value's primes ascending, so the
     # (j+1)-th largest prime of a value is j places before the end of its
     # run; numpy sorts uint16 keys, the rows of a block, by radix
-    order = np.argsort(idx.astype(np.uint16) if n <= 1 << 16 else idx, kind="stable")
+    order = np.argsort(idx.astype(np.uint16), kind="stable")
     p = p[order]
     omega = np.bincount(idx, minlength=n)
     rows = np.flatnonzero(omega).astype(np.int32)

@@ -28,6 +28,7 @@ set was enumerated from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -182,7 +183,14 @@ def _divisors(n: int) -> list[int]:
 
 
 def _has_rational_root(coeffs) -> bool:
+    """Whether F of degree 2 or 3 has a rational root: a quadratic exactly
+    when its discriminant is a square, with no factoring; a cubic by the
+    rational-root test over the divisors of c0 and lead F."""
     deg = arith.poly_degree(coeffs)
+    if deg == 2:
+        c, b, a = coeffs
+        disc = b * b - 4 * a * c
+        return disc >= 0 and math.isqrt(disc) ** 2 == disc
     ps = _divisors(coeffs[0])
     # root s/q iff sum c_i s^i q^(deg-i) = 0
     return any(

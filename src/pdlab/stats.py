@@ -1,14 +1,14 @@
 """Empirical estimators on arithmetic samples.
 
-A SampleSet holds the members of a sequence up to x and the k leading
-entries of their normalized prime-factor spectra, or none.  The
-estimators are pure folds over those arrays: correlation sums over
-distinct index tuples, joint CDFs of the leading entries, tail
-frequencies of the largest prime factor, level-of-distribution error
-sums, repeated-factor frequencies, sieve survivor counts, and a
-one-sample Kolmogorov-Smirnov distance.  The correlation sums alone read
-only the members: they fold the spectra again block by block
-(``_spectrum_blocks``), so the whole set's entries are never held.
+Each member statistic takes (spec, x, ...) and reads only what it needs
+of the members up to x: tail frequencies of the largest prime factor,
+joint CDFs of the leading entries and correlation sums over distinct
+index tuples reduce the block stream of the members' normalized
+prime-factor spectra (``_spectrum_blocks``), so no whole-set spectrum
+array is held; repeated-factor frequencies and sieve survivor counts
+read the members' divisibility marks alone.  Beside them sit the
+level-of-distribution error sums and a one-sample Kolmogorov-Smirnov
+distance, which reads the leading column of a SampleSet.
 """
 
 from __future__ import annotations
@@ -45,19 +45,11 @@ KS_MARGIN = 1e-10
 
 @dataclass(frozen=True)
 class SampleSet:
-    """What the estimators read of a sequence's members up to x.
+    """The members u of a sequence up to x and the k largest spectrum
+    entries of each, ``top`` (zero padded; the u = 1 member gets the
+    single entry 1), whose leading column ks_distance reads."""
 
-    ``index`` is what the divisibility marks read of each member
-    (``sequences.divisible_by_any``): its argument n for polynomial
-    values, else ``u`` itself.
-    ``top`` holds the k largest spectrum entries per member (zero padded;
-    the u = 1 member gets the single entry 1); k = 0 gives no columns.
-    """
-
-    spec: SequenceSpec
-    x: int
     u: np.ndarray
-    index: np.ndarray
     top: np.ndarray
 
     @property
@@ -65,106 +57,100 @@ class SampleSet:
         return len(self.u)
 
 
-def _sieve_table(spec: SequenceSpec, x: int) -> factor.PrimeTable | None:
-    """The primes that the sieve over n reads for polynomial values up to
-    x, sized from the largest member (so refused before enumeration);
-    None for any other kind."""
-    if spec.kind != "poly":
-        return None
-    largest = sequences.poly_range(spec, x).largest
-    return factor.build_prime_table(max(math.isqrt(largest) + 1, 3))
-
-
-def _spectrum_blocks(spec, u, index, k, floor, top, table):
-    """The one block driver over members u (with their index): yields
-    (rows, entry_idx, entry_val) per block of members, in order, as
-    factor's block folds give them, and writes the k leading entries of
-    each member into its row of top.
-
-    Polynomial values are factored by the sieve over their arguments with
-    ``table`` (``factor.sieve_blocks``, each block over its own window of
-    arguments); any other set by ``factor.spectra_blocks``, which chooses
-    its own source.
-    """
+def _members(spec: SequenceSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, index): the members up to x, ascending, and what the
+    divisibility marks read of each (``sequences.divisible_by_any``): its
+    argument n for polynomial values, else u itself."""
     if spec.kind == "poly":
-        roots = arith.roots_mod_primes(spec.coeffs, table.primes)
-        return factor.sieve_blocks(u, index, table, roots, k, floor, top)
-    return factor.spectra_blocks(u, k, floor, top)
+        index, u = sequences.poly_arguments(spec, x)
+    else:
+        u = index = sequences.members(spec, x)
+    if u.size == 0:
+        raise ValidationError(f"sequence has no members up to x={x}")
+    return u, index
+
+
+def _spectrum_blocks(spec: SequenceSpec, x: int, k: int, floor: float | None):
+    """(u, blocks): the members up to x and the one block driver over
+    them, which yields (rows, top, entry_idx, entry_val) per block of
+    members, in order, as factor's block folds give them.
+
+    Polynomial values are factored by the sieve over their arguments
+    (``factor.sieve_blocks``, each block over its own window of
+    arguments), with the primes up to the root of the largest member,
+    sized before any member is enumerated; any other set by
+    ``factor.spectra_blocks``, which chooses its own source.
+    """
+    if spec.kind != "poly":
+        u, _ = _members(spec, x)
+        return u, factor.spectra_blocks(u, k, floor)
+    table = factor._table_for(sequences.poly_range(spec, x).largest)
+    u, index = _members(spec, x)
+    roots = arith.roots_mod_primes(spec.coeffs, table.primes)
+    return u, factor.sieve_blocks(u, index, table, roots, k, floor)
+
+
+def _check_columns(k: int) -> None:
+    if not 1 <= k <= TOP_K:
+        raise ValidationError(
+            f"k must be in [1, {TOP_K}] (at most {TOP_K} joint thresholds), got {k}"
+        )
 
 
 def build_sample_set(spec: SequenceSpec, x: int, k: int = TOP_K) -> SampleSet:
     """Enumerate the members of the sequence up to x and their k leading entries.
 
-    ``k`` (0..TOP_K) is the number of leading entries per member in
+    ``k`` (1..TOP_K) is the number of leading entries per member in
     ``top``.  The factor peel stops each member after its k-th prime, so
-    a build never computes smaller entries.  With k = 0 nothing is
-    factored: the set holds only the members and their index, which is
-    all ``repeated_factor_frequency``, ``sieve_survivor_experiment`` and
-    ``empirical_corr`` read.
+    a build never computes smaller entries.
     """
-    if not 0 <= k <= TOP_K:
-        raise ValidationError(
-            f"k must be in [0, {TOP_K}] (at most {TOP_K} joint thresholds), got {k}"
-        )
-    table = _sieve_table(spec, x) if k else None
-    if spec.kind == "poly":
-        args, mem = sequences.poly_arguments(spec, x)
-    else:
-        mem = args = sequences.members(spec, x)
-    if mem.size == 0:
-        raise ValidationError(f"sequence has no members up to x={x}")
-    top = np.zeros((mem.size, k), dtype=np.float64)
-    if k:
-        for _ in _spectrum_blocks(spec, mem, args, k, None, top, table):
-            pass  # each block writes its rows of top
-    return SampleSet(spec=spec, x=x, u=mem, index=args, top=top)
+    _check_columns(k)
+    u, blocks = _spectrum_blocks(spec, x, k, None)
+    top = np.empty((u.size, k), dtype=np.float64)
+    for rows, t, _, _ in blocks:
+        top[rows] = t
+    return SampleSet(u=u, top=top)
 
 
-def empirical_corr(s: SampleSet, eta: BoxFunction) -> Estimate:
-    """Average over members of the distinct-index tuple sum of eta at the
-    normalized log-prime coordinates (multiplicity via distinct indices).
+def empirical_corr(spec: SequenceSpec, x: int, eta: BoxFunction) -> Estimate:
+    """Average over members up to x of the distinct-index tuple sum of eta
+    at the normalized log-prime coordinates (multiplicity via distinct
+    indices).
 
-    Reads only the members of s, whatever else it was built with: their
-    spectra are folded again, block by block, down to eta's support bound
+    The spectra are folded block by block down to eta's support bound
     eta.alpha, and each block's tuple sums fill its part of one per-member
     array, so no entry list of the whole set is held.
     """
     check_tuple_budget(eta)
-    top = np.zeros((s.n, 0), dtype=np.float64)
-    blocks = _spectrum_blocks(s.spec, s.u, s.index, 0, eta.alpha, top, _sieve_table(s.spec, s.x))
-    per = np.empty(s.n, dtype=np.float64)
-    for rows, idx, val in blocks:
+    u, blocks = _spectrum_blocks(spec, x, 0, eta.alpha)
+    per = np.empty(u.size, dtype=np.float64)
+    for rows, _, idx, val in blocks:
         per[rows] = tuple_sum_per_item(idx, val, rows.stop - rows.start, eta)
     return Estimate.mean([moments(per)])
 
 
-def _need_top(s: SampleSet, k: int) -> None:
-    if s.top.shape[1] < k:
-        raise ValidationError(
-            f"need {k} top columns, the sample set was built with {s.top.shape[1]}"
-        )
-
-
-def empirical_joint_cdf(s: SampleSet, c) -> Estimate:
-    """Frequency of {entry_1 <= c_1, ..., entry_k <= c_k} over members."""
+def empirical_joint_cdf(spec: SequenceSpec, x: int, c) -> Estimate:
+    """Frequency of {entry_1 <= c_1, ..., entry_k <= c_k} over members up to x."""
     c = [float(v) for v in c]
     if not c or any(not 0 < v <= 1 for v in c):
         raise ValidationError("thresholds must be a nonempty vector in (0, 1]")
-    _need_top(s, len(c))
-    return Estimate.frequency(joint_cdf_hits(s.top, c), s.n)
+    _check_columns(len(c))
+    u, blocks = _spectrum_blocks(spec, x, len(c), None)
+    return Estimate.frequency(sum(joint_cdf_hits(top, c) for _, top, _, _ in blocks), u.size)
 
 
-def tail_frequency(s: SampleSet, eps: float) -> Estimate:
-    """Frequency of P+(u) >= u**(1-eps), i.e. leading entry >= 1 - eps.
+def tail_frequency(spec: SequenceSpec, x: int, eps: float) -> Estimate:
+    """Frequency over members up to x of P+(u) >= u**(1-eps), i.e. leading
+    entry >= 1 - eps.
 
     The u = 1 member has leading entry 1 by convention and therefore
     counts for every eps.
     """
     if not 0 < eps < 1:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
-    _need_top(s, 1)
-    hit = s.top[:, 0] >= 1.0 - eps
-    return Estimate.frequency(int(np.count_nonzero(hit)), s.n)
+    u, blocks = _spectrum_blocks(spec, x, 1, None)
+    hits = sum(int(np.count_nonzero(top[:, 0] >= 1.0 - eps)) for _, top, _, _ in blocks)
+    return Estimate.frequency(hits, u.size)
 
 
 def ks_distance(values: np.ndarray, ref_cdf) -> float:
@@ -268,18 +254,20 @@ def lod_error_sum(spec: SequenceSpec, x: int, c: float):
     return float(np.sum(np.abs(r)) / n_total), float(np.max(np.abs(r)))
 
 
-def repeated_factor_frequency(s: SampleSet, alpha: float, c: float) -> Estimate:
-    """Frequency of members with a repeated prime factor in [x**alpha, x**c]."""
+def repeated_factor_frequency(spec: SequenceSpec, x: int, alpha: float, c: float) -> Estimate:
+    """Frequency of members up to x with a repeated prime factor in
+    [x**alpha, x**c]."""
     if not 0 < alpha < c <= 1:
         raise ValidationError(f"need 0 < alpha < c <= 1, got alpha={alpha}, c={c}")
-    lo = s.x**alpha
-    hi = min(s.x**c, math.sqrt(s.x))  # a repeated factor above sqrt(x) is impossible
+    u, index = _members(spec, x)
+    lo = x**alpha
+    hi = min(x**c, math.sqrt(x))  # a repeated factor above sqrt(x) is impossible
     if lo > hi:
-        return Estimate.frequency(0, s.n)
+        return Estimate.frequency(0, u.size)
     table = factor.build_prime_table(int(math.floor(hi)) + 1)
     window = table.primes[(table.primes >= lo) & (table.primes <= hi)]
-    hit = sequences.divisible_by_any(s.spec, s.index, window, 2)
-    return Estimate.frequency(int(np.count_nonzero(hit)), s.n)
+    hit = sequences.divisible_by_any(spec, index, window, 2)
+    return Estimate.frequency(int(np.count_nonzero(hit)), u.size)
 
 
 @dataclass(frozen=True)
@@ -315,16 +303,16 @@ def sieve_survivor_experiment(
     full = window[g >= 1.0]
     if full.size:
         raise ValidationError(f"g({full[0]}) = 1 makes V = 0: raise z0 to at least {full[0]}")
-    s = build_sample_set(spec, x, k=0)
-    hit = sequences.divisible_by_any(spec, s.index, window, 1)
-    survivors = s.n - int(np.count_nonzero(hit))
+    u, index = _members(spec, x)
+    hit = sequences.divisible_by_any(spec, index, window, 1)
+    survivors = u.size - int(np.count_nonzero(hit))
     # math.prod multiplies in window order; np.prod may regroup the factors
     v = math.prod((1.0 - g).tolist())
     return SurvivorResult(
         survivors=survivors,
-        n_total=s.n,
+        n_total=u.size,
         v_product=v,
-        ratio=survivors / (v * s.n),
+        ratio=survivors / (v * u.size),
         window=(lo, hi),
         n_window_primes=int(window.size),
     )

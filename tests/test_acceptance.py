@@ -46,14 +46,6 @@ from conftest import record_verdict
 
 
 @pytest.fixture(scope="module")
-def uniform_1e7():
-    t0 = time.perf_counter()
-    # the top 3 columns; AC5's empirical_corr folds the members again itself
-    s = stats.build_sample_set(sequences.uniform_integers(), 10**7)
-    return s, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
 def primes_1e7():
     return oracles.PrimeCounts(10**7)
 
@@ -80,13 +72,14 @@ def test_ac01_dickman_closed_form():
     )
 
 
-def test_ac02_dickman_marginal_limit(uniform_1e7, primes_1e7):
-    s, build_time = uniform_1e7
+def test_ac02_dickman_marginal_limit(primes_1e7):
+    spec, x = sequences.uniform_integers(), 10**7
     t0 = time.perf_counter()
-    tail = stats.tail_frequency(s, 0.5)
+    # the leading column, for KS; tail_frequency folds the members itself
+    s = stats.build_sample_set(spec, x, k=1)
+    tail = stats.tail_frequency(spec, x, 0.5)
     ks = stats.ks_distance(s.top[:, 0], stats.dickman_reference_cdf())
-    dt = build_time + time.perf_counter() - t0
-    x = s.x
+    dt = time.perf_counter() - t0
     want = oracles.tail_count(x, Fraction(1, 2), primes_1e7)
     l1_exact = np.array_equal(s.top[:, 0], oracles.leading_entries(x, primes_1e7))
     # the Dickman cdf is continuous, the sample has mass (pi(x) + 1)/x at
@@ -113,22 +106,22 @@ def test_ac02_dickman_marginal_limit(uniform_1e7, primes_1e7):
     )
 
 
-def test_ac03_tail_identity_small_eps(uniform_1e7, primes_1e7):
-    s, build_time = uniform_1e7
+def test_ac03_tail_identity_small_eps(primes_1e7):
+    spec, x = sequences.uniform_integers(), 10**7
     t0 = time.perf_counter()
-    ests = {eps: stats.tail_frequency(s, eps) for eps in (0.05, 0.1, 0.2)}
-    dt = build_time + time.perf_counter() - t0
+    ests = {eps: stats.tail_frequency(spec, x, eps) for eps in (0.05, 0.1, 0.2)}
+    dt = time.perf_counter() - t0
     rows = []
     worst = 0.0
     counts_equal = True
     for eps, est in ests.items():
-        want = oracles.tail_count(s.x, _rational(eps), primes_1e7)
+        want = oracles.tail_count(x, _rational(eps), primes_1e7)
         counts_equal &= _count(est) == want
-        worst = max(worst, abs(est.value - want / s.x))
+        worst = max(worst, abs(est.value - want / x))
         limit = math.log(1.0 / (1.0 - eps))
         rows.append(
-            f"eps={eps}: {est.value:.7f} vs exact {want}/{s.x} "
-            f"(limit {limit:.4f}, gap {want / s.x - limit:+.4f})"
+            f"eps={eps}: {est.value:.7f} vs exact {want}/{x} "
+            f"(limit {limit:.4f}, gap {want / x - limit:+.4f})"
         )
     ok = counts_equal and worst <= 0.01 and dt < 90.0
     assert record_verdict(
@@ -175,45 +168,44 @@ def test_ac04_correlation_oracle_equivalence():
     )
 
 
-def test_ac05_correlation_at_desk_scale(uniform_1e7, primes_1e7):
-    s, build_time = uniform_1e7
+def test_ac05_correlation_at_desk_scale(primes_1e7):
+    spec, x = sequences.uniform_integers(), 10**7
     k1 = ((0.25, 0.5),)
     k2 = ((0.15, 0.25), (0.3, 0.4))
     t0 = time.perf_counter()
-    c1 = stats.empirical_corr(s, box(*k1))
-    c2 = stats.empirical_corr(s, box(*k2))
-    dt = build_time + time.perf_counter() - t0
+    c1 = stats.empirical_corr(spec, x, box(*k1))
+    c2 = stats.empirical_corr(spec, x, box(*k2))
+    dt = time.perf_counter() - t0
     exact = [[_rational(v) for v in iv] for iv in k1 + k2]
-    want1 = oracles.box_count(s.x, exact[0], primes_1e7)
-    want2 = oracles.box_pair_count(s.x, exact[1], exact[2], primes_1e7)
+    want1 = oracles.box_count(x, exact[0], primes_1e7)
+    want2 = oracles.box_pair_count(x, exact[1], exact[2], primes_1e7)
     lim1 = math.log(2.0)
     lim2 = math.log(5.0 / 3.0) * math.log(4.0 / 3.0)
-    err1 = abs(c1.value - want1 / s.x)
-    err2 = abs(c2.value - want2 / s.x)
+    err1 = abs(c1.value - want1 / x)
+    err2 = abs(c2.value - want2 / x)
     counts_equal = _count(c1) == want1 and _count(c2) == want2
     ok = counts_equal and err1 <= 0.02 and err2 <= 0.03 and dt < 120.0
     assert record_verdict(
         "AC5",
         ok,
-        f"k=1: {c1.value:.7f} vs exact {want1}/{s.x} (err {err1:.1e}, tol 0.02; "
-        f"limit log 2 = {lim1:.4f}, gap {want1 / s.x - lim1:+.4f}); "
-        f"k=2: {c2.value:.7f} vs exact {want2}/{s.x} (err {err2:.1e}, tol 0.03; "
-        f"limit {lim2:.4f}, gap {want2 / s.x - lim2:+.4f}); "
+        f"k=1: {c1.value:.7f} vs exact {want1}/{x} (err {err1:.1e}, tol 0.02; "
+        f"limit log 2 = {lim1:.4f}, gap {want1 / x - lim1:+.4f}); "
+        f"k=2: {c2.value:.7f} vs exact {want2}/{x} (err {err2:.1e}, tol 0.03; "
+        f"limit {lim2:.4f}, gap {want2 / x - lim2:+.4f}); "
         f"counts equal: {counts_equal}; {dt:.1f}s (<120s)",
     )
 
 
-def test_ac06_thue_morse_joint_cdf(uniform_1e7, primes_1e7):
-    s_int, build_time = uniform_1e7
+def test_ac06_thue_morse_joint_cdf(primes_1e7):
+    x = 10**7
     t0 = time.perf_counter()
-    s = stats.build_sample_set(sequences.thue_morse_zeros(), 10**7)
-    got = stats.empirical_joint_cdf(s, [0.5])
-    ref = stats.empirical_joint_cdf(s_int, [0.5])
-    dt = build_time + time.perf_counter() - t0
-    n_tm = oracles.thue_morse_zero_count(s.x)
-    want = oracles.cdf_half_count(s.x, primes_1e7, thue_morse=True)
-    want_ref = oracles.cdf_half_count(s_int.x, primes_1e7)
-    counts_equal = s.n == n_tm and _count(got) == want and _count(ref) == want_ref
+    got = stats.empirical_joint_cdf(sequences.thue_morse_zeros(), x, [0.5])
+    ref = stats.empirical_joint_cdf(sequences.uniform_integers(), x, [0.5])
+    dt = time.perf_counter() - t0
+    n_tm = oracles.thue_morse_zero_count(x)
+    want = oracles.cdf_half_count(x, primes_1e7, thue_morse=True)
+    want_ref = oracles.cdf_half_count(x, primes_1e7)
+    counts_equal = got.n == n_tm and _count(got) == want and _count(ref) == want_ref
     # a sequence with level of distribution 1 has the law of the integers:
     # compare the two at the same x, where they share the O(1/log x) bias
     diff = got.value - ref.value
@@ -223,10 +215,10 @@ def test_ac06_thue_morse_joint_cdf(uniform_1e7, primes_1e7):
         "AC6",
         ok,
         f"Thue-Morse cdf(1/2) = {got.value:.7f} vs exact {want}/{n_tm}; "
-        f"integers {ref.value:.7f} vs exact {want_ref}/{s_int.x}; "
+        f"integers {ref.value:.7f} vs exact {want_ref}/{x}; "
         f"counts equal: {counts_equal}; Thue-Morse - integers = {diff:+.4f} "
         f"(tol 0.02); limit rho(2) = {rho2:.4f}, gaps {want / n_tm - rho2:+.4f} "
-        f"and {want_ref / s_int.x - rho2:+.4f}; {dt:.1f}s (<90s)",
+        f"and {want_ref / x - rho2:+.4f}; {dt:.1f}s (<90s)",
     )
 
 
@@ -257,11 +249,10 @@ def test_ac07_level_of_distribution_trends():
 
 def test_ac08_tail_guard_band():
     t0 = time.perf_counter()
-    s = stats.build_sample_set(sequences.shifted_primes(1), 10**6)
     parts = []
     ok = True
     for eps in (0.1, 0.2):
-        got = stats.tail_frequency(s, eps).value
+        got = stats.tail_frequency(sequences.shifted_primes(1), 10**6, eps).value
         bound = 5.0 * math.log(1.0 / (1.0 - eps))
         ok &= got <= bound
         parts.append(f"eps={eps}: {got:.4f} <= {bound:.4f}")

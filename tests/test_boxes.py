@@ -250,8 +250,7 @@ def test_partitions_listed_once_per_box(monkeypatch):
     calls.clear()
     # ten blocks of members
     monkeypatch.setattr(factor, "MEMBER_BLOCK", 1000)
-    s = stats.build_sample_set(sequences.uniform_integers(), 10**4, k=0)
-    stats.empirical_corr(s, eta())
+    stats.empirical_corr(sequences.uniform_integers(), 10**4, eta())
     assert calls == [2, 2]
 
 

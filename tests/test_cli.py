@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from pdlab import cli
+from pdlab import cli, sequences
 
 
 def run_cli(*argv):
@@ -187,10 +187,24 @@ def test_oversized_polynomial_run_exits_3_before_enumerating(argv, capsys):
     assert "resource budget exceeded" in capsys.readouterr().err
 
 
+def test_oversized_polynomial_corr_exits_3_before_enumerating(monkeypatch, capsys):
+    # 100X^2 + 1 to 1e18 has 1e8 arguments, under the enumeration cap, but
+    # the root of its largest value, 1e9, exceeds the prime table budget:
+    # the primes are sized before any argument is enumerated
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumerated the arguments")
+
+    monkeypatch.setattr(sequences, "poly_arguments", forbidden)
+    spec = '{"kind":"poly","coeffs":[1,0,100]}'
+    boxes = "[[0.1,0.3],[0.3,0.6]]"
+    assert run_cli("corr", "--boxes", boxes, "--spec", spec, "--x", "1000000000000000000") == 3
+    assert "resource budget exceeded" in capsys.readouterr().err
+
+
 def test_huge_constant_coefficient_exits_3_at_once(capsys):
-    # the rational-root test factors c0 = 10**18 + 3, which needs primes
-    # past the prime table budget
-    spec = '{"kind":"poly","coeffs":[1000000000000000003,0,1]}'
+    # the rational-root test of a cubic factors c0 = 10**18 + 3, which
+    # needs primes past the prime table budget
+    spec = '{"kind":"poly","coeffs":[1000000000000000003,0,0,1]}'
     t0 = time.perf_counter()
     assert run_cli("tail", "--spec", spec, "--x", "100", "--eps", "0.1") == 3
     assert time.perf_counter() - t0 < 5.0
@@ -301,7 +315,7 @@ def test_thirteen_point_correlation_exits_3_at_once(path, monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("ran past the partition budget")
 
-    for module, name in ((stats, "build_sample_set"), (pdprocess, "_stick_rounds"),
+    for module, name in ((stats, "_spectrum_blocks"), (pdprocess, "_stick_rounds"),
                          (boxes, "set_partitions")):
         monkeypatch.setattr(module, name, forbidden)
     boxes_arg = json.dumps([[0.005 * i + 0.001, 0.005 * i + 0.004] for i in range(13)])
@@ -407,11 +421,14 @@ def test_sieve_subcommand(tmp_path):
         # its entries and the tuple sums' counts, some 6 MiB (25 MiB
         # measured); `moments` then holds u, per and one deviation array
         (["corr", "--boxes", "[[0.1,0.3],[0.3,0.6]]"], 40),
-        # u, the P+ table and `top` (one float64 column, 7.6 MiB), plus one
-        # block, some 4 MiB (23 MiB measured)
-        (["tail", "--eps", "0.1"], 35),
+        # u and the P+ table, plus one block of 2**16 members: its
+        # spectrum arrays and its top column, some 3 MiB (14.4 MiB measured)
+        (["tail", "--eps", "0.1"], 20),
+        # u and the P+ table, plus one block with two top columns (16.5 MiB
+        # measured)
+        (["cdf", "--c", "[0.5,0.3]"], 22),
     ],
-    ids=["corr", "tail"],
+    ids=["corr", "tail", "cdf"],
 )
 def test_member_ops_hold_one_block_beyond_their_arrays(argv, bound_mib, tmp_path):
     import tracemalloc

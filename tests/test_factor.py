@@ -134,10 +134,22 @@ def test_segmented_sieve_does_not_depend_on_the_segment(block, monkeypatch):
 
 
 def test_largest_factor_table_matches_oracle():
-    # 2**17 + 5 crosses every pass boundary 2**k of the table build
-    limit = 2**17 + 5
-    lpf = factor._largest_factor_table(factor.smallest_factor_sieve(limit))
-    assert np.array_equal(lpf[1:], largest_prime_factor(limit, PrimeCounts(limit))[1:])
+    # 2**17 + 5 crosses every pass boundary 2**k of the table build, and
+    # 2**20 + 5 a chunk boundary inside [2**19, 2**20) too
+    for limit in (2**17 + 5, 2**20 + 5):
+        lpf = factor._largest_factor_table(factor.smallest_factor_sieve(limit))
+        assert np.array_equal(lpf[1:], largest_prime_factor(limit, PrimeCounts(limit))[1:])
+
+
+@pytest.mark.parametrize("block", [2, 16, 30])
+def test_largest_factor_table_does_not_depend_on_the_chunk(block, monkeypatch):
+    # chunks of the table build, and segments of the sieve under it, of
+    # `block` entries: limits on and past chunk ends and ranges [2**k, 2**(k+1))
+    monkeypatch.setattr(factor, "_SIEVE_BLOCK", block)
+    want = largest_prime_factor(4099, PrimeCounts(4099))
+    for limit in (2, 3, 4, 5, block + 1, 2 * block + 7, 64, 65, 1024, 4099):
+        lpf = factor._largest_factor_table(factor.smallest_factor_sieve(limit))
+        assert np.array_equal(lpf[1:], want[1 : limit + 1]), limit
 
 
 def _thue_morse_1e5():
@@ -249,9 +261,8 @@ def test_fold_of_every_row_matches_the_generic_frame(peel, table):
     }
     with_one = np.concatenate([[1], rest])
     for k, floor in itertools.product(range(factor.TOP_K + 1), (None, 0.0, 0.3)):
-        top1, top0 = np.zeros((with_one.size, k)), np.zeros((rest.size, k))
-        idx1, val1 = factor._fold_spectra(with_one, peels[peel](with_one), k, floor, top1)
-        idx0, val0 = factor._fold_spectra(rest, peels[peel](rest), k, floor, top0)
+        top1, idx1, val1 = factor._fold_spectra(with_one, peels[peel](with_one), k, floor)
+        top0, idx0, val0 = factor._fold_spectra(rest, peels[peel](rest), k, floor)
         assert top1[1:].tobytes() == top0.tobytes(), (k, floor)
         assert top1[0].tolist() == [1.0, 0.0, 0.0][:k]
         if floor is None:

@@ -49,6 +49,40 @@ def test_rational_root_past_a_million_is_found():
                 sequences.polynomial_values(coeffs)
 
 
+def test_quadratic_reducibility_from_the_discriminant():
+    # a quadratic is settled by b**2 - 4ac, with no factoring of c0
+    t0 = time.perf_counter()
+    sequences.polynomial_values([10**18 + 3, 0, 1])
+    assert time.perf_counter() - t0 < 0.5
+    # and the discriminant agrees with the rational-root test over the
+    # divisors of c0 and of the leading coefficient; about a third of the
+    # quadratics are products (pX + q)(rX + s) by construction
+    # double roots: (2X + 3)**2 and (X - 1)**2, discriminant 0
+    for coeffs in ([9, 12, 4], [1, -2, 1]):
+        assert sequences._has_rational_root(coeffs)
+    rng = np.random.Generator(np.random.Philox(key=25))
+    reducible = 0
+    for _ in range(1000):
+        if rng.random() < 0.3:
+            p, r = (int(v) for v in rng.integers(1, 30, 2))
+            q, s = (int(v) * int(rng.choice([-1, 1])) for v in rng.integers(1, 30, 2))
+            coeffs = [q * s, p * s + q * r, p * r]
+        else:
+            coeffs = [int(rng.integers(-500, 501)), int(rng.integers(-500, 501)),
+                      int(rng.integers(1, 50))]
+            if coeffs[0] == 0:
+                continue
+        want = any(
+            sum(c * v**i * d ** (2 - i) for i, c in enumerate(coeffs)) == 0
+            for d in sympy.divisors(coeffs[2])
+            for n in sympy.divisors(abs(coeffs[0]))
+            for v in (n, -n)
+        )
+        assert sequences._has_rational_root(coeffs) == want, coeffs
+        reducible += want
+    assert 200 < reducible < 600
+
+
 def test_irreducible_polynomials_accepted():
     for coeffs in ([1, 0, 1], [-2, 0, 0, 1], [-1, -1, 1], [1, 1, 0, 0, 1], [7, 2]):
         sequences.polynomial_values(coeffs)

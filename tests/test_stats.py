@@ -11,48 +11,42 @@ import oracles
 from scalar_spectra import assert_fold_matches, scalar_spectra
 
 from pdlab import arith, dickman, factor, pdprocess, sequences, stats
-from pdlab.boxes import box
+from pdlab.boxes import box, tuple_sum_per_item
 from pdlab.errors import ValidationError
 
 
 def _choice(spec, x, size=None, seed=0):
     """(u, index) of a seeded uniform choice of size members up to x, in
     member order; all of them when size is None or there are no more."""
-    full = stats.build_sample_set(spec, x, k=0)
-    if size is None or full.n <= size:
-        return full.u, full.index
+    u, index = stats._members(spec, x)
+    if size is None or u.size <= size:
+        return u, index
     rng = np.random.Generator(np.random.Philox(key=seed))
-    sel = np.sort(rng.choice(full.n, size=size, replace=False))
-    u = full.u[sel]
-    return u, full.index[sel] if spec.kind == "poly" else u
+    sel = np.sort(rng.choice(u.size, size=size, replace=False))
+    return u[sel], index[sel] if spec.kind == "poly" else u[sel]
 
 
 def _fold(spec, x, u, index, k, floor):
     """(top, entry_idx, entry_val) of members u of the sequence up to x,
-    from the block driver of build_sample_set: the blocks' entries
-    concatenated in block order, each index offset by its block's start."""
-    top = np.zeros((u.size, k))
-    blocks = stats._spectrum_blocks(spec, u, index, k, floor, top, stats._sieve_table(spec, x))
-    idx, val = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
-    for rows, i, v in blocks:
+    from the block fold that stats._spectrum_blocks chooses for the
+    sequence, run over u alone: the blocks concatenated in block order,
+    each entry index offset by its block's start."""
+    if spec.kind == "poly":
+        table = factor._table_for(sequences.poly_range(spec, x).largest)
+        roots = arith.roots_mod_primes(spec.coeffs, table.primes)
+        blocks = factor.sieve_blocks(u, index, table, roots, k, floor)
+    else:
+        blocks = factor.spectra_blocks(u, k, floor)
+    top, idx, val = [np.zeros((0, k))], [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
+    for rows, t, i, v in blocks:
+        top.append(t)
         idx.append(i + rows.start)
         val.append(v)
-    return top, np.concatenate(idx), np.concatenate(val)
+    return np.concatenate(top), np.concatenate(idx), np.concatenate(val)
 
 
-def _sample_set(spec, x, k=factor.TOP_K, size=None, seed=0):
-    """build_sample_set(spec, x, k), or with size the same set over a
-    seeded uniform choice of size members (factored only when k > 0)."""
-    if size is None:
-        return stats.build_sample_set(spec, x, k)
-    u, index = _choice(spec, x, size, seed)
-    top = _fold(spec, x, u, index, k, None)[0] if k else np.zeros((u.size, 0))
-    return stats.SampleSet(spec, x, u, index, top)
-
-
-@pytest.fixture(scope="module")
-def uniform_small():
-    return stats.build_sample_set(sequences.uniform_integers(), 3000)
+# the uniform integers up to 3000, as brute_spectra factors them
+SMALL = (sequences.uniform_integers(), 3000)
 
 
 @pytest.fixture(scope="module")
@@ -71,13 +65,13 @@ def brute_spectra():
     return out
 
 
-def test_tail_frequency_matches_brute_force(uniform_small, brute_spectra):
+def test_tail_frequency_matches_brute_force(brute_spectra):
     for eps in (0.1, 0.3, 0.5):
         want = sum(1 for e in brute_spectra.values() if e[0] >= 1 - eps) / 3000
-        assert stats.tail_frequency(uniform_small, eps).value == pytest.approx(want)
+        assert stats.tail_frequency(*SMALL, eps).value == pytest.approx(want)
 
 
-def test_joint_cdf_matches_brute_force(uniform_small, brute_spectra):
+def test_joint_cdf_matches_brute_force(brute_spectra):
     for c in ([0.5], [0.9, 0.5], [0.8, 0.5, 0.3]):
         want = (
             sum(
@@ -89,10 +83,10 @@ def test_joint_cdf_matches_brute_force(uniform_small, brute_spectra):
             )
             / 3000
         )
-        assert stats.empirical_joint_cdf(uniform_small, c).value == pytest.approx(want)
+        assert stats.empirical_joint_cdf(*SMALL, c).value == pytest.approx(want)
 
 
-def test_corr_matches_brute_force(uniform_small, brute_spectra):
+def test_corr_matches_brute_force(brute_spectra):
     eta = box((0.15, 0.25), (0.3, 0.4))
     want = (
         sum(
@@ -101,43 +95,46 @@ def test_corr_matches_brute_force(uniform_small, brute_spectra):
         )
         / 3000
     )
-    assert stats.empirical_corr(uniform_small, eta).value == pytest.approx(want)
+    assert stats.empirical_corr(*SMALL, eta).value == pytest.approx(want)
 
 
-def test_corr_k1_counts_large_factors(uniform_small, brute_spectra):
+def test_corr_k1_counts_large_factors(brute_spectra):
     # k = 1 with eta = 1[[alpha, 1]] is the mean number of prime factors
     # (with multiplicity) of size >= u**alpha
     alpha = 0.3
     want = sum(
         sum(1 for v in e if v >= alpha) for e in brute_spectra.values()
     ) / 3000
-    got = stats.empirical_corr(uniform_small, box((alpha, 1.0))).value
+    got = stats.empirical_corr(*SMALL, box((alpha, 1.0))).value
     assert got == pytest.approx(want)
 
 
 def test_tail_cdf_internal_consistency():
     # at eps = 0.1 no integer u <= 1e5 has leading entry exactly 0.9, so
     # the closed boundary conventions cannot double-count
-    s = stats.build_sample_set(sequences.uniform_integers(), 10**5)
-    assert not np.any(s.top[:, 0] == 0.9)
-    tail = stats.tail_frequency(s, 0.1).value
-    cdf = stats.empirical_joint_cdf(s, [0.9]).value
+    spec, x = sequences.uniform_integers(), 10**5
+    assert not np.any(stats.build_sample_set(spec, x).top[:, 0] == 0.9)
+    tail = stats.tail_frequency(spec, x, 0.1).value
+    cdf = stats.empirical_joint_cdf(spec, x, [0.9]).value
     assert tail == pytest.approx(1.0 - cdf, abs=1e-15)
 
 
 def test_u_equals_one_counts_in_every_tail():
-    s = stats.build_sample_set(sequences.uniform_integers(), 1)
-    assert s.top[0, 0] == 1.0
-    assert stats.tail_frequency(s, 0.05).value == 1.0
+    spec = sequences.uniform_integers()
+    assert stats.build_sample_set(spec, 1).top[0, 0] == 1.0
+    assert stats.tail_frequency(spec, 1, 0.05).value == 1.0
 
 
-def test_floor_truncation_respected(uniform_small):
-    s = stats.build_sample_set(sequences.uniform_integers(), 3000, k=0)
-    assert (_fold(s.spec, s.x, s.u, s.index, 0, 0.2)[2] >= 0.2).all()
-    # empirical_corr folds the members again down to eta's support bound,
-    # so a members-only set gives the top-k set's result
+def test_floor_truncation_respected():
+    spec, x = SMALL
+    u, index = _choice(spec, x)
+    assert (_fold(spec, x, u, index, 0, 0.2)[2] >= 0.2).all()
+    # empirical_corr folds the members down to eta's support bound, which
+    # leaves it the mean over the complete spectra
+    _, idx, val = _fold(spec, x, u, index, 0, 0.0)
     for eta in (box((0.1, 0.3)), box((0.25, 0.5))):
-        assert stats.empirical_corr(s, eta) == stats.empirical_corr(uniform_small, eta)
+        want = np.mean(tuple_sum_per_item(idx, val, u.size, eta))
+        assert stats.empirical_corr(spec, x, eta).value == want
 
 
 def test_sparse_trial_division_path():
@@ -200,8 +197,9 @@ def _full_ks(values, ref_cdf):
     return float(dist)
 
 
-def _leading(spec, x, **kw):
-    return _sample_set(spec, x, k=1, **kw).top[:, 0]
+def _leading(spec, x, size=None, seed=0):
+    u, index = _choice(spec, x, size, seed)
+    return _fold(spec, x, u, index, 1, None)[0][:, 0]
 
 
 def _pd_leading():
@@ -308,9 +306,8 @@ def test_lod_brute_force_small(spec, x):
 
 
 def test_repeated_factor_brute_force():
-    s = stats.build_sample_set(sequences.uniform_integers(), 20000)
     alpha, c = 0.2, 0.45
-    got = stats.repeated_factor_frequency(s, alpha, c).value
+    got = stats.repeated_factor_frequency(sequences.uniform_integers(), 20000, alpha, c).value
     lo, hi = 20000**alpha, 20000**c
     brute = 0
     for u in range(1, 20001):
@@ -323,28 +320,28 @@ def test_repeated_factor_brute_force():
 
 @pytest.mark.parametrize("max_members", [1000, 20000])  # sparse, then dense
 def test_repeated_factor_on_subsample_brute_force(max_members):
-    # members are values: p**2 must divide u, not the position of u
+    # members are values: p**2 must divide u, not the position of u; the
+    # marks that repeated_factor_frequency counts, on a subsample
     x = 10**5
-    s = _sample_set(sequences.uniform_integers(), x, k=0, size=max_members, seed=4)
-    alpha, c = 0.1, 0.4
-    got = stats.repeated_factor_frequency(s, alpha, c).value
-    lo, hi = x**alpha, x**c
-    brute = sum(
-        any(lo <= p <= hi and e >= 2 for p, e in sympy.factorint(u).items())
-        for u in s.u.tolist()
-    )
-    assert got == pytest.approx(brute / s.n)
+    spec = sequences.uniform_integers()
+    u, index = _choice(spec, x, max_members, 4)
+    lo, hi = x**0.1, x**0.4
+    window = np.array(list(sympy.primerange(math.ceil(lo), math.floor(hi) + 1)))
+    got = sequences.divisible_by_any(spec, index, window, 2)
+    brute = [
+        any(lo <= p <= hi and e >= 2 for p, e in sympy.factorint(v).items())
+        for v in u.tolist()
+    ]
+    assert np.array_equal(got, brute)
 
 
 def test_repeated_factor_above_sqrt_is_zero():
-    s = stats.build_sample_set(sequences.uniform_integers(), 10**4)
-    assert stats.repeated_factor_frequency(s, 0.6, 0.9).value == 0.0
+    assert stats.repeated_factor_frequency(sequences.uniform_integers(), 10**4, 0.6, 0.9).value == 0.0
 
 
 def test_repeated_factor_bounded_by_prime_square_sum():
-    s = stats.build_sample_set(sequences.uniform_integers(), 10**6)
     alpha, c = 0.1, 0.4
-    est = stats.repeated_factor_frequency(s, alpha, c)
+    est = stats.repeated_factor_frequency(sequences.uniform_integers(), 10**6, alpha, c)
     from pdlab import factor
 
     x = 10**6
@@ -477,9 +474,13 @@ def test_poly_sieve_reproduces_the_trial_path(name):
     table = factor.build_prime_table(max(math.isqrt(int(mem.max())) + 1, 3))
     t_idx, t_val, t_top = factor.bulk_spectra_trial(mem, table, 3, 0.0)
     for k in (1, 2, 3):
-        s = _sample_set(spec, x, k, size, 9)
-        assert np.array_equal(s.u, mem)
-        assert np.array_equal(s.top, t_top[:, :k]), f"k={k}"
+        if size is None:
+            s = stats.build_sample_set(spec, x, k)
+            assert np.array_equal(s.u, mem)
+            top = s.top
+        else:
+            top = _fold(spec, x, mem, index, k, None)[0]
+        assert np.array_equal(top, t_top[:, :k]), f"k={k}"
     for floor in (0.0, 0.25):
         _, idx, val = _fold(spec, x, mem, index, 0, floor)
         keep = t_val >= floor
@@ -507,31 +508,31 @@ MARK_CASES = {
 def test_poly_marks_equal_the_residue_oracle(name, size):
     coeffs, x = MARK_CASES[name]
     spec = sequences.polynomial_values(coeffs)
-    s = _sample_set(spec, x, k=0, size=size, seed=7)
-    assert [arith.poly_eval(coeffs, n) for n in s.index.tolist()] == s.u.tolist()
+    u, index = _choice(spec, x, size, 7)
+    assert [arith.poly_eval(coeffs, n) for n in index.tolist()] == u.tolist()
     window = factor.build_prime_table(200).primes
     for e in (1, 2):
-        got = sequences.divisible_by_any(spec, s.index, window, e)
-        assert np.array_equal(got, oracles.divisible_by_any(s.u, window**e))
+        got = sequences.divisible_by_any(spec, index, window, e)
+        assert np.array_equal(got, oracles.divisible_by_any(u, window**e))
         for p in window[:8].tolist():
-            got = sequences.divisible_by_any(spec, s.index, np.array([p]), e)
-            assert np.array_equal(got, oracles.divisible_by_any(s.u, [p**e])), (p, e)
+            got = sequences.divisible_by_any(spec, index, np.array([p]), e)
+            assert np.array_equal(got, oracles.divisible_by_any(u, [p**e])), (p, e)
     if name in ("x2pxp2", "content2"):
-        assert sequences.divisible_by_any(spec, s.index, np.array([2]), 1).all()
+        assert sequences.divisible_by_any(spec, index, np.array([2]), 1).all()
 
 
 def test_value_marks_on_a_far_narrow_range():
     # sparse by factor.is_dense, every member above 9e6: the marks cover
     # [min, max] of the values, an offset range of 10^6
     spec = sequences.shifted_primes(-9 * 10**6)
-    s = stats.build_sample_set(spec, 10**7, k=0)
-    assert not factor.is_dense(s.u) and s.index is s.u and s.u.min() > 9 * 10**6
+    u, index = stats._members(spec, 10**7)
+    assert not factor.is_dense(u) and index is u and u.min() > 9 * 10**6
     window = factor.build_prime_table(1000).primes
     for e in (1, 2):
-        got = sequences.divisible_by_any(spec, s.index, window, e)
-        assert np.array_equal(got, oracles.divisible_by_any(s.u, window**e))
+        got = sequences.divisible_by_any(spec, index, window, e)
+        assert np.array_equal(got, oracles.divisible_by_any(u, window**e))
     ds = np.arange(1, 2001)
-    assert np.array_equal(sequences.count_divisible(s.u, ds), oracles.residue_counts(s.u, ds))
+    assert np.array_equal(sequences.count_divisible(u, ds), oracles.residue_counts(u, ds))
 
 
 @pytest.mark.parametrize("start", [1, 4999, 5000, 10**9])
@@ -563,51 +564,47 @@ def test_marks_with_and_without_the_index_offset(start):
     ids=["x2p1", "content2", "x3m2", "subsample"],
 )
 def test_repeated_factor_on_polynomial_values_brute_force(coeffs, x, size):
-    s = _sample_set(sequences.polynomial_values(coeffs), x, k=0, size=size, seed=3)
+    spec = sequences.polynomial_values(coeffs)
+    u, index = _choice(spec, x, size, 3)
     alpha, c = 0.04, 0.5  # the window starts below 2
-    got = stats.repeated_factor_frequency(s, alpha, c).value
     lo, hi = x**alpha, x**c
+    if size is None:
+        got = stats.repeated_factor_frequency(spec, x, alpha, c).value
+    else:
+        # a subsample's marks, which repeated_factor_frequency counts
+        window = factor.build_prime_table(math.floor(hi) + 1).primes
+        got = np.count_nonzero(sequences.divisible_by_any(spec, index, window, 2)) / u.size
     brute = sum(
-        any(lo <= p <= hi and e >= 2 for p, e in sympy.factorint(u).items())
-        for u in s.u.tolist()
+        any(lo <= p <= hi and e >= 2 for p, e in sympy.factorint(v).items())
+        for v in u.tolist()
     )
-    assert brute > 0 and got == brute / s.n
+    assert brute > 0 and got == brute / u.size
 
 
 def test_members_only_build_factors_nothing(monkeypatch):
-    from pdlab import factor
-
+    # the members that repeated_factor_frequency and
+    # sieve_survivor_experiment mark: enumerated, never factored
     cases = [
-        (sequences.uniform_integers(), 10**5, None),
-        (sequences.polynomial_values([1, 0, 1]), 10**9, None),
-        (sequences.uniform_integers(), 10**5, 1000),  # seed 4
+        (sequences.uniform_integers(), 10**5),
+        (sequences.polynomial_values([1, 0, 1]), 10**9),
     ]
-    want = [_sample_set(spec, x, 1, size, 4).u for spec, x, size in cases]
+    want = [stats.build_sample_set(spec, x, 1).u for spec, x in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a members-only build must not sieve or factor")
 
     monkeypatch.setattr(factor, "smallest_factor_sieve", refuse)
     monkeypatch.setattr(factor, "build_prime_table", refuse)
-    for (spec, x, size), u in zip(cases, want):
-        s = _sample_set(spec, x, 0, size, 4)
-        assert np.array_equal(s.u, u)
-        assert s.top.shape == (s.n, 0)
+    for (spec, x), u in zip(cases, want):
+        assert np.array_equal(stats._members(spec, x)[0], u)
 
 
-def test_estimators_reject_what_the_build_left_out(uniform_small):
-    s = stats.build_sample_set(sequences.uniform_integers(), 1000, k=1)
-    with pytest.raises(ValidationError):
-        stats.empirical_joint_cdf(s, [0.9, 0.5])  # one top column, two thresholds
-    none = stats.build_sample_set(sequences.uniform_integers(), 1000, k=0)
-    with pytest.raises(ValidationError):
-        stats.tail_frequency(none, 0.1)
-    with pytest.raises(ValidationError):
-        stats.build_sample_set(sequences.uniform_integers(), 1000, k=stats.TOP_K + 1)
-    # empirical_corr reads only the members: a members-only set is accepted
-    eta = box((0.25, 0.5))
-    members = stats.build_sample_set(sequences.uniform_integers(), 3000, k=0)
-    assert stats.empirical_corr(members, eta) == stats.empirical_corr(uniform_small, eta)
+def test_more_than_top_k_columns_are_refused():
+    spec = sequences.uniform_integers()
+    with pytest.raises(ValidationError, match="at most"):
+        stats.build_sample_set(spec, 1000, k=stats.TOP_K + 1)
+    with pytest.raises(ValidationError, match="at most"):
+        stats.empirical_joint_cdf(spec, 1000, [0.9, 0.5, 0.3, 0.2])
 
 
 BLOCK_CASES = {
@@ -624,18 +621,16 @@ BLOCK_CASES = {
 }
 
 
+# members folded in blocks of 1 and 3: the first 10**4 of each set
+TINY_BLOCK_HEAD = 10**4
+
+
 @pytest.mark.parametrize("name", list(BLOCK_CASES))
 def test_sets_do_not_depend_on_the_member_block(name, monkeypatch):
     spec, x, size = BLOCK_CASES[name]
     u, index = _choice(spec, x, size, 5)
-    eta = box((0.1, 0.3), (0.3, 0.6))
-    runs = []
-    for block in (1 << 16, 1, 3):
-        monkeypatch.setattr(factor, "MEMBER_BLOCK", block)
-        top, idx, val = _fold(spec, x, u, index, 3, 0.0)
-        corr = stats.empirical_corr(stats.SampleSet(spec, x, u, index, top), eta)
-        runs.append((top, idx, val, corr))
-    whole_top, whole_idx, whole_val, corr = runs[0]
+    monkeypatch.setattr(factor, "MEMBER_BLOCK", 1 << 16)
+    whole_top, whole_idx, whole_val = _fold(spec, x, u, index, 3, 0.0)
     # a short last block at 61
     assert u.size % 61
     if name == "cubic":
@@ -643,12 +638,24 @@ def test_sets_do_not_depend_on_the_member_block(name, monkeypatch):
         assert sorted(first.tolist()) == list(range(1, 86)) and (np.diff(first) < 0).any()
     elif spec.kind != "poly":
         assert factor.is_dense(u) == (name == "thue_morse")
-    want = _member_multisets(whole_idx, whole_val)
-    for top, idx, val, c in runs[1:]:
-        assert top.tobytes() == whole_top.tobytes()
+    # blocks of 1 and 3 members give the head of the one-block fold
+    head = slice(0, TINY_BLOCK_HEAD)
+    inside = whole_idx < TINY_BLOCK_HEAD
+    want = _member_multisets(whole_idx[inside], whole_val[inside])
+    for block in (1, 3):
+        monkeypatch.setattr(factor, "MEMBER_BLOCK", block)
+        top, idx, val = _fold(spec, x, u[head], index[head], 3, 0.0)
+        assert top.tobytes() == whole_top[head].tobytes()
         got = _member_multisets(idx, val)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert (c.value, c.std_error) == (corr.value, corr.std_error)
+    if size is None:
+        # and the estimators' own block driver over the whole set
+        eta = box((0.1, 0.3), (0.3, 0.6))
+        ests = []
+        for block in (1 << 16, 61):
+            monkeypatch.setattr(factor, "MEMBER_BLOCK", block)
+            ests.append(stats.empirical_corr(spec, x, eta))
+        assert ests[0] == ests[1]
     # every shape of build, in one block and in blocks of 61 (a short last
     # one, and frames with departed rows masked), is the scalar path's
     ref = scalar_spectra(u, factor.build_prime_table(math.isqrt(int(u.max())) + 1))
@@ -673,15 +680,17 @@ def test_poly_blocks_keep_to_one_window_of_arguments(monkeypatch):
     monkeypatch.setattr(factor, "MEMBER_BLOCK", 61)
     spec, x, size = BLOCK_CASES["x2p1_subsample"]
     u, index = _choice(spec, x, size, 5)
-    top = np.zeros((u.size, 1))
-    blocks = stats._spectrum_blocks(spec, u, index, 1, None, top, stats._sieve_table(spec, x))
-    rows = [r for r, _, _ in blocks]
+    table = factor._table_for(int(u.max()))
+    roots = arith.roots_mod_primes(spec.coeffs, table.primes)
+    blocks = list(factor.sieve_blocks(u, index, table, roots, 1, None))
+    rows = [r for r, _, _, _ in blocks]
     assert [r.start for r in rows] == [0] + [r.stop for r in rows[:-1]] and rows[-1].stop == u.size
     window = [np.unique(index[r] // 61) for r in rows]
     assert all(w.size == 1 for w in window)
     # the arguments ascend, so each window is one block
     assert (np.diff(np.concatenate(window)) > 0).all()
-    assert np.array_equal(top, _sample_set(spec, x, 1, size, 5).top)
+    top = np.concatenate([t for _, t, _, _ in blocks])
+    assert np.array_equal(top, factor.bulk_spectra_trial(u, table, 1, None)[2])
 
 
 def test_member_corr_pinned_at_the_parent_values():
@@ -691,5 +700,5 @@ def test_member_corr_pinned_at_the_parent_values():
         (sequences.uniform_integers(), 10**5, 0.65949, 0.0035600322188148806),
         (sequences.shifted_primes(1), 10**6, 0.7092409997706948, 0.003653096009301352),
     ):
-        est = stats.empirical_corr(stats.build_sample_set(spec, x, k=0), eta)
+        est = stats.empirical_corr(spec, x, eta)
         assert (est.value, est.std_error) == (value, std_error)
