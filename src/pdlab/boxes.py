@@ -6,7 +6,11 @@ k-point correlation statistic is the sum of eta over ordered tuples of
 DISTINCT indices; for indicator boxes it reduces to products of per-item
 interval counts, combined over set partitions (indices falling in a
 shared block must land in the intersection interval, with the usual
-(-1)^(|B|-1) (|B|-1)! Moebius weight).
+(-1)^(|B|-1) (|B|-1)! Moebius weight).  Only the partitions whose
+blocks' intervals meet contribute, and only those are listed
+(``Box.partitions``): at most the product of Bell(size) over the box's
+groups of overlapping intervals, which ``check_tuple_budget`` bounds
+before anything is listed.
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ QUAD_CHUNK = 1 << 12
 # a second of work at some 50 ns per node (2-vCPU x86 host); each added
 # dimension multiplies the count by one level's sub-panel nodes
 QUAD_NODE_BUDGET = 1 << 24
-# box dimension past which the distinct-index tuple sums refuse a box
-# function: they list all Bell(k) set partitions of the k coordinates,
-# once per box; Bell(11) = 678 570 partitions take 116 MiB, Bell(12) =
-# 4 213 597 some 800 MiB
-MAX_TUPLE_K = 11
+# partitions a box may list for the distinct-index tuple sums, once per
+# box: Bell(11) = 678 570, the listing of 11 identical intervals, takes
+# some 7 s and 450 MiB (2-vCPU x86 host); Bell(12) = 4 213 597 some six
+# times that
+MAX_PARTITIONS = 678_570
 
 
 @dataclass(frozen=True)
@@ -64,24 +68,10 @@ class Box:
     @functools.cached_property
     def partitions(self) -> tuple[tuple[float, tuple[tuple[float, float], ...]], ...]:
         """The set partitions of the coordinates whose blocks' intervals
-        all meet, in set_partitions order, each as (sign, intersections):
-        the product of the blocks' Moebius weights (-1)**(|B|-1) (|B|-1)!
-        and each block's common interval.  Listed once per box, and read
-        by every tuple sum over it; the caller checks the dimension
-        against MAX_TUPLE_K first."""
-        ivals = self.intervals()
-        out = []
-        for part in set_partitions(self.k):
-            inters, sign = [], 1.0
-            for blk in part:
-                inter = _intersection([ivals[i] for i in blk])
-                if inter is None:
-                    break
-                inters.append(inter)
-                sign *= (-1.0) ** (len(blk) - 1) * math.factorial(len(blk) - 1)
-            else:
-                out.append((sign, tuple(inters)))
-        return tuple(out)
+        all meet (``_meeting_partitions``).  Listed once per box, after
+        ``check_tuple_budget``, and read by every tuple sum over it."""
+        check_tuple_budget(BoxFunction((self,)))
+        return _meeting_partitions(self.intervals())
 
 
 @dataclass(frozen=True)
@@ -139,34 +129,74 @@ def box(*intervals, weight: float = 1.0) -> BoxFunction:
 
 
 def check_tuple_budget(eta: BoxFunction) -> None:
-    """ResourceBudgetError when eta's dimension passes MAX_TUPLE_K, before
-    any set partition is listed."""
-    if eta.k > MAX_TUPLE_K:
-        raise ResourceBudgetError(
-            f"tuple sums over {eta.k} coordinates list Bell({eta.k}) set partitions;"
-            f" the budget allows k <= {MAX_TUPLE_K}"
-        )
+    """ResourceBudgetError when a box of eta may list more than
+    MAX_PARTITIONS set partitions, the product of Bell(size) over its
+    groups of overlapping intervals, before any is listed."""
+    for b in eta.boxes:
+        groups = _group_sizes(b.intervals())
+        # Bell(12) alone passes the budget, so no larger Bell number is needed
+        if math.prod(_bell(min(n, 12)) for n in groups) > MAX_PARTITIONS:
+            bells = " x ".join(f"Bell({n})" for n in groups if n > 1)
+            raise ResourceBudgetError(
+                f"a box's tuple sums may list {bells} set partitions over its groups of"
+                f" overlapping intervals, more than the budget of {MAX_PARTITIONS}"
+            )
 
 
-def set_partitions(k: int):
-    """All Bell(k) partitions of {0, .., k-1} as tuples of blocks: each
-    partition of {0, .., m-1} gives m as a block of its own, then m
-    joined to each of its blocks in turn."""
-    out = [((0,),)]
-    for m in range(1, k):
+def _group_sizes(ivals) -> list[int]:
+    """The sizes of the connected groups of intervals, two joined when
+    they meet (touching included).  A block of a listed partition lies
+    within one group, so a box lists at most the product of Bell(size)."""
+    sizes, reach = [], -math.inf
+    for a, b in sorted(ivals):
+        if a > reach:
+            sizes.append(0)
+        sizes[-1] += 1
+        reach = max(reach, b)
+    return sizes
+
+
+def _meeting_partitions(ivals):
+    """The set partitions of the intervals' indices whose blocks'
+    intervals all meet, each as (sign, intersections): the product of the
+    blocks' Moebius weights (-1)**(|B|-1) (|B|-1)! and each block's
+    common interval.
+
+    Grown index by index: index m opens a block of its own, then joins
+    each block, in order, whose common interval it meets.  Every subset
+    of a meeting block meets, so this lists the meeting partitions among
+    all Bell(k) in the order of the full enumeration (m alone, then m
+    joined to each block in turn, for each partition of the first m
+    indices), and with the same float intersections and signs.
+    """
+    parts = [()]
+    for a, b in ivals:
         grown = []
-        for part in out:
-            grown.append(part + ((m,),))
-            for i, blk in enumerate(part):
-                grown.append(part[:i] + (blk + (m,),) + part[i + 1 :])
-        out = grown
-    return out
+        for part in parts:
+            grown.append(part + ((a, b, 1),))
+            for i, (lo, hi, size) in enumerate(part):
+                lo, hi = max(lo, a), min(hi, b)
+                if lo <= hi:
+                    grown.append(part[:i] + ((lo, hi, size + 1),) + part[i + 1 :])
+        parts = grown
+    out = []
+    for part in parts:
+        sign = 1.0
+        for _, _, size in part:
+            sign *= (-1.0) ** (size - 1) * math.factorial(size - 1)
+        out.append((sign, tuple((lo, hi) for lo, hi, _ in part)))
+    return tuple(out)
 
 
-def _intersection(intervals):
-    lo = max(a for a, _ in intervals)
-    hi = min(b for _, b in intervals)
-    return (lo, hi) if lo <= hi else None
+def _bell(n: int) -> int:
+    """The Bell number B(n), the first entry of row n of the Bell triangle."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
 
 
 def tuple_sum_per_item(
@@ -178,10 +208,9 @@ def tuple_sum_per_item(
     entries), ``item_idx`` maps each value to its item.  Every value of
     the item at or above eta's support lower bound must be present.  Each
     box's set partitions come from its ``partitions``, listed on the first
-    call and reused by every later one (each block of members or samples).
-    Raises ResourceBudgetError past MAX_TUPLE_K (``check_tuple_budget``).
+    call and reused by every later one (each block of members or samples);
+    a box past ``check_tuple_budget`` raises ResourceBudgetError there.
     """
-    check_tuple_budget(eta)
     out = np.zeros(n_items, dtype=np.float64)
     count_cache: dict[tuple[float, float], np.ndarray] = {}
 
@@ -224,8 +253,7 @@ def box_correlation_exact(intervals) -> float:
             raise ValidationError(f"interval [{a}, {b}] not contained in (0, 1]")
     for i in range(len(ivals)):
         for j in range(i + 1, len(ivals)):
-            inter = _intersection([ivals[i], ivals[j]])
-            if inter is not None and inter[0] < inter[1]:
+            if max(ivals[i][0], ivals[j][0]) < min(ivals[i][1], ivals[j][1]):
                 raise ValidationError(f"intervals {ivals[i]} and {ivals[j]} overlap")
     if sum(b for _, b in ivals) >= 1:
         raise ValidationError("upper endpoints must sum below 1")

@@ -20,12 +20,7 @@ import sys
 import time
 
 from pdlab import arith, dickman, pdprocess, sequences, stats
-from pdlab.boxes import (
-    BoxFunction,
-    box_correlation_exact,
-    box_correlation_quadrature,
-    check_tuple_budget,
-)
+from pdlab.boxes import BoxFunction, box_correlation_exact, box_correlation_quadrature
 from pdlab.errors import ResourceBudgetError, ValidationError, integral
 from pdlab.report import Estimate, ExperimentReport, write_csv
 from pdlab.sequences import SequenceSpec
@@ -199,7 +194,6 @@ def _corr_oracle(eta: BoxFunction) -> float:
 def run_corr(config: dict) -> ExperimentReport:
     eta = _parse_boxes(config)
     oracle = _corr_oracle(eta)
-    check_tuple_budget(eta)
     if config.get("spec") is not None:
         spec, x = _parse_spec(config), _field(config, "x", int)
         est = stats.empirical_corr(spec, x, eta)
@@ -369,7 +363,7 @@ def run(experiment: str, config: dict) -> ExperimentReport:
 
 def sweep(experiment: str, config: dict, axis: str, values) -> list[ExperimentReport]:
     """Run the experiment once per value of config[axis]."""
-    if not values:
+    if not isinstance(values, list) or not values:
         raise ValidationError("sweep needs a nonempty 'values' list")
     if not axis:
         raise ValidationError("sweep needs an 'axis' field name")
@@ -502,10 +496,7 @@ def main(argv=None) -> int:
             if experiment is None:
                 raise ValidationError("sweep needs an 'experiment' field")
             axis = config.pop("axis", None)
-            values = config.pop("values", None)
-            if values is None:
-                raise ValidationError("sweep needs a 'values' list")
-            reports = sweep(experiment, config, axis, values)
+            reports = sweep(experiment, config, axis, config.pop("values", None))
         else:
             reports = [run(args.command, config)]
         _emit(reports, args.out, args.format)

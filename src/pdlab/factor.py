@@ -70,7 +70,7 @@ from pdlab.errors import ResourceBudgetError, ValidationError
 MAX_PRIME_TABLE_LIMIT = 300_000_000
 MAX_SPF_SIEVE_LIMIT = 200_000_000
 # leading spectrum entries per value that a build returns by default, and
-# the most a sample set holds (the widest joint cdf)
+# the most a sample set holds
 TOP_K = 3
 # entries per segment of the spf sieve (1 MiB of int32)
 _SIEVE_BLOCK = 1 << 18

@@ -22,8 +22,7 @@ with its own stopping rule:
   stick by compare-exchange, c_j = max(c_j, min(c_{j-1}, stick)) from
   j = k-1 down, then c_0 = max(c_0, stick); a row is certified and
   retires once its residual cannot beat c_{k-1} (``joint_cdf_mc``);
-* ``_entries_above`` keeps every entry above a floor (``corr_mc`` and the
-  counting path of ``joint_cdf_mc``);
+* ``_entries_above`` keeps every entry above a floor (``corr_mc``);
 * ``_l1_and_deviation`` folds the leading entry and the telescoping sum.
   ``l1_mass_mc`` (the ``pd`` subcommand) runs it with the rule
   ``_lead_certified``: a row retires once its residual is at most its
@@ -52,9 +51,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from pdlab.boxes import BoxFunction, tuple_sum_per_item
+from pdlab.boxes import BoxFunction, check_tuple_budget, tuple_sum_per_item
 from pdlab.errors import ValidationError
-from pdlab.report import Estimate, joint_cdf_hits, moments
+from pdlab.report import Estimate, joint_cdf_hits, joint_cdf_thresholds, moments
 
 BLOCK = 1 << 15  # samples per RNG block; fixed, never tied to thread count
 # residual below which a sample's stick loop stops: no later stick is above it
@@ -208,14 +207,13 @@ def corr_mc(
 
     Mean over samples of the distinct-index tuple sum; each sample
     contributes at most k! * C(floor(1/alpha), k) terms because entries
-    below eta's support bound alpha cannot appear.
+    below eta's support bound alpha cannot appear.  Raises
+    ResourceBudgetError (``check_tuple_budget``) before any sample is drawn.
     """
-    alpha = eta.alpha
-    if alpha <= 0:
-        raise ValidationError("eta must have support bounded away from 0")
+    check_tuple_budget(eta)
 
     def fold(rng, size):
-        idx, vals = _entries_above(rng, size, alpha)
+        idx, vals = _entries_above(rng, size, eta.alpha)
         return moments(tuple_sum_per_item(idx, vals, size, eta))
 
     return Estimate.mean(_combine_blocks(n_samples, seed, threads, fold))
@@ -240,40 +238,16 @@ def l1_mass_mc(n_samples: int, seed: int, threads: int = 1) -> tuple[Estimate, f
     return Estimate.mean([m for m, _ in parts]), max(d for _, d in parts)
 
 
-def joint_cdf_mc(
-    c,
-    n_samples: int,
-    seed: int,
-    threads: int = 1,
-    method: str = "topk",
-) -> Estimate:
-    """Estimate P(L_1 <= c_1, ..., L_k <= c_k) by Monte Carlo.
+def joint_cdf_mc(c, n_samples: int, seed: int, threads: int = 1) -> Estimate:
+    """Estimate P(L_1 <= c_1, ..., L_k <= c_k) by Monte Carlo, ranking
+    each sample's k leading entries (``_topk_block``)."""
+    c = joint_cdf_thresholds(c)
 
-    method "topk" ranks the leading entries directly; method "counting"
-    uses the equivalent event {#(entries > c_j) < j for all j} on the
-    unsorted sticks, an independent code path used for cross-checks.
-    """
-    c = [float(v) for v in c]
-    if not c or any(not 0 < v <= 1 for v in c):
-        raise ValidationError("thresholds must be a nonempty vector in (0, 1]")
-    if method not in ("topk", "counting"):
-        raise ValidationError(f"unknown joint_cdf_mc method {method!r}")
-    k = len(c)
-
-    def topk(rng, size):
-        top, _ = _topk_block(rng, size, k, TRUNCATION)
+    def fold(rng, size):
+        top, _ = _topk_block(rng, size, len(c), TRUNCATION)
         return joint_cdf_hits(top, c)
 
-    def counting(rng, size):
-        idx, vals = _entries_above(rng, size, TRUNCATION)
-        ok = np.ones(size, dtype=bool)
-        for j, cj in enumerate(c, start=1):
-            above = np.bincount(idx[vals > cj], minlength=size)
-            ok &= above < j
-        return int(np.count_nonzero(ok))
-
-    hits = _combine_blocks(n_samples, seed, threads, topk if method == "topk" else counting)
-    return Estimate.frequency(sum(hits), n_samples)
+    return Estimate.frequency(sum(_combine_blocks(n_samples, seed, threads, fold)), n_samples)
 
 
 def mass_identity_max_deviation(n_samples: int, seed: int, threads: int = 1) -> float:

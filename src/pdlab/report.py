@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from pdlab.errors import ValidationError
+
 SCHEMA_VERSION = 1
 
 
@@ -29,6 +31,15 @@ def moments(values) -> tuple[int, float, float]:
     dev = values - total / values.size
     dev *= dev  # in place: one temporary the size of values, not two
     return values.size, total, float(np.sum(dev))
+
+
+def joint_cdf_thresholds(c) -> list[float]:
+    """The thresholds c_1, .., c_k of a joint cdf as floats; ValidationError
+    unless they are a nonempty vector in (0, 1]."""
+    c = [float(v) for v in c]
+    if not c or any(not 0 < v <= 1 for v in c):
+        raise ValidationError("thresholds must be a nonempty vector in (0, 1]")
+    return c
 
 
 def joint_cdf_hits(top: np.ndarray, c) -> int:

@@ -22,7 +22,7 @@ from pdlab import arith, dickman, factor, sequences
 from pdlab.boxes import BoxFunction, check_tuple_budget, tuple_sum_per_item
 from pdlab.errors import ResourceBudgetError, ValidationError
 from pdlab.factor import TOP_K
-from pdlab.report import Estimate, joint_cdf_hits, moments
+from pdlab.report import Estimate, joint_cdf_hits, joint_cdf_thresholds, moments
 from pdlab.sequences import SequenceSpec
 
 # ks_distance's certified sweep: values of the sorted column per cell,
@@ -90,13 +90,6 @@ def _spectrum_blocks(spec: SequenceSpec, x: int, k: int, floor: float | None):
     return u, factor.sieve_blocks(u, index, table, roots, k, floor)
 
 
-def _check_columns(k: int) -> None:
-    if not 1 <= k <= TOP_K:
-        raise ValidationError(
-            f"k must be in [1, {TOP_K}] (at most {TOP_K} joint thresholds), got {k}"
-        )
-
-
 def build_sample_set(spec: SequenceSpec, x: int, k: int = TOP_K) -> SampleSet:
     """Enumerate the members of the sequence up to x and their k leading entries.
 
@@ -104,7 +97,8 @@ def build_sample_set(spec: SequenceSpec, x: int, k: int = TOP_K) -> SampleSet:
     ``top``.  The factor peel stops each member after its k-th prime, so
     a build never computes smaller entries.
     """
-    _check_columns(k)
+    if not 1 <= k <= TOP_K:
+        raise ValidationError(f"k must be in [1, {TOP_K}] (at most {TOP_K} columns), got {k}")
     u, blocks = _spectrum_blocks(spec, x, k, None)
     top = np.empty((u.size, k), dtype=np.float64)
     for rows, t, _, _ in blocks:
@@ -131,10 +125,7 @@ def empirical_corr(spec: SequenceSpec, x: int, eta: BoxFunction) -> Estimate:
 
 def empirical_joint_cdf(spec: SequenceSpec, x: int, c) -> Estimate:
     """Frequency of {entry_1 <= c_1, ..., entry_k <= c_k} over members up to x."""
-    c = [float(v) for v in c]
-    if not c or any(not 0 < v <= 1 for v in c):
-        raise ValidationError("thresholds must be a nonempty vector in (0, 1]")
-    _check_columns(len(c))
+    c = joint_cdf_thresholds(c)
     u, blocks = _spectrum_blocks(spec, x, len(c), None)
     return Estimate.frequency(sum(joint_cdf_hits(top, c) for _, top, _, _ in blocks), u.size)
 

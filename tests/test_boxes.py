@@ -12,10 +12,61 @@ from pdlab.boxes import (
     box,
     box_correlation_exact,
     box_correlation_quadrature,
-    set_partitions,
     tuple_sum_per_item,
 )
-from pdlab.errors import ValidationError
+from pdlab.errors import ResourceBudgetError, ValidationError
+
+
+def set_partitions(k: int):
+    """All Bell(k) partitions of {0, .., k-1} as tuples of blocks: each
+    partition of {0, .., m-1} gives m as a block of its own, then m
+    joined to each of its blocks in turn."""
+    out = [((0,),)]
+    for m in range(1, k):
+        grown = []
+        for part in out:
+            grown.append(part + ((m,),))
+            for i, blk in enumerate(part):
+                grown.append(part[:i] + (blk + (m,),) + part[i + 1 :])
+        out = grown
+    return out
+
+
+def filtered_partitions(b: Box):
+    """The reference for Box.partitions: every set partition of the full
+    enumeration, kept when each block's intervals meet, as (sign,
+    intersections)."""
+    ivals = b.intervals()
+    out = []
+    for part in set_partitions(b.k):
+        inters, sign = [], 1.0
+        for blk in part:
+            lo = max(ivals[i][0] for i in blk)
+            hi = min(ivals[i][1] for i in blk)
+            if lo > hi:
+                break
+            inters.append((lo, hi))
+            sign *= (-1.0) ** (len(blk) - 1) * math.factorial(len(blk) - 1)
+        else:
+            out.append((sign, tuple(inters)))
+    return tuple(out)
+
+
+def reference_tuple_sum(item_idx, values, n_items, eta):
+    """tuple_sum_per_item over the filtered full enumeration, term by term
+    in the same order."""
+    out = np.zeros(n_items)
+    for b in eta.boxes:
+        acc = np.zeros(n_items)
+        for sign, inters in filtered_partitions(b):
+            term = None
+            for lo, hi in inters:
+                sel = (values >= lo) & (values <= hi)
+                c = np.bincount(item_idx[sel], minlength=n_items).astype(np.float64)
+                term = c if term is None else term * c
+            acc += sign * term
+        out += b.weight * acc
+    return out
 
 
 def test_box_validation():
@@ -30,9 +81,58 @@ def test_box_validation():
 
 
 def test_set_partition_counts():
-    # Bell numbers 1, 2, 5, 15
-    for k, bell in ((1, 1), (2, 2), (3, 5), (4, 15)):
-        assert len(set_partitions(k)) == bell
+    from pdlab import boxes
+
+    # Bell numbers 1, 2, 5, 15, 52: the full enumeration, and the listing
+    # of k identical intervals, where every block meets; k disjoint
+    # intervals list the one partition into singletons
+    for k, bell in ((1, 1), (2, 2), (3, 5), (4, 15), (5, 52)):
+        assert len(set_partitions(k)) == bell == boxes._bell(k)
+        assert len(box(*[(0.1, 0.2)] * k).boxes[0].partitions) == bell
+        disjoint = box(*[(0.1 * i + 0.01, 0.1 * i + 0.05) for i in range(k)]).boxes[0]
+        assert disjoint.partitions == ((1.0, tuple(disjoint.intervals())),)
+
+
+def random_box(rng, k: int) -> Box:
+    """k intervals on a grid of 0.01, so that ends coincide often: some
+    repeat the previous interval, some start where it ends, some are
+    nested in it, the rest fall anywhere."""
+    ivals = []
+    for _ in range(k):
+        r = rng.random()
+        if ivals and r < 0.15:
+            ivals.append(ivals[-1])
+        elif ivals and r < 0.3:
+            a = ivals[-1][1]
+            ivals.append((a, round(a + 0.01 * int(rng.integers(1, 20)), 2)))
+        elif ivals and r < 0.45 and ivals[-1][1] - ivals[-1][0] > 0.015:
+            a, b = ivals[-1]
+            ivals.append((round(a + 0.005, 3), round(b - 0.005, 3)))
+        else:
+            a = 0.01 * int(rng.integers(1, 60))
+            ivals.append((round(a, 2), round(a + 0.01 * int(rng.integers(1, 30)), 2)))
+    return Box(tuple(a for a, _ in ivals), tuple(b for _, b in ivals))
+
+
+def test_partitions_equal_the_filtered_full_enumeration():
+    # overlapping, nested, identical and touching intervals: the listing
+    # keeps the full enumeration's meeting partitions, in its order, with
+    # the same signs and intersections, so the tuple sums keep their bits;
+    # their number is within the budget's bound
+    from pdlab import boxes
+
+    rng = np.random.Generator(np.random.Philox(key=26))
+    values = np.round(rng.uniform(0.0, 0.9, 400), 2)  # on the grid, so on the ends too
+    idx = rng.integers(0, 40, values.size)
+    for trial in range(300):
+        k = 1 + trial % 8
+        b = random_box(rng, k)
+        assert b.partitions == filtered_partitions(b), f"trial {trial}: {b.intervals()}"
+        bound = math.prod(len(set_partitions(n)) for n in boxes._group_sizes(b.intervals()))
+        assert len(b.partitions) <= bound, f"trial {trial}: {b.intervals()}"
+        eta = BoxFunction(boxes=(b, Box(b.lower, b.upper, weight=-1.5)))
+        got = tuple_sum_per_item(idx, values, 40, eta)
+        assert np.array_equal(got, reference_tuple_sum(idx, values, 40, eta)), f"trial {trial}"
 
 
 def test_exact_product_formula():
@@ -184,17 +284,37 @@ def test_tuple_sum_overlapping_intervals_brute_force():
         assert got == pytest.approx(brute, abs=1e-9), f"trial {trial}"
 
 
-def test_tuple_sum_dimension_budget():
-    from pdlab.errors import ResourceBudgetError
+def test_tuple_sum_dimension_budget(monkeypatch):
+    from pdlab import boxes, pdprocess, sequences, stats
 
-    # k = 10 runs: each item has one value in each of ten disjoint
-    # intervals or misses one
-    ivals = [(0.01 * (2 * i + 1), 0.01 * (2 * i + 2)) for i in range(10)]
-    vals = np.array([a + 0.001 for a, _ in ivals + ivals[:9]])
-    idx = np.repeat([0, 1], [10, 9])
-    assert tuple_sum_per_item(idx, vals, 2, box(*ivals)).tolist() == [1.0, 0.0]
-    with pytest.raises(ResourceBudgetError):
-        tuple_sum_per_item(idx, vals, 2, box(*ivals, (0.5, 0.6), (0.7, 0.8)))
+    # disjoint boxes of any k run, listing one partition: each item has
+    # one value in each of the disjoint intervals or misses one
+    for k in (10, 13):
+        ivals = [(0.01 * (2 * i + 1), 0.01 * (2 * i + 2)) for i in range(k)]
+        vals = np.array([a + 0.001 for a, _ in ivals + ivals[:-1]])
+        idx = np.repeat([0, 1], [k, k - 1])
+        assert tuple_sum_per_item(idx, vals, 2, box(*ivals)).tolist() == [1.0, 0.0]
+    # 11 identical intervals list all Bell(11) = 678 570 partitions, the
+    # budget; two groups of 7 identical intervals list Bell(7)**2 = 769 129
+    boxes.check_tuple_budget(box(*[(0.1, 0.2)] * 11))
+    with pytest.raises(ResourceBudgetError, match=r"Bell\(7\) x Bell\(7\)"):
+        boxes.check_tuple_budget(box(*[(0.1, 0.2)] * 7, *[(0.3, 0.4)] * 7))
+
+    # 12 identical intervals would list Bell(12) = 4 213 597: refused with
+    # nothing listed, enumerated or drawn
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran past the partition budget")
+
+    monkeypatch.setattr(boxes, "_meeting_partitions", forbidden)
+    monkeypatch.setattr(stats, "_spectrum_blocks", forbidden)
+    monkeypatch.setattr(pdprocess, "_stick_rounds", forbidden)
+    eta = box(*[(0.1, 0.2)] * 12)
+    with pytest.raises(ResourceBudgetError, match=r"Bell\(12\)"):
+        tuple_sum_per_item(idx, vals, 2, eta)
+    with pytest.raises(ResourceBudgetError, match=r"Bell\(12\)"):
+        stats.empirical_corr(sequences.uniform_integers(), 10**6, eta)
+    with pytest.raises(ResourceBudgetError, match=r"Bell\(12\)"):
+        pdprocess.corr_mc(eta, 10**6, seed=0)
 
 
 def test_tuple_sum_symmetry():
@@ -232,12 +352,13 @@ def test_partitions_listed_once_per_box(monkeypatch):
     from pdlab import boxes, factor, pdprocess, sequences, stats
 
     calls = []
+    listing = boxes._meeting_partitions
 
-    def counted(k):
-        calls.append(k)
-        return set_partitions(k)
+    def counted(ivals):
+        calls.append(len(ivals))
+        return listing(ivals)
 
-    monkeypatch.setattr(boxes, "set_partitions", counted)
+    monkeypatch.setattr(boxes, "_meeting_partitions", counted)
 
     def eta():  # new boxes, with nothing listed yet
         return BoxFunction(
@@ -256,7 +377,7 @@ def test_partitions_listed_once_per_box(monkeypatch):
 
 def test_partitions_keep_the_meeting_ones_in_order():
     # the first two intervals meet and the third meets neither, so of the
-    # five partitions in set_partitions order, ((0,), (1,), (2,)) and
+    # five partitions in the full enumeration's order, ((0,), (1,), (2,)) and
     # ((0, 1), (2,)) are kept
     b = Box((0.1, 0.2, 0.5), (0.3, 0.4, 0.6))
     assert b.partitions == (

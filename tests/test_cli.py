@@ -135,8 +135,8 @@ def test_unknown_spec_kind_exits_2():
          "--axis", "x", "--values", "[1000.7]"],
         ["sweep", "--experiment", "tail", "--spec", "uniform", "--eps", "0.1",
          "--axis", "x", "--values", "[true]"],
-        # the sample set has at most TOP_K leading columns
-        ["cdf", "--c", "[0.9,0.5,0.3,0.2]", "--spec", "uniform", "--x", "1000"],
+        # a threshold outside (0, 1] among more than TOP_K of them
+        ["cdf", "--c", "[0.9,0.5,0.3,0]", "--spec", "uniform", "--x", "1000"],
         # thresholds outside (0, 1], caught before any oracle divides by them
         ["cdf", "--c", "[0]", "--n-samples", "10"],
         ["cdf", "--c", "0", "--spec", "uniform", "--x", "100"],
@@ -308,19 +308,25 @@ def test_sweep_refuses_json_before_running(tmp_path, capsys):
     "path", [["--spec", "uniform", "--x", "1000000"], ["--n-samples", "1000000"]]
 )
 def test_thirteen_point_correlation_exits_3_at_once(path, monkeypatch, capsys):
-    # 13 disjoint intervals take the exact product oracle, and then the
-    # tuple sums would list Bell(13) = 27 644 437 set partitions
+    # 13 identical intervals whose lower ends sum past 1 lie outside the
+    # simplex, so the quadrature oracle is quick, and then the tuple sums
+    # would list Bell(13) = 27 644 437 set partitions
     from pdlab import boxes, pdprocess, stats
 
     def forbidden(*args, **kwargs):
         raise AssertionError("ran past the partition budget")
 
     for module, name in ((stats, "_spectrum_blocks"), (pdprocess, "_stick_rounds"),
-                         (boxes, "set_partitions")):
+                         (boxes, "_meeting_partitions")):
         monkeypatch.setattr(module, name, forbidden)
-    boxes_arg = json.dumps([[0.005 * i + 0.001, 0.005 * i + 0.004] for i in range(13)])
-    assert run_cli("corr", "--boxes", boxes_arg, *path) == 3
+    assert run_cli("corr", "--boxes", json.dumps([[0.1, 0.2]] * 13), *path) == 3
     assert "Bell(13)" in capsys.readouterr().err
+    # 13 disjoint intervals list one partition and run, here at 1000
+    # members or samples
+    monkeypatch.undo()
+    disjoint = json.dumps([[0.005 * i + 0.001, 0.005 * i + 0.004] for i in range(13)])
+    small = [a.replace("1000000", "1000") for a in path]
+    assert run_cli("corr", "--boxes", disjoint, *small) == 0
 
 
 def test_sweep_writes_combined_csv(tmp_path, capsys):
@@ -349,6 +355,14 @@ def test_sweep_empty_values_exits_2(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"experiment": "lod", "axis": "x", "values": []}))
     assert run_cli("sweep", "--config", str(cfg)) == 2
+
+
+@pytest.mark.parametrize("values", ["0.1", '{"0.1": 1}'])
+def test_sweep_non_list_values_exits_2(values, capsys):
+    argv = ["sweep", "--experiment", "tail", "--axis", "eps", "--values", values,
+            "--spec", "uniform", "--x", "100"]
+    assert run_cli(*argv) == 2
+    assert "nonempty 'values' list" in capsys.readouterr().err
 
 
 def test_sweep_tail_eps_grid(tmp_path):

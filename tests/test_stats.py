@@ -8,11 +8,12 @@ import pytest
 import sympy
 
 import oracles
-from scalar_spectra import assert_fold_matches, scalar_spectra
+from scalar_spectra import TOL, assert_fold_matches, scalar_spectra
 
 from pdlab import arith, dickman, factor, pdprocess, sequences, stats
 from pdlab.boxes import box, tuple_sum_per_item
 from pdlab.errors import ValidationError
+from pdlab.report import Estimate
 
 
 def _choice(spec, x, size=None, seed=0):
@@ -84,6 +85,30 @@ def test_joint_cdf_matches_brute_force(brute_spectra):
             / 3000
         )
         assert stats.empirical_joint_cdf(*SMALL, c).value == pytest.approx(want)
+
+
+@pytest.mark.parametrize(
+    "spec, x",
+    [
+        (sequences.uniform_integers(), 3000),
+        (sequences.shifted_primes(1), 10**5),
+        (sequences.polynomial_values([1, 0, 1]), 10**8),
+    ],
+    ids=["spf", "trial", "poly_sieve"],
+)
+def test_member_cdf_takes_more_than_top_k_thresholds(spec, x):
+    # four thresholds, one more than a sample set holds, against the
+    # scalar spectra; no entry lies within the scalar path's last-bit
+    # difference of a threshold, so the count is exact
+    c = [0.61, 0.37, 0.23, 0.11]
+    u, _ = stats._members(spec, x)
+    ref = scalar_spectra(u, factor._table_for(int(u.max())))
+    lead = np.full((u.size, len(c)), -np.inf)
+    width = min(len(c), ref.shape[1])
+    lead[:, :width] = ref[:, :width]
+    assert not np.any(np.abs(lead[:, :, None] - np.array(c)) < TOL)
+    want = int(np.count_nonzero((lead <= np.array(c)).all(axis=1)))
+    assert stats.empirical_joint_cdf(spec, x, c) == Estimate.frequency(want, u.size)
 
 
 def test_corr_matches_brute_force(brute_spectra):
@@ -603,8 +628,6 @@ def test_more_than_top_k_columns_are_refused():
     spec = sequences.uniform_integers()
     with pytest.raises(ValidationError, match="at most"):
         stats.build_sample_set(spec, 1000, k=stats.TOP_K + 1)
-    with pytest.raises(ValidationError, match="at most"):
-        stats.empirical_joint_cdf(spec, 1000, [0.9, 0.5, 0.3, 0.2])
 
 
 BLOCK_CASES = {
