@@ -22,7 +22,7 @@ import time
 from pdlab import arith, dickman, pdprocess, sequences, stats
 from pdlab.boxes import BoxFunction, box_correlation_exact, box_correlation_quadrature
 from pdlab.errors import ResourceBudgetError, ValidationError, integral
-from pdlab.report import Estimate, ExperimentReport, write_csv
+from pdlab.report import Estimate, ExperimentReport, joint_cdf_thresholds, write_csv
 from pdlab.sequences import SequenceSpec
 
 DEFAULT_N_SAMPLES = 10**6
@@ -204,21 +204,10 @@ def run_corr(config: dict) -> ExperimentReport:
     return _mc_report("pd-corr", seed, est, {"k": eta.k}, oracle_value=oracle)
 
 
-def _thresholds(config: dict) -> list[float]:
-    raw = _field(config, "c")
-    if isinstance(raw, (int, float)):
-        raw = [raw]
-    try:
-        c = [float(v) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"field 'c' must be a number or list, got {raw!r}") from exc
-    return c
-
-
 def run_cdf(config: dict) -> ExperimentReport:
-    c = _thresholds(config)
+    c = joint_cdf_thresholds(_field(config, "c"))
     oracle = None
-    if len(c) == 1 and c[0] > 0 and 1.0 / c[0] <= dickman.default_table().u_max:
+    if len(c) == 1 and 1.0 / c[0] <= dickman.default_table().u_max:
         oracle = dickman.cdf_l1(c[0])
     if config.get("spec") is not None:
         spec, x = _parse_spec(config), _field(config, "x", int)
@@ -237,7 +226,7 @@ def run_tail(config: dict) -> ExperimentReport:
     guard = _field(config, "guard_band", float, None)
     est = stats.tail_frequency(spec, x, eps)
     oracle = None
-    if 0 < eps < 1 and 1.0 / (1.0 - eps) <= dickman.default_table().u_max:
+    if 1.0 / (1.0 - eps) <= dickman.default_table().u_max:
         oracle = 1.0 - dickman.cdf_l1(1.0 - eps)
     warnings = []
     if guard is not None and oracle is not None and est.value > guard * oracle:

@@ -69,8 +69,8 @@ from pdlab.errors import ResourceBudgetError, ValidationError
 # for the P+ table that bulk_spectra derives from it.
 MAX_PRIME_TABLE_LIMIT = 300_000_000
 MAX_SPF_SIEVE_LIMIT = 200_000_000
-# leading spectrum entries per value that a build returns by default, and
-# the most a sample set holds
+# leading spectrum entries per value that bulk_spectra and
+# bulk_spectra_trial return by default
 TOP_K = 3
 # entries per segment of the spf sieve (1 MiB of int32)
 _SIEVE_BLOCK = 1 << 18

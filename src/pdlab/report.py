@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +35,17 @@ def moments(values) -> tuple[int, float, float]:
 
 
 def joint_cdf_thresholds(c) -> list[float]:
-    """The thresholds c_1, .., c_k of a joint cdf as floats; ValidationError
-    unless they are a nonempty vector in (0, 1]."""
-    c = [float(v) for v in c]
+    """The thresholds c_1, .., c_k of a joint cdf, given as one number or a
+    list of them, as a list of floats; ValidationError unless they are a
+    nonempty vector in (0, 1]."""
+    if isinstance(c, numbers.Real):
+        c = [c]
+    try:
+        c = [float(v) for v in c]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"thresholds must be a number or a list of numbers, got {c!r}"
+        ) from exc
     if not c or any(not 0 < v <= 1 for v in c):
         raise ValidationError("thresholds must be a nonempty vector in (0, 1]")
     return c

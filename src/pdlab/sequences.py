@@ -367,15 +367,11 @@ def members(spec: SequenceSpec, x: int) -> np.ndarray:
     """All members <= x, ascending, as an int64 array."""
     if x < 1:
         raise ValidationError(f"members requires x >= 1, got {x}")
-    if spec.kind == "uniform":
-        if x > MAX_DENSE_X:
-            raise ResourceBudgetError(f"x={x} exceeds dense enumeration cap")
-        return np.arange(1, x + 1, dtype=np.int64)
-    if spec.kind == "thue_morse":
+    if spec.kind in ("uniform", "thue_morse"):
         if x > MAX_DENSE_X:
             raise ResourceBudgetError(f"x={x} exceeds dense enumeration cap")
         n = np.arange(1, x + 1, dtype=np.int64)
-        return n[_parity_even_vec(n)]
+        return n if spec.kind == "uniform" else n[_parity_even_vec(n)]
     if spec.kind == "shifted_primes":
         top = x + spec.shift
         if top < 2:

@@ -8,7 +8,7 @@ prime-factor spectra (``_spectrum_blocks``), so no whole-set spectrum
 array is held; repeated-factor frequencies and sieve survivor counts
 read the members' divisibility marks alone.  Beside them sit the
 level-of-distribution error sums and a one-sample Kolmogorov-Smirnov
-distance, which reads the leading column of a SampleSet.
+distance, which reads a SampleSet: the members' leading entries.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 from pdlab import arith, dickman, factor, sequences
 from pdlab.boxes import BoxFunction, check_tuple_budget, tuple_sum_per_item
 from pdlab.errors import ResourceBudgetError, ValidationError
-from pdlab.factor import TOP_K
 from pdlab.report import Estimate, joint_cdf_hits, joint_cdf_thresholds, moments
 from pdlab.sequences import SequenceSpec
 
@@ -45,16 +44,15 @@ KS_MARGIN = 1e-10
 
 @dataclass(frozen=True)
 class SampleSet:
-    """The members u of a sequence up to x and the k largest spectrum
-    entries of each, ``top`` (zero padded; the u = 1 member gets the
-    single entry 1), whose leading column ks_distance reads."""
+    """The leading spectrum entry of each member of a sequence up to x, in
+    member order, as the one column of ``top`` (the u = 1 member gets 1),
+    which ks_distance reads."""
 
-    u: np.ndarray
     top: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.u)
+        return len(self.top)
 
 
 def _members(spec: SequenceSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -71,8 +69,8 @@ def _members(spec: SequenceSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _spectrum_blocks(spec: SequenceSpec, x: int, k: int, floor: float | None):
-    """(u, blocks): the members up to x and the one block driver over
-    them, which yields (rows, top, entry_idx, entry_val) per block of
+    """(n, blocks): the number of members up to x and the one block driver
+    over them, which yields (rows, top, entry_idx, entry_val) per block of
     members, in order, as factor's block folds give them.
 
     Polynomial values are factored by the sieve over their arguments
@@ -83,27 +81,22 @@ def _spectrum_blocks(spec: SequenceSpec, x: int, k: int, floor: float | None):
     """
     if spec.kind != "poly":
         u, _ = _members(spec, x)
-        return u, factor.spectra_blocks(u, k, floor)
+        return u.size, factor.spectra_blocks(u, k, floor)
     table = factor._table_for(sequences.poly_range(spec, x).largest)
     u, index = _members(spec, x)
     roots = arith.roots_mod_primes(spec.coeffs, table.primes)
-    return u, factor.sieve_blocks(u, index, table, roots, k, floor)
+    return u.size, factor.sieve_blocks(u, index, table, roots, k, floor)
 
 
-def build_sample_set(spec: SequenceSpec, x: int, k: int = TOP_K) -> SampleSet:
-    """Enumerate the members of the sequence up to x and their k leading entries.
-
-    ``k`` (1..TOP_K) is the number of leading entries per member in
-    ``top``.  The factor peel stops each member after its k-th prime, so
-    a build never computes smaller entries.
-    """
-    if not 1 <= k <= TOP_K:
-        raise ValidationError(f"k must be in [1, {TOP_K}] (at most {TOP_K} columns), got {k}")
-    u, blocks = _spectrum_blocks(spec, x, k, None)
-    top = np.empty((u.size, k), dtype=np.float64)
+def build_sample_set(spec: SequenceSpec, x: int) -> SampleSet:
+    """Enumerate the members of the sequence up to x and their leading
+    entries.  The factor peel stops each member after its largest prime,
+    so a build never computes smaller entries."""
+    n, blocks = _spectrum_blocks(spec, x, 1, None)
+    top = np.empty((n, 1), dtype=np.float64)
     for rows, t, _, _ in blocks:
         top[rows] = t
-    return SampleSet(u=u, top=top)
+    return SampleSet(top=top)
 
 
 def empirical_corr(spec: SequenceSpec, x: int, eta: BoxFunction) -> Estimate:
@@ -116,8 +109,8 @@ def empirical_corr(spec: SequenceSpec, x: int, eta: BoxFunction) -> Estimate:
     array, so no entry list of the whole set is held.
     """
     check_tuple_budget(eta)
-    u, blocks = _spectrum_blocks(spec, x, 0, eta.alpha)
-    per = np.empty(u.size, dtype=np.float64)
+    n, blocks = _spectrum_blocks(spec, x, 0, eta.alpha)
+    per = np.empty(n, dtype=np.float64)
     for rows, _, idx, val in blocks:
         per[rows] = tuple_sum_per_item(idx, val, rows.stop - rows.start, eta)
     return Estimate.mean([moments(per)])
@@ -126,8 +119,8 @@ def empirical_corr(spec: SequenceSpec, x: int, eta: BoxFunction) -> Estimate:
 def empirical_joint_cdf(spec: SequenceSpec, x: int, c) -> Estimate:
     """Frequency of {entry_1 <= c_1, ..., entry_k <= c_k} over members up to x."""
     c = joint_cdf_thresholds(c)
-    u, blocks = _spectrum_blocks(spec, x, len(c), None)
-    return Estimate.frequency(sum(joint_cdf_hits(top, c) for _, top, _, _ in blocks), u.size)
+    n, blocks = _spectrum_blocks(spec, x, len(c), None)
+    return Estimate.frequency(sum(joint_cdf_hits(top, c) for _, top, _, _ in blocks), n)
 
 
 def tail_frequency(spec: SequenceSpec, x: int, eps: float) -> Estimate:
@@ -139,9 +132,9 @@ def tail_frequency(spec: SequenceSpec, x: int, eps: float) -> Estimate:
     """
     if not 0 < eps < 1:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
-    u, blocks = _spectrum_blocks(spec, x, 1, None)
+    n, blocks = _spectrum_blocks(spec, x, 1, None)
     hits = sum(int(np.count_nonzero(top[:, 0] >= 1.0 - eps)) for _, top, _, _ in blocks)
-    return Estimate.frequency(hits, u.size)
+    return Estimate.frequency(hits, n)
 
 
 def ks_distance(values: np.ndarray, ref_cdf) -> float:

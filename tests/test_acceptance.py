@@ -76,7 +76,7 @@ def test_ac02_dickman_marginal_limit(primes_1e7):
     spec, x = sequences.uniform_integers(), 10**7
     t0 = time.perf_counter()
     # the leading column, for KS; tail_frequency folds the members itself
-    s = stats.build_sample_set(spec, x, k=1)
+    s = stats.build_sample_set(spec, x)
     tail = stats.tail_frequency(spec, x, 0.5)
     ks = stats.ks_distance(s.top[:, 0], stats.dickman_reference_cdf())
     dt = time.perf_counter() - t0

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from pdlab import cli, sequences
+from pdlab import cli, sequences, stats
 
 
 def run_cli(*argv):
@@ -456,3 +456,22 @@ def test_member_ops_hold_one_block_beyond_their_arrays(argv, bound_mib, tmp_path
         tracemalloc.stop()
     assert rc == 0
     assert peak < bound_mib, f"{argv[0]} peaked at {peak:.1f} MiB"
+
+
+def test_sample_set_and_ks_hold_one_column():
+    # u (int64, 7.6 MiB), the P+ table (int32, 3.8 MiB) and the leading
+    # column (float64, 7.6 MiB), plus one block of 2**16 members (22.0 MiB
+    # measured; three columns and the whole-set u held 40.5 MiB); KS then
+    # holds the column and its sorted copy
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        sample = stats.build_sample_set(sequences.uniform_integers(), 10**6)
+        ks = stats.ks_distance(sample.top[:, 0], stats.dickman_reference_cdf())
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert sample.top.shape == (10**6, 1) and sample.n == 10**6
+    assert abs(ks - 78499 / 10**6) < 1e-12  # the atom (pi(x) + 1)/x
+    assert peak < 26, f"build and KS peaked at {peak:.1f} MiB"

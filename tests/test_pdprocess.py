@@ -365,5 +365,9 @@ def test_validation_errors():
         pdprocess.joint_cdf_mc([], 10, seed=0)
     with pytest.raises(ValidationError):
         pdprocess.joint_cdf_mc([1.5], 10, seed=0)
+    for c in (None, ["a"], [[0.5]]):
+        with pytest.raises(ValidationError):
+            pdprocess.joint_cdf_mc(c, 10, seed=0)
+    assert pdprocess.joint_cdf_mc(0.5, 10, 1) == pdprocess.joint_cdf_mc([0.5], 10, 1)
     with pytest.raises(ValidationError):
         pdprocess.joint_cdf_mc([0.5], 0, seed=0)

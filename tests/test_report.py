@@ -4,10 +4,12 @@ joint-cdf hit count."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdlab.report import Estimate, joint_cdf_hits, moments
+from pdlab.errors import ValidationError
+from pdlab.report import Estimate, joint_cdf_hits, joint_cdf_thresholds, moments
 
 finite = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
 
@@ -56,3 +58,14 @@ def test_joint_cdf_hits_count_rows_under_every_threshold(seed, k, n):
     want = int(np.count_nonzero(np.all(top[:, :k] <= np.asarray(c)[None, :], axis=1)))
     # the hit count reads only the first len(c) columns of a wider top
     assert joint_cdf_hits(top, c) == joint_cdf_hits(np.ascontiguousarray(top[:, :k]), c) == want
+
+
+def test_thresholds_are_one_number_or_a_list():
+    assert joint_cdf_thresholds(0.5) == joint_cdf_thresholds([0.5]) == [0.5]
+    assert joint_cdf_thresholds([1, 0.25]) == [1.0, 0.25]
+
+
+@pytest.mark.parametrize("c", [None, ["a"], [[0.5]], 0, float("nan")])
+def test_malformed_thresholds_are_validation_errors(c):
+    with pytest.raises(ValidationError, match="threshold"):
+        joint_cdf_thresholds(c)

@@ -97,7 +97,7 @@ def test_joint_cdf_matches_brute_force(brute_spectra):
     ids=["spf", "trial", "poly_sieve"],
 )
 def test_member_cdf_takes_more_than_top_k_thresholds(spec, x):
-    # four thresholds, one more than a sample set holds, against the
+    # four thresholds, one more than factor.TOP_K, against the
     # scalar spectra; no entry lies within the scalar path's last-bit
     # difference of a threshold, so the count is exact
     c = [0.61, 0.37, 0.23, 0.11]
@@ -443,6 +443,8 @@ SHAPED_CASES = {
     "uniform": (sequences.uniform_integers(), 10**5, None),
     "thue_morse": (sequences.thue_morse_zeros(), 10**5, None),
     "shifted_primes": (sequences.shifted_primes(1), 10**6, None),
+    # sparse: the trial source
+    "shifted_primes_far": (sequences.shifted_primes(-9 * 10**6), 10**7, None),
     "x2p1": (sequences.polynomial_values([1, 0, 1]), 10**9, None),  # sieve over n
     "subsample": (sequences.uniform_integers(), 10**6, 20000),  # seed 4
 }
@@ -463,14 +465,15 @@ def _member_multisets(idx, val):
 def test_shaped_builds_equal_the_complete_build(complete_build):
     name, (spec, x, u, index), (full_top, full_idx, full_val) = complete_build
     dense = factor.is_dense(u)
-    assert dense == (name != "x2p1")
+    assert dense == (name not in ("shifted_primes_far", "x2p1"))
     for k in (1, 2, 3):
         top, idx, val = _fold(spec, x, u, index, k, None)
         assert idx.size == 0 and val.size == 0
         assert top.shape == (u.size, k)
         assert np.array_equal(top, full_top[:, :k])
-        if name != "subsample":
-            assert np.array_equal(stats.build_sample_set(spec, x, k=k).top, top)
+    if name != "subsample":
+        # the sample set is the leading column of the complete build
+        assert np.array_equal(stats.build_sample_set(spec, x).top, full_top[:, :1])
     for floor in (0.1, 0.25):
         top, idx, val = _fold(spec, x, u, index, 0, floor)
         assert top.shape == (u.size, 0)
@@ -499,13 +502,11 @@ def test_poly_sieve_reproduces_the_trial_path(name):
     table = factor.build_prime_table(max(math.isqrt(int(mem.max())) + 1, 3))
     t_idx, t_val, t_top = factor.bulk_spectra_trial(mem, table, 3, 0.0)
     for k in (1, 2, 3):
-        if size is None:
-            s = stats.build_sample_set(spec, x, k)
-            assert np.array_equal(s.u, mem)
-            top = s.top
-        else:
-            top = _fold(spec, x, mem, index, k, None)[0]
+        top = _fold(spec, x, mem, index, k, None)[0]
         assert np.array_equal(top, t_top[:, :k]), f"k={k}"
+    if size is None:
+        assert np.array_equal(sequences.members(spec, x), mem)
+        assert np.array_equal(stats.build_sample_set(spec, x).top, t_top[:, :1])
     for floor in (0.0, 0.25):
         _, idx, val = _fold(spec, x, mem, index, 0, floor)
         keep = t_val >= floor
@@ -613,7 +614,7 @@ def test_members_only_build_factors_nothing(monkeypatch):
         (sequences.uniform_integers(), 10**5),
         (sequences.polynomial_values([1, 0, 1]), 10**9),
     ]
-    want = [stats.build_sample_set(spec, x, 1).u for spec, x in cases]
+    want = [sequences.members(spec, x) for spec, x in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a members-only build must not sieve or factor")
@@ -622,12 +623,6 @@ def test_members_only_build_factors_nothing(monkeypatch):
     monkeypatch.setattr(factor, "build_prime_table", refuse)
     for (spec, x), u in zip(cases, want):
         assert np.array_equal(stats._members(spec, x)[0], u)
-
-
-def test_more_than_top_k_columns_are_refused():
-    spec = sequences.uniform_integers()
-    with pytest.raises(ValidationError, match="at most"):
-        stats.build_sample_set(spec, 1000, k=stats.TOP_K + 1)
 
 
 BLOCK_CASES = {
