@@ -36,10 +36,12 @@ _REQUIRED = object()
 
 
 def _field(config: dict, name: str, kind=None, default=_REQUIRED):
-    """config[name] read as ``kind`` (int, float, or None for the raw value).
+    """config[name] read as ``kind`` (int, float, str, or None for the raw
+    value).
 
     An absent or null field takes ``default``, and without one it is a
-    ValidationError, as is a value that is not of its kind.
+    ValidationError, as is a value that is not of its kind; a boolean is
+    neither an int nor a float.
     """
     val = config.get(name)
     if val is None:
@@ -49,10 +51,14 @@ def _field(config: dict, name: str, kind=None, default=_REQUIRED):
     if kind is int:
         return integral(val, f"field {name!r}")
     if kind is float:
-        try:
-            return float(val)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"field {name!r} must be a number, got {val!r}") from exc
+        if not isinstance(val, bool):
+            try:
+                return float(val)
+            except (TypeError, ValueError):
+                pass
+        raise ValidationError(f"field {name!r} must be a number, got {val!r}")
+    if kind is str and not isinstance(val, str):
+        raise ValidationError(f"field {name!r} must be a string, got {val!r}")
     return val
 
 
@@ -152,9 +158,10 @@ def _mc_report(
 def run_rho(config: dict) -> ExperimentReport:
     u_max = _field(config, "u_max", int, dickman.DEFAULT_U_MAX)
     table = dickman.RhoTable(u_max=u_max)
-    if config.get("table_out"):
+    table_out = _field(config, "table_out", str, None)
+    if table_out:
         try:
-            table.dump_csv(config["table_out"], step=_field(config, "step", float, 0.01))
+            table.dump_csv(table_out, step=_field(config, "step", float, 0.01))
         except OSError as exc:
             raise ValidationError(f"cannot write table: {exc}") from exc
     est = table.rho(2.0)
@@ -481,10 +488,10 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             if args.format == "json":
                 raise ValidationError("sweep writes one CSV row per run; --format json is not available")
-            experiment = config.pop("experiment", None)
-            if experiment is None:
-                raise ValidationError("sweep needs an 'experiment' field")
-            axis = config.pop("axis", None)
+            experiment = _field(config, "experiment", str)
+            axis = _field(config, "axis", str, None)
+            del config["experiment"]
+            config.pop("axis", None)
             reports = sweep(experiment, config, axis, config.pop("values", None))
         else:
             reports = [run(args.command, config)]

@@ -31,15 +31,12 @@ into what its consumer reads, and stops each value by one of two rules:
 * entries at or above a floor: entries descend, so a value retires at its
   first entry below the floor; floor = 0.0 keeps complete spectra.
 
-The fold runs on a lazy live frame, as ``pdprocess._stick_rounds`` does:
-the frame holds the rows with the peel's per-row state and log(u), every
-step runs over all of its rows, and a live mask keeps the rows that have
-left out of the top-k columns and the kept entries.  The frame drops them
-only once fewer than half of its rows are live, so no per-row array is
-compacted until then, and entries stay in ascending row order per batch.
-Until a block's frame first compacts, and when the block has no value 1,
-the frame's rows are the whole block: the fold then reads u and writes
-the top-k columns by slices, with no gather or scatter by row.
+The fold holds the rows still in play with the peel's per-row state and
+log(u); in the step where rows finish, one take per array drops them, as
+``pdprocess._stick_rounds`` does, so entries stay in ascending row order
+per batch.  While a block has no value 1 and no row has finished, the
+rows are the whole block: the fold then reads u and writes the top-k
+columns by slices, with no gather or scatter by row.
 
 The fold runs over blocks of at most MEMBER_BLOCK values (``_fold_blocks``):
 each block peels from the shared P+ table, by its own trial division, or
@@ -362,20 +359,19 @@ def _checked_values(values, vmax: int, table: str) -> np.ndarray:
 
 
 def _fold_spectra(values, peel, k: int, floor: float | None):
-    """Normalized spectra of values from a peel, on a lazy live frame.
+    """Normalized spectra of values from a peel.
 
     ``peel`` is (rows, state, step): ``rows`` are the positions of the
     values > 1, ascending, and ``state`` the peel's per-row arrays;
-    ``step(j, state)`` gives, for every row of the frame, the (j+1)-th
+    ``step(j, state)`` gives, for each row still in play, the (j+1)-th
     largest prime factor p of its value, with multiplicity, and whether
-    the value has another.  The frame holds the rows with their state and
+    the value has another.  The fold holds the rows with their state and
     log(u).  A row leaves once its value has no next prime or the fold
     needs none: the fold needs a value's next entry while j + 1 < k (a
     top-k column) or while its entry is >= floor (entries descend, so the
-    first entry below the floor retires the value).  A row that has left
-    stays in the frame, and keeps stepping, until fewer than half of the
-    frame's rows are live; until then a live mask keeps what it steps to
-    out of ``top`` and out of the kept entries.
+    first entry below the floor retires the value).  The rows that leave
+    in a step are dropped from every array at once, so each step is given
+    exactly the rows that still need an entry.
 
     Returns (top, entry_idx, entry_val): ``top`` (n, k) holds the k
     largest entries log(p)/log(u) per value, which are the first k
@@ -387,13 +383,12 @@ def _fold_spectra(values, peel, k: int, floor: float | None):
     """
     rows, state, step = peel
     top = np.zeros((values.size, k), dtype=np.float64)
-    # with no value 1, the frame holds every row until it first compacts
+    # with no value 1, the rows are the whole block until the first take
     whole = rows.size == values.size
     one = np.zeros(0, dtype=np.int32) if whole else np.flatnonzero(values == 1).astype(np.int32)
     logs = (values if whole else values[rows]).astype(np.float64)
     np.log(logs, out=logs)
     out_idx, out_val = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.float64)]
-    live = None  # every row of the frame is live
     for j in itertools.count():
         if not rows.size:
             break
@@ -401,20 +396,13 @@ def _fold_spectra(values, peel, k: int, floor: float | None):
         entry = p.astype(np.float64)
         np.log(entry, out=entry)
         entry /= logs
-        if live is not None:
-            more &= live
         if j < k:
-            # column j still holds 0.0 for every row and entries are finite,
-            # so entry * live leaves a departed row's 0.0 as it is
-            col = entry if live is None else entry * live
             if whole:
-                top[:, j] = col
+                top[:, j] = entry
             else:
-                top[rows, j] = col
+                top[rows, j] = entry
         if floor is not None:
             keep = entry >= floor
-            if live is not None:
-                keep &= live
             at = np.flatnonzero(keep)
             out_idx.append(rows.take(at))
             out_val.append(entry.take(at))
@@ -422,13 +410,11 @@ def _fold_spectra(values, peel, k: int, floor: float | None):
             if floor is None:
                 break
             more &= keep
-        if 2 * np.count_nonzero(more) < rows.size:
+        if not more.all():
             at = np.flatnonzero(more)
             rows, logs = rows.take(at), logs.take(at)
             state = [a.take(at) for a in state]
-            live, whole = None, False
-        else:
-            live = more
+            whole = False
     if k:
         top[one, 0] = 1.0
     if floor is not None:
@@ -462,8 +448,7 @@ def _fold_blocks(values, peel, k: int, floor: float | None, key=None):
 
 def _lpf_peel(values: np.ndarray, lpf: np.ndarray):
     """The peel of values, largest prime first, from a P+ table covering
-    them: each step reads p = P+(rem) and divides it out of rem.  A row
-    at rem = 1 reads P+(1) = 1, whose entry is 0.0."""
+    them: each step reads p = P+(rem) and divides it out of rem."""
 
     def step(j, state):
         (rem,) = state
@@ -615,8 +600,8 @@ def _from_the_top(n: int, ascending):
 
     def step(j, state):
         last, count = state
-        # a row past its primes reads an earlier row's prime; the fold
-        # masks it out
-        return p.take(np.maximum(last - j, 0)), count > j + 1
+        # the fold steps only rows with a (j+1)-th prime, so last - j stays
+        # in the row's run
+        return p.take(last - j), count > j + 1
 
     return rows, [np.cumsum(omega)[rows] - 1, omega[rows]], step

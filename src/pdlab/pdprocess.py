@@ -5,18 +5,16 @@ G_1 = 1 - U_1, G_2 = U_1 (1 - U_2), G_3 = U_1 U_2 (1 - U_3), ...; sorting
 them in nonincreasing order gives L_1 >= L_2 >= ...
 
 One round generator, ``_stick_rounds``, draws the sticks of a block of
-samples on a lazy live frame.  The frame holds the block's rows with
-each fold's per-row state arrays (running maximum, running sum, top-k
-columns); every round draws one uniform per live row, in ascending row
-order, and yields the frame's rows, sticks and state for the fold to
-update in place.  A row leaves once its residual is below the fold's
-floor, since no later stick can reach the floor, or once the fold's
-``done`` test marks it; the generator hands leaving rows to the fold's
+samples.  It holds the block's rows still in play with each fold's
+per-row state arrays (running maximum, running sum, top-k columns);
+every round draws one uniform per row, in ascending row order, and
+yields the rows, sticks and state for the fold to update in place.  A
+row leaves once its residual is below the fold's floor, since no later
+stick can reach the floor, or once the fold's ``done`` test marks it;
+the generator hands leaving rows to the fold's
 ``retire(idx, residual, state)`` callback, which writes the row's
-outputs once.  A row that has left keeps u = 1, so its stick is 0.0 and
-its residual and state stay bit-exact; the frame drops such rows only
-when fewer than half of its rows are live.  Every estimator is a fold
-with its own stopping rule:
+outputs once, and drops them from every array in the same round.  Every
+estimator is a fold with its own stopping rule:
 
 * ``_topk_block`` keeps k columns c_0 >= .. >= c_{k-1} and inserts each
   stick by compare-exchange, c_j = max(c_j, min(c_{j-1}, stick)) from
@@ -65,31 +63,25 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _stick_rounds(rng, n: int, floor: float, state, retire=None, done=None):
-    """Stick rounds for n samples on a lazy live frame.
+    """Stick rounds for n samples.
 
-    Each round yields (rows, stick, state): ``rows`` are the sample
-    indices of the frame, ``stick`` each row's new stick and ``state`` the
-    caller's per-row arrays, which the fold updates in place.  Only live
-    rows draw, one uniform each in ascending order; a row that has left
-    keeps u = 1, so its stick is 0.0 and its residual and state stay
-    bit-exact.  After the fold a row leaves if its residual is below
-    ``floor`` (no later stick can reach it) or if ``done(residual, state)``
-    marks it; ``retire(idx, residual, state)`` then gets the leaving rows'
-    indices, residuals and state.  The frame drops the rows that have left
-    only once fewer than half of its rows are live.
+    Each round yields (rows, stick, state): ``rows`` are the indices of
+    the samples still in play, ascending, ``stick`` each row's new stick
+    and ``state`` the caller's per-row arrays, which the fold updates in
+    place.  Every row draws one uniform, in ascending order.  After the
+    fold a row leaves if its residual is below ``floor`` (no later stick
+    can reach it) or if ``done(residual, state)`` marks it;
+    ``retire(idx, residual, state)`` then gets the leaving rows' indices,
+    residuals and state, and one take per array drops them before the
+    next round.
     """
     rows = np.arange(n, dtype=np.int64)
     residual = np.ones(n, dtype=np.float64)
     state = list(state)
     u = np.empty(n, dtype=np.float64)
     stick = np.empty(n, dtype=np.float64)
-    live = None  # every row of the frame is live
-    m = n
-    while m:
-        if live is None:
-            rng.random(out=u)
-        else:
-            u[live] = rng.random(m)
+    while rows.size:
+        rng.random(out=u)
         np.subtract(1.0, u, out=stick)
         stick *= residual
         residual *= u
@@ -97,27 +89,15 @@ def _stick_rounds(rng, n: int, floor: float, state, retire=None, done=None):
         leave = residual < floor
         if done is not None:
             leave |= done(residual, state)
-        if live is not None:
-            leave &= live
         out = np.flatnonzero(leave)
         if not out.size:
             continue
         if retire is not None:
             retire(rows.take(out), residual.take(out), [a.take(out) for a in state])
-        m -= out.size
-        if live is None:
-            live = ~leave
-        else:
-            live[out] = False
-        if 2 * m < rows.size:
-            # a take per array, and ndarray.take holds the GIL: compacting
-            # every round would serialize the worker threads
-            keep = np.flatnonzero(live)
-            rows, residual = rows.take(keep), residual.take(keep)
-            state = [a.take(keep) for a in state]
-            u, stick, live = u[:m], stick[:m], None
-        else:
-            u[out] = 1.0
+        keep = np.flatnonzero(~leave)
+        rows, residual = rows.take(keep), residual.take(keep)
+        state = [a.take(keep) for a in state]
+        u, stick = u[: keep.size], stick[: keep.size]
 
 
 def _entries_above(rng, n: int, floor: float):

@@ -221,17 +221,6 @@ def _irreducible_mod_p(coeffs, p: int) -> bool:
 # membership and enumeration
 
 
-def _popcount_parity_even(n: int) -> bool:
-    return bin(n).count("1") % 2 == 0
-
-
-def _parity_even_vec(arr: np.ndarray) -> np.ndarray:
-    v = arr.astype(np.uint64)
-    for s in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(s)
-    return (v & np.uint64(1)) == 0
-
-
 @lru_cache(maxsize=8)
 def _poly_bounds(spec: SequenceSpec):
     """(n0, below): F increases for n >= n0, and ``below`` maps each
@@ -268,7 +257,7 @@ def membership(spec: SequenceSpec, n: int) -> bool:
         m = n + spec.shift
         return m >= 2 and factor.factorize(m).factors == ((m, 1),)
     if spec.kind == "thue_morse":
-        return _popcount_parity_even(n)
+        return n.bit_count() % 2 == 0
     n0, below = _poly_bounds(spec)
     if n in below:
         return True
@@ -371,7 +360,7 @@ def members(spec: SequenceSpec, x: int) -> np.ndarray:
         if x > MAX_DENSE_X:
             raise ResourceBudgetError(f"x={x} exceeds dense enumeration cap")
         n = np.arange(1, x + 1, dtype=np.int64)
-        return n if spec.kind == "uniform" else n[_parity_even_vec(n)]
+        return n if spec.kind == "uniform" else n[(np.bitwise_count(n) & 1) == 0]
     if spec.kind == "shifted_primes":
         top = x + spec.shift
         if top < 2:

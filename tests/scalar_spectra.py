@@ -1,6 +1,5 @@
 """The scalar reference for the bulk spectrum folds: ``factor.factorize``
-and ``factor.spectrum`` applied value by value, with no peel, block or
-frame."""
+and ``factor.spectrum`` applied value by value, with no peel or block."""
 
 from __future__ import annotations
 

@@ -155,6 +155,31 @@ def test_malformed_config_field_exits_2(argv, tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        # a file name must be a string: 1 and true are not file descriptors
+        ("rho", {"table_out": 1}),
+        ("rho", {"table_out": True}),
+        # a boolean is not a number
+        ("rho", {"table_out": "{tmp}/rho.csv", "step": True}),
+        # the experiment and the axis are names
+        ("sweep", {"experiment": ["rho"], "axis": "u_max", "values": [5]}),
+        ("sweep", {"experiment": "rho", "axis": ["u_max"], "values": [5]}),
+        ("sweep", {"experiment": "rho", "axis": 5, "values": [5]}),
+    ],
+    ids=["table_out-int", "table_out-bool", "step-bool", "experiment-list", "axis-list", "axis-int"],
+)
+def test_malformed_config_file_field_exits_2(command, config, tmp_path, capsys):
+    config = {k: v.replace("{tmp}", str(tmp_path)) if isinstance(v, str) else v
+              for k, v in config.items()}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(command, "--config", str(cfg)) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "rho.csv").exists()
+
+
 def test_integral_float_fields_accepted(tmp_path):
     reports = []
     for spec, x in (({"kind": "poly", "coeffs": [1, 0, 1]}, 10**6),
@@ -438,7 +463,7 @@ def test_sieve_subcommand(tmp_path):
         # u and the P+ table, plus one block of 2**16 members: its
         # spectrum arrays and its top column, some 3 MiB (14.4 MiB measured)
         (["tail", "--eps", "0.1"], 20),
-        # u and the P+ table, plus one block with two top columns (16.5 MiB
+        # u and the P+ table, plus one block with two top columns (17.1 MiB
         # measured)
         (["cdf", "--c", "[0.5,0.3]"], 22),
     ],

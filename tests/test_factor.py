@@ -193,13 +193,14 @@ def _per_member(idx, val):
 
 def _frame_sets(table):
     """Value sets, each folded as its own blocks, that reach both states of
-    the fold's live frame: every row live, and departed rows masked."""
+    the fold: every row of the block in play, and rows taken out as they
+    finish."""
     rng = np.random.Generator(np.random.Philox(key=11))
     return {
         "range": np.arange(1, 61),
         # every row leaves after the first batch
         "primes": table.primes[:40],
-        # u = 1, then rows that stay live longest, one leaving per batch
+        # u = 1, then rows that stay longest, one leaving per batch
         "powers_of_2": 2 ** np.arange(17),
         "one": np.ones(1, dtype=np.int64),
         # not contiguous
@@ -249,8 +250,49 @@ def test_bulk_spectra_do_not_depend_on_the_member_block(block, table, monkeypatc
 
 
 @pytest.mark.parametrize("peel", ["lpf", "trial"])
+@pytest.mark.parametrize("first", [1, 2])
+def test_each_step_gets_the_rows_that_still_need_an_entry(first, peel, table):
+    # a row leaves in the step it finishes: step j is asked for exactly the
+    # values with a (j+1)-th prime whose fold still needs it (the first
+    # entry, a top-k column, or one after an entry at or above the floor)
+    values = np.arange(first, 3001)
+    lpf = factor._largest_factor_table(factor.smallest_factor_sieve(3000))
+    peels = {
+        "lpf": lambda: factor._lpf_peel(values, lpf),
+        "trial": lambda: factor._trial_peel(values, table),
+    }
+    # every value's entries, descending, from the complete fold
+    _, idx, val = factor._fold_spectra(values, peels[peel](), 0, 0.0)
+    entries = [[] for _ in values]
+    for i, v in zip(idx.tolist(), val.tolist()):
+        entries[i].append(v)
+    entries = [e for e, u in zip(entries, values) if u > 1]
+    for k, floor in itertools.product(range(factor.TOP_K + 1), (None, 0.0, 0.3)):
+        if k == 0 and floor is None:
+            continue
+        rows, state, step = peels[peel]()
+        asked = []
+
+        def counting(j, state):
+            asked.append(state[0].size)
+            return step(j, state)
+
+        factor._fold_spectra(values, (rows, state, counting), k, floor)
+        want = []
+        for j in itertools.count():
+            need = sum(
+                len(e) > j and (j < max(k, 1) or (floor is not None and e[j - 1] >= floor))
+                for e in entries
+            )
+            if not need:
+                break
+            want.append(need)
+        assert asked == want, (k, floor)
+
+
+@pytest.mark.parametrize("peel", ["lpf", "trial"])
 def test_fold_of_every_row_matches_the_generic_frame(peel, table):
-    # with no value 1 the frame holds every row, and the fold writes top by
+    # with no value 1 the fold starts on every row, and writes top by
     # columns; a leading 1 puts the same values, one row later, on the
     # generic path
     rest = np.concatenate([np.arange(2, 3001), 2 ** np.arange(12, 20), table.primes[-50:]])

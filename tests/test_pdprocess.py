@@ -16,7 +16,7 @@ from pdlab.report import Estimate
 
 # Reference folds: one boolean-compacted row set per round, drawn with
 # uniform(), every fold gathering and scattering whole-block arrays and
-# top-k merging by a sort.  The live-frame engine must reproduce them bit
+# top-k merging by a sort.  The round generator must reproduce them bit
 # for bit.
 
 
@@ -227,24 +227,26 @@ def test_certified_l1_follows_the_dickman_cdf():
         assert abs(np.count_nonzero(l1 <= c) / n - want) <= 5 * sigma
 
 
-def test_rows_that_leave_stay_frozen_in_the_frame():
-    # a row that leaves keeps u = 1 until the frame drops it: zero sticks,
-    # and the residual and state it retired with
+@pytest.mark.parametrize("rule", ["done", "floor"])
+def test_a_retired_row_is_never_yielded_again(rule):
+    # a row leaves the rounds in the round it retires: every round yields
+    # only rows still in play, ascending, and every row retires once
     n = 1000
-    retired = {}
+    retired = []
 
     def retire(idx, residual, state):
-        retired.update(zip(idx.tolist(), state[0].tolist()))
+        retired.extend(idx.tolist())
 
     def done(residual, state):
         return state[0] > 0.5
 
-    rounds = pdprocess._stick_rounds(pdprocess._block_rng(5, 0), n, 1e-12, [np.zeros(n)], retire, done)
+    floor, stop = (1e-12, done) if rule == "done" else (0.01, None)
+    rounds = pdprocess._stick_rounds(pdprocess._block_rng(5, 0), n, floor, [np.zeros(n)], retire, stop)
     for rows, stick, (lead,) in rounds:
+        assert rows.size == stick.size == lead.size
+        assert (np.diff(rows) > 0).all()
+        assert not np.isin(rows, retired).any()
         np.maximum(lead, stick, out=lead)
-        gone = np.isin(rows, list(retired))
-        assert not stick[gone].any()
-        assert lead[gone].tolist() == [retired[i] for i in rows[gone].tolist()]
     assert sorted(retired) == list(range(n))
 
 

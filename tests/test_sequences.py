@@ -248,10 +248,9 @@ def test_shifted_primes_against_sympy():
 
 
 def test_thue_morse_parity_vectorized_matches_popcount():
-    n = np.arange(1, 5001, dtype=np.int64)
-    vec = sequences._parity_even_vec(n)
-    ref = np.array([bin(int(v)).count("1") % 2 == 0 for v in n])
-    assert np.array_equal(vec, ref)
+    got = sequences.members(sequences.thue_morse_zeros(), 5000)
+    ref = [n for n in range(1, 5001) if bin(n).count("1") % 2 == 0]
+    assert got.dtype == np.int64 and got.tolist() == ref
 
 
 def test_regularity_ratio_falls():

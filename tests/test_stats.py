@@ -675,7 +675,7 @@ def test_sets_do_not_depend_on_the_member_block(name, monkeypatch):
             ests.append(stats.empirical_corr(spec, x, eta))
         assert ests[0] == ests[1]
     # every shape of build, in one block and in blocks of 61 (a short last
-    # one, and frames with departed rows masked), is the scalar path's
+    # one), is the scalar path's
     ref = scalar_spectra(u, factor.build_prime_table(math.isqrt(int(u.max())) + 1))
     for k, floor in itertools.product(range(factor.TOP_K + 1), (None, 0.0, 0.1, 0.5)):
         if k == 0 and floor is None:
