@@ -3,18 +3,21 @@
 A test function eta is a weighted union of axis-aligned boxes in
 (0, inf)^k, each box a product of closed intervals [a_i, b_i].  The
 k-point correlation statistic is the sum of eta over ordered tuples of
-DISTINCT indices; for indicator boxes it reduces to products of per-item
-interval counts, combined over set partitions (indices falling in a
-shared block must land in the intersection interval, with the usual
-(-1)^(|B|-1) (|B|-1)! Moebius weight).  Only the partitions whose
-blocks' intervals meet contribute, and only those are listed
-(``Box.partitions``): at most the product of Bell(size) over the box's
-groups of overlapping intervals, which ``check_tuple_budget`` bounds
-before anything is listed.
+DISTINCT indices: for an indicator box, an item's count T(I_1..I_k) of
+ordered tuples of distinct entries with the i-th in I_i (the factorial
+moment of its entries on the box).  The k-th entry is one of the c(I_k)
+entries in I_k other than the first k - 1, and equals the j-th of them
+only inside I_j & I_k, so T(I_1..I_k) = c(I_k) T(I_1..I_{k-1}) minus
+T(I_1..I_j & I_k..I_{k-1}) summed over the j < k whose I_j meets I_k,
+with T() = 1.  T is symmetric, so each subproblem is keyed by its sorted
+intervals and computed once (``Box.steps``).  Every term is an integer
+in float64: the sums are exact, in any order, while the partial
+products stay below 2**53.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -36,11 +39,11 @@ QUAD_CHUNK = 1 << 12
 # a second of work at some 50 ns per node (2-vCPU x86 host); each added
 # dimension multiplies the count by one level's sub-panel nodes
 QUAD_NODE_BUDGET = 1 << 24
-# partitions a box may list for the distinct-index tuple sums, once per
-# box: Bell(11) = 678 570, the listing of 11 identical intervals, takes
-# some 7 s and 450 MiB (2-vCPU x86 host); Bell(12) = 4 213 597 some six
-# times that
-MAX_PARTITIONS = 678_570
+# recurrence terms a box's tuple sums may take: 11 intervals in general
+# position take up to some 27 000, a staircase of 12 overlapping ones 71 679
+MAX_TUPLE_TERMS = 1 << 17
+# float64 values (32 MiB) the tuple sums hold per chunk of items
+TUPLE_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -66,12 +69,9 @@ class Box:
         return list(zip(self.lower, self.upper))
 
     @functools.cached_property
-    def partitions(self) -> tuple[tuple[float, tuple[tuple[float, float], ...]], ...]:
-        """The set partitions of the coordinates whose blocks' intervals
-        all meet (``_meeting_partitions``).  Listed once per box, after
-        ``check_tuple_budget``, and read by every tuple sum over it."""
-        check_tuple_budget(BoxFunction((self,)))
-        return _meeting_partitions(self.intervals())
+    def steps(self) -> tuple:
+        """The tuple-sum recurrence (``_recurrence``), built once per box."""
+        return _recurrence(self.intervals())
 
 
 @dataclass(frozen=True)
@@ -129,74 +129,48 @@ def box(*intervals, weight: float = 1.0) -> BoxFunction:
 
 
 def check_tuple_budget(eta: BoxFunction) -> None:
-    """ResourceBudgetError when a box of eta may list more than
-    MAX_PARTITIONS set partitions, the product of Bell(size) over its
-    groups of overlapping intervals, before any is listed."""
+    """ResourceBudgetError, before any tuple sum runs, when a box of eta
+    takes more than MAX_TUPLE_TERMS recurrence terms: each box builds its
+    steps here, and stops at the budget."""
     for b in eta.boxes:
-        groups = _group_sizes(b.intervals())
-        # Bell(12) alone passes the budget, so no larger Bell number is needed
-        if math.prod(_bell(min(n, 12)) for n in groups) > MAX_PARTITIONS:
-            bells = " x ".join(f"Bell({n})" for n in groups if n > 1)
-            raise ResourceBudgetError(
-                f"a box's tuple sums may list {bells} set partitions over its groups of"
-                f" overlapping intervals, more than the budget of {MAX_PARTITIONS}"
-            )
+        b.steps  # noqa: B018 -- built and cached, or refused
 
 
-def _group_sizes(ivals) -> list[int]:
-    """The sizes of the connected groups of intervals, two joined when
-    they meet (touching included).  A block of a listed partition lies
-    within one group, so a box lists at most the product of Bell(size)."""
-    sizes, reach = [], -math.inf
-    for a, b in sorted(ivals):
-        if a > reach:
-            sizes.append(0)
-        sizes[-1] += 1
-        reach = max(reach, b)
-    return sizes
+def _recurrence(ivals) -> tuple:
+    """The recurrence's steps (interval, prefix, ((subproblem, multiplicity),
+    ...)): T = c(interval) T[prefix] less the sum of multiplicity x
+    T[subproblem], indexing the steps after T[0] = T() = 1.
 
-
-def _meeting_partitions(ivals):
-    """The set partitions of the intervals' indices whose blocks'
-    intervals all meet, each as (sign, intersections): the product of the
-    blocks' Moebius weights (-1)**(|B|-1) (|B|-1)! and each block's
-    common interval.
-
-    Grown index by index: index m opens a block of its own, then joins
-    each block, in order, whose common interval it meets.  Every subset
-    of a meeting block meets, so this lists the meeting partitions among
-    all Bell(k) in the order of the full enumeration (m alone, then m
-    joined to each block in turn, for each partition of the first m
-    indices), and with the same float intersections and signs.
+    A key peels its last interval (a, b), whose lower end is the largest,
+    so an earlier (lo, hi) meets it when hi >= a, in (a, min(hi, b)).  The
+    keys are found one length at a time from the box's down, with no
+    recursion, and stepped shortest first, so the box's own is the last.
     """
-    parts = [()]
-    for a, b in ivals:
-        grown = []
-        for part in parts:
-            grown.append(part + ((a, b, 1),))
-            for i, (lo, hi, size) in enumerate(part):
-                lo, hi = max(lo, a), min(hi, b)
-                if lo <= hi:
-                    grown.append(part[:i] + ((lo, hi, size + 1),) + part[i + 1 :])
-        parts = grown
-    out = []
-    for part in parts:
-        sign = 1.0
-        for _, _, size in part:
-            sign *= (-1.0) ** (size - 1) * math.factorial(size - 1)
-        out.append((sign, tuple((lo, hi) for lo, hi, _ in part)))
-    return tuple(out)
-
-
-def _bell(n: int) -> int:
-    """The Bell number B(n), the first entry of row n of the Bell triangle."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
+    levels, terms = [{tuple(sorted(ivals)): None}], 0
+    for _ in ivals:
+        below = {}
+        for key in levels[-1]:
+            *rest, (a, b) = key
+            minus = collections.Counter(
+                tuple(sorted(rest[:j] + [(a, min(hi, b))] + rest[j + 1 :]))
+                for j, (_, hi) in enumerate(rest)
+                if hi >= a
+            )
+            levels[-1][key] = ((a, b), tuple(rest), minus)
+            below.update(dict.fromkeys([tuple(rest), *minus]))
+            terms += 1 + len(minus)
+            if terms > MAX_TUPLE_TERMS:
+                raise ResourceBudgetError(
+                    f"the tuple sums over a box of {len(ivals)} intervals take more than"
+                    f" {MAX_TUPLE_TERMS} recurrence terms, the budget"
+                )
+        levels.append(below)
+    index, steps = {(): 0}, []
+    for level in reversed(levels[:-1]):
+        for key, (ival, prefix, minus) in level.items():
+            steps.append((ival, index[prefix], tuple((index[k], m) for k, m in minus.items())))
+            index[key] = len(steps)
+    return tuple(steps)
 
 
 def tuple_sum_per_item(
@@ -207,30 +181,36 @@ def tuple_sum_per_item(
     ``values`` holds all point coordinates (spectrum entries or PD
     entries), ``item_idx`` maps each value to its item.  Every value of
     the item at or above eta's support lower bound must be present.  Each
-    box's set partitions come from its ``partitions``, listed on the first
-    call and reused by every later one (each block of members or samples);
-    a box past ``check_tuple_budget`` raises ResourceBudgetError there.
+    box steps its recurrence (``Box.steps``: built once, and past
+    ``check_tuple_budget`` a ResourceBudgetError) over the items' counts
+    per interval, in chunks of items that hold TUPLE_CHUNK values at most.
     """
+    steps = [b.steps for b in eta.boxes]
+    held = 1 + max(map(len, steps)) + len({step[0] for box_steps in steps for step in box_steps})
+    width = max(1, TUPLE_CHUNK // held)
+    if width < n_items:
+        order = np.argsort(item_idx)
+        item_idx, values = item_idx[order], values[order]
     out = np.zeros(n_items, dtype=np.float64)
-    count_cache: dict[tuple[float, float], np.ndarray] = {}
-
-    def counts(interval):
-        if interval not in count_cache:
-            lo, hi = interval
-            sel = (values >= lo) & (values <= hi)
-            count_cache[interval] = np.bincount(
-                item_idx[sel], minlength=n_items
-            ).astype(np.float64)
-        return count_cache[interval]
-
-    for b in eta.boxes:
-        acc = np.zeros(n_items, dtype=np.float64)
-        for sign, inters in b.partitions:
-            term = counts(inters[0])
-            for inter in inters[1:]:
-                term = term * counts(inter)
-            acc += sign * term
-        out += b.weight * acc
+    for start in range(0, n_items, width):
+        n = min(width, n_items - start)
+        idx, val = item_idx, values
+        if width < n_items:
+            lo, hi = np.searchsorted(item_idx, (start, start + n))
+            idx, val = item_idx[lo:hi] - start, values[lo:hi]
+        counts: dict[tuple[float, float], np.ndarray] = {}
+        for b in eta.boxes:
+            t = [1.0]
+            for (a, z), prefix, minus in b.steps:
+                if (a, z) not in counts:
+                    sel = (val >= a) & (val <= z)
+                    counts[a, z] = np.bincount(idx[sel], minlength=n).astype(np.float64)
+                # a step on T() = 1 has one interval, so nothing to subtract
+                v = counts[a, z] * t[prefix] if prefix else counts[a, z]
+                for j, m in minus:
+                    v -= t[j] if m == 1 else m * t[j]
+                t.append(v)
+            out[start : start + n] += b.weight * t[-1]
     return out
 
 

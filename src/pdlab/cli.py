@@ -348,6 +348,9 @@ def run(experiment: str, config: dict) -> ExperimentReport:
     """Run a single experiment; the report embeds the config it ran from."""
     if experiment not in RUNNERS:
         raise ValidationError(f"unknown experiment {experiment!r}")
+    # every subcommand takes --seed and --threads, so every one checks them
+    _seed(config)
+    _threads(config)
     t0 = time.perf_counter()
     report = RUNNERS[experiment](config)
     report.wall_time = time.perf_counter() - t0

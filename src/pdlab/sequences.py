@@ -28,6 +28,7 @@ set was enumerated from.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -174,29 +175,36 @@ def _check_poly(coeffs) -> None:
     )
 
 
-def _divisors(n: int) -> list[int]:
-    """The positive divisors of n != 0, from its prime powers."""
-    out = [1]
-    for p, e in factor.factorize(abs(n)).factors:
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return out
-
-
 def _has_rational_root(coeffs) -> bool:
-    """Whether F of degree 2 or 3 has a rational root: a quadratic exactly
-    when its discriminant is a square, with no factoring; a cubic by the
-    rational-root test over the divisors of c0 and lead F."""
+    """Whether F of degree d = 2 or 3 has a rational root, with no
+    factoring: with a = lead F, F(r) = 0 exactly when a r is a root of the
+    monic integer G(Y) = a**(d-1) F(Y / a), so exactly when G has an
+    integer root.  Those lie in (-B, B), B = 1 + max |g_i|, and G is
+    monotone between the real roots of G', which math.isqrt places within
+    one of the cuts; an integer bisection decides each piece."""
     deg = arith.poly_degree(coeffs)
+    g = [c * coeffs[deg] ** (deg - 1 - i) for i, c in enumerate(coeffs[:deg])] + [1]
+
+    def at(y):
+        return sum(c * y**i for i, c in enumerate(g))
+
     if deg == 2:
-        c, b, a = coeffs
-        disc = b * b - 4 * a * c
-        return disc >= 0 and math.isqrt(disc) ** 2 == disc
-    ps = _divisors(coeffs[0])
-    # root s/q iff sum c_i s^i q^(deg-i) = 0
-    return any(
-        sum(c * s**i * q ** (deg - i) for i, c in enumerate(coeffs)) == 0
-        for q in _divisors(coeffs[deg]) for p in ps for s in (p, -p)
-    )
+        near = [-g[1] // 2]
+    else:
+        s = math.isqrt(max(g[2] ** 2 - 3 * g[1], 0))
+        near = [(-g[2] - s) // 3, (-g[2] + s) // 3]
+    bound = 1 + max(map(abs, g))
+    cuts = sorted({-bound, bound, *(q + i for q in near for i in (-1, 0, 1, 2))})
+    if any(at(c) == 0 for c in cuts):
+        return True
+    for lo, hi in itertools.pairwise(cuts):
+        neg = at(lo) < 0
+        while hi - lo > 1 and (at(hi) < 0) != neg:
+            mid = (lo + hi) // 2
+            if at(mid) == 0:
+                return True
+            lo, hi = (mid, hi) if (at(mid) < 0) == neg else (lo, mid)
+    return False
 
 
 def _irreducible_mod_p(coeffs, p: int) -> bool:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -33,9 +34,10 @@ def set_partitions(k: int):
 
 
 def filtered_partitions(b: Box):
-    """The reference for Box.partitions: every set partition of the full
-    enumeration, kept when each block's intervals meet, as (sign,
-    intersections)."""
+    """Every set partition of the full enumeration whose blocks'
+    intervals all meet, as (sign, intersections): the product of the
+    blocks' Moebius weights (-1)**(|B|-1) (|B|-1)! and each block's
+    common interval."""
     ivals = b.intervals()
     out = []
     for part in set_partitions(b.k):
@@ -53,8 +55,8 @@ def filtered_partitions(b: Box):
 
 
 def reference_tuple_sum(item_idx, values, n_items, eta):
-    """tuple_sum_per_item over the filtered full enumeration, term by term
-    in the same order."""
+    """The distinct-index tuple sums as the signed sum, over the meeting
+    set partitions, of the products of the blocks' interval counts."""
     out = np.zeros(n_items)
     for b in eta.boxes:
         acc = np.zeros(n_items)
@@ -83,14 +85,22 @@ def test_box_validation():
 def test_set_partition_counts():
     from pdlab import boxes
 
-    # Bell numbers 1, 2, 5, 15, 52: the full enumeration, and the listing
-    # of k identical intervals, where every block meets; k disjoint
-    # intervals list the one partition into singletons
+    # the reference enumeration lists the Bell numbers 1, 2, 5, 15, 52; the
+    # recurrence over k identical or k disjoint intervals takes one step
+    # per length, k identical ones subtracting the shorter key k - 1 times
     for k, bell in ((1, 1), (2, 2), (3, 5), (4, 15), (5, 52)):
-        assert len(set_partitions(k)) == bell == boxes._bell(k)
-        assert len(box(*[(0.1, 0.2)] * k).boxes[0].partitions) == bell
+        assert len(set_partitions(k)) == bell
+        steps = box(*[(0.1, 0.2)] * k).boxes[0].steps
+        assert [minus for _, _, minus in steps] == [((j, j),) if j else () for j in range(k)]
         disjoint = box(*[(0.1 * i + 0.01, 0.1 * i + 0.05) for i in range(k)]).boxes[0]
-        assert disjoint.partitions == ((1.0, tuple(disjoint.intervals())),)
+        assert [minus for _, _, minus in disjoint.steps] == [()] * k
+    # the sizes of the recurrence, counting T() = 1, against the meeting
+    # partitions: 11 identical intervals take 12 subproblems for 678 570
+    # partitions, a chain of 12 touching ones 24 for 233
+    chain = [(0.01 * (i + 1), 0.01 * (i + 2)) for i in range(12)]
+    for ivals, size in (([(0.1, 0.2)] * 11, 12), (chain, 24),
+                        ([(0.1, 0.2)] * 7 + [(0.3, 0.4)] * 7, 15)):
+        assert 1 + len(boxes._recurrence(ivals)) == size
 
 
 def random_box(rng, k: int) -> Box:
@@ -114,25 +124,80 @@ def random_box(rng, k: int) -> Box:
     return Box(tuple(a for a, _ in ivals), tuple(b for _, b in ivals))
 
 
-def test_partitions_equal_the_filtered_full_enumeration():
-    # overlapping, nested, identical and touching intervals: the listing
-    # keeps the full enumeration's meeting partitions, in its order, with
-    # the same signs and intersections, so the tuple sums keep their bits;
-    # their number is within the budget's bound
-    from pdlab import boxes
-
+def test_tuple_sums_equal_the_filtered_full_enumeration():
+    # overlapping, nested, identical and touching intervals: the recurrence
+    # gives the signed sum over the meeting set partitions to the bit
     rng = np.random.Generator(np.random.Philox(key=26))
     values = np.round(rng.uniform(0.0, 0.9, 400), 2)  # on the grid, so on the ends too
     idx = rng.integers(0, 40, values.size)
     for trial in range(300):
-        k = 1 + trial % 8
-        b = random_box(rng, k)
-        assert b.partitions == filtered_partitions(b), f"trial {trial}: {b.intervals()}"
-        bound = math.prod(len(set_partitions(n)) for n in boxes._group_sizes(b.intervals()))
-        assert len(b.partitions) <= bound, f"trial {trial}: {b.intervals()}"
+        b = random_box(rng, 1 + trial % 8)
         eta = BoxFunction(boxes=(b, Box(b.lower, b.upper, weight=-1.5)))
         got = tuple_sum_per_item(idx, values, 40, eta)
-        assert np.array_equal(got, reference_tuple_sum(idx, values, 40, eta)), f"trial {trial}"
+        want = reference_tuple_sum(idx, values, 40, eta)
+        assert got.tobytes() == want.tobytes(), f"trial {trial}: {b.intervals()}"
+
+
+def test_chunks_of_items_agree(monkeypatch):
+    # a box whose steps pass the chunk's values takes the items in sorted
+    # chunks, one item each at the extreme, with the same bits
+    from pdlab import boxes
+
+    rng = np.random.Generator(np.random.Philox(key=29))
+    values = np.round(rng.uniform(0.0, 0.9, 600), 2)
+    idx = rng.integers(0, 50, values.size)
+    eta = BoxFunction(boxes=(random_box(rng, 6), random_box(rng, 6)))
+    want = tuple_sum_per_item(idx, values, 50, eta)
+    for chunk in (1, 97, 1000):
+        monkeypatch.setattr(boxes, "TUPLE_CHUNK", chunk)
+        assert tuple_sum_per_item(idx, values, 50, eta).tobytes() == want.tobytes()
+
+
+def test_identical_intervals_give_falling_factorials():
+    # an item with c entries in the interval has (c)_k = c (c - 1) .. (c - k + 1)
+    # ordered k-tuples of distinct ones
+    c = np.arange(16)
+    values = np.concatenate([np.full(n, 0.15) for n in c] + [np.full(20, 0.3)])
+    idx = np.concatenate([np.repeat(c, c), np.zeros(20, dtype=np.int64)])
+    for k in (12, 13):
+        want = [float(math.perm(n, k)) for n in c]
+        assert tuple_sum_per_item(idx, values, c.size, box(*[(0.1, 0.2)] * k)).tolist() == want
+
+
+def _injections(vals, ivals) -> int:
+    """Ordered tuples of distinct entries with the i-th in the i-th interval:
+    the assignments of the intervals to distinct entries, counted by
+    placing the entries one by one over the sets of intervals filled."""
+    ways = {0: 1}
+    for v in vals:
+        for filled, n in list(ways.items()):
+            for i, (a, b) in enumerate(ivals):
+                if not filled >> i & 1 and a <= v <= b:
+                    ways[filled | 1 << i] = ways.get(filled | 1 << i, 0) + n
+    return ways.get((1 << len(ivals)) - 1, 0)
+
+
+def test_long_boxes_brute_force():
+    # a chain of 12 touching intervals, past the parent's Bell(12) bound, and
+    # two groups of 7 identical ones, past Bell(7)**2: the counts of the
+    # injective assignments, with entries on the shared ends too; a box of
+    # 3 intervals checks the assignment count against the permutations
+    rng = np.random.Generator(np.random.Philox(key=12))
+    chain = [(0.01 * (i + 1), 0.01 * (i + 2)) for i in range(12)]
+    groups = [(0.1, 0.2)] * 7 + [(0.3, 0.4)] * 7
+    short = [(0.1, 0.3), (0.2, 0.4), (0.3, 0.35)]
+    for ivals, grid in ((chain, 0.01 * np.arange(1, 14)), (groups, [0.1, 0.15, 0.2, 0.3, 0.4]),
+                        (short, [0.1, 0.2, 0.3, 0.35])):
+        sizes = rng.integers(len(ivals) - 1, len(ivals) + 4, 6)
+        vals = [np.round(rng.choice(grid, n), 2) for n in sizes]
+        idx = np.repeat(np.arange(sizes.size), sizes)
+        got = tuple_sum_per_item(idx, np.concatenate(vals), sizes.size, box(*ivals))
+        assert got.tolist() == [_injections(v, ivals) for v in vals], ivals
+    for v in vals:
+        assert _injections(v, short) == sum(
+            all(a <= v[j] <= b for j, (a, b) in zip(tup, short))
+            for tup in itertools.permutations(range(v.size), len(short))
+        )
 
 
 def test_exact_product_formula():
@@ -287,34 +352,34 @@ def test_tuple_sum_overlapping_intervals_brute_force():
 def test_tuple_sum_dimension_budget(monkeypatch):
     from pdlab import boxes, pdprocess, sequences, stats
 
-    # disjoint boxes of any k run, listing one partition: each item has
+    # disjoint boxes of any k run, one step per interval: each item has
     # one value in each of the disjoint intervals or misses one
-    for k in (10, 13):
-        ivals = [(0.01 * (2 * i + 1), 0.01 * (2 * i + 2)) for i in range(k)]
-        vals = np.array([a + 0.001 for a, _ in ivals + ivals[:-1]])
+    for k in (10, 13, 2000):
+        ivals = [(1e-4 * (2 * i + 1), 1e-4 * (2 * i + 2)) for i in range(k)]
+        vals = np.array([a + 1e-5 for a, _ in ivals + ivals[:-1]])
         idx = np.repeat([0, 1], [k, k - 1])
         assert tuple_sum_per_item(idx, vals, 2, box(*ivals)).tolist() == [1.0, 0.0]
-    # 11 identical intervals list all Bell(11) = 678 570 partitions, the
-    # budget; two groups of 7 identical intervals list Bell(7)**2 = 769 129
-    boxes.check_tuple_budget(box(*[(0.1, 0.2)] * 11))
-    with pytest.raises(ResourceBudgetError, match=r"Bell\(7\) x Bell\(7\)"):
-        boxes.check_tuple_budget(box(*[(0.1, 0.2)] * 7, *[(0.3, 0.4)] * 7))
+    # within the budget: 12 identical intervals, a chain of 12 touching
+    # ones and two groups of 7, which the partition listing refused
+    for ivals in ([(0.1, 0.2)] * 12, [(0.01 * (i + 1), 0.01 * (i + 2)) for i in range(12)],
+                  [(0.1, 0.2)] * 7 + [(0.3, 0.4)] * 7):
+        boxes.check_tuple_budget(box(*ivals))
 
-    # 12 identical intervals would list Bell(12) = 4 213 597: refused with
-    # nothing listed, enumerated or drawn
+    # a staircase of 13 overlapping intervals takes more than 2**17 terms:
+    # refused at once, with nothing enumerated or drawn
     def forbidden(*args, **kwargs):
-        raise AssertionError("ran past the partition budget")
+        raise AssertionError("ran past the recurrence budget")
 
-    monkeypatch.setattr(boxes, "_meeting_partitions", forbidden)
     monkeypatch.setattr(stats, "_spectrum_blocks", forbidden)
     monkeypatch.setattr(pdprocess, "_stick_rounds", forbidden)
-    eta = box(*[(0.1, 0.2)] * 12)
-    with pytest.raises(ResourceBudgetError, match=r"Bell\(12\)"):
-        tuple_sum_per_item(idx, vals, 2, eta)
-    with pytest.raises(ResourceBudgetError, match=r"Bell\(12\)"):
-        stats.empirical_corr(sequences.uniform_integers(), 10**6, eta)
-    with pytest.raises(ResourceBudgetError, match=r"Bell\(12\)"):
-        pdprocess.corr_mc(eta, 10**6, seed=0)
+    eta = box(*[(0.1 + 0.01 * i, 0.3 + 0.01 * i) for i in range(13)])
+    for run in (lambda: tuple_sum_per_item(idx, vals, 2, eta),
+                lambda: stats.empirical_corr(sequences.uniform_integers(), 10**6, eta),
+                lambda: pdprocess.corr_mc(eta, 10**6, seed=0)):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match="recurrence terms"):
+            run()
+        assert time.perf_counter() - t0 < 5.0
 
 
 def test_tuple_sum_symmetry():
@@ -348,19 +413,19 @@ def test_box_function_serialization_round_trip():
         BoxFunction.from_dict({"boxes": [{"lower": [0.1]}]})
 
 
-def test_partitions_listed_once_per_box(monkeypatch):
+def test_steps_built_once_per_box(monkeypatch):
     from pdlab import boxes, factor, pdprocess, sequences, stats
 
     calls = []
-    listing = boxes._meeting_partitions
+    build = boxes._recurrence
 
     def counted(ivals):
         calls.append(len(ivals))
-        return listing(ivals)
+        return build(ivals)
 
-    monkeypatch.setattr(boxes, "_meeting_partitions", counted)
+    monkeypatch.setattr(boxes, "_recurrence", counted)
 
-    def eta():  # new boxes, with nothing listed yet
+    def eta():  # new boxes, with no steps built yet
         return BoxFunction(
             boxes=(Box((0.1, 0.3), (0.2, 0.5)), Box((0.15, 0.25), (0.3, 0.4), weight=2.0))
         )
@@ -373,14 +438,3 @@ def test_partitions_listed_once_per_box(monkeypatch):
     monkeypatch.setattr(factor, "MEMBER_BLOCK", 1000)
     stats.empirical_corr(sequences.uniform_integers(), 10**4, eta())
     assert calls == [2, 2]
-
-
-def test_partitions_keep_the_meeting_ones_in_order():
-    # the first two intervals meet and the third meets neither, so of the
-    # five partitions in the full enumeration's order, ((0,), (1,), (2,)) and
-    # ((0, 1), (2,)) are kept
-    b = Box((0.1, 0.2, 0.5), (0.3, 0.4, 0.6))
-    assert b.partitions == (
-        (1.0, ((0.1, 0.3), (0.2, 0.4), (0.5, 0.6))),
-        (-1.0, ((0.2, 0.3), (0.5, 0.6))),
-    )

@@ -148,6 +148,16 @@ def test_unknown_spec_kind_exits_2():
         ["rho", "--out", "{tmp}/missing/rho.json"],
         ["sweep", "--experiment", "rho", "--axis", "u_max", "--values", "[5]",
          "--out", "{tmp}/missing/rho.csv"],
+        # the sieve window: eps in (0, 1) and a finite delta0
+        ["sieve", "--spec", "uniform", "--x", "1000", "--eps", "nan"],
+        ["sieve", "--spec", "uniform", "--x", "1000", "--eps", "-1"],
+        ["sieve", "--spec", "uniform", "--x", "1000", "--eps", "0.1", "--delta0", "nan"],
+        ["sieve", "--spec", "uniform", "--x", "1000", "--eps", "0.1", "--delta0", "inf"],
+        # every subcommand checks --seed and --threads, read or not
+        ["tail", "--spec", "uniform", "--x", "100", "--eps", "0.1", "--threads", "0"],
+        ["tail", "--spec", "uniform", "--x", "100", "--eps", "0.1", "--seed", "-5"],
+        ["lod", "--spec", "uniform", "--x", "100", "--c", "0.5",
+         "--seed", "18446744073709551616"],
     ],
 )
 def test_malformed_config_field_exits_2(argv, tmp_path, capsys):
@@ -167,8 +177,11 @@ def test_malformed_config_field_exits_2(argv, tmp_path, capsys):
         ("sweep", {"experiment": ["rho"], "axis": "u_max", "values": [5]}),
         ("sweep", {"experiment": "rho", "axis": ["u_max"], "values": [5]}),
         ("sweep", {"experiment": "rho", "axis": 5, "values": [5]}),
+        # a boolean is not a thread count, for any subcommand
+        ("rho", {"table_out": "{tmp}/rho.csv", "threads": True}),
     ],
-    ids=["table_out-int", "table_out-bool", "step-bool", "experiment-list", "axis-list", "axis-int"],
+    ids=["table_out-int", "table_out-bool", "step-bool", "experiment-list", "axis-list", "axis-int",
+         "threads-bool"],
 )
 def test_malformed_config_file_field_exits_2(command, config, tmp_path, capsys):
     config = {k: v.replace("{tmp}", str(tmp_path)) if isinstance(v, str) else v
@@ -227,13 +240,18 @@ def test_oversized_polynomial_corr_exits_3_before_enumerating(monkeypatch, capsy
 
 
 def test_huge_constant_coefficient_exits_3_at_once(capsys):
-    # the rational-root test of a cubic factors c0 = 10**18 + 3, which
-    # needs primes past the prime table budget
+    # X^3 + 10**18 + 3 is irreducible, decided with no factoring of c0; its
+    # values to 2e18 need primes to sqrt F(N) = 1.4e9, past the prime table
+    # budget, so the run stops before enumerating
     spec = '{"kind":"poly","coeffs":[1000000000000000003,0,0,1]}'
     t0 = time.perf_counter()
-    assert run_cli("tail", "--spec", spec, "--x", "100", "--eps", "0.1") == 3
+    assert run_cli("tail", "--spec", spec, "--x", "2000000000000000000", "--eps", "0.1") == 3
     assert time.perf_counter() - t0 < 5.0
     assert "resource budget exceeded" in capsys.readouterr().err
+    # X^3 - (10**20 + 7)**3 has the root 10**20 + 7: reducible, whatever c0's size
+    spec = json.dumps({"kind": "poly", "coeffs": [-(10**20 + 7) ** 3, 0, 0, 1]})
+    assert run_cli("tail", "--spec", spec, "--x", "100", "--eps", "0.1") == 2
+    assert "rational root" in capsys.readouterr().err
 
 
 def test_far_turning_point_exits_3_before_enumerating(capsys):
@@ -333,20 +351,22 @@ def test_sweep_refuses_json_before_running(tmp_path, capsys):
     "path", [["--spec", "uniform", "--x", "1000000"], ["--n-samples", "1000000"]]
 )
 def test_thirteen_point_correlation_exits_3_at_once(path, monkeypatch, capsys):
-    # 13 identical intervals whose lower ends sum past 1 lie outside the
-    # simplex, so the quadrature oracle is quick, and then the tuple sums
-    # would list Bell(13) = 27 644 437 set partitions
-    from pdlab import boxes, pdprocess, stats
+    # a staircase of 13 overlapping intervals whose lower ends sum past 1
+    # lies outside the simplex, so the quadrature oracle is quick, and then
+    # the tuple sums would take more than 2**17 recurrence terms
+    from pdlab import pdprocess, stats
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("ran past the partition budget")
+        raise AssertionError("ran past the recurrence budget")
 
-    for module, name in ((stats, "_spectrum_blocks"), (pdprocess, "_stick_rounds"),
-                         (boxes, "_meeting_partitions")):
+    for module, name in ((stats, "_spectrum_blocks"), (pdprocess, "_stick_rounds")):
         monkeypatch.setattr(module, name, forbidden)
-    assert run_cli("corr", "--boxes", json.dumps([[0.1, 0.2]] * 13), *path) == 3
-    assert "Bell(13)" in capsys.readouterr().err
-    # 13 disjoint intervals list one partition and run, here at 1000
+    stairs = json.dumps([[0.1 + 0.01 * i, 0.3 + 0.01 * i] for i in range(13)])
+    t0 = time.perf_counter()
+    assert run_cli("corr", "--boxes", stairs, *path) == 3
+    assert time.perf_counter() - t0 < 5.0
+    assert "recurrence terms" in capsys.readouterr().err
+    # 13 disjoint intervals take one step each and run, here at 1000
     # members or samples
     monkeypatch.undo()
     disjoint = json.dumps([[0.005 * i + 0.001, 0.005 * i + 0.004] for i in range(13)])

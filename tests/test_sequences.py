@@ -49,14 +49,27 @@ def test_rational_root_past_a_million_is_found():
                 sequences.polynomial_values(coeffs)
 
 
+def _divisor_test(coeffs) -> bool:
+    """The rational-root test over sympy's divisors of c0 and lead F: a
+    root s/q when sum c_i s**i q**(deg - i) = 0."""
+    deg = len(coeffs) - 1
+    return any(
+        sum(c * v**i * d ** (deg - i) for i, c in enumerate(coeffs)) == 0
+        for d in sympy.divisors(coeffs[deg])
+        for n in sympy.divisors(abs(coeffs[0]))
+        for v in (n, -n)
+    )
+
+
 def test_quadratic_reducibility_from_the_discriminant():
-    # a quadratic is settled by b**2 - 4ac, with no factoring of c0
+    # a quadratic is settled with no factoring of c0, and it has a rational
+    # root exactly when b**2 - 4ac is a square, which agrees with the
+    # rational-root test over the divisors of c0 and of the leading
+    # coefficient; about a third of the quadratics are products
+    # (pX + q)(rX + s) by construction
     t0 = time.perf_counter()
     sequences.polynomial_values([10**18 + 3, 0, 1])
     assert time.perf_counter() - t0 < 0.5
-    # and the discriminant agrees with the rational-root test over the
-    # divisors of c0 and of the leading coefficient; about a third of the
-    # quadratics are products (pX + q)(rX + s) by construction
     # double roots: (2X + 3)**2 and (X - 1)**2, discriminant 0
     for coeffs in ([9, 12, 4], [1, -2, 1]):
         assert sequences._has_rational_root(coeffs)
@@ -72,15 +85,45 @@ def test_quadratic_reducibility_from_the_discriminant():
                       int(rng.integers(1, 50))]
             if coeffs[0] == 0:
                 continue
-        want = any(
-            sum(c * v**i * d ** (2 - i) for i, c in enumerate(coeffs)) == 0
-            for d in sympy.divisors(coeffs[2])
-            for n in sympy.divisors(abs(coeffs[0]))
-            for v in (n, -n)
-        )
+        c, b, a = coeffs
+        disc = b * b - 4 * a * c
+        want = _divisor_test(coeffs)
+        assert want == (disc >= 0 and sympy.sqrt(disc).is_integer), coeffs
         assert sequences._has_rational_root(coeffs) == want, coeffs
         reducible += want
     assert 200 < reducible < 600
+
+
+def test_cubic_reducibility_without_factoring():
+    # cubics whose c0 is past the prime table budget are decided at once:
+    # X**3 + 9e16 - 1 and X**3 + 1e17 + 3 are irreducible,
+    # X**3 - (1e20 + 7)**3 is not
+    for coeffs in ([9 * 10**16 - 1, 0, 0, 1], [10**17 + 3, 0, 0, 1]):
+        t0 = time.perf_counter()
+        sequences.polynomial_values(coeffs)
+        assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(ValidationError, match="rational root"):
+        sequences.polynomial_values([-(10**20 + 7) ** 3, 0, 0, 1])
+    # triple and double roots: (2X + 3)**3, (X - 1)**2 (X + 2), and
+    # (X + 1)(X**2 + 1)
+    for coeffs in ([27, 54, 36, 8], [2, -3, 0, 1], [1, 1, 1, 1]):
+        assert sequences._has_rational_root(coeffs)
+    # against the divisor test; about 40% are products (pX + q)(rX**2 + sX + t)
+    rng = np.random.Generator(np.random.Philox(key=29))
+    reducible = 0
+    for _ in range(1000):
+        if rng.random() < 0.4:
+            p, r = (int(v) for v in rng.integers(1, 20, 2))
+            q, s, t = (int(v) for v in rng.integers(-60, 61, 3))
+            coeffs = [q * t, p * t + q * s, p * s + q * r, p * r]
+        else:
+            coeffs = [int(v) for v in rng.integers(-500, 501, 3)] + [int(rng.integers(1, 50))]
+        if coeffs[0] == 0:
+            continue
+        want = _divisor_test(coeffs)
+        assert sequences._has_rational_root(coeffs) == want, coeffs
+        reducible += want
+    assert 300 < reducible < 600
 
 
 def test_irreducible_polynomials_accepted():
