@@ -1,8 +1,8 @@
 """Multiplicative arithmetic functions and per-sequence density functions g.
 
-Covers the Euler totient, the roots and distinct root counts h(d) of
-integer polynomials, the density vectors g(n), and the Mertens-type
-diagnostics sum_{p<=x} g(p) log p - log x.
+Covers the roots and distinct root counts h(d) of integer polynomials,
+the density vectors g(n), and the Mertens-type diagnostics
+sum_{p<=x} g(p) log p - log x.
 
 One copy of F_p[X] arithmetic serves every prime: polynomials are the
 columns of arrays of shape (degree, number of primes), in int64 when every
@@ -29,15 +29,14 @@ ratio; g = 1/n needs no pass.  The same column
 helpers certify irreducibility for ``sequences``: F is irreducible mod p
 when gcd(F, X^(p^d) - X) = 1 for every d <= deg F / 2.
 
-Nothing here factors: the moduli and the density pass read
-``factor.prime_powers``, and the scalar functions ``factor.factorize``.
+Nothing here factors: the moduli, the scalar counts h(d) and the density
+pass read ``factor.prime_powers``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -47,15 +46,6 @@ from pdlab.errors import ResourceBudgetError, ValidationError
 
 # Longest residue list that a scan (roots_mod) or a root lift builds.
 SCAN_BUDGET = 10**6
-
-
-def euler_phi(d: int) -> int:
-    if d < 1:
-        raise ValidationError(f"euler_phi requires d >= 1, got {d}")
-    out = 1
-    for p, e in factor.factorize(d).factors:
-        out *= (p - 1) * p ** (e - 1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +491,14 @@ def poly_root_count_pk(coeffs, p: int, k: int) -> int:
 
 def poly_root_count(coeffs, d: int) -> int:
     """h(d) = prod over p^k || d of h(p^k), by CRT multiplicativity; d past
-    factor.MAX_PRIME_TABLE_LIMIT**2 raises ResourceBudgetError."""
+    factor.MAX_PRIME_TABLE_LIMIT**2 raises ResourceBudgetError before any
+    table is built."""
     if d < 1:
         raise ValidationError(f"poly_root_count requires d >= 1, got {d}")
-    return math.prod(poly_root_count_pk(coeffs, p, e) for p, e in factor.factorize(d).factors)
+    return math.prod(
+        poly_root_count_pk(coeffs, int(p[0]), int(e[0]))
+        for _, p, e in factor.prime_powers(np.array([d]))
+    )
 
 
 def root_classes(coeffs, ds) -> tuple[np.ndarray, np.ndarray]:
@@ -569,17 +563,6 @@ class GFunctionSpec:
             raise ValidationError(f"unknown g-function kind {self.kind!r}")
         if self.kind == "root_density" and poly_degree(self.coeffs) < 1:
             raise ValidationError("root_density needs a polynomial of degree >= 1")
-
-
-def g_eval(g: GFunctionSpec, d: int) -> Fraction:
-    """Exact rational value of g(d), always in [0, 1]."""
-    if d < 1:
-        raise ValidationError(f"g_eval requires d >= 1, got {d}")
-    if g.kind == "reciprocal":
-        return Fraction(1, d)
-    if g.kind == "reciprocal_totient":
-        return Fraction(1, euler_phi(d))
-    return Fraction(poly_root_count(g.coeffs, d), d)
 
 
 def _g_at_primes(g: GFunctionSpec, primes: np.ndarray) -> np.ndarray:

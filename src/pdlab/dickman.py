@@ -20,6 +20,7 @@ from numpy.polynomial import Legendre
 from numpy.polynomial.legendre import leggauss
 
 from pdlab.errors import ResourceBudgetError, ValidationError
+from pdlab.sequences import MAX_DENSE_X
 
 DEFAULT_U_MAX = 20
 DEFAULT_NODES = 40
@@ -101,9 +102,18 @@ class RhoTable:
         return float(1.0 - np.sum(self.rho_vec(t) / (t * t) * (wg / 2.0)))
 
     def dump_csv(self, path, step: float = 0.01) -> None:
-        """Write the table as CSV columns u, rho(u) for plot tooling."""
+        """Write the table as CSV columns u, rho(u) for plot tooling.
+
+        The grid is held whole, one float64 per row as a dense member set
+        holds one integer per member, so past the same cap, MAX_DENSE_X
+        rows, it raises ResourceBudgetError before any array or file.
+        """
         if not 0 < step <= self.u_max:
             raise ValidationError(f"step must be in (0, u_max = {self.u_max}], got {step}")
+        if self.u_max / step > MAX_DENSE_X:
+            raise ResourceBudgetError(
+                f"a step of {step} to u_max = {self.u_max} exceeds {MAX_DENSE_X} rows"
+            )
         grid = np.arange(step, self.u_max + step / 2, step)
         grid = grid[grid <= self.u_max]
         with open(path, "w", newline="") as fh:

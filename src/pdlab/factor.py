@@ -1,9 +1,8 @@
 """Prime generation and factorization, the one place that chooses how.
 
-``prime_powers`` factors any integer array, through an spf sieve when the
-values are dense (``is_dense``), else by one chunked trial division;
-``spectra_blocks`` chooses the same way, and ``factorize`` factors one
-integer.
+``prime_powers`` factors any integer array, one integer included, through
+an spf sieve when the values are dense (``is_dense``), else by one chunked
+trial division; ``spectra_blocks`` chooses the same way.
 
 Three peel sources produce the prime factors of a set of values:
 
@@ -89,40 +88,6 @@ class PrimeTable:
     primes: np.ndarray
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """value = prod(p**e) with primes strictly ascending; value 1 has no factors."""
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        prod = 1
-        prev = 1
-        for p, e in self.factors:
-            if e < 1 or p <= prev:
-                raise ValidationError("factors must be ascending primes with e >= 1")
-            prev = p
-            prod *= p**e
-        if prod != self.value:
-            raise ValidationError(
-                f"factor product {prod} does not reconstruct value {self.value}"
-            )
-
-
-@dataclass(frozen=True)
-class NormalizedSpectrum:
-    """Descending entries log(p_j)/log(u), with multiplicity, summing to 1.
-
-    For u = 1 the spectrum is the single entry 1 (the log 1/log 1 = 1
-    convention); entries beyond the number of prime factors are treated
-    as 0 when padding is needed.
-    """
-
-    u: int
-    entries: tuple[float, ...]
-
-
 def build_prime_table(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes over the odd numbers up to limit (inclusive)."""
     if limit < 2:
@@ -144,56 +109,6 @@ def build_prime_table(limit: int) -> PrimeTable:
 def _table_for(vmax: int) -> PrimeTable:
     """The primes that factor every value up to vmax."""
     return build_prime_table(max(math.isqrt(vmax) + 1, 3))
-
-
-def factorize(u: int, table: PrimeTable | None = None) -> Factorization:
-    """Trial division by table primes up to sqrt(u), for one integer.
-
-    Requires table.limit**2 >= u: after removing all table prime factors
-    p <= sqrt(remaining), at most one cofactor larger than the table limit
-    remains and it is prime.  With no table, it builds the primes up to
-    sqrt(u), which past MAX_PRIME_TABLE_LIMIT**2 raises ResourceBudgetError.
-    """
-    if u < 1:
-        raise ValidationError(f"factorize requires u >= 1, got {u}")
-    if table is None:
-        table = _table_for(u)
-    if table.limit * table.limit < u:
-        raise ValidationError(
-            f"prime table limit {table.limit} too small for u={u} (need limit**2 >= u)"
-        )
-    rem = u
-    factors = []
-    # every prime divisor except at most one cofactor is <= sqrt(rem): scan
-    # the primes in chunks of doubling size, vectorized within a chunk, and
-    # stop once p*p exceeds what remains; u <= MAX_PRIME_TABLE_LIMIT**2 <
-    # 2**62, so rem % cand stays in int64
-    hi = np.searchsorted(table.primes, math.isqrt(u), side="right")
-    lo, size = 0, 64
-    while lo < hi and int(table.primes[lo]) ** 2 <= rem:
-        cand = table.primes[lo : min(lo + size, hi)]
-        for p in cand[rem % cand == 0].tolist():
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            factors.append((p, e))
-        lo += size
-        size *= 2
-    if rem > 1:
-        factors.append((rem, 1))
-    return Factorization(value=u, factors=tuple(factors))
-
-
-def spectrum(f: Factorization) -> NormalizedSpectrum:
-    if f.value == 1:
-        return NormalizedSpectrum(u=1, entries=(1.0,))
-    logu = math.log(f.value)
-    entries = []
-    for p, e in f.factors:
-        entries.extend([math.log(p) / logu] * e)
-    entries.sort(reverse=True)
-    return NormalizedSpectrum(u=f.value, entries=tuple(entries))
 
 
 def smallest_factor_sieve(limit: int) -> np.ndarray:
@@ -377,9 +292,9 @@ def _fold_spectra(values, peel, k: int, floor: float | None):
     largest entries log(p)/log(u) per value, which are the first k
     batches, zero padded; entry_idx, entry_val are the ragged list of
     every entry >= floor with the int32 index of its value, batch by batch
-    and in ascending index within a batch, empty when floor is None.  floor = 0.0 keeps complete
-    spectra.  u = 1 gets the single entry 1 (the log 1 / log 1
-    convention), last.
+    and in ascending index within a batch.  They are empty when floor is
+    None, and floor = 0.0 keeps complete spectra.  u = 1 gets the single
+    entry 1 (the log 1 / log 1 convention), last.
     """
     rows, state, step = peel
     top = np.zeros((values.size, k), dtype=np.float64)

@@ -2,8 +2,8 @@
 
 Each spec is an indicator sequence: uniform integers, shifted primes
 p - a, values of an irreducible polynomial, and the Thue-Morse zero set
-(even number of binary 1s).  Membership, ascending enumeration up to x,
-and the counts N(x) and N_d(x) are exact.
+(even number of binary 1s).  Ascending enumeration up to x and the
+counts N(x) and N_d(x) are exact.
 
 Polynomial values are enumerated by their arguments: F increases from n0
 on, past the real roots of F', so the n in [lo, N] with 1 <= F(n) <= x
@@ -226,7 +226,7 @@ def _irreducible_mod_p(coeffs, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# membership and enumeration
+# enumeration
 
 
 @lru_cache(maxsize=8)
@@ -253,23 +253,6 @@ def _poly_bounds(spec: SequenceSpec):
         if v >= 1:
             below.setdefault(v, n)
     return n0, MappingProxyType(below)
-
-
-def membership(spec: SequenceSpec, n: int) -> bool:
-    """Whether a_n = 1, i.e. n is a member of the sequence."""
-    if n < 1:
-        raise ValidationError(f"membership requires n >= 1, got {n}")
-    if spec.kind == "uniform":
-        return True
-    if spec.kind == "shifted_primes":
-        m = n + spec.shift
-        return m >= 2 and factor.factorize(m).factors == ((m, 1),)
-    if spec.kind == "thue_morse":
-        return n.bit_count() % 2 == 0
-    n0, below = _poly_bounds(spec)
-    if n in below:
-        return True
-    return arith.poly_eval(spec.coeffs, _poly_inverse(spec, n0, n)) == n
 
 
 def _poly_inverse(spec: SequenceSpec, n0: int, v: int) -> int:

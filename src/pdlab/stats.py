@@ -276,8 +276,10 @@ def sieve_survivor_experiment(
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
     if delta0 is None:
         delta0 = (1.0 - eps) / 2.0
-    if not math.isfinite(delta0):
-        raise ValidationError(f"delta0 must be finite, got {delta0}")
+    # no member u <= x has a prime factor above x, so the window ends by
+    # x; this also keeps x**delta0 from overflowing
+    if not delta0 <= 1:
+        raise ValidationError(f"delta0 must be at most 1, got {delta0}")
     lo, hi = x**eps, x**delta0
     table = factor.build_prime_table(max(int(math.floor(hi)) + 1, 3))
     window = table.primes[

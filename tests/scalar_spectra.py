@@ -1,21 +1,25 @@
-"""The scalar reference for the bulk spectrum folds: ``factor.factorize``
-and ``factor.spectrum`` applied value by value, with no peel or block."""
+"""The scalar reference for the bulk spectrum folds: ``scalar.spectrum``
+applied value by value, with no peel or block and no pdlab code."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from pdlab import factor
+import scalar
+from oracles import PrimeCounts
 
 # the bulk folds and the scalar path take logs through numpy and math
 # respectively, which may differ in the last bit
 TOL = 1e-12
 
 
-def scalar_spectra(values, table: factor.PrimeTable) -> np.ndarray:
+def scalar_spectra(values) -> np.ndarray:
     """Each value's spectrum entries, descending, one row per value,
     padded with -inf."""
-    rows = [factor.spectrum(factor.factorize(int(u), table)).entries for u in values]
+    pc = PrimeCounts(math.isqrt(int(np.max(values, initial=1))) + 1)
+    rows = [scalar.spectrum(int(u), pc) for u in values]
     out = np.full((len(rows), max(map(len, rows), default=0)), -np.inf)
     for i, entries in enumerate(rows):
         out[i, : len(entries)] = entries

@@ -7,9 +7,11 @@ from math import gcd
 
 import numpy as np
 import pytest
+import scalar
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import PrimeCounts
 from sympy.polys.galoistools import gf_csolve
 
 from pdlab import arith, factor
@@ -26,9 +28,13 @@ def _discriminant(coeffs) -> int:
     return int(sympy.discriminant(sympy.Poly(list(coeffs)[::-1], x)))
 
 
+# primes for the scalar references, which factor integers to 1e8
+PC = PrimeCounts(10**4)
+
+
 def test_small_multiplicative_values():
-    assert arith.euler_phi(12) == 4
-    assert arith.euler_phi(1) == 1
+    gv, _ = arith._g_h_values(arith.GFunctionSpec(kind="reciprocal_totient"), 12)
+    assert gv[12] == 1 / 4 and gv[1] == 1.0  # phi(12) = 4, phi(1) = 1
 
 
 def test_root_count_pk_examples():
@@ -47,8 +53,7 @@ def test_root_count_examples():
 @pytest.mark.parametrize("coeffs", [X2_PLUS_1, X3_MINUS_2, FIBONACCI_POLY])
 def test_root_count_vs_exhaustive_scan(coeffs):
     for d in range(1, 500):
-        scan = sum(1 for r in range(d) if arith.poly_eval(coeffs, r) % d == 0)
-        assert arith.poly_root_count(coeffs, d) == scan, f"d={d}"
+        assert arith.poly_root_count(coeffs, d) == len(scalar.roots_mod(coeffs, d)), f"d={d}"
 
 
 @pytest.mark.parametrize("coeffs", [X2_PLUS_1, X3_MINUS_2, FIBONACCI_POLY, (1, 1, 3)])
@@ -80,15 +85,6 @@ def test_hensel_matches_scan_at_large_prime_powers():
         assert h == scan
 
 
-def _scan_mod(coeffs, m):
-    """Brute-force root count of F mod m: Horner at every residue."""
-    r = np.arange(m, dtype=np.int64)
-    val = np.zeros(m, dtype=np.int64)
-    for c in reversed(coeffs):
-        val = (val * r + c % m) % m
-    return int(np.count_nonzero(val == 0))
-
-
 # cubic to sextic, with leading coefficients that share primes with small p
 HIGHER_DEGREE = [
     (-2, 0, 0, 1),
@@ -105,7 +101,7 @@ HIGHER_DEGREE = [
 def test_prime_root_count_higher_degree_vs_scan(coeffs):
     primes = [p for p in range(2, 400) if all(p % q for q in range(2, math.isqrt(p) + 1))]
     for p in primes:
-        assert arith.poly_root_count_pk(coeffs, p, 1) == _scan_mod(coeffs, p), f"p={p}"
+        assert arith.poly_root_count_pk(coeffs, p, 1) == len(scalar.roots_mod(coeffs, p)), f"p={p}"
 
 
 # degrees 1 to 6; 3X^2 + X + 1 has 3 | lead and 2X^2 + 2 has content 2
@@ -123,15 +119,6 @@ FINDER_POLYS = [
 ]
 
 
-def _scan_roots(coeffs, m):
-    """Brute-force roots of F mod m, ascending."""
-    r = np.arange(m, dtype=np.int64)
-    val = np.zeros(m, dtype=np.int64)
-    for c in reversed(coeffs):
-        val = (val * r + c % m) % m
-    return np.flatnonzero(val == 0).tolist()
-
-
 @pytest.mark.parametrize("coeffs", FINDER_POLYS)
 def test_roots_mod_primes_vs_scan(coeffs):
     small = [p for p in range(2, 400) if all(p % q for q in range(2, math.isqrt(p) + 1))]
@@ -140,7 +127,7 @@ def test_roots_mod_primes_vs_scan(coeffs):
     h, roots = arith.roots_mod_primes(coeffs, primes)
     assert roots.shape == (primes.size, arith.poly_degree(coeffs))
     for i, p in enumerate(primes.tolist()):
-        scan = _scan_roots(coeffs, p)
+        scan = scalar.roots_mod(coeffs, p)
         assert h[i] == len(scan), f"p={p}"
         if len(scan) < p:
             assert roots[i, : h[i]].tolist() == scan, f"p={p}"
@@ -152,7 +139,7 @@ def test_root_counts_up_to_1e4_vs_scan(coeffs):
     # the density pass and the scalar count both read h(p) from the finder
     hv = arith._g_h_values(arith.GFunctionSpec(kind="root_density", coeffs=coeffs), 10**4)[1]
     for d in range(1, 10**4 + 1):
-        scan = _scan_mod(coeffs, d)
+        scan = len(scalar.roots_mod(coeffs, d))
         assert hv[d] == scan, f"d={d}"
         assert arith.poly_root_count(coeffs, d) == scan, f"d={d}"
 
@@ -170,7 +157,7 @@ def test_root_classes_vs_scan(coeffs):
     own, r = arith.root_classes(coeffs, np.arange(1, 1001))
     assert np.all(np.diff(own) >= 0)
     for d in range(1, 1001):
-        assert sorted(r[own == d - 1].tolist()) == _scan_roots(coeffs, d), f"d={d}"
+        assert sorted(r[own == d - 1].tolist()) == scalar.roots_mod(coeffs, d), f"d={d}"
     # past the scan budget: a prime, a prime power and a squarefree product
     ds = [10**6 + 3, 5**9, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]
     own, r = arith.root_classes(coeffs, ds)
@@ -185,7 +172,7 @@ def test_root_classes_vs_scan(coeffs):
     start = np.cumsum(h) - h
     for i, q in enumerate((p**e).tolist()):
         got = roots[start[i] : start[i] + h[i]].tolist()
-        assert (got if e[i] == 1 else sorted(got)) == _scan_roots(coeffs, q), f"q={q}"
+        assert (got if e[i] == 1 else sorted(got)) == scalar.roots_mod(coeffs, q), f"q={q}"
 
 
 @pytest.mark.parametrize(
@@ -202,17 +189,17 @@ def test_root_classes_vs_scan(coeffs):
 )
 def test_prime_power_root_counts_vs_scan(coeffs, p):
     for k in range(1, 5):
-        assert arith.poly_root_count_pk(coeffs, p, k) == _scan_mod(coeffs, p**k), f"k={k}"
+        want = len(scalar.roots_mod(coeffs, p**k))
+        assert arith.poly_root_count_pk(coeffs, p, k) == want, f"k={k}"
 
 
 def test_ramified_zero_propagates_past_scan_budget():
     # h(4) = 0 for X^2 + 1, so h(2^k) = 0 for k >= 2 with no scan of 2^k
     assert 2**20 > arith.SCAN_BUDGET
     assert arith.poly_root_count(X2_PLUS_1, 2**20) == 0
-    g = arith.GFunctionSpec(kind="root_density", coeffs=X2_PLUS_1)
-    assert arith.g_eval(g, 5 * 2**20) == 0
+    assert arith.poly_root_count(X2_PLUS_1, 5 * 2**20) == 0
     # X^2 + 7 keeps four roots mod 2^k for k >= 3: the lift finds them
-    assert arith.poly_root_count((7, 0, 1), 2**20) == 4 == _scan_mod((7, 0, 1), 2**20)
+    assert arith.poly_root_count((7, 0, 1), 2**20) == 4 == len(scalar.roots_mod((7, 0, 1), 2**20))
 
 
 def _sympy_root_count(coeffs, p):
@@ -247,8 +234,6 @@ def test_prime_root_count_at_large_primes_vs_sympy(coeffs, p):
     # integers above
     want = _sympy_root_count(coeffs, p)
     assert arith.poly_root_count(coeffs, p) == want
-    g = arith.GFunctionSpec(kind="root_density", coeffs=coeffs)
-    assert arith.g_eval(g, p) == Fraction(want, p)
     h, roots = arith.roots_mod_primes(coeffs, [p])
     assert h[0] == want
     got = roots[0, :want].tolist()
@@ -262,7 +247,7 @@ def test_root_classes_take_every_modulus():
     ds = [2**20, 2**19, 3 * 2**20, 2**29, 10**12 + 1, 11]
     own, r = arith.root_classes((7, 0, 1), ds)
     for i in (0, 1, 2):
-        assert sorted(r[own == i].tolist()) == _scan_roots((7, 0, 1), ds[i]), ds[i]
+        assert sorted(r[own == i].tolist()) == scalar.roots_mod((7, 0, 1), ds[i]), ds[i]
     for i in (3, 4):
         got = r[own == i].tolist()
         assert len(set(got)) == len(got) == _sympy_count_mod((7, 0, 1), ds[i])
@@ -297,7 +282,7 @@ def test_lifted_root_counts_vs_sympy(coeffs, p, ks):
         want = _sympy_count_mod(coeffs, p**k)
         assert arith.poly_root_count_pk(coeffs, p, k) == want, f"k={k}"
         if p**k <= 2**22:
-            assert want == _scan_mod(coeffs, p**k), f"k={k}"
+            assert want == len(scalar.roots_mod(coeffs, p**k)), f"k={k}"
         if p**k > factor.MAX_PRIME_TABLE_LIMIT**2:
             continue  # root_classes factors each modulus by trial division
         own, r = arith.root_classes(coeffs, [p**k])
@@ -311,15 +296,15 @@ def test_root_counts_consult_no_discriminant():
     arith._root_count_at.cache_clear()
     for coeffs in (X2_PLUS_1, (7, 0, 1), (2, 0, 2), *EVERY_RESIDUE_MOD_2):
         g = arith.GFunctionSpec(kind="root_density", coeffs=coeffs)
-        hv = arith._g_h_values(g, 600)[1]
+        gv, hv = arith._g_h_values(g, 600)
         own, r = arith.root_classes(coeffs, np.arange(1, 601))
         for d in range(1, 601):
-            scan = _scan_roots(coeffs, d)
+            scan = scalar.roots_mod(coeffs, d)
             assert hv[d] == arith.poly_root_count(coeffs, d) == len(scan), f"d={d}"
-            assert arith.g_eval(g, d) == Fraction(len(scan), d)
+            assert gv[d] == len(scan) / d
             assert sorted(r[own == d - 1].tolist()) == scan, f"d={d}"
         for p, k in ((2, 9), (3, 5), (7, 4)):
-            assert arith.poly_root_count_pk(coeffs, p, k) == _scan_mod(coeffs, p**k)
+            assert arith.poly_root_count_pk(coeffs, p, k) == len(scalar.roots_mod(coeffs, p**k))
 
 
 def test_lift_through_the_density_pass():
@@ -327,7 +312,7 @@ def test_lift_through_the_density_pass():
     g = arith.GFunctionSpec(kind="root_density", coeffs=(0, 0, 1))
     hv = arith._g_h_values(g, 2**20)[1]
     for k in range(1, 21):
-        assert hv[2**k] == _scan_mod((0, 0, 1), 2**k) == 2 ** (k // 2), f"k={k}"
+        assert hv[2**k] == len(scalar.roots_mod((0, 0, 1), 2**k)) == 2 ** (k // 2), f"k={k}"
 
 
 def test_roots_mod_primes_batch_straddling_2_29():
@@ -364,7 +349,7 @@ def test_quadratic_roots_vs_scan_below_1e3(coeffs):
     primes = np.array(list(sympy.primerange(2, 1000)))
     h, roots = arith.roots_mod_primes(coeffs, primes)
     for i, p in enumerate(primes.tolist()):
-        scan = _scan_roots(coeffs, p)
+        scan = scalar.roots_mod(coeffs, p)
         assert h[i] == len(scan), p
         assert roots[i, : h[i]].tolist() == scan, p
         assert (roots[i, h[i] :] == -1).all(), p
@@ -405,7 +390,7 @@ def test_prime_root_count_cubic_above_scan_budget():
     p = 1_000_003
     assert p > arith.SCAN_BUDGET
     for coeffs in [X3_MINUS_2, (1, 1, 0, 3)]:
-        assert arith.poly_root_count_pk(coeffs, p, 1) == _scan_mod(coeffs, p)
+        assert arith.poly_root_count_pk(coeffs, p, 1) == len(scalar.roots_mod(coeffs, p))
 
 
 def test_mertens_deviation_cubic_beyond_old_scan_limit():
@@ -429,7 +414,7 @@ def test_density_vector_is_correctly_rounded(kind, coeffs):
     gv, hv = arith._g_h_values(g, 2000)
     assert gv[0] == 0.0
     for n in range(1, 2001):
-        exact = arith.g_eval(g, n)
+        exact = scalar.g(kind, coeffs, n, PC)
         assert gv[n] == float(exact), f"n={n}"
         if hv is not None:
             assert hv[n] == exact * n
@@ -466,10 +451,12 @@ def test_h_multiplicative_on_coprime_pairs(m, n):
 
 
 def test_g_eval_examples():
-    assert arith.g_eval(arith.GFunctionSpec(kind="reciprocal_totient"), 10) == Fraction(1, 4)
-    assert arith.g_eval(arith.GFunctionSpec(kind="reciprocal"), 7) == Fraction(1, 7)
-    g = arith.GFunctionSpec(kind="root_density", coeffs=X2_PLUS_1)
-    assert arith.g_eval(g, 5) == Fraction(2, 5)
+    # the scalar reference
+    assert scalar.g("reciprocal_totient", (), 10, PC) == Fraction(1, 4)
+    assert scalar.g("reciprocal", (), 7, PC) == Fraction(1, 7)
+    assert scalar.g("root_density", X2_PLUS_1, 5, PC) == Fraction(2, 5)
+    assert scalar.g("root_density", X2_PLUS_1, 4, PC) == 0
+    assert scalar.g("root_density", (7, 0, 1), 8, PC) == Fraction(4, 8)
 
 
 def test_g_in_unit_interval():
@@ -479,18 +466,17 @@ def test_g_in_unit_interval():
         ("root_density", X2_PLUS_1),
         ("root_density", X3_MINUS_2),
     ]:
-        g = arith.GFunctionSpec(kind=kind, coeffs=coeffs)
-        for d in range(1, 2000):
-            v = arith.g_eval(g, d)
-            assert 0 <= v <= 1
+        gv, _ = arith._g_h_values(arith.GFunctionSpec(kind=kind, coeffs=coeffs), 2000)
+        assert ((0 <= gv) & (gv <= 1)).all()
 
 
 def test_g_growth_bound():
     # g(d) <= C**Omega(d) / d with C = max(deg F, primes dividing disc F)
     g = arith.GFunctionSpec(kind="root_density", coeffs=X2_PLUS_1)
     c = max(2, 2)  # deg 2; disc -4 has prime divisor 2
+    hv = arith._g_h_values(g, 10**4)[1]
     for d in range(1, 10**4):
-        assert arith.g_eval(g, d) <= Fraction(c ** sympy.primeomega(d), d)
+        assert hv[d] <= c ** sympy.primeomega(d)
 
 
 def test_mertens_deviation_bounded():
@@ -543,7 +529,6 @@ def test_invalid_g_kind():
 def test_scalar_functions_past_a_million_vs_sympy(d):
     # each d has a prime factor above 10**6, past any table kept between calls
     assert max(sympy.factorint(d)) > 10**6
-    assert arith.euler_phi(d) == sympy.totient(d)
     for coeffs in (X2_PLUS_1, X3_MINUS_2):
         assert arith.poly_root_count(coeffs, d) == _sympy_count_mod(coeffs, d)
 

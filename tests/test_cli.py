@@ -62,8 +62,14 @@ def test_missing_x_exits_2(capsys):
     assert "x" in err
 
 
-def test_resource_budget_exits_3():
+def test_resource_budget_exits_3(tmp_path, capsys):
     assert run_cli("rho", "--u-max", "500") == 3
+    # a rho grid of 2e301 rows is refused by its row count, before any
+    # array or file
+    csv = tmp_path / "rho.csv"
+    assert run_cli("rho", "--table-out", str(csv), "--step", "1e-300") == 3
+    assert "rows" in capsys.readouterr().err
+    assert not csv.exists()
 
 
 @pytest.mark.parametrize(
@@ -148,11 +154,13 @@ def test_unknown_spec_kind_exits_2():
         ["rho", "--out", "{tmp}/missing/rho.json"],
         ["sweep", "--experiment", "rho", "--axis", "u_max", "--values", "[5]",
          "--out", "{tmp}/missing/rho.csv"],
-        # the sieve window: eps in (0, 1) and a finite delta0
+        # the sieve window: eps in (0, 1) and delta0 at most 1, refused
+        # before x**delta0 is taken
         ["sieve", "--spec", "uniform", "--x", "1000", "--eps", "nan"],
         ["sieve", "--spec", "uniform", "--x", "1000", "--eps", "-1"],
         ["sieve", "--spec", "uniform", "--x", "1000", "--eps", "0.1", "--delta0", "nan"],
         ["sieve", "--spec", "uniform", "--x", "1000", "--eps", "0.1", "--delta0", "inf"],
+        ["sieve", "--spec", "uniform", "--x", "1000", "--eps", "0.1", "--delta0", "1e300"],
         # every subcommand checks --seed and --threads, read or not
         ["tail", "--spec", "uniform", "--x", "100", "--eps", "0.1", "--threads", "0"],
         ["tail", "--spec", "uniform", "--x", "100", "--eps", "0.1", "--seed", "-5"],

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scalar
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,11 @@ from pdlab.errors import ResourceBudgetError, ValidationError
 @pytest.fixture(scope="module")
 def table():
     return factor.build_prime_table(10**6)
+
+
+@pytest.fixture(scope="module")
+def pc():
+    return PrimeCounts(10**6)
 
 
 def test_small_prime_tables():
@@ -34,70 +40,42 @@ def test_prime_table_matches_sympy_exactly():
     assert small.primes.tolist() == list(sympy.primerange(2, 10**4 + 1))
 
 
-def test_factorize_examples(table):
-    assert factor.factorize(12, table).factors == ((2, 2), (3, 1))
-    assert factor.factorize(1, table).factors == ()
-    assert factor.factorize(9991, table).factors == ((97, 1), (103, 1))
+def test_factorize_examples(pc):
+    # the scalar reference
+    assert scalar.factorize(12, pc) == ((2, 2), (3, 1))
+    assert scalar.factorize(1, pc) == ()
+    assert scalar.factorize(9991, pc) == ((97, 1), (103, 1))
 
 
-def test_factorize_agrees_with_sympy(table):
+def test_factorize_agrees_with_sympy(pc):
     rng = np.random.Generator(np.random.Philox(key=5))
     for u in rng.integers(1, 10**5, size=300):
         u = int(u)
-        mine = dict(factor.factorize(u, table).factors)
-        assert mine == sympy.factorint(u)
+        assert dict(scalar.factorize(u, pc)) == sympy.factorint(u)
 
 
-def test_spectrum_examples(table):
-    s = factor.spectrum(factor.factorize(12, table))
+def test_spectrum_examples(pc):
     l12 = math.log(12)
-    assert s.entries == pytest.approx(
+    assert scalar.spectrum(12, pc) == pytest.approx(
         (math.log(3) / l12, math.log(2) / l12, math.log(2) / l12), abs=1e-15
     )
-    assert factor.spectrum(factor.factorize(1, table)).entries == (1.0,)
-    assert factor.spectrum(factor.factorize(7, table)).entries == (1.0,)
+    assert scalar.spectrum(1, pc) == (1.0,)
+    assert scalar.spectrum(7, pc) == (1.0,)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=1, max_value=10**12))
-def test_round_trip_and_spectrum_properties(u):
-    # table up to sqrt(1e12) covers every u here
-    tab = _big_table()
-    f = factor.factorize(u, tab)
+def test_round_trip_and_spectrum_properties(table, u):
+    # the trial path with a table up to sqrt(1e12), which covers every u here
+    values = np.array([u], dtype=np.int64)
     prod = 1
-    for p, e in f.factors:
-        prod *= p**e
-    assert prod == u or (u == 1 and f.factors == ())
-    if u == 1:
-        assert prod == 1
-    s = factor.spectrum(f)
-    assert abs(sum(s.entries) - 1.0) <= 1e-12
-    assert all(a >= b for a, b in zip(s.entries, s.entries[1:]))
-
-
-_BIG = None
-
-
-def _big_table():
-    global _BIG
-    if _BIG is None:
-        _BIG = factor.build_prime_table(10**6)
-    return _BIG
-
-
-def test_factorization_validates():
-    with pytest.raises(ValidationError):
-        factor.Factorization(value=12, factors=((3, 1), (2, 2)))  # not ascending
-    with pytest.raises(ValidationError):
-        factor.Factorization(value=13, factors=((2, 2), (3, 1)))  # wrong product
-
-
-def test_spf_sieve_agrees_with_factorize(table):
-    spf = factor.smallest_factor_sieve(5000)
-    for u in range(2, 5001):
-        assert spf[u] == factor.factorize(u, table).factors[0][0]
-    assert spf[1] == 1
-    assert spf.dtype == np.int32
+    for idx, p, e in factor._trial_prime_powers(values, table):
+        assert idx.tolist() == [0]
+        prod *= int(p[0]) ** int(e[0])
+    assert prod == u
+    _, entries, _ = factor.bulk_spectra_trial(values, table, floor=0.0)
+    assert abs(entries.sum() - 1.0) <= 1e-12
+    assert (np.diff(entries) <= 0).all()
 
 
 def _oracle_spf(limit):
@@ -238,7 +216,7 @@ def test_bulk_spectra_do_not_depend_on_the_member_block(block, table, monkeypatc
         for got, want in zip(_per_member(idx, val), _per_member(w_idx, w_val)):
             assert np.array_equal(got, want)
     for name, values in sets.items():
-        ref = scalar_spectra(values, table)
+        ref = scalar_spectra(values)
         for k, floor in FOLDS:
             for i, (path, source) in enumerate(set_paths[name]):
                 idx, val, top = path(values, source, k, floor)
@@ -325,7 +303,7 @@ def test_bulk_paths_reject_invalid_values(bad, table):
         factor.bulk_spectra_trial(bad, table)
 
 
-def test_bulk_spectra_matches_scalar_path(table):
+def test_bulk_spectra_matches_scalar_path(table, pc):
     values = np.arange(1, 4001, dtype=np.int64)
     spf = factor.smallest_factor_sieve(4000)
     idx, val, top = factor.bulk_spectra(values, spf)
@@ -333,7 +311,7 @@ def test_bulk_spectra_matches_scalar_path(table):
     assert np.array_equal(top, top2)
     for i, u in enumerate(values):
         mine = np.sort(val[idx == i])[::-1]
-        ref = np.array(factor.spectrum(factor.factorize(int(u), table)).entries)
+        ref = np.array(scalar.spectrum(int(u), pc))
         assert np.allclose(mine, ref, atol=1e-12)
         assert np.allclose(np.sort(val2[idx2 == i])[::-1], ref, atol=1e-12)
 
@@ -348,9 +326,9 @@ def test_bulk_top3_is_sorted_prefix(table):
 
 
 def test_factorize_table_too_small():
-    small = factor.build_prime_table(10)
-    with pytest.raises(ValidationError):
-        factor.factorize(10**4 + 7, small)
+    # the scalar reference refuses a value its primes cannot factor
+    with pytest.raises(ValueError):
+        scalar.factorize(10**4 + 7, PrimeCounts(10))
 
 
 def _per_value(batches, n):
@@ -427,8 +405,9 @@ def test_spf_and_trial_branches_give_the_same_prime_powers():
 
 
 def test_factorize_sizes_its_own_table():
+    # one integer, as arith.poly_root_count factors its modulus
     u = (10**6 + 3) * (10**6 + 33)
-    assert factor.factorize(u).factors == ((10**6 + 3, 1), (10**6 + 33, 1))
-    assert factor.factorize(1).factors == ()
+    assert _per_value(factor.prime_powers(np.array([u])), 1) == [[(10**6 + 3, 1), (10**6 + 33, 1)]]
+    assert _per_value(factor.prime_powers(np.array([1])), 1) == [[]]
     with pytest.raises(ResourceBudgetError):
-        factor.factorize(10**18 + 3)
+        factor.prime_powers(np.array([10**18 + 3]))

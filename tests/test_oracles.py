@@ -1,11 +1,15 @@
 """The exact-count oracles of the acceptance suite, against sympy brute force.
 
 Every count is recomputed member by member from ``sympy.factorint`` with
-integer threshold tests, at x near 10^4.
+integer threshold tests, at x near 10^4.  The test references themselves
+(``oracles``, ``scalar``, ``scalar_spectra``) are checked to import no
+pdlab code.
 """
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,15 @@ def factored():
 def _ge_power(p: int, u: int, t: Fraction) -> bool:
     """p >= u**t, in integers."""
     return p**t.denominator >= u**t.numerator
+
+
+@pytest.mark.parametrize("name", ["oracles.py", "scalar.py", "scalar_spectra.py"])
+def test_references_import_no_pdlab(name):
+    # the references stay independent of the code they check
+    nodes = list(ast.walk(ast.parse((Path(__file__).parent / name).read_text())))
+    modules = [a.name for n in nodes if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module or "" for n in nodes if isinstance(n, ast.ImportFrom)]
+    assert "pdlab" not in {m.split(".")[0] for m in modules}, name
 
 
 def test_sieve_and_pi(pc):

@@ -5,17 +5,24 @@ import time
 import numpy as np
 import pytest
 import sympy
+from oracles import PrimeCounts
+from scalar import membership
 
 from pdlab import arith, sequences
 from pdlab.errors import ResourceBudgetError, ValidationError
 from pdlab.sequences import SequenceSpec
 
 
+# primes for the scalar membership reference, which factors integers to 1e10
+PC = PrimeCounts(10**5)
+
+
 def test_membership_examples():
-    assert sequences.membership(sequences.thue_morse_zeros(), 3)  # 0b11
-    assert not sequences.membership(sequences.thue_morse_zeros(), 7)  # 0b111
-    assert sequences.membership(sequences.shifted_primes(1), 4)  # 4+1=5
-    assert sequences.membership(sequences.polynomial_values([1, 0, 1]), 10)  # F(3)
+    # the scalar reference
+    assert membership(sequences.thue_morse_zeros().to_dict(), 3, PC)  # 0b11
+    assert not membership(sequences.thue_morse_zeros().to_dict(), 7, PC)  # 0b111
+    assert membership(sequences.shifted_primes(1).to_dict(), 4, PC)  # 4+1=5
+    assert membership(sequences.polynomial_values([1, 0, 1]).to_dict(), 10, PC)  # F(3)
 
 
 def test_enumerate_examples():
@@ -224,7 +231,7 @@ def test_count_in_class_past_the_root_classes(coeffs, x, d):
 def test_enumerate_matches_membership_filter(spec):
     x = 10**4
     enumerated = sequences.members(spec, x).tolist()
-    filtered = [n for n in range(1, x + 1) if sequences.membership(spec, n)]
+    filtered = [n for n in range(1, x + 1) if membership(spec.to_dict(), n, PC)]
     assert enumerated == filtered
 
 
@@ -234,11 +241,11 @@ def test_poly_bounds_are_remembered_per_spec(monkeypatch):
     calls = []
     real = arith.poly_eval
     monkeypatch.setattr(arith, "poly_eval", lambda c, n: calls.append(n) or real(c, n))
-    assert not sequences.membership(spec, 5)
+    assert sequences.poly_range(spec, 5).largest == 1  # F(2000)
     assert len(calls) > 1000
     calls.clear()
-    assert not sequences.membership(spec, 5)
-    assert 0 < len(calls) < 100  # the bisection only
+    assert sequences.poly_range(spec, 5).largest == 1
+    assert 0 < len(calls) < 100  # the bisections only
     calls.clear()
     sequences._poly_bounds(spec)
     assert calls == []
@@ -338,7 +345,7 @@ def test_poly_arguments_start_past_the_turning_point_of_f():
     t0 = time.perf_counter()
     assert sequences.count(spec, 10**12) == 999_499
     assert time.perf_counter() - t0 < 1.0
-    assert sequences.membership(spec, 10**9 + 4) and not sequences.membership(spec, 10**9)
+    assert membership(spec.to_dict(), 10**9 + 4, PC) and not membership(spec.to_dict(), 10**9, PC)
 
 
 def test_far_turning_point_is_refused_before_the_loop():

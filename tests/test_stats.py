@@ -8,6 +8,7 @@ import pytest
 import sympy
 
 import oracles
+import scalar
 from scalar_spectra import TOL, assert_fold_matches, scalar_spectra
 
 from pdlab import arith, dickman, factor, pdprocess, sequences, stats
@@ -52,18 +53,8 @@ SMALL = (sequences.uniform_integers(), 3000)
 
 @pytest.fixture(scope="module")
 def brute_spectra():
-    out = {}
-    for u in range(1, 3001):
-        if u == 1:
-            out[u] = [1.0]
-            continue
-        lu = math.log(u)
-        entries = []
-        for p, e in sympy.factorint(u).items():
-            entries += [math.log(p) / lu] * e
-        entries.sort(reverse=True)
-        out[u] = entries
-    return out
+    pc = oracles.PrimeCounts(60)
+    return {u: list(scalar.spectrum(u, pc)) for u in range(1, 3001)}
 
 
 def test_tail_frequency_matches_brute_force(brute_spectra):
@@ -102,7 +93,7 @@ def test_member_cdf_takes_more_than_top_k_thresholds(spec, x):
     # difference of a threshold, so the count is exact
     c = [0.61, 0.37, 0.23, 0.11]
     u, _ = stats._members(spec, x)
-    ref = scalar_spectra(u, factor._table_for(int(u.max())))
+    ref = scalar_spectra(u)
     lead = np.full((u.size, len(c)), -np.inf)
     width = min(len(c), ref.shape[1])
     lead[:, :width] = ref[:, :width]
@@ -171,16 +162,12 @@ def test_sparse_trial_division_path():
     sparse = sequences.shifted_primes(1)
     sparse_u, sparse_index = _choice(sparse, 10**6, 999, 2)
     assert not factor.is_dense(sparse_u)
+    pc = oracles.PrimeCounts(1000)
     for spec, u, index in ((poly, poly_u, poly_index), (sparse, sparse_u, sparse_index)):
         _, entry_idx, entry_val = _fold(spec, 10**6, u, index, 0, 0.0)
         for i, v in enumerate(u[:50]):
-            lu = math.log(int(v))
-            want = sorted(
-                (math.log(p) / lu for p, e in sympy.factorint(int(v)).items() for _ in range(e)),
-                reverse=True,
-            )
             got = np.sort(entry_val[entry_idx == i])[::-1]
-            assert np.allclose(got, want, atol=1e-12)
+            assert np.allclose(got, scalar.spectrum(int(v), pc), atol=1e-12)
 
 
 def test_ks_distance_self_test():
@@ -321,9 +308,10 @@ def test_lod_brute_force_small(spec, x):
     total = 0.0
     worst = 0.0
     g = spec.g_function()
+    pc = oracles.PrimeCounts(100)
     for d in range(1, int(x**c) + 1):
         nd = int(np.count_nonzero(mem % d == 0))
-        r = nd - float(n) * float(arith.g_eval(g, d))
+        r = nd - float(n) * float(scalar.g(g.kind, g.coeffs, d, pc))
         total += abs(r)
         worst = max(worst, abs(r))
     assert err == pytest.approx(total / n)
@@ -414,8 +402,9 @@ def test_sieve_survivors_brute_force(spec, x):
     mem = sequences.members(spec, x).tolist()
     assert res.survivors == sum(all(m % p for p in window) for m in mem)
     v = 1.0
+    g, pc = spec.g_function(), oracles.PrimeCounts(100)
     for p in window:
-        v *= 1.0 - float(arith.g_eval(spec.g_function(), p))
+        v *= 1.0 - float(scalar.g(g.kind, g.coeffs, p, pc))
     assert res.v_product == v
 
 
@@ -676,7 +665,7 @@ def test_sets_do_not_depend_on_the_member_block(name, monkeypatch):
         assert ests[0] == ests[1]
     # every shape of build, in one block and in blocks of 61 (a short last
     # one), is the scalar path's
-    ref = scalar_spectra(u, factor.build_prime_table(math.isqrt(int(u.max())) + 1))
+    ref = scalar_spectra(u)
     for k, floor in itertools.product(range(factor.TOP_K + 1), (None, 0.0, 0.1, 0.5)):
         if k == 0 and floor is None:
             continue  # factors nothing
