@@ -21,23 +21,22 @@ the leading coefficient, and p = 2, are handled apart.
 lifting the finder's roots one power of p at a time; F'(r) mod p decides
 whether a root lifts once, p times or not at all.  ``root_classes``
 combines them into the roots mod d by the Chinese remainder theorem, for
-moduli of any size, and the density pass and the scalar counts h(p^k)
-read the same table.  The vectors g(n), n <= x, of g = 1/phi and
-g = h/d come from one prime-power pass that builds their integer
-denominators or numerators exactly, so each g(n) is a correctly rounded
-ratio; g = 1/n needs no pass.  The same column
+moduli of any size; h(d) is the number of those classes, and the
+density pass reads the same table.  The vectors g(n), n <= x, of
+g = 1/phi and g = h/d come from one prime-power pass that builds their
+integer denominators or numerators exactly, so each g(n) is a correctly
+rounded ratio; g = 1/n needs no pass.  The same column
 helpers certify irreducibility for ``sequences``: F is irreducible mod p
 when gcd(F, X^(p^d) - X) = 1 for every d <= deg F / 2.
 
-Nothing here factors: the moduli, the scalar counts h(d) and the density
-pass read ``factor.prime_powers``.
+Nothing here factors: the root classes and the density pass read
+``factor.prime_powers``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -462,43 +461,19 @@ def roots_mod_prime_powers(coeffs, p, e):
     return np.bincount(own, minlength=q.size), r[np.argsort(own, kind="stable")]
 
 
-@lru_cache(maxsize=1 << 16)
-def _root_count_at(coeffs: tuple, p: int, k: int) -> int:
-    """h(p^k) for one prime of any size; remembered, since scalar callers
-    ask for the same few."""
-    if k == 1:
-        return int(roots_mod_primes(coeffs, [p], split=False)[0][0])
-    return len(roots_mod_prime_powers(coeffs, np.array([p], dtype=object), [k])[1])
-
-
 # ---------------------------------------------------------------------------
 # root counts h(d) and root classes mod d
 
 
-def poly_root_count_pk(coeffs, p: int, k: int) -> int:
-    """h(p^k): distinct roots of F modulo p^k.
-
-    For k = 1 the finder's count, for k >= 2 the count of
-    roots_mod_prime_powers, whose lift decides from F'(r) mod p whether
-    each root mod p lifts once, p times or not at all.  For squarefree F
-    h(p^k) stays bounded in k (Stewart, J. AMS 4, 1991); a lift whose list
-    of roots would pass SCAN_BUDGET raises ResourceBudgetError.
+def poly_root_count(coeffs, ds) -> np.ndarray:
+    """h(d), the number of roots of F mod d, for each modulus d >= 1 of ds
+    (a scalar is one modulus): the count of its root classes
+    (``root_classes``), so it refuses what they refuse.  That includes a
+    prime p > SCAN_BUDGET dividing every coefficient of F, where every
+    residue mod p is a root: ResourceBudgetError rather than h(p) = p.
     """
-    if k < 1 or poly_degree(coeffs) < 1:
-        raise ValidationError(f"h(p^k) needs k >= 1 and deg F >= 1, got k = {k}, F = {coeffs}")
-    return _root_count_at(tuple(coeffs), p, k)
-
-
-def poly_root_count(coeffs, d: int) -> int:
-    """h(d) = prod over p^k || d of h(p^k), by CRT multiplicativity; d past
-    factor.MAX_PRIME_TABLE_LIMIT**2 raises ResourceBudgetError before any
-    table is built."""
-    if d < 1:
-        raise ValidationError(f"poly_root_count requires d >= 1, got {d}")
-    return math.prod(
-        poly_root_count_pk(coeffs, int(p[0]), int(e[0]))
-        for _, p, e in factor.prime_powers(np.array([d]))
-    )
+    ds = np.atleast_1d(ds)
+    return np.bincount(root_classes(coeffs, ds)[0], minlength=ds.size)
 
 
 def root_classes(coeffs, ds) -> tuple[np.ndarray, np.ndarray]:

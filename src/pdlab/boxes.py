@@ -55,6 +55,8 @@ class Box:
     def __post_init__(self):
         if len(self.lower) != len(self.upper) or not self.lower:
             raise ValidationError("box needs matching nonempty lower/upper vectors")
+        if not all(math.isfinite(v) for v in (*self.lower, *self.upper, self.weight)):
+            raise ValidationError(f"box coordinates and weight must be finite, got {self}")
         for a, b in zip(self.lower, self.upper):
             if not 0 < a < b:
                 raise ValidationError(
@@ -96,15 +98,6 @@ class BoxFunction:
         """Support lower bound: the smallest interval endpoint."""
         return min(min(b.lower) for b in self.boxes)
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "boxes": [
-                {"lower": list(b.lower), "upper": list(b.upper), "weight": b.weight}
-                for b in self.boxes
-            ],
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "BoxFunction":
         try:
@@ -116,7 +109,7 @@ class BoxFunction:
                 )
                 for b in d["boxes"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed box function: {exc}") from exc
         return BoxFunction(boxes=boxes)
 

@@ -41,7 +41,8 @@ def _field(config: dict, name: str, kind=None, default=_REQUIRED):
 
     An absent or null field takes ``default``, and without one it is a
     ValidationError, as is a value that is not of its kind; a boolean is
-    neither an int nor a float.
+    neither an int nor a float, and NaN and infinity are not floats here,
+    since a report cannot hold them as JSON.
     """
     val = config.get(name)
     if val is None:
@@ -53,9 +54,13 @@ def _field(config: dict, name: str, kind=None, default=_REQUIRED):
     if kind is float:
         if not isinstance(val, bool):
             try:
-                return float(val)
-            except (TypeError, ValueError):
+                num = float(val)
+            except (TypeError, ValueError, OverflowError):
                 pass
+            else:
+                if not math.isfinite(num):
+                    raise ValidationError(f"field {name!r} must be finite, got {num}")
+                return num
         raise ValidationError(f"field {name!r} must be a number, got {val!r}")
     if kind is str and not isinstance(val, str):
         raise ValidationError(f"field {name!r} must be a string, got {val!r}")
@@ -79,7 +84,7 @@ def _parse_boxes(config: dict) -> BoxFunction:
         # shorthand: a single box as a list of [a, b] interval pairs
         try:
             ivals = [(float(a), float(b)) for a, b in raw]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed 'boxes' field: {raw!r}") from exc
         from pdlab.boxes import box
 
@@ -213,9 +218,9 @@ def run_corr(config: dict) -> ExperimentReport:
 
 def run_cdf(config: dict) -> ExperimentReport:
     c = joint_cdf_thresholds(_field(config, "c"))
-    oracle = None
-    if len(c) == 1 and 1.0 / c[0] <= dickman.default_table().u_max:
-        oracle = dickman.cdf_l1(c[0])
+    oracle, table = None, dickman.default_table()
+    if len(c) == 1 and 1.0 / c[0] <= table.u_max:
+        oracle = table.cdf_l1(c[0])
     if config.get("spec") is not None:
         spec, x = _parse_spec(config), _field(config, "x", int)
         est = stats.empirical_joint_cdf(spec, x, c)
@@ -232,9 +237,9 @@ def run_tail(config: dict) -> ExperimentReport:
     eps = _field(config, "eps", float)
     guard = _field(config, "guard_band", float, None)
     est = stats.tail_frequency(spec, x, eps)
-    oracle = None
-    if 1.0 / (1.0 - eps) <= dickman.default_table().u_max:
-        oracle = 1.0 - dickman.cdf_l1(1.0 - eps)
+    oracle, table = None, dickman.default_table()
+    if 1.0 / (1.0 - eps) <= table.u_max:
+        oracle = 1.0 - table.cdf_l1(1.0 - eps)
     warnings = []
     if guard is not None and oracle is not None and est.value > guard * oracle:
         warnings.append(

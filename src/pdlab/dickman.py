@@ -164,11 +164,3 @@ def default_table() -> RhoTable:
     if _default is None:
         _default = RhoTable()
     return _default
-
-
-def rho(u: float) -> float:
-    return default_table().rho(u)
-
-
-def cdf_l1(c: float) -> float:
-    return default_table().cdf_l1(c)

@@ -82,10 +82,6 @@ class SequenceSpec:
             object.__setattr__(self, "coeffs", coeffs)
             _check_poly(self.coeffs)
 
-    @property
-    def degree(self) -> int:
-        return arith.poly_degree(self.coeffs) if self.kind == "poly" else 0
-
     def g_function(self) -> arith.GFunctionSpec:
         """The density g(d) paired with the sequence.
 
@@ -445,14 +441,10 @@ def class_counts(spec: SequenceSpec, x: int, ds) -> tuple[int, np.ndarray]:
     if ds.size and int(ds.min()) < 1:
         raise ValidationError(f"moduli must be >= 1, got {int(ds.min())}")
     if spec.kind == "uniform":
+        if x > np.iinfo(np.int64).max:
+            raise ValidationError(f"x={x} exceeds the int64 range of the moduli")
         return x, x // ds
     if spec.kind == "poly":
         return _poly_class_counts(spec, x, ds)
     mem = members(spec, x)
     return len(mem), count_divisible(mem, ds)
-
-
-def count(spec: SequenceSpec, x: int) -> int:
-    """N(x) = number of members <= x."""
-    return class_counts(spec, x, [])[0]
-

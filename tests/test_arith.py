@@ -38,22 +38,21 @@ def test_small_multiplicative_values():
 
 
 def test_root_count_pk_examples():
-    assert arith.poly_root_count_pk(X2_PLUS_1, 5, 1) == 2
-    assert arith.poly_root_count_pk(X2_PLUS_1, 3, 1) == 0
-    assert arith.poly_root_count_pk(X2_PLUS_1, 2, 2) == 0
+    assert arith.poly_root_count(X2_PLUS_1, [5, 3, 2**2]).tolist() == [2, 0, 0]
     assert sorted(arith.roots_mod(X2_PLUS_1, 5)) == [2, 3]
 
 
 def test_root_count_examples():
-    assert arith.poly_root_count(X2_PLUS_1, 65) == 4
-    assert arith.poly_root_count(X2_PLUS_1, 1) == 1
-    assert arith.poly_root_count(X2_PLUS_1, 12) == 0
+    assert arith.poly_root_count(X2_PLUS_1, [65, 1, 12]).tolist() == [4, 1, 0]
+    # a scalar modulus is a one-element array
+    assert arith.poly_root_count(X2_PLUS_1, 65).tolist() == [4]
+    assert arith.poly_root_count(X2_PLUS_1, []).tolist() == []
 
 
 @pytest.mark.parametrize("coeffs", [X2_PLUS_1, X3_MINUS_2, FIBONACCI_POLY])
 def test_root_count_vs_exhaustive_scan(coeffs):
-    for d in range(1, 500):
-        assert arith.poly_root_count(coeffs, d) == len(scalar.roots_mod(coeffs, d)), f"d={d}"
+    h = arith.poly_root_count(coeffs, np.arange(1, 500))
+    assert h.tolist() == [len(scalar.roots_mod(coeffs, d)) for d in range(1, 500)]
 
 
 @pytest.mark.parametrize("coeffs", [X2_PLUS_1, X3_MINUS_2, FIBONACCI_POLY, (1, 1, 3)])
@@ -64,18 +63,16 @@ def test_hensel_bound(coeffs):
     for p in (2, 3, 5, 7, 11, 13, 97, 101):
         if disc % p == 0:
             continue
-        for k in range(1, 6):
-            h = arith.poly_root_count_pk(coeffs, p, k)
-            assert 0 <= h <= deg
-            # unramified: the count is stable in k
-            assert h == arith.poly_root_count_pk(coeffs, p, 1)
+        h = arith.poly_root_count(coeffs, p ** np.arange(1, 6))
+        assert ((0 <= h) & (h <= deg)).all()
+        # unramified: the count is stable in k
+        assert (h == h[0]).all(), f"p={p}"
 
 
 def test_hensel_matches_scan_at_large_prime_powers():
     # beyond the scan budget the Hensel path must agree with direct checks
     p = 1009
-    for k in (2, 3):
-        h = arith.poly_root_count_pk(X2_PLUS_1, p, k)
+    for k, h in zip((2, 3), arith.poly_root_count(X2_PLUS_1, [p**2, p**3])):
         scan = sum(
             1
             for r in arith.roots_mod(X2_PLUS_1, p)
@@ -100,8 +97,8 @@ HIGHER_DEGREE = [
 @pytest.mark.parametrize("coeffs", HIGHER_DEGREE)
 def test_prime_root_count_higher_degree_vs_scan(coeffs):
     primes = [p for p in range(2, 400) if all(p % q for q in range(2, math.isqrt(p) + 1))]
-    for p in primes:
-        assert arith.poly_root_count_pk(coeffs, p, 1) == len(scalar.roots_mod(coeffs, p)), f"p={p}"
+    h = arith.poly_root_count(coeffs, primes)
+    assert h.tolist() == [len(scalar.roots_mod(coeffs, p)) for p in primes]
 
 
 # degrees 1 to 6; 3X^2 + X + 1 has 3 | lead and 2X^2 + 2 has content 2
@@ -136,12 +133,11 @@ def test_roots_mod_primes_vs_scan(coeffs):
 
 @pytest.mark.parametrize("coeffs", [X2_PLUS_1, (1, 1, 3), (2, 0, 2)])
 def test_root_counts_up_to_1e4_vs_scan(coeffs):
-    # the density pass and the scalar count both read h(p) from the finder
+    # the density pass and the root classes both read h(p) from the finder
     hv = arith._g_h_values(arith.GFunctionSpec(kind="root_density", coeffs=coeffs), 10**4)[1]
-    for d in range(1, 10**4 + 1):
-        scan = len(scalar.roots_mod(coeffs, d))
-        assert hv[d] == scan, f"d={d}"
-        assert arith.poly_root_count(coeffs, d) == scan, f"d={d}"
+    scan = [len(scalar.roots_mod(coeffs, d)) for d in range(1, 10**4 + 1)]
+    assert hv[1:].tolist() == scan
+    assert arith.poly_root_count(coeffs, np.arange(1, 10**4 + 1)).tolist() == scan
 
 
 # every residue is a root mod 2 while F != 0 mod 2: X^2 + X + 2, X^3 - X,
@@ -163,7 +159,7 @@ def test_root_classes_vs_scan(coeffs):
     own, r = arith.root_classes(coeffs, ds)
     for i, d in enumerate(ds):
         got = r[own == i].tolist()
-        assert len(set(got)) == len(got) == arith.poly_root_count(coeffs, d)
+        assert len(set(got)) == len(got) == _sympy_count_mod(coeffs, d)
         assert all(0 <= v < d and arith.poly_eval(coeffs, v) % d == 0 for v in got)
     # one prime-power table with keys e = 1 and e >= 2 mixed, p = 2 among them
     p = np.array([2, 3, 2, 5, 3, 7, 2, 31, 7, 997])
@@ -188,18 +184,17 @@ def test_root_classes_vs_scan(coeffs):
     ],
 )
 def test_prime_power_root_counts_vs_scan(coeffs, p):
-    for k in range(1, 5):
-        want = len(scalar.roots_mod(coeffs, p**k))
-        assert arith.poly_root_count_pk(coeffs, p, k) == want, f"k={k}"
+    want = [len(scalar.roots_mod(coeffs, p**k)) for k in range(1, 5)]
+    assert arith.poly_root_count(coeffs, p ** np.arange(1, 5)).tolist() == want
 
 
 def test_ramified_zero_propagates_past_scan_budget():
     # h(4) = 0 for X^2 + 1, so h(2^k) = 0 for k >= 2 with no scan of 2^k
     assert 2**20 > arith.SCAN_BUDGET
-    assert arith.poly_root_count(X2_PLUS_1, 2**20) == 0
-    assert arith.poly_root_count(X2_PLUS_1, 5 * 2**20) == 0
+    assert arith.poly_root_count(X2_PLUS_1, [2**20, 5 * 2**20]).tolist() == [0, 0]
     # X^2 + 7 keeps four roots mod 2^k for k >= 3: the lift finds them
-    assert arith.poly_root_count((7, 0, 1), 2**20) == 4 == len(scalar.roots_mod((7, 0, 1), 2**20))
+    h = arith.poly_root_count((7, 0, 1), [2**20])[0]
+    assert h == 4 == len(scalar.roots_mod((7, 0, 1), 2**20))
 
 
 def _sympy_root_count(coeffs, p):
@@ -233,7 +228,7 @@ def test_prime_root_count_at_large_primes_vs_sympy(coeffs, p):
     # exact for primes of any size: int64 columns below 2**29, Python
     # integers above
     want = _sympy_root_count(coeffs, p)
-    assert arith.poly_root_count(coeffs, p) == want
+    assert arith.poly_root_count(coeffs, [p])[0] == want
     h, roots = arith.roots_mod_primes(coeffs, [p])
     assert h[0] == want
     got = roots[0, :want].tolist()
@@ -278,33 +273,40 @@ def test_root_finders_refuse_constant_polynomials(coeffs):
     ],
 )
 def test_lifted_root_counts_vs_sympy(coeffs, p, ks):
+    # root_classes factors each modulus by trial division, so a modulus
+    # past MAX_PRIME_TABLE_LIMIT**2 asks the lift for its roots directly
+    wants = {k: _sympy_count_mod(coeffs, p**k) for k in ks}
+    small = [k for k in ks if p**k <= factor.MAX_PRIME_TABLE_LIMIT**2]
+    h = arith.poly_root_count(coeffs, [p**k for k in small])
+    assert h.tolist() == [wants[k] for k in small]
     for k in ks:
-        want = _sympy_count_mod(coeffs, p**k)
-        assert arith.poly_root_count_pk(coeffs, p, k) == want, f"k={k}"
+        want = wants[k]
         if p**k <= 2**22:
             assert want == len(scalar.roots_mod(coeffs, p**k)), f"k={k}"
-        if p**k > factor.MAX_PRIME_TABLE_LIMIT**2:
-            continue  # root_classes factors each modulus by trial division
-        own, r = arith.root_classes(coeffs, [p**k])
+        if k in small:
+            own, r = arith.root_classes(coeffs, [p**k])
+        else:
+            n, r = arith.roots_mod_prime_powers(coeffs, np.array([p], dtype=object), np.array([k]))
+            assert n.tolist() == [want], f"k={k}"
         got = sorted(r.tolist())
-        assert len(set(got)) == want
+        assert len(set(got)) == len(got) == want
         assert all(arith.poly_eval(coeffs, v) % p**k == 0 for v in got), f"k={k}"
 
 
 def test_root_counts_consult_no_discriminant():
     # the lift reads F'(r) mod p, so no root count needs disc F
-    arith._root_count_at.cache_clear()
     for coeffs in (X2_PLUS_1, (7, 0, 1), (2, 0, 2), *EVERY_RESIDUE_MOD_2):
         g = arith.GFunctionSpec(kind="root_density", coeffs=coeffs)
         gv, hv = arith._g_h_values(g, 600)
         own, r = arith.root_classes(coeffs, np.arange(1, 601))
         for d in range(1, 601):
             scan = scalar.roots_mod(coeffs, d)
-            assert hv[d] == arith.poly_root_count(coeffs, d) == len(scan), f"d={d}"
+            assert hv[d] == len(scan), f"d={d}"
             assert gv[d] == len(scan) / d
             assert sorted(r[own == d - 1].tolist()) == scan, f"d={d}"
-        for p, k in ((2, 9), (3, 5), (7, 4)):
-            assert arith.poly_root_count_pk(coeffs, p, k) == len(scalar.roots_mod(coeffs, p**k))
+        q = [2**9, 3**5, 7**4]
+        want = [len(scalar.roots_mod(coeffs, m)) for m in q]
+        assert arith.poly_root_count(coeffs, q).tolist() == want
 
 
 def test_lift_through_the_density_pass():
@@ -390,7 +392,18 @@ def test_prime_root_count_cubic_above_scan_budget():
     p = 1_000_003
     assert p > arith.SCAN_BUDGET
     for coeffs in [X3_MINUS_2, (1, 1, 0, 3)]:
-        assert arith.poly_root_count_pk(coeffs, p, 1) == len(scalar.roots_mod(coeffs, p))
+        assert arith.poly_root_count(coeffs, [p])[0] == len(scalar.roots_mod(coeffs, p))
+
+
+def test_every_residue_a_root_past_the_scan_budget_is_refused():
+    # p divides every coefficient, so every residue mod p is a root: h(p)
+    # would be p, but the root classes would list all p of them
+    p = 1_000_003
+    assert p > arith.SCAN_BUDGET
+    with pytest.raises(ResourceBudgetError, match="every residue"):
+        arith.poly_root_count((p, 0, p), [p])
+    # below the budget the p classes are listed and counted
+    assert arith.poly_root_count((997, 0, 997), [997, 2 * 997]).tolist() == [997, 997]
 
 
 def test_mertens_deviation_cubic_beyond_old_scan_limit():
@@ -446,8 +459,8 @@ def test_density_pass_totient_and_omega_vs_sympy():
 def test_h_multiplicative_on_coprime_pairs(m, n):
     if gcd(m, n) != 1:
         return
-    h = lambda d: arith.poly_root_count(X2_PLUS_1, d)
-    assert h(m * n) == h(m) * h(n)
+    hm, hn, hmn = arith.poly_root_count(X2_PLUS_1, [m, n, m * n]).tolist()
+    assert hmn == hm * hn
 
 
 def test_g_eval_examples():
@@ -496,10 +509,10 @@ def test_partial_sums():
     g = arith.GFunctionSpec(kind="root_density", coeffs=X2_PLUS_1)
     assert arith.partial_sums_gh(g, 1) == (1.0, 1.0)
     sum_g, sum_h = arith.partial_sums_gh(g, 1000)
-    brute_h = sum(arith.poly_root_count(X2_PLUS_1, d) for d in range(1, 1001))
-    assert sum_h == brute_h
+    h = arith.poly_root_count(X2_PLUS_1, np.arange(1, 1001)).tolist()
+    assert sum_h == sum(h)
     assert sum_h <= 1000 * sum_g
-    brute_g = sum(arith.poly_root_count(X2_PLUS_1, d) / d for d in range(1, 1001))
+    brute_g = sum(hd / d for d, hd in enumerate(h, 1))
     assert sum_g == pytest.approx(brute_g, rel=1e-12)
 
 
@@ -530,7 +543,7 @@ def test_scalar_functions_past_a_million_vs_sympy(d):
     # each d has a prime factor above 10**6, past any table kept between calls
     assert max(sympy.factorint(d)) > 10**6
     for coeffs in (X2_PLUS_1, X3_MINUS_2):
-        assert arith.poly_root_count(coeffs, d) == _sympy_count_mod(coeffs, d)
+        assert arith.poly_root_count(coeffs, [d])[0] == _sympy_count_mod(coeffs, d)
 
 
 @pytest.mark.parametrize("d", [(10**12 + 61) ** 2, 10**20])

@@ -404,13 +404,34 @@ def test_weighted_boxes_are_linear():
     )
 
 
-def test_box_function_serialization_round_trip():
+def test_box_function_from_dict():
     eta = BoxFunction(
         boxes=(Box((0.1, 0.3), (0.2, 0.4), weight=1.5), Box((0.5, 0.5), (0.6, 0.6)))
     )
-    assert BoxFunction.from_dict(eta.to_dict()) == eta
+    raw = {
+        "boxes": [
+            {"lower": [0.1, 0.3], "upper": [0.2, 0.4], "weight": 1.5},
+            {"lower": [0.5, 0.5], "upper": [0.6, 0.6]},
+        ]
+    }
+    assert BoxFunction.from_dict(raw) == eta
     with pytest.raises(ValidationError):
         BoxFunction.from_dict({"boxes": [{"lower": [0.1]}]})
+
+
+@pytest.mark.parametrize(
+    "lower, upper, weight",
+    [
+        ((0.1,), (0.3,), math.nan),
+        ((0.1,), (0.3,), math.inf),
+        ((0.1,), (0.3,), -math.inf),
+        ((0.1, 0.2), (0.3, math.inf), 1.0),
+        ((math.nan,), (0.3,), 1.0),
+    ],
+)
+def test_box_refuses_non_finite_numbers(lower, upper, weight):
+    with pytest.raises(ValidationError, match="finite"):
+        Box(lower, upper, weight)
 
 
 def test_steps_built_once_per_box(monkeypatch):

@@ -296,6 +296,41 @@ def test_poly_x_beyond_int64_exits_2(capsys):
     assert "int64" in capsys.readouterr().err
 
 
+def test_uniform_lod_x_beyond_int64_exits_2(capsys):
+    # N_d(x) = x // d is taken over int64 moduli; 2**63 - 1 still runs
+    assert run_cli("lod", "--spec", "uniform", "--x", "10000000000000000000", "--c", "0.1") == 2
+    assert "int64" in capsys.readouterr().err
+    assert run_cli("lod", "--spec", "uniform", "--x", "9223372036854775807", "--c", "0.1") == 0
+
+
+HUGE = str(10**400)  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize(
+    "argv, msg",
+    [
+        (["tail", "--spec", "uniform", "--x", "1000", "--eps", "0.1", "--guard-band", "nan"],
+         "finite"),
+        (["corr", "--boxes", '{"boxes":[{"lower":[0.1],"upper":[0.3],"weight":NaN}]}',
+          "--n-samples", "100"], "finite"),
+        (["corr", "--boxes", '{"boxes":[{"lower":[0.1],"upper":[0.3],"weight":1e400}]}',
+          "--n-samples", "100"], "finite"),
+        (["corr", "--boxes", "[[0.1,1e400]]", "--n-samples", "100"], "finite"),
+        (["corr", "--boxes", '{"boxes":[{"lower":[0.1],"upper":[0.3],"weight":%s}]}' % HUGE,
+          "--n-samples", "100"], "malformed"),
+        (["corr", "--boxes", "[[0.1,%s]]" % HUGE, "--n-samples", "100"], "malformed"),
+    ],
+    ids=["guard_band-nan", "weight-nan", "weight-inf", "upper-inf", "weight-huge-int",
+         "upper-huge-int"],
+)
+def test_non_finite_numbers_exit_2_and_write_nothing(argv, msg, tmp_path, capsys):
+    # NaN and Infinity are not JSON, so no report may carry them
+    out = tmp_path / "r.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_corr_pd_monte_carlo(capsys):
     assert (
         run_cli(

@@ -405,7 +405,7 @@ def test_spf_and_trial_branches_give_the_same_prime_powers():
 
 
 def test_factorize_sizes_its_own_table():
-    # one integer, as arith.poly_root_count factors its modulus
+    # one integer, as root_classes factors a lone modulus
     u = (10**6 + 3) * (10**6 + 33)
     assert _per_value(factor.prime_powers(np.array([u])), 1) == [[(10**6 + 3, 1), (10**6 + 33, 1)]]
     assert _per_value(factor.prime_powers(np.array([1])), 1) == [[]]

@@ -222,7 +222,7 @@ def test_certified_l1_follows_the_dickman_cdf():
     parts = pdprocess._combine_blocks(n, 29, 1, lambda rng, size: _certified_l1(rng, size)[0])
     l1 = np.concatenate(parts)
     for c in (0.3, 0.5, 0.7, 0.9):
-        want = dickman.cdf_l1(c)
+        want = dickman.default_table().cdf_l1(c)
         sigma = math.sqrt(want * (1 - want) / n)
         assert abs(np.count_nonzero(l1 <= c) / n - want) <= 5 * sigma
 
@@ -262,10 +262,10 @@ def test_joint_cdf_trivial_threshold():
 
 def test_joint_cdf_matches_dickman():
     est = pdprocess.joint_cdf_mc([0.5], 10**6, seed=42)
-    rho2 = dickman.rho(2.0)
+    rho2 = dickman.default_table().rho(2.0)
     assert abs(est.value - rho2) <= 3 * est.std_error
     est3 = pdprocess.joint_cdf_mc([1.0 / 3.0], 10**6, seed=42)
-    assert abs(est3.value - dickman.rho(3.0)) <= 3 * est3.std_error
+    assert abs(est3.value - dickman.default_table().rho(3.0)) <= 3 * est3.std_error
 
 
 def counting_joint_cdf(c, n_samples: int, seed: int) -> Estimate:
