@@ -9,15 +9,25 @@ breakpoints keeps full accuracy at the derivative kinks.  Each panel is
 stored as a Legendre series, so point queries are spectral-accuracy
 interpolations (well past the 1e-10 target; a cubic-on-grid scheme was
 considered and discarded as strictly worse at equal cost).
+
+A panel depends on its index and the collocation order alone, not on
+u_max, so every table of one order reads one module-level panel list:
+a table to u = 100 extends the panels a table to u = 20 already built.
+Each Picard step of a panel's fixed point solves against the panel's
+design matrix, built once, and gives the coefficients ``Legendre.fit``
+would give, bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
+import threading
+from functools import cache
 
 import numpy as np
 from numpy.polynomial import Legendre
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial import polyutils as pu
+from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
 from pdlab.errors import ResourceBudgetError, ValidationError
 from pdlab.sequences import MAX_DENSE_X
@@ -29,6 +39,20 @@ DEFAULT_NODES = 40
 MAX_FIXED_POINT_ITERATIONS = 400
 # values per Legendre call in rho_vec, so the Clenshaw temporaries stay in cache
 RHO_CHUNK = 1 << 15
+
+# the panels built so far per collocation order, shared by every table of
+# that order; a list only grows, under the lock, one panel at a time
+_PANELS: dict[int, list[Legendre]] = {}
+_PANELS_LOCK = threading.Lock()
+
+
+@cache
+def _gauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], once per order; every
+    caller gets the same arrays, so they are read-only."""
+    xg, wg = leggauss(nodes)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
 
 
 class RhoTable:
@@ -43,14 +67,21 @@ class RhoTable:
             raise ValidationError(f"need at least 8 quadrature nodes, got {nodes}")
         self.u_max = u_max
         self.nodes = nodes
-        self._panels: list[Legendre] = []
+
+    @property
+    def _panels(self) -> list[Legendre]:
+        """The panels of this table's order built so far, by any table."""
+        return _PANELS.setdefault(self.nodes, [])
 
     def _panel(self, k: int) -> Legendre:
         """Panel k, on [k, k+1]; the panels up to k are built in order the
         first time one of them is needed."""
-        while len(self._panels) < k:
-            self._panels.append(_next_panel(self._panels, self.nodes))
-        return self._panels[k - 1]
+        panels = self._panels
+        if len(panels) < k:
+            with _PANELS_LOCK:
+                while len(panels) < k:
+                    panels.append(_next_panel(panels, self.nodes))
+        return panels[k - 1]
 
     def rho(self, u: float) -> float:
         return float(self.rho_vec(u))
@@ -97,7 +128,7 @@ class RhoTable:
         integrates its series against the smooth 1/t**2 to rounding; past
         u_max the tail is below rho(u_max)/u_max.
         """
-        xg, wg = leggauss(self.nodes)
+        xg, wg = _gauss(self.nodes)
         t = np.arange(1, self.u_max)[:, None] + (xg + 1.0) / 2.0
         return float(1.0 - np.sum(self.rho_vec(t) / (t * t) * (wg / 2.0)))
 
@@ -125,21 +156,38 @@ class RhoTable:
 
 def _next_panel(panels: list[Legendre], nodes: int) -> Legendre:
     """The panel after the built ones, k = len(panels) + 1 on [k, k+1],
-    from the panel before it (rho = 1 on [0, 1] for k = 1)."""
+    from the panel before it (rho = 1 on [0, 1] for k = 1).
+
+    The fixed point y(t) = (i1(t) + integral of y over [k, t]) / t runs on
+    the nodes' values; each step fits the series through them as
+    ``Legendre.fit`` does, from the scaled design matrix built once here.
+    """
     k = len(panels) + 1
     prev = panels[-1] if panels else None  # panel on [k-1, k]
-    xg, _ = leggauss(nodes)
+    xg, _ = _gauss(nodes)
     t = k + (xg + 1.0) / 2.0  # collocation points inside [k, k+1]
     if prev is None:
         i1 = 2.0 - t  # integral of 1 over [t-1, 1]
     else:
         anti = prev.integ()
         i1 = anti(float(k)) - anti(t - 1.0)
+    domain = [k, k + 1]
+    off, scl = pu.mapparms(domain, Legendre.window)
+    x = off + scl * t  # the nodes in the series' window, as the fit maps them
+    ends = np.append(x, off + scl * float(k))  # and the left end k after them
+    # polyutils._fit's least squares: columns scaled to unit norm
+    lhs = legvander(x, nodes - 1).T
+    norms = np.sqrt(np.square(lhs).sum(1))
+    design = lhs.T / norms
+    rcond = len(x) * np.finfo(x.dtype).eps
+
+    def fit(y):
+        return np.linalg.lstsq(design, y, rcond)[0] / norms
+
     y = np.full(nodes, 1.0 if prev is None else prev(float(k)))
     for _ in range(MAX_FIXED_POINT_ITERATIONS):
-        series = Legendre.fit(t, y, deg=nodes - 1, domain=[k, k + 1])
-        anti = series.integ()
-        y_new = (i1 + anti(t) - anti(float(k))) / t
+        anti = legval(ends, legint(fit(y), 1, [], 0, 1.0 / scl))
+        y_new = (i1 + anti[:-1] - anti[-1]) / t
         step = np.max(np.abs(y_new - y))
         y = y_new
         if step < 1e-16:
@@ -152,7 +200,7 @@ def _next_panel(panels: list[Legendre], nodes: int) -> Legendre:
                 f"rho panel [{k}, {k + 1}] did not converge in "
                 f"{MAX_FIXED_POINT_ITERATIONS} iterations (last step {step:.3g})"
             )
-    return Legendre.fit(t, y, deg=nodes - 1, domain=[k, k + 1])
+    return Legendre(fit(y), domain=domain)
 
 
 _default: RhoTable | None = None

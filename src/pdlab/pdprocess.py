@@ -35,12 +35,12 @@ same generator agree on the rows' sticks only while they retire the same
 rows.  An estimate's bits therefore depend on its fold's stopping rule;
 its law does not.
 
-``_combine_blocks`` runs a fold on each fixed-size sample block with the
-block's own counter-based (Philox) generator and returns the results in
-block order; each worker reduces its block to ``moments`` or a hit
-count, and the blocks are combined in that order, so estimates are
-bit-identical for a given seed regardless of the number of worker
-threads.
+``_combine_blocks`` runs a fold on each block of ``BLOCK`` samples with
+the block's own SFC64 generator, seeded by the SeedSequence of the seed
+with the block index as its spawn key, and returns the results in block
+order; each worker reduces its block to ``moments`` or a hit count, and
+the blocks are combined in that order, so estimates are bit-identical
+for a given seed regardless of the number of worker threads.
 """
 
 from __future__ import annotations
@@ -53,13 +53,20 @@ from pdlab.boxes import BoxFunction, check_tuple_budget, tuple_sum_per_item
 from pdlab.errors import ValidationError
 from pdlab.report import Estimate, joint_cdf_hits, joint_cdf_thresholds, moments
 
-BLOCK = 1 << 15  # samples per RNG block; fixed, never tied to thread count
+# samples per RNG block, fixed and never tied to the thread count; as large
+# as factor.MEMBER_BLOCK, so each round's numpy calls do more work per hand-over
+# of the GIL between workers (2**17 was no faster and raised a pass's peak)
+BLOCK = 1 << 16
 # residual below which a sample's stick loop stops: no later stick is above it
 TRUNCATION = 1e-12
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + block))
+    """Block ``block``'s generator: SFC64 from the seed's SeedSequence with
+    spawn key (block,), the stream ``SeedSequence(seed).spawn`` gives it."""
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(int(seed), spawn_key=(block,)))
+    )
 
 
 def _stick_rounds(rng, n: int, floor: float, state, retire=None, done=None):

@@ -367,6 +367,20 @@ def test_reports_byte_identical_across_threads(tmp_path):
         assert len(payloads) == 1, args[0]
 
 
+def test_pd_at_the_largest_seed_is_thread_independent(tmp_path):
+    seed = str(2**64 - 1)
+    payloads = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"pd-{threads}.json"
+        args = ("pd", "--n-samples", "100000", "--seed", seed, "--threads", threads)
+        assert run_cli(*args, "--out", str(out)) == 0
+        payloads.add(out.read_bytes())
+    assert len(payloads) == 1
+    payload = json.loads(payloads.pop())
+    assert payload["seed"] == 2**64 - 1
+    assert payload["estimate"] == pytest.approx(0.62433, abs=0.01)
+
+
 @pytest.mark.parametrize(
     "config, command, field",
     [

@@ -1,9 +1,13 @@
 """Dickman function: closed form on [1,2], delay relation, refinement."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from numpy.polynomial import Legendre
+from numpy.polynomial.legendre import leggauss
 
 from pdlab import dickman
 from pdlab.errors import ResourceBudgetError, ValidationError
@@ -12,6 +16,12 @@ from pdlab.errors import ResourceBudgetError, ValidationError
 @pytest.fixture(scope="module")
 def table():
     return dickman.default_table()
+
+
+@pytest.fixture
+def fresh_panels(monkeypatch):
+    """No panel built yet at any order; the shared lists come back after."""
+    monkeypatch.setattr(dickman, "_PANELS", {})
 
 
 def test_rho_is_one_on_unit_interval(table):
@@ -128,14 +138,14 @@ def test_mean_l1_is_the_golomb_dickman_constant(table):
     assert abs(table.mean_l1() - 0.62432998854355087099293638310083724417964262018) <= 1e-14
 
 
-def test_panel_build_raises_without_convergence(monkeypatch):
+def test_panel_build_raises_without_convergence(fresh_panels, monkeypatch):
     monkeypatch.setattr(dickman, "MAX_FIXED_POINT_ITERATIONS", 3)
     table = dickman.RhoTable(u_max=4)  # panels are built on first use
     with pytest.raises(AssertionError, match="did not converge"):
         table.rho(3.5)
 
 
-def test_panels_are_built_on_demand_in_order():
+def test_panels_are_built_on_demand_in_order(fresh_panels):
     table = dickman.RhoTable()
     assert not table._panels
     table.rho(2.0)
@@ -154,3 +164,97 @@ def test_panels_are_built_on_demand_in_order():
             assert len(t._panels) == u_max - 1
             for built, ref in zip(t._panels, whole._panels, strict=True):
                 assert built.coef.tobytes() == ref.coef.tobytes()
+
+
+def _fit_loop_panels(u_max, nodes):
+    """Every panel to u_max by a Legendre.fit per Picard step, and the
+    number of panels whose fixed point stalled a rounding step apart."""
+    panels, stalled = [], 0
+    xg, _ = leggauss(nodes)
+    for k in range(1, u_max):
+        prev = panels[-1] if panels else None
+        t = k + (xg + 1.0) / 2.0
+        if prev is None:
+            i1 = 2.0 - t
+        else:
+            anti = prev.integ()
+            i1 = anti(float(k)) - anti(t - 1.0)
+        y = np.full(nodes, 1.0 if prev is None else prev(float(k)))
+        for _ in range(dickman.MAX_FIXED_POINT_ITERATIONS):
+            series = Legendre.fit(t, y, deg=nodes - 1, domain=[k, k + 1])
+            anti = series.integ()
+            y_new = (i1 + anti(t) - anti(float(k))) / t
+            step = np.max(np.abs(y_new - y))
+            y = y_new
+            if step < 1e-16:
+                break
+        else:
+            assert step <= 4 * np.finfo(float).eps * np.max(np.abs(y))
+            stalled += 1
+        panels.append(Legendre.fit(t, y, deg=nodes - 1, domain=[k, k + 1]))
+    return panels, stalled
+
+
+@pytest.mark.parametrize("nodes", [40, 12])
+def test_panels_equal_the_legendre_fit_loop(fresh_panels, nodes):
+    want, stalled = _fit_loop_panels(100, nodes)
+    # order 12 takes the stall branch, the default order never does
+    assert (stalled > 0) == (nodes == 12)
+    table = dickman.RhoTable(u_max=100, nodes=nodes)
+    table.rho(100.0)
+    assert len(table._panels) == len(want) == 99
+    for got, ref in zip(table._panels, want):
+        assert got.coef.tobytes() == ref.coef.tobytes()
+        assert got.domain.tobytes() == ref.domain.tobytes()
+
+
+@pytest.fixture
+def built(fresh_panels, monkeypatch):
+    """(order, k) of every panel built during the test, in build order."""
+    real, built = dickman._next_panel, []
+
+    def counted(panels, nodes):
+        built.append((nodes, len(panels) + 1))
+        return real(panels, nodes)
+
+    monkeypatch.setattr(dickman, "_next_panel", counted)
+    return built
+
+
+def test_tables_of_one_order_share_their_panels(built):
+    dickman.default_table().rho(20.0)
+    assert built == [(40, k) for k in range(1, 20)]
+    built.clear()
+    dickman.RhoTable(u_max=100).rho(100.0)
+    assert built == [(40, k) for k in range(20, 100)]  # 80 panels, not 99
+    built.clear()
+    dickman.RhoTable(u_max=5, nodes=24).rho(5.0)
+    assert built == [(24, k) for k in range(1, 5)]
+
+
+def test_concurrent_tables_build_each_panel_once(built):
+    # more threads than cores, switching often, each asking a table of its
+    # own u_max for the far end: a panel built twice or out of order shows
+    want = [p.coef.tobytes() for p in _fit_loop_panels(30, 40)[0]]
+    errors = []
+
+    def query(u_max):
+        try:
+            dickman.RhoTable(u_max=u_max).rho(float(u_max))
+        except Exception as exc:  # a thread's failure is asserted below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=query, args=(10 + 5 * (i % 5),)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert built == [(40, k) for k in range(1, 30)]
+    assert [p.coef.tobytes() for p in dickman.RhoTable(u_max=30)._panels] == want

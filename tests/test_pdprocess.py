@@ -353,13 +353,23 @@ def test_estimates_pinned_at_the_parent_values():
     # 10^5 samples, seed 3, 2 threads: the block moments and hit counts
     # reproduce the estimates of the one-pass sums they replaced
     eta = box((0.1, 0.3), (0.3, 0.6))
-    assert pdprocess.corr_mc(eta, 10**5, seed=3, threads=2).value == 0.76037
-    # l1_mass_mc stops each sample once its L1 is certified, which moved
-    # its bits; the full-truncation mass identity pass keeps the parent's
-    assert pdprocess.l1_mass_mc(10**5, seed=3, threads=2)[0].value == 0.6245400994483579
+    # (blocks of 2**16 samples on SFC64 moved every estimate's bits once)
+    assert pdprocess.corr_mc(eta, 10**5, seed=3, threads=2).value == 0.76403
+    assert pdprocess.l1_mass_mc(10**5, seed=3, threads=2)[0].value == 0.6248885763218998
     assert pdprocess.mass_identity_max_deviation(10**5, seed=3, threads=2) == 8.881784197001252e-16
     cdf = pdprocess.joint_cdf_mc([0.5, 0.3], 10**5, seed=3, threads=2)
-    assert (cdf.value, cdf.std_error) == (0.1777, 0.0012088122683030645)
+    assert (cdf.value, cdf.std_error) == (0.178, 0.0012096115078817661)
+
+
+def test_block_streams_differ_over_seeds_and_blocks():
+    firsts = {
+        (s, b): pdprocess._block_rng(s, b).random(4).tobytes()
+        for s in (0, 1, 2**64 - 1)
+        for b in (0, 1, 2**20)
+    }
+    assert len(set(firsts.values())) == len(firsts) == 9
+    # a generator is a function of (seed, block) alone
+    assert pdprocess._block_rng(2**64 - 1, 2**20).random(4).tobytes() == firsts[2**64 - 1, 2**20]
 
 
 def test_validation_errors():
